@@ -21,7 +21,7 @@ using timing::ssta::CanonicalForm;
 
 GraphAnalyzer::GraphAnalyzer(GraphSpec spec)
     : spec_(std::move(spec)), graph_(spec_.netlist) {
-  obs::ScopedSpan span("graph_characterize");
+  obs::ScopedSpan span("core.graph_characterize");
   if (spec_.top_k == 0) {
     throw std::invalid_argument("GraphAnalyzer: top_k must be positive");
   }
@@ -55,6 +55,9 @@ GraphAnalyzer::GraphAnalyzer(GraphSpec spec)
   const double latch_pin_cap =
       input_pin_cap(timing::find_cell("INV"), spec_.tech);
   std::map<std::pair<std::size_t, double>, std::size_t> block_index;
+  // Blocks share the wire and differ only in port entries (driver chord,
+  // fanout cap), so they share their PACT eigensolves.
+  mor::PactMemo pact_memo;
   stages_.resize(subgraph_.size());
   for (std::size_t slot = 0; slot < subgraph_.size(); ++slot) {
     const std::size_t g = subgraph_[slot];
@@ -78,7 +81,8 @@ GraphAnalyzer::GraphAnalyzer(GraphSpec spec)
     }
     gs.model.load = characterize_stage_load(*gs.model.cell, spec_.tech,
                                             segments_per_stage_, cap,
-                                            spec_.rom_internal_modes);
+                                            spec_.rom_internal_modes,
+                                            &pact_memo);
     gs.block = blocks_.size();
     blocks_.push_back({gate.cell, cap, slot});
     block_index.emplace(key, gs.block);
@@ -293,7 +297,7 @@ stats::MonteCarloResult GraphAnalyzer::monte_carlo(
 
 std::vector<timing::ssta::BlockDelayModel> GraphAnalyzer::block_models(
     const PathVariationModel& model) const {
-  obs::ScopedSpan span("graph_block_models");
+  obs::ScopedSpan span("core.graph_block_models");
   const double vdd = spec_.tech.vdd;
   const double m_local = 0.25 * spec_.stage_window;
   const double s_nom = spec_.input.s;

@@ -73,6 +73,11 @@ class GraphAnalyzer {
   }
   /// Number of distinct characterized (cell, load) blocks.
   std::size_t num_blocks() const { return blocks_.size(); }
+  /// The characterized stage of subgraph slot `slot` (subgraph_gates()
+  /// order).
+  const StageModel& stage_model(std::size_t slot) const {
+    return stages_[slot].model;
+  }
 
   /// Resident heap footprint of the characterized artifacts (per-slot
   /// stage models + enumerated paths) -- what a design cache pays to keep

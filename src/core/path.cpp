@@ -34,7 +34,7 @@ PathSpec PathSpec::from_benchmark(const circuit::Technology& tech,
 }
 
 PathAnalyzer::PathAnalyzer(PathSpec spec) : spec_(std::move(spec)) {
-  obs::ScopedSpan span("characterize");
+  obs::ScopedSpan span("core.characterize");
   if (spec_.cells.empty()) {
     throw std::invalid_argument("PathAnalyzer: empty path");
   }
@@ -50,6 +50,9 @@ PathAnalyzer::PathAnalyzer(PathSpec spec) : spec_(std::move(spec)) {
   // effective loads; characterize each combination once.
   std::map<std::pair<std::size_t, std::size_t>, mor::VariationalRom>
       rom_cache;
+  // Every stage's wire is the same, so distinct (cell, receiver) blocks
+  // differ only in port entries and share their PACT eigensolves.
+  mor::PactMemo pact_memo;
   for (std::size_t k = 0; k < spec_.cells.size(); ++k) {
     Stage st;
     st.model.cell = &lib.at(spec_.cells[k]);
@@ -74,7 +77,8 @@ PathAnalyzer::PathAnalyzer(PathSpec spec) : spec_(std::move(spec)) {
     st.model.load = characterize_stage_load(*st.model.cell, spec_.tech,
                                             segments_per_stage_,
                                             st.model.receiver_cap,
-                                            spec_.rom_internal_modes);
+                                            spec_.rom_internal_modes,
+                                            &pact_memo);
     rom_cache.emplace(cache_key, st.model.load);
     stages_.push_back(std::move(st));
   }

@@ -93,6 +93,10 @@ class PathAnalyzer {
 
   std::size_t num_stages() const { return spec_.cells.size(); }
   const PathSpec& spec() const { return spec_; }
+  /// The characterized driver cell + effective load of stage k.
+  const StageModel& stage_model(std::size_t k) const {
+    return stages_[k].model;
+  }
 
   /// Reusable per-worker scratch covering the whole per-sample pipeline
   /// (ROM evaluation -> pole/residue extraction -> TETA transient). One

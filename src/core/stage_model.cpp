@@ -70,7 +70,8 @@ mor::VariationalRom characterize_stage_load(const timing::CellTemplate& cell,
                                             const circuit::Technology& tech,
                                             std::size_t segments,
                                             double receiver_cap,
-                                            std::size_t rom_internal_modes) {
+                                            std::size_t rom_internal_modes,
+                                            mor::PactMemo* memo) {
   // Effective-load pre-characterization (Table 1): chords folded in,
   // variational over the global wire parameters (W, H) in normalized
   // 3-sigma-tolerance units.
@@ -93,7 +94,7 @@ mor::VariationalRom characterize_stage_load(const timing::CellTemplate& cell,
   vopt.library = mor::LibraryMode::kFullReduction;
   vopt.pact.internal_modes = rom_internal_modes;
   vopt.fd_step = 0.2;
-  return mor::build_variational_rom(family, 2, vopt);
+  return mor::build_variational_rom(family, 2, vopt, memo);
 }
 
 Samples simulate_stage_model(const StageModel& st,

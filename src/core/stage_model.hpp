@@ -93,12 +93,15 @@ double input_pin_cap(const timing::CellTemplate& cell,
 
 /// Variational ROM of a stage's effective load: `segments` 1-um RC wire
 /// segments loaded by `receiver_cap` at the far end, with the driver
-/// cell's chord conductance folded into the near port.
+/// cell's chord conductance folded into the near port. Both terminations
+/// are port entries, so loads on the same wire share PACT eigensolves
+/// through an optional `memo` (bitwise the same ROM with or without).
 mor::VariationalRom characterize_stage_load(const timing::CellTemplate& cell,
                                             const circuit::Technology& tech,
                                             std::size_t segments,
                                             double receiver_cap,
-                                            std::size_t rom_internal_modes);
+                                            std::size_t rom_internal_modes,
+                                            mor::PactMemo* memo = nullptr);
 
 /// Simulate one stage with TETA: input waveform (local time), device
 /// variation, wire parameters; returns far-port samples (local time).

@@ -1,12 +1,17 @@
 #include "mor/pact.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "numeric/cholesky.hpp"
 #include "numeric/eigen_sym.hpp"
 #include "numeric/lu.hpp"
+#include "obs/registry.hpp"
 #include "obs/span.hpp"
 
 namespace lcsf::mor {
@@ -51,16 +56,9 @@ struct FirstCongruence {
   Matrix x;       // Ni x Np
 };
 
-FirstCongruence first_congruence(const Partition& p) {
-  FirstCongruence f;
-  if (p.ni == 0) {
-    f.a = p.gpp;
-    f.cpp_t = p.cpp;
-    f.cpi_t = Matrix(p.np, 0);
-    f.x = Matrix(0, p.np);
-    return f;
-  }
-  // X = -Gii^{-1} Gip; Gii SPD for the effective loads we build.
+/// X = -Gii^{-1} Gip; Gii SPD for the effective loads we build.
+Matrix solve_x(const Partition& p) {
+  if (p.ni == 0) return Matrix(0, p.np);
   CholeskyFactorization gii(p.gii);
   const Matrix gip = p.gpi.transposed();
   Matrix x(p.ni, p.np);
@@ -69,54 +67,41 @@ FirstCongruence first_congruence(const Partition& p) {
     for (double& v : col) v = -v;
     x.set_col(j, col);
   }
-  f.x = x;
-  f.a = p.gpp + p.gpi * x;
+  return x;
+}
+
+FirstCongruence first_congruence(const Partition& p, Matrix x) {
+  FirstCongruence f;
+  if (p.ni == 0) {
+    f.a = p.gpp;
+    f.cpp_t = p.cpp;
+    f.cpi_t = Matrix(p.np, 0);
+    f.x = std::move(x);
+    return f;
+  }
+  f.x = std::move(x);
+  f.a = p.gpp + p.gpi * f.x;
   // C' = V^T C V with V = [I 0; X I]:
   //   C'_pp = Cpp + Cpi X + X^T Cip + X^T Cii X
   //   C'_pi = Cpi + X^T Cii
-  const Matrix xt = x.transposed();
-  f.cpp_t = p.cpp + p.cpi * x + xt * p.cpi.transposed() + xt * (p.cii * x);
+  const Matrix xt = f.x.transposed();
+  f.cpp_t = p.cpp + p.cpi * f.x + xt * p.cpi.transposed() +
+            xt * (p.cii * f.x);
   f.cpp_t.symmetrize();
   f.cpi_t = p.cpi + xt * p.cii;
   return f;
 }
 
-ReducedModel assemble(const Matrix& a, const Matrix& cpp_t, const Matrix& r,
-                      const Matrix& d, const Matrix& e, std::size_t np) {
-  const std::size_t q = d.rows();
-  ReducedModel m;
-  m.num_ports = np;
-  m.g = Matrix(np + q, np + q);
-  m.c = Matrix(np + q, np + q);
-  m.g.set_block(0, 0, a);
-  m.g.set_block(np, np, d);
-  m.c.set_block(0, 0, cpp_t);
-  m.c.set_block(0, np, r);
-  m.c.set_block(np, 0, r.transposed());
-  m.c.set_block(np, np, e);
-  m.b = Matrix(np + q, np);
-  for (std::size_t p = 0; p < np; ++p) m.b(p, p) = 1.0;
-  return m;
-}
+/// The q internal modes PACT keeps, in rank order.
+struct Modes {
+  Matrix u;    // Ni x q eigenvectors
+  Vector lam;  // q eigenvalues (time constants)
+};
 
-}  // namespace
-
-PactResult pact_reduce(const interconnect::PortedPencil& pencil,
-                       const PactOptions& opt) {
-  obs::ScopedSpan span("mor.pact");
-  const Partition p = partition(pencil);
-  const FirstCongruence f = first_congruence(p);
-  const std::size_t q = std::min(opt.internal_modes, p.ni);
-
-  if (p.ni == 0 || q == 0) {
-    PactResult res;
-    res.model = assemble(f.a, f.cpp_t, Matrix(p.np, 0), Matrix(0, 0),
-                         Matrix(0, 0), p.np);
-    res.basis = PactBasis{Matrix(p.ni, 0), p.np};
-    return res;
-  }
-
+Modes select_modes(const Partition& p, const FirstCongruence& f,
+                   const PactOptions& opt, std::size_t q) {
   // Internal dynamics: Cii u = lambda Gii u; vectors Gii-orthonormal.
+  obs::add_counter("mor.pact.eigensolves");
   const auto eig = numeric::eigen_symmetric_generalized(p.cii, p.gii);
 
   // Rank modes. lambda_k is the time constant of internal pole -1/lambda.
@@ -140,20 +125,119 @@ PactResult pact_reduce(const interconnect::PortedPencil& pencil,
                      });
   }
 
-  Matrix u(p.ni, q);
-  Vector lam(q);
+  Modes m{Matrix(p.ni, q), Vector(q)};
   for (std::size_t k = 0; k < q; ++k) {
-    u.set_col(k, eig.vectors.col(order[k]));
-    lam[k] = eig.values[order[k]];
+    m.u.set_col(k, eig.vectors.col(order[k]));
+    m.lam[k] = eig.values[order[k]];
+  }
+  return m;
+}
+
+/// Append the entries of `m` whose bit pattern is not +0.0 (so -0.0 is
+/// kept) as (offset + flat index, value) pairs.
+void append_nonzeros(const Matrix& m, std::size_t offset,
+                     std::vector<std::size_t>& index,
+                     std::vector<double>& value) {
+  const std::size_t n = m.rows() * m.cols();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double v = m.data()[k];
+    if (std::bit_cast<std::uint64_t>(v) == 0) continue;
+    index.push_back(offset + k);
+    value.push_back(v);
+  }
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+ReducedModel assemble(const Matrix& a, const Matrix& cpp_t, const Matrix& r,
+                      const Matrix& d, const Matrix& e, std::size_t np) {
+  const std::size_t q = d.rows();
+  ReducedModel m;
+  m.num_ports = np;
+  m.g = Matrix(np + q, np + q);
+  m.c = Matrix(np + q, np + q);
+  m.g.set_block(0, 0, a);
+  m.g.set_block(np, np, d);
+  m.c.set_block(0, 0, cpp_t);
+  m.c.set_block(0, np, r);
+  m.c.set_block(np, 0, r.transposed());
+  m.c.set_block(np, np, e);
+  m.b = Matrix(np + q, np);
+  for (std::size_t p = 0; p < np; ++p) m.b(p, p) = 1.0;
+  return m;
+}
+
+}  // namespace
+
+bool PactMemo::Key::operator==(const Key& o) const {
+  return internal_modes == o.internal_modes && selection == o.selection &&
+         np == o.np && ni == o.ni && same_bits(index, o.index) &&
+         same_bits(value, o.value);
+}
+
+PactResult pact_reduce(const interconnect::PortedPencil& pencil,
+                       const PactOptions& opt, PactMemo* memo) {
+  obs::ScopedSpan span("mor.pact");
+  const Partition p = partition(pencil);
+  const std::size_t q = std::min(opt.internal_modes, p.ni);
+
+  if (p.ni == 0 || q == 0) {
+    const FirstCongruence f = first_congruence(p, solve_x(p));
+    PactResult res;
+    res.model = assemble(f.a, f.cpp_t, Matrix(p.np, 0), Matrix(0, 0),
+                         Matrix(0, 0), p.np);
+    res.basis = PactBasis{Matrix(p.ni, 0), p.np};
+    return res;
+  }
+
+  // X, the eigenpairs and the mode order are functions of the memo key;
+  // A, C'pp and R are always recomputed from this pencil.
+  PactMemo::Key key;
+  const PactMemo::Entry* hit = nullptr;
+  if (memo != nullptr) {
+    key.internal_modes = opt.internal_modes;
+    key.selection = opt.selection;
+    key.np = p.np;
+    key.ni = p.ni;
+    std::size_t offset = 0;
+    for (const Matrix* m : {&p.gii, &p.cii, &p.gpi, &p.cpi}) {
+      append_nonzeros(*m, offset, key.index, key.value);
+      offset += m->rows() * m->cols();
+    }
+    for (const PactMemo::Entry& e : memo->entries_) {
+      if (e.key == key) {
+        hit = &e;
+        break;
+      }
+    }
+  }
+
+  FirstCongruence f;
+  Modes modes;
+  if (hit != nullptr) {
+    obs::add_counter("mor.pact.memo_hits");
+    f = first_congruence(p, hit->x);
+    modes = {hit->u, hit->lam};
+  } else {
+    f = first_congruence(p, solve_x(p));
+    modes = select_modes(p, f, opt, q);
+    if (memo != nullptr) {
+      memo->entries_.push_back({std::move(key), f.x, modes.u, modes.lam});
+    }
   }
 
   // Reduced blocks: D = U^T Gii U = I, E = U^T Cii U = diag(lam),
   // R = C'_pi U.
-  const Matrix r = f.cpi_t * u;
+  const Matrix r = f.cpi_t * modes.u;
   PactResult res;
   res.model = assemble(f.a, f.cpp_t, r, Matrix::identity(q),
-                       Matrix::diagonal(lam), p.np);
-  res.basis = PactBasis{u, p.np};
+                       Matrix::diagonal(modes.lam), p.np);
+  res.basis = PactBasis{std::move(modes.u), p.np};
   return res;
 }
 
@@ -163,7 +247,7 @@ ReducedModel pact_reduce_with_basis(const interconnect::PortedPencil& pencil,
   if (p.np != basis.num_ports || p.ni != basis.u.rows()) {
     throw std::invalid_argument("pact_reduce_with_basis: basis mismatch");
   }
-  const FirstCongruence f = first_congruence(p);
+  const FirstCongruence f = first_congruence(p, solve_x(p));
   const std::size_t q = basis.u.cols();
   if (q == 0) {
     return assemble(f.a, f.cpp_t, Matrix(p.np, 0), Matrix(0, 0), Matrix(0, 0),

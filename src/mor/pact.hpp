@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "interconnect/coupled_lines.hpp"
 #include "mor/reduced_model.hpp"
@@ -44,12 +45,54 @@ struct PactResult {
   PactBasis basis;
 };
 
+class PactMemo;
+
 /// Reduce a ports-first pencil. Requires the internal conductance block to
 /// be SPD (every internal node must have a resistive path to a port or
 /// ground) -- true for the effective loads of the framework because driver
 /// output conductances are folded in first (Table 1, step 2).
+///
+/// With a `memo`, an exact repeat of the pencil's internal half reuses the
+/// stored X, eigenvectors and mode order; the result is bitwise identical
+/// to an unmemoized call.
 PactResult pact_reduce(const interconnect::PortedPencil& pencil,
-                       const PactOptions& opt);
+                       const PactOptions& opt, PactMemo* memo = nullptr);
+
+/// Exact-match memo of the pencil-internal half of pact_reduce.
+///
+/// X = -Gii^{-1} Gip, the internal eigenpairs and the mode order depend
+/// only on (Gii, Cii, Gpi, Cpi) and the options -- never on the port
+/// blocks Gpp, Cpp. Effective loads that share a wire but differ in driver
+/// chord conductance (G(0,0)) or receiver cap (the far port's C entry)
+/// therefore share one eigensolve. The key is the options plus the exact
+/// bit patterns of the nonzeros of those four blocks (so -0.0 != 0.0); an
+/// entry keeps only that sparse key and the Ni x Np / Ni x q / q results,
+/// never an n x n block. Not thread-safe: own one per characterization
+/// run, on the stack.
+class PactMemo {
+ public:
+  std::size_t size() const { return entries_.size(); }
+
+ private:
+  friend PactResult pact_reduce(const interconnect::PortedPencil&,
+                                const PactOptions&, PactMemo*);
+
+  struct Key {
+    std::size_t internal_modes = 0;
+    PactModeSelection selection = PactModeSelection::kSlowestPoles;
+    std::size_t np = 0, ni = 0;
+    std::vector<std::size_t> index;  ///< flat offsets into Gii|Cii|Gpi|Cpi
+    std::vector<double> value;       ///< the entries at those offsets
+    bool operator==(const Key& o) const;
+  };
+  struct Entry {
+    Key key;
+    numeric::Matrix x;    ///< Ni x Np
+    numeric::Matrix u;    ///< Ni x q selected eigenvectors
+    numeric::Vector lam;  ///< q selected eigenvalues
+  };
+  std::vector<Entry> entries_;
+};
 
 /// Reduce a (perturbed) pencil re-using a nominal basis. The port/internal
 /// congruence X(w) = -Gii^{-1} Gip is recomputed exactly for this pencil;

@@ -114,7 +114,8 @@ void VariationalRom::evaluate_into_batch(
 
 VariationalRom build_variational_rom(const PencilFamily& family,
                                      std::size_t num_params,
-                                     const VariationalOptions& opt) {
+                                     const VariationalOptions& opt,
+                                     PactMemo* memo) {
   obs::ScopedSpan span("mor.characterize");
   if (opt.fd_step <= 0.0) {
     throw std::invalid_argument("build_variational_rom: fd_step must be > 0");
@@ -127,11 +128,11 @@ VariationalRom build_variational_rom(const PencilFamily& family,
   std::function<ReducedModel(const interconnect::PortedPencil&)> project;
 
   if (opt.method == ReductionMethod::kPact) {
-    PactResult r = pact_reduce(p0, opt.pact);
+    PactResult r = pact_reduce(p0, opt.pact, memo);
     nominal = std::move(r.model);
     if (opt.library == LibraryMode::kFullReduction) {
-      project = [pact = opt.pact](const interconnect::PortedPencil& p) {
-        return pact_reduce(p, pact).model;
+      project = [pact = opt.pact, memo](const interconnect::PortedPencil& p) {
+        return pact_reduce(p, pact, memo).model;
       };
     } else {
       project = [basis = std::move(r.basis)](

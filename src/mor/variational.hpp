@@ -106,10 +106,13 @@ class VariationalRom {
 };
 
 /// Pre-characterize a variational ROM library for a family with
-/// `num_params` global parameters (w = 0 is nominal).
+/// `num_params` global parameters (w = 0 is nominal). An optional PACT
+/// `memo` shares internal eigensolves across libraries whose pencils differ
+/// only in port entries; the library is bitwise the same with or without.
 VariationalRom build_variational_rom(const PencilFamily& family,
                                      std::size_t num_params,
-                                     const VariationalOptions& opt);
+                                     const VariationalOptions& opt,
+                                     PactMemo* memo = nullptr);
 
 /// Adapter: single-parameter family from a scalar function.
 PencilFamily scalar_family(

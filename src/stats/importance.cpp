@@ -252,7 +252,7 @@ IsYieldEstimate Runner::run_yield_is(
   // the closed-form CE-optimal mean for a Gaussian proposal family.
   PhaseSlots slots;
   if (is_opt.pilot_samples > 0 && !degenerate) {
-    obs::ScopedSpan pilot_span("is_pilot");
+    obs::ScopedSpan pilot_span("stats.yield_is.pilot");
     run_is_phase(opt_, reg, f, sources, res.surrogate,
                  is_opt.pilot_samples, stream_tag::kIsPilot,
                  stream_tag::kIsPilotPerm, /*keep_u=*/true, slots);
@@ -279,7 +279,7 @@ IsYieldEstimate Runner::run_yield_is(
 
   // ---- Main phase.
   {
-    obs::ScopedSpan main_span("is_main");
+    obs::ScopedSpan main_span("stats.yield_is.main");
     run_is_phase(opt_, reg, f, sources, res.surrogate, opt_.samples,
                  stream_tag::kIsMain, stream_tag::kIsMainPerm,
                  /*keep_u=*/false, slots);

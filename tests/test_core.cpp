@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <set>
+#include <utility>
 
+#include "core/graph_analyzer.hpp"
 #include "core/path.hpp"
+#include "obs/registry.hpp"
+#include "timing/sta.hpp"
 
 namespace lcsf::core {
 namespace {
@@ -223,6 +230,105 @@ TEST(PathAnalyzer, LinearElementKnob) {
   EXPECT_GT(many.framework_delay(nominal).delay,
             few.framework_delay(nominal).delay);
 }
+
+bool same_bits(const numeric::Matrix& a, const numeric::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+bool same_model(const mor::ReducedModel& a, const mor::ReducedModel& b) {
+  return a.num_ports == b.num_ports && same_bits(a.g, b.g) &&
+         same_bits(a.c, b.c) && same_bits(a.b, b.b);
+}
+
+// The analyzers characterize every block through one shared PACT memo;
+// each stage ROM must still be bitwise the standalone, unmemoized one.
+void expect_standalone_rom(const StageModel& st,
+                           const circuit::Technology& tech,
+                           std::size_t segments, std::size_t modes,
+                           std::size_t slot) {
+  const mor::VariationalRom ref = characterize_stage_load(
+      *st.cell, tech, segments, st.receiver_cap, modes);
+  ASSERT_EQ(st.load.num_params(), ref.num_params()) << "slot " << slot;
+  EXPECT_TRUE(same_model(st.load.nominal(), ref.nominal())) << "slot " << slot;
+  for (std::size_t i = 0; i < ref.num_params(); ++i) {
+    EXPECT_TRUE(same_model(st.load.sensitivity(i), ref.sensitivity(i)))
+        << "slot " << slot << " direction " << i;
+  }
+}
+
+timing::GateNetlist s208() {
+  return timing::generate_benchmark(timing::find_benchmark("s208"));
+}
+
+PathSpec s208_path_spec() {
+  const timing::GateNetlist nl = s208();
+  return PathSpec::from_benchmark(circuit::technology_180nm(), nl,
+                                  timing::longest_path(nl), 100);
+}
+
+GraphSpec s208_graph_spec() {
+  GraphSpec spec;
+  spec.tech = circuit::technology_180nm();
+  spec.netlist = s208();
+  spec.top_k = 4;
+  spec.linear_elements_per_stage = 100;
+  return spec;
+}
+
+// 100 linear elements per stage -> (100 - 2) / 2 wire segments.
+constexpr std::size_t kSegments = 49;
+
+TEST(CharacterizationReuse, PathStageRomsMatchStandaloneCharacterization) {
+  const PathAnalyzer pa(s208_path_spec());
+  for (std::size_t k = 0; k < pa.num_stages(); ++k) {
+    expect_standalone_rom(pa.stage_model(k), pa.spec().tech, kSegments,
+                          pa.spec().rom_internal_modes, k);
+  }
+}
+
+TEST(CharacterizationReuse, GraphStageRomsMatchStandaloneCharacterization) {
+  const GraphAnalyzer ga(s208_graph_spec());
+  for (std::size_t slot = 0; slot < ga.subgraph_gates().size(); ++slot) {
+    expect_standalone_rom(ga.stage_model(slot), ga.spec().tech, kSegments,
+                          ga.spec().rom_internal_modes, slot);
+  }
+}
+
+#if LCSF_OBS_ENABLED
+// One wire geometry per analyzer: the nominal pencil and the four
+// (W, H) +/- finite-difference pencils are the only distinct internal
+// eigenproblems, whatever the number of (cell, load) blocks.
+TEST(CharacterizationReuse, FiveEigensolvesPerSingleGeometryAnalyzer) {
+  obs::Registry path_reg;
+  std::optional<PathAnalyzer> pa;
+  {
+    obs::ScopedContext ctx(&path_reg, 0);
+    pa.emplace(s208_path_spec());
+  }
+  std::set<std::pair<const timing::CellTemplate*, double>> blocks;
+  for (std::size_t k = 0; k < pa->num_stages(); ++k) {
+    blocks.emplace(pa->stage_model(k).cell, pa->stage_model(k).receiver_cap);
+  }
+  ASSERT_GT(blocks.size(), 1u);
+  const obs::Snapshot ps = path_reg.snapshot();
+  EXPECT_EQ(ps.counters.at("mor.pact.eigensolves"), 5u);
+  EXPECT_EQ(ps.counters.at("mor.pact.memo_hits"), 5 * (blocks.size() - 1));
+
+  obs::Registry graph_reg;
+  std::optional<GraphAnalyzer> ga;
+  {
+    obs::ScopedContext ctx(&graph_reg, 0);
+    ga.emplace(s208_graph_spec());
+  }
+  ASSERT_GT(ga->num_blocks(), 1u);
+  const obs::Snapshot gs = graph_reg.snapshot();
+  EXPECT_EQ(gs.counters.at("mor.pact.eigensolves"), 5u);
+  EXPECT_EQ(gs.counters.at("mor.pact.memo_hits"),
+            5 * (ga->num_blocks() - 1));
+}
+#endif  // LCSF_OBS_ENABLED
 
 }  // namespace
 }  // namespace lcsf::core

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 
 #include "circuit/technology.hpp"
 #include "interconnect/coupled_lines.hpp"
@@ -14,6 +15,7 @@
 #include "mor/reduced_model.hpp"
 #include "mor/variational.hpp"
 #include "numeric/eigen_sym.hpp"
+#include "obs/registry.hpp"
 
 namespace lcsf::mor {
 namespace {
@@ -366,6 +368,113 @@ TEST_P(VariationalAccuracy, StabilizedModelTracksExactResponse) {
 
 INSTANTIATE_TEST_SUITE_P(ParameterSweep, VariationalAccuracy,
                          ::testing::Values(0.0, 0.02, 0.04, 0.06, 0.08, 0.1));
+
+// A two-port RC line shaped like a stage effective load: driver
+// conductance `gout` on the near port (port 0), `cload` on the far port
+// (port 1).
+PortedPencil two_port_line(double gout = 1e-3, double cload = 5e-15) {
+  interconnect::CoupledLineSpec spec;
+  spec.num_lines = 1;
+  spec.length = 12e-6;
+  spec.geometry = circuit::technology_180nm().wire;
+  auto bundle = interconnect::build_coupled_lines(spec);
+  bundle.netlist.add_capacitor(bundle.far_ends[0], circuit::kGround, cload);
+  return with_port_conductance(
+      interconnect::build_ported_pencil(
+          bundle.netlist, {bundle.near_ends[0], bundle.far_ends[0]}),
+      Vector{gout, 0.0});
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+void expect_bitwise_equal(const PactResult& a, const PactResult& b) {
+  EXPECT_EQ(a.model.num_ports, b.model.num_ports);
+  EXPECT_TRUE(same_bits(a.model.g, b.model.g));
+  EXPECT_TRUE(same_bits(a.model.c, b.model.c));
+  EXPECT_TRUE(same_bits(a.model.b, b.model.b));
+  EXPECT_TRUE(same_bits(a.basis.u, b.basis.u));
+}
+
+TEST(PactMemo, HitIsBitwiseEqualToUnmemoizedReduction) {
+  for (PactModeSelection sel : {PactModeSelection::kSlowestPoles,
+                                PactModeSelection::kResidueWeighted}) {
+    PactOptions opt{4, sel};
+    PactMemo memo;
+    const PortedPencil a = two_port_line(1e-3, 5e-15);
+    expect_bitwise_equal(pact_reduce(a, opt, &memo), pact_reduce(a, opt));
+    ASSERT_EQ(memo.size(), 1u);
+    // Different driver and receiver: same internal blocks, so a hit.
+    const PortedPencil b = two_port_line(3e-3, 9e-15);
+    const PactResult hit = pact_reduce(b, opt, &memo);
+    EXPECT_EQ(memo.size(), 1u);
+    expect_bitwise_equal(hit, pact_reduce(b, opt));
+  }
+}
+
+TEST(PactMemo, PortEntryChangesHit) {
+  const PactOptions opt{4};
+  PortedPencil pen = two_port_line();
+  PactMemo memo;
+  (void)pact_reduce(pen, opt, &memo);
+  pen.g(0, 0) *= 2.0;  // driver chord conductance
+  (void)pact_reduce(pen, opt, &memo);
+  pen.c(1, 1) += 7e-15;  // receiver cap on the far port
+  (void)pact_reduce(pen, opt, &memo);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(PactMemo, InternalOrOptionChangesMiss) {
+  const PortedPencil base = two_port_line();
+  PactMemo memo;
+  (void)pact_reduce(base, PactOptions{4}, &memo);
+  ASSERT_EQ(memo.size(), 1u);
+
+  PortedPencil gii = base;
+  gii.g(3, 3) *= 1.0 + 1e-12;  // one internal conductance entry
+  (void)pact_reduce(gii, PactOptions{4}, &memo);
+  EXPECT_EQ(memo.size(), 2u);
+
+  (void)pact_reduce(base, PactOptions{3}, &memo);
+  EXPECT_EQ(memo.size(), 3u);
+
+  (void)pact_reduce(
+      base, PactOptions{4, PactModeSelection::kResidueWeighted}, &memo);
+  EXPECT_EQ(memo.size(), 4u);
+
+  // The key compares bits, so a -0.0 in place of a stored zero misses.
+  PortedPencil neg_zero = base;
+  const std::size_t n = neg_zero.g.rows();
+  ASSERT_EQ(neg_zero.g(2, n - 1), 0.0);
+  neg_zero.g(2, n - 1) = -0.0;
+  (void)pact_reduce(neg_zero, PactOptions{4}, &memo);
+  EXPECT_EQ(memo.size(), 5u);
+
+  // Every key above is still an exact hit.
+  (void)pact_reduce(gii, PactOptions{4}, &memo);
+  (void)pact_reduce(base, PactOptions{3}, &memo);
+  EXPECT_EQ(memo.size(), 5u);
+}
+
+#if LCSF_OBS_ENABLED
+TEST(PactMemo, CountsEigensolvesAndHits) {
+  obs::Registry reg;
+  {
+    obs::ScopedContext ctx(&reg, 0);
+    PactMemo memo;
+    (void)pact_reduce(two_port_line(1e-3), PactOptions{4}, &memo);
+    (void)pact_reduce(two_port_line(2e-3), PactOptions{4}, &memo);
+    (void)pact_reduce(two_port_line(4e-3), PactOptions{4}, &memo);
+    (void)pact_reduce(two_port_line(4e-3), PactOptions{4});
+  }
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("mor.pact.eigensolves"), 2u);
+  EXPECT_EQ(snap.counters.at("mor.pact.memo_hits"), 2u);
+}
+#endif  // LCSF_OBS_ENABLED
 
 }  // namespace
 }  // namespace lcsf::mor

@@ -135,7 +135,9 @@ echo "==== stage: obs ===="
 # batched Monte-Carlo runs use --samples 11 --batch 4 so the dispatch
 # has both full blocks and a scalar remainder (2 batches + 3 singleton
 # samples), and must stay deterministic across 1/2/8 worker threads at
-# that fixed batch width (docs/performance.md).
+# that fixed batch width (docs/performance.md). The s208 runs pin the
+# PACT characterization-reuse counters (one eigensolve per distinct
+# internal pencil, memo hits for the rest), also thread-count invariant.
 OBS_DIR=build-ci-release/obs-ci
 STA=build-ci-release/tools/lcsf_sta
 SIM=build-ci-release/tools/lcsf_sim
@@ -160,6 +162,10 @@ if mkdir -p "$OBS_DIR" \
          --threads 1 --metrics "$OBS_DIR/sta_graph_t1.json" > /dev/null \
     && "$STA" --circuit s27 --graph --top-k 8 --samples 8 --seed 3 \
          --threads 8 --metrics "$OBS_DIR/sta_graph_t8.json" > /dev/null \
+    && "$STA" --circuit s208 --elements 100 --samples 4 --seed 3 \
+         --threads 1 --metrics "$OBS_DIR/sta_pact_t1.json" > /dev/null \
+    && "$STA" --circuit s208 --elements 100 --samples 4 --seed 3 \
+         --threads 8 --metrics "$OBS_DIR/sta_pact_t8.json" > /dev/null \
     && "$SIM" examples/decks/inverter_chain.sp --tstop 1n --dt 2p \
          --points 2 --metrics "$OBS_DIR/sim.json" > /dev/null \
     && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
@@ -182,6 +188,9 @@ if mkdir -p "$OBS_DIR" \
          --require stats.graph.stage_cache_hits \
          --require stats.graph.merges \
     && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
+         "$OBS_DIR/sta_pact_t1.json" "$OBS_DIR/sta_pact_t8.json" \
+         --require mor.pact.eigensolves --require mor.pact.memo_hits \
+    && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
          "$OBS_DIR/sim.json" \
          --require spice.newton_iterations --require parser.devices \
     && python3 tools/check_metrics.py --diff-deterministic \
@@ -193,7 +202,9 @@ if mkdir -p "$OBS_DIR" \
     && python3 tools/check_metrics.py --diff-deterministic \
          "$OBS_DIR/sta_is_t1.json" "$OBS_DIR/sta_is_t8.json" \
     && python3 tools/check_metrics.py --diff-deterministic \
-         "$OBS_DIR/sta_graph_t1.json" "$OBS_DIR/sta_graph_t8.json"; then
+         "$OBS_DIR/sta_graph_t1.json" "$OBS_DIR/sta_graph_t8.json" \
+    && python3 tools/check_metrics.py --diff-deterministic \
+         "$OBS_DIR/sta_pact_t1.json" "$OBS_DIR/sta_pact_t8.json"; then
   record obs PASS
 else
   record obs FAIL

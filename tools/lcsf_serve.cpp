@@ -16,6 +16,9 @@
 //   lcsf_serve: listening on 127.0.0.1:<port>
 // before the server starts accepting, so scripts can parse it.
 //
+// A malformed number (`--workers abc`, `--cache-mb -1`) or an unknown
+// option exits 1 with usage.
+//
 // The server runs until a client sends {"type":"shutdown"}. --metrics
 // writes the server-wide observability export (request counters and
 // latency distribution, cache hit/miss/eviction counters, cumulative
@@ -28,8 +31,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "cli_number.hpp"
 #include "obs/registry.hpp"
 #include "serve/server.hpp"
 #include "sim/diagnostics.hpp"
@@ -57,6 +62,13 @@ void print_usage(std::FILE* to) {
   std::exit(1);
 }
 
+[[noreturn]] void bad_value(const std::string& arg, const std::string& text) {
+  std::fprintf(stderr, "lcsf_serve: invalid value '%s' for %s\n",
+               text.c_str(), arg.c_str());
+  print_usage(stderr);
+  std::exit(1);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,12 +81,21 @@ int main(int argc, char** argv) {
       if (++i >= argc) missing_value(arg);
       return argv[i];
     };
+    auto next_unsigned = [&](std::uint64_t max) -> std::uint64_t {
+      const std::string text = next();
+      const auto v = tools::parse_unsigned(text, 0, max);
+      if (!v) bad_value(arg, text);
+      return *v;
+    };
     if (arg == "--port") {
-      opt.port = std::atoi(next().c_str());
+      opt.port = static_cast<int>(next_unsigned(65535));
     } else if (arg == "--workers") {
-      opt.workers = static_cast<std::size_t>(std::stoul(next()));
+      opt.workers = static_cast<std::size_t>(
+          next_unsigned(std::numeric_limits<std::size_t>::max()));
     } else if (arg == "--cache-mb") {
-      opt.cache_bytes = static_cast<std::size_t>(std::stoul(next())) << 20;
+      opt.cache_bytes = static_cast<std::size_t>(next_unsigned(
+                            std::numeric_limits<std::size_t>::max() >> 20))
+                        << 20;
     } else if (arg == "--metrics") {
       metrics_path = next();
     } else {

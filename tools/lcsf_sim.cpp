@@ -33,12 +33,15 @@
 // docs/performance.md); an invalid value is a classified error (exit 1),
 // and neither flag nor env changes any numerical result.
 //
-// An unknown option or a stray extra positional argument is rejected
-// with a diagnostic + usage and exit status 1; a malformed invocation
-// (missing deck or --tstop) exits 2.
+// An unknown option, a stray extra positional argument or a malformed
+// number (`--points abc`, `--tstop 2x`) is rejected with a diagnostic +
+// usage and exit status 1; a malformed invocation (missing deck or
+// --tstop) exits 2.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -46,6 +49,7 @@
 
 #include "api/session.hpp"
 #include "circuit/parser.hpp"
+#include "cli_number.hpp"
 #include "obs_cli.hpp"
 #include "runtime/thread_pool.hpp"
 #include "stats/analysis.hpp"
@@ -70,6 +74,13 @@ void print_usage(std::FILE* to) {
 
 [[noreturn]] void bad_option(const std::string& arg) {
   std::fprintf(stderr, "lcsf_sim: unknown option '%s'\n", arg.c_str());
+  print_usage(stderr);
+  std::exit(1);
+}
+
+[[noreturn]] void bad_value(const std::string& arg, const std::string& text) {
+  std::fprintf(stderr, "lcsf_sim: invalid value '%s' for %s\n",
+               text.c_str(), arg.c_str());
   print_usage(stderr);
   std::exit(1);
 }
@@ -100,19 +111,38 @@ int main(int argc, char** argv) {
       if (++i >= argc) usage();
       return argv[i];
     };
+    // SPICE-suffixed time value ("2n"); circuit::parse_value is strict
+    // about the number and the suffix.
+    auto next_time = [&]() -> double {
+      const std::string text = next();
+      double v = 0.0;
+      try {
+        v = circuit::parse_value(text);
+      } catch (const circuit::ParseError&) {
+        bad_value(arg, text);
+      }
+      if (!std::isfinite(v)) bad_value(arg, text);
+      return v;
+    };
+    auto next_size = [&](std::uint64_t min) -> std::size_t {
+      const std::string text = next();
+      const auto v = tools::parse_unsigned(
+          text, min, std::numeric_limits<std::size_t>::max());
+      if (!v) bad_value(arg, text);
+      return static_cast<std::size_t>(*v);
+    };
     if (arg == "--tstop") {
-      tstop = circuit::parse_value(next());
+      tstop = next_time();
     } else if (arg == "--dt") {
-      dt = circuit::parse_value(next());
+      dt = next_time();
     } else if (arg == "--probe") {
       probes.push_back(next());
     } else if (arg == "--tech") {
       tech_name = next();
     } else if (arg == "--points") {
-      points = static_cast<std::size_t>(std::stoul(next()));
+      points = next_size(1);  // the output stride divides by it
     } else if (arg == "--threads") {
-      runtime::ThreadPool::set_default_threads(
-          static_cast<std::size_t>(std::stoul(next())));
+      runtime::ThreadPool::set_default_threads(next_size(0));
     } else if (arg == "--batch") {
       try {
         stats::set_default_batch(stats::parse_batch(next(), "--batch"));

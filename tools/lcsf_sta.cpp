@@ -59,15 +59,18 @@
 // 3-deep dt-halving budget before it may fail. With skip/retry a
 // classified failure table is printed after the statistics.
 //
-// An unknown option is rejected with a diagnostic + usage and exit
-// status 1; a malformed invocation (missing required values) exits 2.
+// An unknown option or a malformed number (`--samples abc`,
+// `--samples -1`) is rejected with a diagnostic + usage and exit status
+// 1; a malformed invocation (missing required values) exits 2.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
 #include "api/session.hpp"
+#include "cli_number.hpp"
 #include "obs_cli.hpp"
 #include "stats/yield.hpp"
 
@@ -97,6 +100,13 @@ void print_usage(std::FILE* to) {
 
 [[noreturn]] void bad_option(const std::string& arg) {
   std::fprintf(stderr, "lcsf_sta: unknown option '%s'\n", arg.c_str());
+  print_usage(stderr);
+  std::exit(1);
+}
+
+[[noreturn]] void bad_value(const std::string& arg, const std::string& text) {
+  std::fprintf(stderr, "lcsf_sta: invalid value '%s' for %s\n",
+               text.c_str(), arg.c_str());
   print_usage(stderr);
   std::exit(1);
 }
@@ -136,26 +146,39 @@ int main(int argc, char** argv) {
       if (++i >= argc) usage();
       return argv[i];
     };
+    auto next_size = [&]() -> std::size_t {
+      const std::string text = next();
+      const auto v = tools::parse_unsigned(
+          text, 0, std::numeric_limits<std::size_t>::max());
+      if (!v) bad_value(arg, text);
+      return static_cast<std::size_t>(*v);
+    };
+    auto next_double = [&]() -> double {
+      const std::string text = next();
+      const auto v = tools::parse_double(text);
+      if (!v) bad_value(arg, text);
+      return *v;
+    };
     if (arg == "--circuit") {
       circuit_name = next();
     } else if (arg == "--elements") {
-      elements = std::stoul(next());
+      elements = next_size();
     } else if (arg == "--samples") {
-      samples = std::stoul(next());
+      samples = next_size();
     } else if (arg == "--seed") {
-      seed = std::stoull(next());
+      seed = next_size();
     } else if (arg == "--std-dl") {
-      std_dl = std::stod(next());
+      std_dl = next_double();
     } else if (arg == "--std-vt") {
-      std_vt = std::stod(next());
+      std_vt = next_double();
     } else if (arg == "--rho") {
-      rho = std::stod(next());
+      rho = next_double();
     } else if (arg == "--corner") {
       corner = true;
     } else if (arg == "--yield-target") {
-      yield_target = std::stod(next());
+      yield_target = next_double();
     } else if (arg == "--threads") {
-      threads = std::stoul(next());
+      threads = next_size();
     } else if (arg == "--batch") {
       try {
         batch = stats::parse_batch(next(), "--batch");
@@ -165,13 +188,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--yield-estimator") {
       yield_estimator = next();
     } else if (arg == "--clock-period") {
-      clock_period = std::stod(next());
+      clock_period = next_double();
     } else if (arg == "--is-pilot") {
-      is_pilot = std::stoul(next());
+      is_pilot = next_size();
     } else if (arg == "--graph") {
       graph_mode = true;
     } else if (arg == "--top-k") {
-      top_k = std::stoul(next());
+      top_k = next_size();
     } else if (arg == "--on-failure") {
       on_failure = next();
     } else if (arg.rfind("--on-failure=", 0) == 0) {
