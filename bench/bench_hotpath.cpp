@@ -558,8 +558,8 @@ int main(int argc, char** argv) {
   // plus global wire W/H, each at sigma = 1/3 in 3-sigma units, mapped to
   // physical units with the sample_from_sources rules. The wire draw is
   // physical (what a PathSample carries); the normalized ROM coordinates
-  // are derived from it with the simulate_stage_model rule, so the scalar
-  // and batched legs consume bitwise-identical ROM inputs.
+  // are derived from it with core::measure_stage_batch's rule, so the
+  // scalar and batched legs consume bitwise-identical ROM inputs.
   struct Draw {
     timing::DeviceVariation dev;
     interconnect::WireVariation wire;  // physical global wire variation

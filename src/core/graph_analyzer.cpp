@@ -9,14 +9,11 @@
 
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "teta/stage.hpp"
 
 namespace lcsf::core {
 
-using circuit::SourceWaveform;
 using numeric::Vector;
 using timing::RampParams;
-using timing::Samples;
 using timing::ssta::CanonicalForm;
 
 GraphAnalyzer::GraphAnalyzer(GraphSpec spec)
@@ -130,26 +127,15 @@ StageCacheKey GraphAnalyzer::cache_key(std::size_t gate,
 StageWaveform GraphAnalyzer::simulate_slot(
     std::size_t slot, const StageWaveform& in,
     const timing::DeviceVariation& dev,
-    const interconnect::WireVariation& wire, Workspace* ws) const {
-  const GateStage& gs = stages_[slot];
-  const double vdd = spec_.tech.vdd;
-  // Localize time so the transition sits at ~1/4 of the stage window
-  // (same recipe as PathAnalyzer::run_chain, bitwise included).
-  const double shift =
-      std::max(0.0, in.params.m - 0.25 * spec_.stage_window);
-  const SourceWaveform local =
-      shift > 0.0
-          ? SourceWaveform::pwl(shifted_samples(in.wave.points(), -shift))
-          : in.wave;
-  const bool out_rising = in.params.rising != gs.model.cell->inverting;
-  Samples out;
-  StageWaveform res;
-  res.params = measure_stage_with_retry(
-      gs.model, spec_.tech, sim_options(), subgraph_[slot], local, shift,
-      dev, wire, out_rising, &out, ws);
-  // Propagate the fine-resolution PWL (adaptively compressed).
-  res.wave = SourceWaveform::pwl(teta::compress_pwl(out, 1e-4 * vdd));
-  return res;
+    const interconnect::WireVariation& wire, Workspace& ws) const {
+  const timing::DeviceVariation* d = &dev;
+  const interconnect::WireVariation* w = &wire;
+  BatchWorkspace& bws = ws.batch();
+  propagate_stage_batch(stages_[slot].model, spec_.tech, sim_options(),
+                        subgraph_[slot], {&in, 1}, {&d, 1}, {&w, 1},
+                        bws.next, bws.meas, bws);
+  if (bws.meas[0].failed) throw sim::SimulationError(bws.meas[0].diag);
+  return std::move(bws.next[0]);
 }
 
 GraphAnalyzer::SampleResult GraphAnalyzer::evaluate(
@@ -186,7 +172,7 @@ GraphAnalyzer::SampleResult GraphAnalyzer::evaluate(
       } else {
         const std::size_t slot = slot_of(g);
         StageWaveform sw =
-            simulate_slot(slot, *in, sample.device[slot], sample.wire, &ws);
+            simulate_slot(slot, *in, sample.device[slot], sample.wire, ws);
         out = &ws.stage_cache.emplace(key, std::move(sw)).first->second;
         ++res.stages_simulated;
       }
@@ -233,7 +219,7 @@ std::vector<double> GraphAnalyzer::per_path_delays(const GraphSample& sample,
     StageWaveform cur = start;
     for (std::size_t g : path.gates) {
       const std::size_t slot = slot_of(g);
-      cur = simulate_slot(slot, cur, sample.device[slot], sample.wire, &ws);
+      cur = simulate_slot(slot, cur, sample.device[slot], sample.wire, ws);
     }
     delays.push_back(cur.params.m - spec_.input.m);
   }

@@ -158,12 +158,13 @@ class GraphAnalyzer {
   std::size_t slot_of(std::size_t gate) const;
   StageCacheKey cache_key(std::size_t gate,
                           const timing::RampParams& in) const;
-  /// Simulate the stage of subgraph slot `slot` driven by `in`; returns
-  /// the output waveform in absolute time.
+  /// Simulate the stage of subgraph slot `slot` driven by `in`
+  /// (propagate_stage_batch on a one-lane block); returns the output
+  /// waveform in absolute time or throws the classified failure.
   StageWaveform simulate_slot(std::size_t slot, const StageWaveform& in,
                               const timing::DeviceVariation& dev,
                               const interconnect::WireVariation& wire,
-                              Workspace* ws) const;
+                              Workspace& ws) const;
 
   GraphSpec spec_;
   timing::TimingGraph graph_;

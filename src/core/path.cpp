@@ -4,13 +4,14 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "runtime/thread_pool.hpp"
 #include "interconnect/coupled_lines.hpp"
 #include "obs/span.hpp"
 #include "spice/transient.hpp"
-#include "teta/stage.hpp"
 
 namespace lcsf::core {
 
@@ -18,7 +19,6 @@ using circuit::kGround;
 using circuit::SourceWaveform;
 using numeric::Vector;
 using timing::RampParams;
-using timing::Samples;
 
 PathSpec PathSpec::from_benchmark(const circuit::Technology& tech,
                                   const timing::GateNetlist& nl,
@@ -45,7 +45,6 @@ PathAnalyzer::PathAnalyzer(PathSpec spec) : spec_(std::move(spec)) {
               : 1));
 
   const auto& lib = timing::cell_library();
-  bool rising = spec_.input.rising;
   // Stages with the same (driver cell, receiver cell) have identical
   // effective loads; characterize each combination once.
   std::map<std::pair<std::size_t, std::size_t>, mor::VariationalRom>
@@ -54,10 +53,8 @@ PathAnalyzer::PathAnalyzer(PathSpec spec) : spec_(std::move(spec)) {
   // differ only in port entries and share their PACT eigensolves.
   mor::PactMemo pact_memo;
   for (std::size_t k = 0; k < spec_.cells.size(); ++k) {
-    Stage st;
-    st.model.cell = &lib.at(spec_.cells[k]);
-    rising = st.model.cell->inverting ? !rising : rising;
-    st.output_rising_if_input_rising = rising;
+    StageModel st;
+    st.cell = &lib.at(spec_.cells[k]);
 
     const std::size_t receiver_idx =
         (k + 1 < spec_.cells.size())
@@ -65,21 +62,19 @@ PathAnalyzer::PathAnalyzer(PathSpec spec) : spec_(std::move(spec)) {
             : static_cast<std::size_t>(
                   &timing::find_cell("INV") - lib.data());
     const timing::CellTemplate& receiver = lib.at(receiver_idx);
-    st.model.receiver_cap = input_pin_cap(receiver, spec_.tech);
+    st.receiver_cap = input_pin_cap(receiver, spec_.tech);
 
     const auto cache_key = std::make_pair(spec_.cells[k], receiver_idx);
     if (auto it = rom_cache.find(cache_key); it != rom_cache.end()) {
-      st.model.load = it->second;
+      st.load = it->second;
       stages_.push_back(std::move(st));
       continue;
     }
 
-    st.model.load = characterize_stage_load(*st.model.cell, spec_.tech,
-                                            segments_per_stage_,
-                                            st.model.receiver_cap,
-                                            spec_.rom_internal_modes,
-                                            &pact_memo);
-    rom_cache.emplace(cache_key, st.model.load);
+    st.load = characterize_stage_load(*st.cell, spec_.tech,
+                                      segments_per_stage_, st.receiver_cap,
+                                      spec_.rom_internal_modes, &pact_memo);
+    rom_cache.emplace(cache_key, st.load);
     stages_.push_back(std::move(st));
   }
 }
@@ -92,145 +87,77 @@ StageSimOptions PathAnalyzer::sim_options() const {
   return o;
 }
 
-Samples PathAnalyzer::simulate_stage(
-    std::size_t k, const SourceWaveform& input,
-    const timing::DeviceVariation& dev,
-    const interconnect::WireVariation& wire, double window_scale,
-    SampleWorkspace* ws) const {
-  return simulate_stage_model(stages_[k].model, spec_.tech, sim_options(),
-                              input, dev, wire, window_scale, ws);
-}
-
-RampParams PathAnalyzer::measure_with_retry(
-    std::size_t k, const SourceWaveform& input, double shift,
-    const timing::DeviceVariation& dev,
-    const interconnect::WireVariation& wire, bool out_rising,
-    Samples* out_samples, SampleWorkspace* ws) const {
-  return measure_stage_with_retry(stages_[k].model, spec_.tech,
-                                  sim_options(), k, input, shift, dev, wire,
-                                  out_rising, out_samples, ws);
-}
-
 PathDelayResult PathAnalyzer::framework_delay(const PathSample& sample)
     const {
-  return run_chain(sample, nullptr);
+  SampleWorkspace ws;
+  return framework_delay(sample, ws);
 }
 
 PathDelayResult PathAnalyzer::framework_delay(const PathSample& sample,
                                               SampleWorkspace& ws) const {
-  return run_chain(sample, nullptr, &ws);
+  return chain_delay(sample, ws.batch());
 }
 
-PathDelayResult PathAnalyzer::run_chain(
-    const PathSample& sample,
-    std::vector<timing::RampParams>* stage_inputs,
-    SampleWorkspace* ws) const {
+PathDelayResult PathAnalyzer::chain_delay(
+    const PathSample& sample, BatchWorkspace& bws,
+    std::vector<RampParams>* stage_inputs) const {
   if (sample.device.size() != stages_.size()) {
     throw std::invalid_argument("framework_delay: sample size mismatch");
   }
-  const double vdd = spec_.tech.vdd;
-  bool rising = spec_.input.rising;
-  SourceWaveform wave = spec_.input.to_source(vdd);
-  double m_current = spec_.input.m;
-
-  RampParams out_params;
-  for (std::size_t k = 0; k < stages_.size(); ++k) {
-    // Localize time so the transition sits at ~1/4 of the stage window.
-    const double shift =
-        std::max(0.0, m_current - 0.25 * spec_.stage_window);
-    SourceWaveform local =
-        shift > 0.0
-            ? SourceWaveform::pwl(shifted_samples(wave.points(), -shift))
-            : wave;
-    const bool out_rising = rising != stages_[k].model.cell->inverting;
-    if (stage_inputs != nullptr) {
-      // Ramp-equivalent parameters of this stage's input (for GA).
-      stage_inputs->push_back(
-          timing::measure_ramp(wave.points(), vdd, rising));
-    }
-    Samples out;
-    out_params = measure_with_retry(k, local, shift, sample.device[k],
-                                    sample.wire, out_rising, &out, ws);
-
-    // Propagate the fine-resolution PWL (adaptively compressed).
-    wave = SourceWaveform::pwl(teta::compress_pwl(out, 1e-4 * vdd));
-    m_current = out_params.m;
-    rising = out_rising;
-  }
-  PathDelayResult res;
-  res.delay = out_params.m - spec_.input.m;
-  res.output_slew = out_params.s;
-  return res;
+  stats::BatchSlot slot;
+  RampParams output;
+  run_chain_batch({&sample, 1}, bws, {&slot, 1}, &output, stage_inputs);
+  if (slot.failed) throw sim::SimulationError(std::move(slot.diag));
+  return {slot.value, output.s};
 }
 
-void PathAnalyzer::run_chain_batch(const std::vector<PathSample>& samples,
+void PathAnalyzer::run_chain_batch(std::span<const PathSample> samples,
                                    BatchWorkspace& bws,
-                                   std::vector<stats::BatchSlot>& out) const {
-  const std::size_t nl = samples.size();
+                                   std::span<stats::BatchSlot> out,
+                                   RampParams* output,
+                                   std::vector<RampParams>* stage_inputs)
+    const {
   const double vdd = spec_.tech.vdd;
-  // Per-lane propagation state (what run_chain keeps in locals).
-  std::vector<SourceWaveform> wave(nl, spec_.input.to_source(vdd));
-  std::vector<double> m_current(nl, spec_.input.m);
-  std::vector<RampParams> out_params(nl);
-  std::vector<unsigned char> alive(nl, 1);
-  // Staging for the per-stage block dispatch.
-  std::vector<std::size_t> idx;
-  std::vector<SourceWaveform> local;
-  std::vector<const SourceWaveform*> inputs;
-  std::vector<double> shifts;
-  std::vector<const timing::DeviceVariation*> devs;
-  std::vector<const interconnect::WireVariation*> wires;
-  std::vector<Samples> souts;
-  std::vector<StageMeasurement> meas;
-
-  bool rising = spec_.input.rising;
-  for (std::size_t k = 0; k < stages_.size(); ++k) {
-    const bool out_rising = rising != stages_[k].model.cell->inverting;
-    idx.clear();
-    local.clear();
-    shifts.clear();
-    for (std::size_t l = 0; l < nl; ++l) {
-      if (alive[l] == 0) continue;
-      // Localize time so the transition sits at ~1/4 of the stage window
-      // (same shift rule as run_chain).
-      const double shift =
-          std::max(0.0, m_current[l] - 0.25 * spec_.stage_window);
-      local.push_back(shift > 0.0 ? SourceWaveform::pwl(shifted_samples(
-                                        wave[l].points(), -shift))
-                                  : wave[l]);
-      idx.push_back(l);
-      shifts.push_back(shift);
+  // The arrival front of the live lanes; bws.live maps each to its sample.
+  bws.front.assign(samples.size(),
+                   StageWaveform{spec_.input, spec_.input.to_source(vdd)});
+  bws.live.resize(samples.size());
+  std::iota(bws.live.begin(), bws.live.end(), std::size_t{0});
+  for (std::size_t k = 0; k < stages_.size() && !bws.live.empty(); ++k) {
+    if (stage_inputs != nullptr && bws.live[0] == 0) {
+      // Ramp-equivalent parameters of this stage's input (for GA).
+      stage_inputs->push_back(timing::measure_ramp(
+          bws.front[0].wave.points(), vdd, bws.front[0].params.rising));
     }
-    if (idx.empty()) break;
-    inputs.clear();
-    devs.clear();
-    wires.clear();
-    for (std::size_t s = 0; s < idx.size(); ++s) {
-      inputs.push_back(&local[s]);
-      devs.push_back(&samples[idx[s]].device[k]);
-      wires.push_back(&samples[idx[s]].wire);
+    bws.devs.clear();
+    bws.wires.clear();
+    for (const std::size_t l : bws.live) {
+      bws.devs.push_back(&samples[l].device[k]);
+      bws.wires.push_back(&samples[l].wire);
     }
-    measure_stage_batch(stages_[k].model, spec_.tech, sim_options(), k,
-                        inputs, shifts, devs, wires, out_rising, &souts,
-                        meas, bws);
-    for (std::size_t s = 0; s < idx.size(); ++s) {
-      const std::size_t l = idx[s];
-      if (meas[s].failed) {
-        alive[l] = 0;
+    propagate_stage_batch(stages_[k], spec_.tech, sim_options(), k,
+                          bws.front, bws.devs, bws.wires, bws.next, bws.meas,
+                          bws);
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < bws.live.size(); ++i) {
+      const std::size_t l = bws.live[i];
+      if (bws.meas[i].failed) {
         out[l].failed = true;
-        out[l].diag = meas[s].diag;
+        out[l].diag = std::move(bws.meas[i].diag);
         continue;
       }
-      // Propagate the fine-resolution PWL (adaptively compressed).
-      wave[l] = SourceWaveform::pwl(teta::compress_pwl(souts[s], 1e-4 * vdd));
-      m_current[l] = meas[s].params.m;
-      out_params[l] = meas[s].params;
+      bws.live[n] = l;
+      std::swap(bws.front[n], bws.next[i]);
+      ++n;
     }
-    rising = out_rising;
+    bws.live.resize(n);
+    bws.front.resize(n);
   }
-  for (std::size_t l = 0; l < nl; ++l) {
-    if (alive[l] == 0) continue;
-    out[l].value = out_params[l].m - spec_.input.m;
+  for (std::size_t i = 0; i < bws.live.size(); ++i) {
+    out[bws.live[i]].value = bws.front[i].params.m - spec_.input.m;
+  }
+  if (output != nullptr && !bws.live.empty() && bws.live[0] == 0) {
+    *output = bws.front[0].params;
   }
 }
 
@@ -254,7 +181,7 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
   circuit::NodeId prev = in0;
   circuit::NodeId last_far = prev;
   for (std::size_t k = 0; k < stages_.size(); ++k) {
-    const timing::CellTemplate& cell = *stages_[k].model.cell;
+    const timing::CellTemplate& cell = *stages_[k].cell;
     const auto out = nl.add_node("s" + std::to_string(k) + "_out");
     // Side inputs tied to the sensitizing rails.
     std::vector<circuit::NodeId> ins(cell.num_inputs);
@@ -278,7 +205,7 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
     // by freeze_device_capacitances); only the last stage's receiver needs
     // an explicit model.
     if (k + 1 == stages_.size()) {
-      nl.add_capacitor(node, kGround, stages_[k].model.receiver_cap);
+      nl.add_capacitor(node, kGround, stages_[k].receiver_cap);
     }
     last_far = node;
     prev = node;
@@ -299,8 +226,8 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
     throw sim::SimulationError(std::move(diag));
   }
   bool rising = spec_.input.rising;
-  for (const Stage& st : stages_) {
-    rising = st.model.cell->inverting ? !rising : rising;
+  for (const StageModel& st : stages_) {
+    rising = st.cell->inverting ? !rising : rising;
   }
   const RampParams out =
       timing::measure_ramp(res.waveform(last_far), vdd_v, rising);
@@ -361,22 +288,20 @@ stats::MonteCarloResult PathAnalyzer::monte_carlo(
 
 stats::MonteCarloResult PathAnalyzer::monte_carlo(
     const PathVariationModel& model, const stats::RunOptions& opt) const {
-  LaneWorkspaces pool(opt.exec.threads);
+  LaneBatchWorkspaces pool(opt.exec.threads);
   stats::LanedPerformanceFn f = [this, &model, &pool](const Vector& w,
                                                       std::size_t lane) {
-    return framework_delay(sample_from_sources(model, w), pool.lane(lane))
-        .delay;
+    return chain_delay(sample_from_sources(model, w), pool.lane(lane)).delay;
   };
-  LaneBatchWorkspaces bpool(opt.exec.threads);
   stats::BatchPerformanceFn fb =
-      [this, &model, &bpool](const std::vector<Vector>& w, std::size_t lane,
-                             std::vector<stats::BatchSlot>& out) {
+      [this, &model, &pool](const std::vector<Vector>& w, std::size_t lane,
+                            std::vector<stats::BatchSlot>& out) {
         std::vector<PathSample> block;
         block.reserve(w.size());
         for (const Vector& wi : w) {
           block.push_back(sample_from_sources(model, wi));
         }
-        run_chain_batch(block, bpool.lane(lane), out);
+        run_chain_batch(block, pool.lane(lane), out);
       };
   return stats::Runner(opt).run_monte_carlo(f, fb, sources(model));
 }
@@ -384,11 +309,10 @@ stats::MonteCarloResult PathAnalyzer::monte_carlo(
 stats::IsYieldEstimate PathAnalyzer::yield_importance(
     const PathVariationModel& model, double clock_period,
     const stats::RunOptions& opt) const {
-  LaneWorkspaces pool(opt.exec.threads);
+  LaneBatchWorkspaces pool(opt.exec.threads);
   stats::LanedPerformanceFn f = [this, &model, &pool](const Vector& w,
                                                       std::size_t lane) {
-    return framework_delay(sample_from_sources(model, w), pool.lane(lane))
-        .delay;
+    return chain_delay(sample_from_sources(model, w), pool.lane(lane)).delay;
   };
   return stats::Runner(opt).run_yield_is(f, sources(model), clock_period);
 }
@@ -433,24 +357,22 @@ PathAnalyzer::CorrelatedMcResult PathAnalyzer::monte_carlo_correlated(
   // Sample the leading independent factors; reverse-transform to the
   // physical sources (Sec. 4.1.1's "by-product reverse transformation").
   std::vector<stats::VariationSource> factor_src(nfactors);
-  LaneWorkspaces pool(opt.exec.threads);
+  LaneBatchWorkspaces pool(opt.exec.threads);
   stats::LanedPerformanceFn f = [this, &model, &pca, &pool](
                                     const Vector& z, std::size_t lane) {
     const Vector w = pca.from_factors(z);
-    return framework_delay(sample_from_sources(model, w), pool.lane(lane))
-        .delay;
+    return chain_delay(sample_from_sources(model, w), pool.lane(lane)).delay;
   };
-  LaneBatchWorkspaces bpool(opt.exec.threads);
   stats::BatchPerformanceFn fb =
-      [this, &model, &pca, &bpool](const std::vector<Vector>& z,
-                                   std::size_t lane,
-                                   std::vector<stats::BatchSlot>& out) {
+      [this, &model, &pca, &pool](const std::vector<Vector>& z,
+                                  std::size_t lane,
+                                  std::vector<stats::BatchSlot>& out) {
         std::vector<PathSample> block;
         block.reserve(z.size());
         for (const Vector& zi : z) {
           block.push_back(sample_from_sources(model, pca.from_factors(zi)));
         }
-        run_chain_batch(block, bpool.lane(lane), out);
+        run_chain_batch(block, pool.lane(lane), out);
       };
   CorrelatedMcResult res;
   res.mc = stats::Runner(opt).run_monte_carlo(f, fb, factor_src);
@@ -464,6 +386,7 @@ PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
   const double vdd = spec_.tech.vdd;
   const double m_local = 0.25 * spec_.stage_window;
   std::size_t sims = 0;
+  SampleWorkspace ws;  // shared by the nominal chain and every FD stage
 
   // Stage transfer at the saturated-ramp abstraction (Eq. 30): returns
   // (delay D, output slew F) for input slew s_in and stage-local sources.
@@ -472,9 +395,10 @@ PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
                        const interconnect::WireVariation& wire) {
     RampParams in{m_local, s_in, rising_in};
     ++sims;
-    const bool out_rising = rising_in != stages_[k].model.cell->inverting;
-    RampParams o = measure_with_retry(k, in.to_source(vdd), 0.0, dev, wire,
-                                      out_rising, nullptr);
+    const bool out_rising = rising_in != stages_[k].cell->inverting;
+    RampParams o = measure_stage_with_retry(
+        stages_[k], spec_.tech, sim_options(), k, in.to_source(vdd), 0.0,
+        dev, wire, out_rising, nullptr, &ws);
     return std::pair<double, double>{o.m - m_local, o.s};
   };
 
@@ -492,7 +416,8 @@ PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
   std::vector<RampParams> stage_in;
   PathSample nominal_sample;
   nominal_sample.device.resize(stages_.size());
-  const PathDelayResult nominal_chain = run_chain(nominal_sample, &stage_in);
+  const PathDelayResult nominal_chain =
+      chain_delay(nominal_sample, ws.batch(), &stage_in);
   sims += stages_.size();
   bool rising = spec_.input.rising;
 
@@ -585,7 +510,7 @@ PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
       dm[l] = dm[l] + dD_dw[l] + dD_dS * ds[l];
       ds[l] = dF_dw[l] + dF_dS * ds[l];
     }
-    rising = rising != stages_[k].model.cell->inverting;
+    rising = rising != stages_[k].cell->inverting;
   }
 
   // Eq. 24 over the normalized sources; the FD steps above were taken in
@@ -625,9 +550,10 @@ std::size_t PathAnalyzer::total_linear_elements() const {
 }
 
 std::size_t PathAnalyzer::memory_bytes() const {
-  std::size_t total = sizeof(*this) + stages_.capacity() * sizeof(Stage);
-  for (const Stage& s : stages_) {
-    total += s.model.memory_bytes() - sizeof(StageModel);
+  std::size_t total =
+      sizeof(*this) + stages_.capacity() * sizeof(StageModel);
+  for (const StageModel& s : stages_) {
+    total += s.memory_bytes() - sizeof(StageModel);
   }
   return total;
 }

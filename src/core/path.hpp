@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "circuit/technology.hpp"
@@ -95,21 +96,19 @@ class PathAnalyzer {
   const PathSpec& spec() const { return spec_; }
   /// The characterized driver cell + effective load of stage k.
   const StageModel& stage_model(std::size_t k) const {
-    return stages_[k].model;
+    return stages_[k];
   }
 
-  /// Reusable per-worker scratch covering the whole per-sample pipeline
-  /// (ROM evaluation -> pole/residue extraction -> TETA transient). One
-  /// workspace per Monte-Carlo lane makes repeated framework_delay calls
-  /// allocation-free after the first sample; see docs/performance.md.
-  /// Shared with the multi-path graph engine (core::GraphAnalyzer), which
-  /// additionally keeps its per-sample stage memo in it -- the definition
-  /// lives in core/stage_model.hpp.
+  /// Reusable per-worker scratch covering the whole per-sample pipeline;
+  /// the definition lives in core/stage_model.hpp (shared with
+  /// core::GraphAnalyzer, which also keeps its per-sample stage memo in
+  /// it).
   using SampleWorkspace = core::SampleWorkspace;
 
-  /// Stage-by-stage TETA evaluation at one parameter sample. Throws
-  /// sim::SimulationError (with classified diagnostics) when a stage does
-  /// not converge within spec().recovery's retry budget.
+  /// Stage-by-stage TETA evaluation at one parameter sample: the block
+  /// chain on a one-sample block. Throws sim::SimulationError (with
+  /// classified diagnostics) when a stage does not converge within
+  /// spec().recovery's retry budget or the window ladder.
   PathDelayResult framework_delay(const PathSample& sample) const;
 
   /// Workspace-pooled overload: numerically identical, but draws every
@@ -199,56 +198,33 @@ class PathAnalyzer {
   std::size_t memory_bytes() const;
 
  private:
-  struct Stage {
-    /// Characterized driver cell + variational effective load (see
-    /// core/stage_model.hpp).
-    StageModel model;
-    bool output_rising_if_input_rising = false;
-  };
+  /// The stage chain over a block of samples: every sample marches down
+  /// the path one stage at a time through propagate_stage_batch. Lane l's
+  /// delay lands in out[l].value; a lane whose stage fails is recorded in
+  /// out[l] with its classified diagnostics and dropped from the
+  /// remaining stages. `out` must be sized to samples.size() (the stats
+  /// driver's BatchSlot contract). For samples[0], `output` (optional)
+  /// receives the path output ramp and `stage_inputs` (optional) the
+  /// input ramp of every stage it reached (gradient_analysis).
+  void run_chain_batch(std::span<const PathSample> samples,
+                       BatchWorkspace& bws, std::span<stats::BatchSlot> out,
+                       timing::RampParams* output = nullptr,
+                       std::vector<timing::RampParams>* stage_inputs =
+                           nullptr) const;
 
-  /// Simulate one stage with TETA: input waveform (local time), device
-  /// variation, wire parameters; returns far-port samples (local time).
-  /// `ws` (optional) supplies the pooled engine scratch.
-  timing::Samples simulate_stage(std::size_t k,
-                                 const circuit::SourceWaveform& input,
-                                 const timing::DeviceVariation& dev,
-                                 const interconnect::WireVariation& wire,
-                                 double window_scale = 1.0,
-                                 SampleWorkspace* ws = nullptr) const;
+  /// run_chain_batch on a one-sample block, throwing the sample's
+  /// classified failure (framework_delay and the one-sample statistical
+  /// evaluations).
+  PathDelayResult chain_delay(
+      const PathSample& sample, BatchWorkspace& bws,
+      std::vector<timing::RampParams>* stage_inputs = nullptr) const;
 
-  /// framework_delay() plus optional capture of each stage's input ramp
-  /// parameters (consumed by gradient_analysis).
-  PathDelayResult run_chain(const PathSample& sample,
-                            std::vector<timing::RampParams>* stage_inputs,
-                            SampleWorkspace* ws = nullptr) const;
-
-  /// Lockstep block sibling of run_chain, backing the batched Monte-Carlo
-  /// dispatch: marches all samples down the path one stage at a time
-  /// through measure_stage_batch, propagating per-lane waveform / arrival
-  /// state. A lane whose stage fails is recorded in `out` with the
-  /// classified diagnostics (exactly what run_chain would have thrown) and
-  /// dropped from the remaining stages; survivors' delays are bitwise
-  /// identical to scalar run_chain. `out` must be pre-sized to
-  /// samples.size() (the stats driver's BatchSlot contract).
-  void run_chain_batch(const std::vector<PathSample>& samples,
-                       BatchWorkspace& bws,
-                       std::vector<stats::BatchSlot>& out) const;
-
-  /// Engine knobs forwarded to the shared stage simulation helpers.
+  /// Engine knobs forwarded to the shared stage engine.
   StageSimOptions sim_options() const;
-
-  /// Run a stage and extract the output ramp parameters, doubling the
-  /// simulation window (up to 4x) if the transition does not complete.
-  /// `shift` is added back to the measured arrival.
-  timing::RampParams measure_with_retry(
-      std::size_t k, const circuit::SourceWaveform& input, double shift,
-      const timing::DeviceVariation& dev,
-      const interconnect::WireVariation& wire, bool out_rising,
-      timing::Samples* out_samples, SampleWorkspace* ws = nullptr) const;
 
   PathSpec spec_;
   std::size_t segments_per_stage_ = 1;
-  std::vector<Stage> stages_;
+  std::vector<StageModel> stages_;
 };
 
 }  // namespace lcsf::core

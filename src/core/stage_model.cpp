@@ -1,6 +1,7 @@
 #include "core/stage_model.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -97,94 +98,6 @@ mor::VariationalRom characterize_stage_load(const timing::CellTemplate& cell,
   return mor::build_variational_rom(family, 2, vopt, memo);
 }
 
-Samples simulate_stage_model(const StageModel& st,
-                             const circuit::Technology& tech,
-                             const StageSimOptions& opt,
-                             const SourceWaveform& input,
-                             const timing::DeviceVariation& dev,
-                             const interconnect::WireVariation& wire,
-                             double window_scale, SampleWorkspace* ws) {
-  // Normalized wire sample for the ROM library.
-  const Vector w{tech.wire_tol.width > 0.0
-                     ? wire.width / tech.wire_tol.width
-                     : 0.0,
-                 tech.wire_tol.ild_thickness > 0.0
-                     ? wire.ild_thickness / tech.wire_tol.ild_thickness
-                     : 0.0};
-  mor::PoleResidueModel z;
-  if (ws != nullptr) {
-    // Pooled path: evaluate the variational ROM and extract poles through
-    // the per-lane workspace -- bitwise identical to the plain path.
-    st.load.evaluate_into(w, ws->rom);
-    z = mor::stabilize(mor::extract_pole_residue(ws->rom, ws->poleres),
-                       nullptr, mor::StabilizePolicy::kDirectCompensation);
-  } else {
-    mor::ReducedModel rom = st.load.evaluate(w);
-    z = mor::stabilize(mor::extract_pole_residue(rom), nullptr,
-                       mor::StabilizePolicy::kDirectCompensation);
-  }
-
-  teta::StageCircuit stage;
-  const std::size_t out = stage.add_port();
-  (void)stage.add_port();  // far port (receiver side), observed
-  const std::size_t in = stage.add_input(input);
-  const std::size_t vdd = stage.add_rail(tech.vdd);
-  const std::size_t gnd = stage.add_rail(0.0);
-  timing::instantiate_cell(*st.cell, tech, stage, out, in, vdd, gnd, dev);
-  stage.freeze_device_capacitances();
-
-  teta::TetaOptions topt;
-  topt.dt = opt.dt;
-  topt.tstop = opt.stage_window * window_scale;
-  topt.vdd = tech.vdd;
-  topt.recovery = opt.recovery;
-  if (ws != nullptr) {
-    teta::simulate_stage(stage, z, topt, ws->teta, ws->teta_result);
-    const teta::TetaResult& res = ws->teta_result;
-    if (!res.converged) {
-      throw sim::SimulationError(res.diag);
-    }
-    return res.waveform(1);  // far port
-  }
-  teta::TetaResult res = teta::simulate_stage(stage, z, topt);
-  if (!res.converged) {
-    throw sim::SimulationError(res.diag);
-  }
-  return res.waveform(1);  // far port
-}
-
-RampParams measure_stage_with_retry(
-    const StageModel& st, const circuit::Technology& tech,
-    const StageSimOptions& opt, std::size_t label,
-    const SourceWaveform& input, double shift,
-    const timing::DeviceVariation& dev,
-    const interconnect::WireVariation& wire, bool out_rising,
-    Samples* out_samples, SampleWorkspace* ws) {
-  // The stage window is a heuristic; if the output transition does not
-  // complete inside it, re-simulate with a doubled window (bounded).
-  sim::SimDiagnostics last;
-  for (double scale : {1.0, 2.0, 4.0}) {
-    try {
-      Samples out =
-          simulate_stage_model(st, tech, opt, input, dev, wire, scale, ws);
-      RampParams p = timing::measure_ramp(out, tech.vdd, out_rising);
-      p.m += shift;
-      if (out_samples != nullptr) *out_samples = shifted_samples(out, shift);
-      return p;
-    } catch (const sim::SimulationError& e) {
-      last = e.diagnostics();
-    } catch (const std::runtime_error& e) {
-      // measure_ramp: the transition never completed in the window.
-      last = {};
-      last.kind = sim::FailureKind::kOther;
-      last.detail = e.what();
-    }
-  }
-  last.detail = "stage " + std::to_string(label) +
-                " did not complete: " + last.detail;
-  throw sim::SimulationError(std::move(last));
-}
-
 Samples shifted_samples(const Samples& w, double dt0) {
   Samples out;
   out.reserve(w.size());
@@ -192,27 +105,50 @@ Samples shifted_samples(const Samples& w, double dt0) {
   return out;
 }
 
+SampleWorkspace::SampleWorkspace() = default;
+SampleWorkspace::~SampleWorkspace() = default;
+
+BatchWorkspace& SampleWorkspace::batch() {
+  if (!batch_) {
+    batch_ = std::make_unique<BatchWorkspace>();
+    batch_->slot0 = this;
+  }
+  return *batch_;
+}
+
 SampleWorkspace& BatchWorkspace::lane(std::size_t k) {
+  if (k == 0 && slot0 != nullptr) return *slot0;
   while (lanes.size() <= k) {
     lanes.push_back(std::make_unique<SampleWorkspace>());
   }
   return *lanes[k];
 }
 
-void measure_stage_batch(const StageModel& st,
-                         const circuit::Technology& tech,
-                         const StageSimOptions& opt, std::size_t label,
-                         const std::vector<const SourceWaveform*>& inputs,
-                         const std::vector<double>& shifts,
-                         const std::vector<const timing::DeviceVariation*>& devs,
-                         const std::vector<const interconnect::WireVariation*>& wires,
-                         bool out_rising, std::vector<Samples>* out_samples,
-                         std::vector<StageMeasurement>& out,
-                         BatchWorkspace& bws) {
+namespace {
+
+/// Diagnostics of a failure the engines do not classify (an incomplete
+/// transition, a foreign std::runtime_error).
+sim::SimDiagnostics unclassified(const char* what) {
+  sim::SimDiagnostics d;
+  d.kind = sim::FailureKind::kOther;
+  d.detail = what;
+  return d;
+}
+
+}  // namespace
+
+void measure_stage_batch(
+    const StageModel& st, const circuit::Technology& tech,
+    const StageSimOptions& opt, std::size_t label,
+    std::span<const SourceWaveform* const> inputs,
+    std::span<const double> shifts,
+    std::span<const timing::DeviceVariation* const> devs,
+    std::span<const interconnect::WireVariation* const> wires,
+    bool out_rising, std::vector<Samples>* out_samples,
+    std::vector<StageMeasurement>& out, BatchWorkspace& bws) {
   const std::size_t nl = inputs.size();
   out.assign(nl, StageMeasurement{});
   if (out_samples != nullptr) out_samples->resize(nl);
-  bws.fallback.assign(nl, 0);
 
   // Normalized wire samples, then one streamed ROM evaluation for the
   // whole block (per-lane bitwise identical to evaluate_into).
@@ -233,25 +169,32 @@ void measure_stage_batch(const StageModel& st,
   st.load.evaluate_into_batch(bws.wptr, bws.romptr);
 
   // Pole/residue extraction stays per-lane (dense eigensolves do not gain
-  // from lockstep); a lane whose load fails to extract falls back -- the
-  // scalar rerun repeats the failure with the ladder's diagnostics.
+  // from lockstep). The load does not depend on the window, so a lane
+  // whose load fails to extract has failed the whole ladder already.
+  // `fallback` marks the lanes still pending a (wider) window.
   bws.z.resize(nl);
+  bws.fallback.assign(nl, 1);
   for (std::size_t l = 0; l < nl; ++l) {
     SampleWorkspace& ws = bws.lane(l);
     try {
       bws.z[l] =
           mor::stabilize(mor::extract_pole_residue(ws.rom, ws.poleres),
                          nullptr, mor::StabilizePolicy::kDirectCompensation);
-    } catch (const std::runtime_error&) {
-      bws.fallback[l] = 1;
+      continue;
+    } catch (const sim::SimulationError& e) {
+      out[l].diag = e.diagnostics();
+    } catch (const std::runtime_error& e) {
+      out[l].diag = unclassified(e.what());
     }
+    bws.fallback[l] = 0;
+    out[l].failed = true;
   }
 
-  // Per-lane stage circuits, built exactly as simulate_stage_model does.
+  // Per-lane stage circuits, shared by every rung of the ladder.
   bws.stages.clear();
   bws.stages.resize(nl);
   for (std::size_t l = 0; l < nl; ++l) {
-    if (bws.fallback[l] != 0) continue;
+    if (bws.fallback[l] == 0) continue;
     teta::StageCircuit& stage = bws.stages[l];
     const std::size_t sout = stage.add_port();
     (void)stage.add_port();  // far port (receiver side), observed
@@ -263,59 +206,116 @@ void measure_stage_batch(const StageModel& st,
     stage.freeze_device_capacitances();
   }
 
-  // Lockstep leg at window scale 1.0 (the retry ladder's first rung).
+  // The window ladder: each rung runs the still-pending lanes as one
+  // block (lockstep when it holds two or more) at a doubled window.
   teta::TetaOptions topt;
   topt.dt = opt.dt;
-  topt.tstop = opt.stage_window;
   topt.vdd = tech.vdd;
   topt.recovery = opt.recovery;
-  bws.teta_lanes.clear();
-  bws.slot.clear();
-  for (std::size_t l = 0; l < nl; ++l) {
-    if (bws.fallback[l] != 0) continue;
-    SampleWorkspace& ws = bws.lane(l);
-    bws.teta_lanes.push_back(
-        {&bws.stages[l], &bws.z[l], &ws.teta, &ws.teta_result});
-    bws.slot.push_back(l);
-  }
-  if (!bws.teta_lanes.empty()) {
-    teta::simulate_stage_batch(bws.teta_lanes, topt, bws.teta);
-  }
-  for (std::size_t s = 0; s < bws.slot.size(); ++s) {
-    const std::size_t l = bws.slot[s];
-    const teta::TetaResult& res = bws.lane(l).teta_result;
-    if (!res.converged) {
-      bws.fallback[l] = 1;
-      continue;
+  for (const double scale : {1.0, 2.0, 4.0}) {
+    bws.teta_lanes.clear();
+    bws.slot.clear();
+    for (std::size_t l = 0; l < nl; ++l) {
+      if (bws.fallback[l] == 0) continue;
+      SampleWorkspace& ws = bws.lane(l);
+      bws.teta_lanes.push_back(
+          {&bws.stages[l], &bws.z[l], &ws.teta, &ws.teta_result});
+      bws.slot.push_back(l);
     }
-    try {
-      Samples so = res.waveform(1);  // far port
-      RampParams p = timing::measure_ramp(so, tech.vdd, out_rising);
-      p.m += shifts[l];
-      out[l].params = p;
-      if (out_samples != nullptr) {
-        (*out_samples)[l] = shifted_samples(so, shifts[l]);
+    if (bws.slot.empty()) break;
+    topt.tstop = opt.stage_window * scale;
+    teta::simulate_stage_batch(bws.teta_lanes, topt, bws.teta);
+    for (const std::size_t l : bws.slot) {
+      const teta::TetaResult& res = bws.lane(l).teta_result;
+      if (!res.converged) {
+        out[l].diag = res.diag;
+        continue;
       }
-    } catch (const std::runtime_error&) {
-      // Transition incomplete at scale 1.0: the ladder widens the window.
-      bws.fallback[l] = 1;
+      try {
+        Samples so = res.waveform(1);  // far port
+        RampParams p = timing::measure_ramp(so, tech.vdd, out_rising);
+        p.m += shifts[l];
+        out[l].params = p;
+        out[l].diag = {};
+        if (out_samples != nullptr) {
+          (*out_samples)[l] = shifted_samples(so, shifts[l]);
+        }
+        bws.fallback[l] = 0;
+      } catch (const std::runtime_error& e) {
+        // measure_ramp: the transition did not complete in the window.
+        out[l].diag = unclassified(e.what());
+      }
     }
   }
 
-  // Fallback lanes rerun the full scalar retry ladder, whose first rung
-  // repeats the failed lockstep attempt bitwise and then widens the
-  // window -- so per-lane values and diagnostics match a scalar call.
   for (std::size_t l = 0; l < nl; ++l) {
-    if (bws.fallback[l] == 0) continue;
-    Samples* osp = out_samples != nullptr ? &(*out_samples)[l] : nullptr;
-    try {
-      out[l].params = measure_stage_with_retry(
-          st, tech, opt, label, *inputs[l], shifts[l], *devs[l], *wires[l],
-          out_rising, osp, &bws.lane(l));
-    } catch (const sim::SimulationError& e) {
-      out[l].failed = true;
-      out[l].diag = e.diagnostics();
+    if (bws.fallback[l] != 0) out[l].failed = true;
+    if (out[l].failed) {
+      out[l].diag.detail = "stage " + std::to_string(label) +
+                           " did not complete: " + out[l].diag.detail;
     }
+  }
+}
+
+RampParams measure_stage_with_retry(
+    const StageModel& st, const circuit::Technology& tech,
+    const StageSimOptions& opt, std::size_t label,
+    const SourceWaveform& input, double shift,
+    const timing::DeviceVariation& dev,
+    const interconnect::WireVariation& wire, bool out_rising,
+    Samples* out_samples, SampleWorkspace* ws) {
+  if (ws == nullptr) {
+    SampleWorkspace scratch;
+    return measure_stage_with_retry(st, tech, opt, label, input, shift, dev,
+                                    wire, out_rising, out_samples, &scratch);
+  }
+  BatchWorkspace& bws = ws->batch();
+  const SourceWaveform* in = &input;
+  const timing::DeviceVariation* d = &dev;
+  const interconnect::WireVariation* w = &wire;
+  measure_stage_batch(st, tech, opt, label, {&in, 1}, {&shift, 1}, {&d, 1},
+                      {&w, 1}, out_rising,
+                      out_samples != nullptr ? &bws.souts : nullptr, bws.meas,
+                      bws);
+  if (bws.meas[0].failed) throw sim::SimulationError(bws.meas[0].diag);
+  if (out_samples != nullptr) *out_samples = std::move(bws.souts[0]);
+  return bws.meas[0].params;
+}
+
+void propagate_stage_batch(
+    const StageModel& st, const circuit::Technology& tech,
+    const StageSimOptions& opt, std::size_t label,
+    std::span<const StageWaveform> in,
+    std::span<const timing::DeviceVariation* const> devs,
+    std::span<const interconnect::WireVariation* const> wires,
+    std::vector<StageWaveform>& out, std::vector<StageMeasurement>& meas,
+    BatchWorkspace& bws) {
+  const std::size_t nl = in.size();
+  bws.local.resize(nl);
+  bws.inputs.resize(nl);
+  bws.shifts.resize(nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    // Localize time so the transition sits at ~1/4 of the stage window.
+    const double shift =
+        std::max(0.0, in[l].params.m - 0.25 * opt.stage_window);
+    bws.shifts[l] = shift;
+    bws.inputs[l] = &in[l].wave;
+    if (shift > 0.0) {
+      bws.local[l] = SourceWaveform::pwl(
+          shifted_samples(in[l].wave.points(), -shift));
+      bws.inputs[l] = &bws.local[l];
+    }
+  }
+  const bool out_rising = in[0].params.rising != st.cell->inverting;
+  measure_stage_batch(st, tech, opt, label, bws.inputs, bws.shifts, devs,
+                      wires, out_rising, &bws.souts, meas, bws);
+  out.resize(nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    if (meas[l].failed) continue;
+    // Propagate the fine-resolution PWL (adaptively compressed).
+    out[l].params = meas[l].params;
+    out[l].wave = SourceWaveform::pwl(
+        teta::compress_pwl(bws.souts[l], 1e-4 * tech.vdd));
   }
 }
 

@@ -7,13 +7,15 @@
 // driver's chord conductances folded in (paper Table 1), reduced with
 // PACT over the global wire parameters (W, H). Characterization happens
 // once per distinct (cell, load) "block"; per-sample evaluation is a TETA
-// transient through the pooled workspace below.
+// transient run by one engine, measure_stage_batch, on blocks of lanes --
+// a single sample is a block of one.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -42,17 +44,28 @@ struct StageWaveform {
 using StageCacheKey =
     std::tuple<std::size_t, std::int64_t, std::int64_t, bool>;
 
+struct BatchWorkspace;
+
 /// Reusable per-worker scratch covering the whole per-sample pipeline
 /// (ROM evaluation -> pole/residue extraction -> TETA transient). One
 /// workspace per Monte-Carlo lane makes repeated per-sample evaluations
 /// allocation-free after the first sample; see docs/performance.md.
 struct SampleWorkspace {
+  SampleWorkspace();
+  ~SampleWorkspace();
+  SampleWorkspace(const SampleWorkspace&) = delete;
+  SampleWorkspace& operator=(const SampleWorkspace&) = delete;
+
+  /// The one-lane BatchWorkspace whose slot 0 is this workspace (created
+  /// on first use): one-sample calls into the block engine run through
+  /// it, so they reuse this scratch and the block staging alike.
+  BatchWorkspace& batch();
+
   mor::ReducedModel rom;
   mor::PoleResidueWorkspace poleres;
   teta::TetaWorkspace teta;
   /// Reused TETA result: the waveform storage (time axis + per-step port
-  /// vectors) is recycled across samples by the pooled simulate_stage
-  /// overload.
+  /// vectors) is recycled across samples.
   teta::TetaResult teta_result;
 
   /// Per-sample state of the multi-path graph engine (GraphAnalyzer),
@@ -63,6 +76,9 @@ struct SampleWorkspace {
   /// start of every sample.
   std::map<StageCacheKey, StageWaveform> stage_cache;
   std::map<std::size_t, StageWaveform> net_arrival;
+
+ private:
+  std::unique_ptr<BatchWorkspace> batch_;
 };
 
 /// One characterized stage: driver cell + variational effective load.
@@ -103,24 +119,88 @@ mor::VariationalRom characterize_stage_load(const timing::CellTemplate& cell,
                                             std::size_t rom_internal_modes,
                                             mor::PactMemo* memo = nullptr);
 
-/// Simulate one stage with TETA: input waveform (local time), device
-/// variation, wire parameters; returns far-port samples (local time).
-/// `ws` (optional) supplies the pooled engine scratch. Throws
-/// sim::SimulationError when the transient does not converge.
-timing::Samples simulate_stage_model(const StageModel& st,
-                                     const circuit::Technology& tech,
-                                     const StageSimOptions& opt,
-                                     const circuit::SourceWaveform& input,
-                                     const timing::DeviceVariation& dev,
-                                     const interconnect::WireVariation& wire,
-                                     double window_scale,
-                                     SampleWorkspace* ws);
+/// Shift a sampled waveform in time.
+timing::Samples shifted_samples(const timing::Samples& w, double dt0);
 
-/// Run a stage and extract the output ramp parameters, doubling the
-/// simulation window (up to 4x) if the transition does not complete.
-/// `shift` is added back to the measured arrival; `label` names the stage
-/// in failure diagnostics. When `out_samples` is non-null it receives the
-/// raw output samples shifted back to absolute time.
+/// Per-lane outcome of measure_stage_batch. On failure `diag` carries the
+/// classified diagnostics measure_stage_with_retry throws as
+/// sim::SimulationError (same kind, same message).
+struct StageMeasurement {
+  timing::RampParams params;
+  bool failed = false;
+  sim::SimDiagnostics diag;
+};
+
+/// Reusable scratch of the block engine: one SampleWorkspace per block
+/// slot (created on first touch, so the block width can grow; slot 0 may
+/// be borrowed, see SampleWorkspace::batch), the TETA lockstep SoA
+/// buffers, and the staging of measure_stage_batch, propagate_stage_batch
+/// and PathAnalyzer's chain. One BatchWorkspace per Monte-Carlo lane; see
+/// LaneBatchWorkspaces and docs/performance.md.
+struct BatchWorkspace {
+  /// Ensure slot `k` exists and return its scalar workspace.
+  SampleWorkspace& lane(std::size_t k);
+
+  std::vector<std::unique_ptr<SampleWorkspace>> lanes;
+  SampleWorkspace* slot0 = nullptr;  ///< borrowed slot 0, if any
+  teta::BatchTetaWorkspace teta;
+
+  // measure_stage_batch staging (opaque engine internals).
+  std::vector<numeric::Vector> w;         ///< normalized wire sample per lane
+  std::vector<mor::PoleResidueModel> z;   ///< stabilized load per lane
+  std::vector<teta::StageCircuit> stages; ///< per-lane stage circuit
+  std::vector<unsigned char> fallback;    ///< lanes pending a wider window
+  std::vector<const numeric::Vector*> wptr;
+  std::vector<mor::ReducedModel*> romptr;
+  std::vector<teta::BatchLane> teta_lanes;
+  std::vector<std::size_t> slot;          ///< lane index per TETA batch slot
+
+  // propagate_stage_batch staging, and outputs of one-lane calls.
+  std::vector<circuit::SourceWaveform> local;  ///< shifted inputs
+  std::vector<const circuit::SourceWaveform*> inputs;
+  std::vector<double> shifts;
+  std::vector<timing::Samples> souts;     ///< raw outputs, absolute time
+  std::vector<StageMeasurement> meas;
+  std::vector<StageWaveform> next;        ///< propagated outputs
+
+  // Chain staging: the arrival front of the live lanes and their samples.
+  std::vector<StageWaveform> front;
+  std::vector<std::size_t> live;
+  std::vector<const timing::DeviceVariation*> devs;
+  std::vector<const interconnect::WireVariation*> wires;
+};
+
+/// The stage engine: measure one characterized stage at `inputs.size()`
+/// parameter samples (per-lane input waveform in local time, arrival
+/// shift, device and wire variation; `shifts`, `devs`, `wires` must match
+/// `inputs` in size) and extract each lane's output ramp, `shift` added
+/// back to the arrival. The stage window is a heuristic: the block runs
+/// at window scale 1 through the lockstep TETA engine, and lanes whose
+/// transient does not converge or whose output transition does not
+/// complete rerun as a narrower block at scale 2, then 4 -- no lane
+/// repeats a rung it already failed. A lane that exhausts the ladder, or
+/// whose load fails pole/residue extraction, reports failed=true in `out`
+/// with the last attempt's classified diagnostics, prefixed "stage
+/// <label> did not complete: ", instead of throwing, so one diverging
+/// sample never perturbs its block neighbours (the
+/// stats::BatchPerformanceFn fail-soft contract): a lane measures bitwise
+/// the same alone or in any block. When `out_samples` is non-null it is
+/// resized to the lane count and each successful lane's raw output
+/// samples are stored shifted to absolute time.
+void measure_stage_batch(
+    const StageModel& st, const circuit::Technology& tech,
+    const StageSimOptions& opt, std::size_t label,
+    std::span<const circuit::SourceWaveform* const> inputs,
+    std::span<const double> shifts,
+    std::span<const timing::DeviceVariation* const> devs,
+    std::span<const interconnect::WireVariation* const> wires,
+    bool out_rising, std::vector<timing::Samples>* out_samples,
+    std::vector<StageMeasurement>& out, BatchWorkspace& bws);
+
+/// measure_stage_batch on a one-lane block through `ws` (optional; a
+/// scratch workspace when null): returns the output ramp, or throws the
+/// lane's classified failure as sim::SimulationError. When `out_samples`
+/// is non-null it receives the raw output samples in absolute time.
 timing::RampParams measure_stage_with_retry(
     const StageModel& st, const circuit::Technology& tech,
     const StageSimOptions& opt, std::size_t label,
@@ -129,67 +209,21 @@ timing::RampParams measure_stage_with_retry(
     const interconnect::WireVariation& wire, bool out_rising,
     timing::Samples* out_samples, SampleWorkspace* ws);
 
-/// Shift a sampled waveform in time.
-timing::Samples shifted_samples(const timing::Samples& w, double dt0);
-
-/// Per-lane outcome of measure_stage_batch. On failure `diag` carries the
-/// classified diagnostics the scalar measure_stage_with_retry would have
-/// thrown as sim::SimulationError (same kind, same message).
-struct StageMeasurement {
-  timing::RampParams params;
-  bool failed = false;
-  sim::SimDiagnostics diag;
-};
-
-/// Reusable scratch of the batched per-sample pipeline: one scalar
-/// SampleWorkspace per block slot (created on first touch, so the block
-/// width can grow), the TETA lockstep SoA buffers, and the ROM / circuit /
-/// dispatch staging used by measure_stage_batch. One BatchWorkspace per
-/// Monte-Carlo lane; see LaneBatchWorkspaces and docs/performance.md.
-struct BatchWorkspace {
-  /// Ensure slot `k` exists and return its scalar workspace.
-  SampleWorkspace& lane(std::size_t k);
-
-  std::vector<std::unique_ptr<SampleWorkspace>> lanes;
-  teta::BatchTetaWorkspace teta;
-
-  // measure_stage_batch staging (opaque engine internals).
-  std::vector<numeric::Vector> w;         ///< normalized wire sample per lane
-  std::vector<mor::PoleResidueModel> z;   ///< stabilized load per lane
-  std::vector<teta::StageCircuit> stages; ///< per-lane stage circuit
-  std::vector<unsigned char> fallback;    ///< lanes rerun under the scalar path
-  std::vector<const numeric::Vector*> wptr;
-  std::vector<mor::ReducedModel*> romptr;
-  std::vector<teta::BatchLane> teta_lanes;
-  std::vector<std::size_t> slot;          ///< lane index per TETA batch slot
-};
-
-/// Lockstep-batched sibling of measure_stage_with_retry: measure the same
-/// characterized stage at `inputs.size()` parameter samples (per-lane input
-/// waveform, arrival shift, device and wire variation; `shifts`, `devs`,
-/// `wires` must match `inputs` in size). The batch leg runs every lane at
-/// window scale 1.0 through the SoA TETA engine; any lane that cannot stay
-/// in lockstep -- ROM extraction failure, non-convergence, or an output
-/// transition that does not complete in the window -- is transparently
-/// rerun through the full scalar retry ladder, so per-lane results (values
-/// bitwise, diagnostics verbatim) match a scalar measure_stage_with_retry
-/// call. A lane that exhausts the ladder reports failed=true in `out`
-/// instead of throwing, so one diverging sample never perturbs its block
-/// neighbours (the stats::BatchPerformanceFn fail-soft contract). When
-/// `out_samples` is non-null it is resized to the lane count and each
-/// successful lane's raw output samples are stored shifted to absolute
-/// time.
-void measure_stage_batch(const StageModel& st,
-                         const circuit::Technology& tech,
-                         const StageSimOptions& opt, std::size_t label,
-                         const std::vector<const circuit::SourceWaveform*>& inputs,
-                         const std::vector<double>& shifts,
-                         const std::vector<const timing::DeviceVariation*>& devs,
-                         const std::vector<const interconnect::WireVariation*>& wires,
-                         bool out_rising,
-                         std::vector<timing::Samples>* out_samples,
-                         std::vector<StageMeasurement>& out,
-                         BatchWorkspace& bws);
+/// One step of the waveform propagation (paper Sec. 4.3.1) over a block:
+/// lane l's arrival `in[l]` (absolute time) is shifted so its transition
+/// sits at 1/4 of the stage window, measured by measure_stage_batch, and
+/// on success its output PWL, adaptively compressed (tolerance 1e-4 vdd),
+/// is stored with the measured ramp in `out[l]`. All lanes switch in the
+/// direction of in[0]. `out` and `meas` are resized to the lane count; a
+/// failed lane's `out` entry is unspecified.
+void propagate_stage_batch(
+    const StageModel& st, const circuit::Technology& tech,
+    const StageSimOptions& opt, std::size_t label,
+    std::span<const StageWaveform> in,
+    std::span<const timing::DeviceVariation* const> devs,
+    std::span<const interconnect::WireVariation* const> wires,
+    std::vector<StageWaveform>& out, std::vector<StageMeasurement>& meas,
+    BatchWorkspace& bws);
 
 /// Per-lane workspace pool for the laned statistical drivers: one
 /// SampleWorkspace per thread lane, created on first touch. A lane is

@@ -509,4 +509,8 @@ DispatchResult dispatch_request(const std::string& line, ServeContext& ctx) {
   return out;
 }
 
+std::string error_line(sim::FailureKind kind, const std::string& message) {
+  return error_response(Json::string(""), "", kind, message).dump();
+}
+
 }  // namespace lcsf::serve

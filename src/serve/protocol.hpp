@@ -25,6 +25,7 @@
 
 #include "obs/registry.hpp"
 #include "serve/cache.hpp"
+#include "sim/diagnostics.hpp"
 
 namespace lcsf::serve {
 
@@ -55,5 +56,10 @@ struct DispatchResult {
 /// circuit, a diverging simulation under on_failure=abort -- becomes an
 /// error response carrying the classified sim::FailureKind name.
 DispatchResult dispatch_request(const std::string& line, ServeContext& ctx);
+
+/// The error response (one JSON line, no trailing newline) for input the
+/// server rejects before dispatch, such as an over-long request line: an
+/// empty `id` and type "error", as for a request whose id is unreadable.
+std::string error_line(sim::FailureKind kind, const std::string& message);
 
 }  // namespace lcsf::serve

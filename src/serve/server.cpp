@@ -147,6 +147,14 @@ void Server::serve_connection(int fd, std::size_t lane) {
       }
     }
     buffer.erase(0, start);
+    if (buffer.size() > kMaxRequestLineBytes) {
+      (void)send_all(fd, error_line(sim::FailureKind::kInvalidInput,
+                                    "request line exceeds " +
+                                        std::to_string(kMaxRequestLineBytes) +
+                                        " bytes without a newline") +
+                             "\n");
+      return;
+    }
   }
 }
 

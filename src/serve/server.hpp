@@ -25,6 +25,12 @@
 
 namespace lcsf::serve {
 
+/// Longest unterminated request line a connection may buffer. A client
+/// that sends more without a newline gets one classified invalid-input
+/// error response and is disconnected, so it cannot grow server memory
+/// without bound.
+inline constexpr std::size_t kMaxRequestLineBytes = std::size_t{1} << 20;
+
 struct ServerOptions {
   int port = 0;             ///< TCP port; 0 = kernel-assigned ephemeral
   std::size_t workers = 4;  ///< concurrent connection-handler lanes

@@ -130,6 +130,90 @@ TEST(BatchHotpath, DispatchCountersAndFillDistribution) {
   EXPECT_NEAR(fill.mean, (2.0 * 4.0 + 3.0 * 1.0) / 5.0, 1e-12);
 }
 
+// The window ladder: lanes whose output transition does not complete in
+// the stage window rerun as a narrower block at 2x, then 4x. One K=4
+// block must match four one-lane calls bitwise -- values, raw samples,
+// failure diagnostics, and the TETA counters (no lane repeats a rung) --
+// with lanes finishing at each rung and one exhausting the ladder.
+TEST(BatchHotpath, WindowLadderMatchesOneLaneCallsBitwise) {
+  const PathAnalyzer pa(small_path_spec());
+  const StageModel& st = pa.stage_model(0);  // INV: falling output
+  const circuit::Technology& tech = pa.spec().tech;
+  StageSimOptions opt;
+  opt.stage_window = 0.3e-9;
+  // Input ramps switching later and later: their outputs complete at
+  // window scale 1, 2 and 4, and past the 4x window.
+  const std::vector<double> arrivals{0.1e-9, 0.35e-9, 0.8e-9, 1.5e-9};
+  const std::size_t nl = arrivals.size();
+  std::vector<circuit::SourceWaveform> waves;
+  std::vector<timing::DeviceVariation> devs(nl);
+  std::vector<interconnect::WireVariation> wires(nl);
+  for (std::size_t l = 0; l < nl; ++l) {
+    waves.push_back(
+        timing::RampParams{arrivals[l], 0.1e-9, true}.to_source(tech.vdd));
+    devs[l].delta_vt = 0.01 * static_cast<double>(l);
+    wires[l].width = 0.1 * static_cast<double>(l) * tech.wire_tol.width;
+  }
+  const std::vector<double> shifts{0.0, 1e-12, 2e-12, 3e-12};
+  std::vector<const circuit::SourceWaveform*> inputs;
+  std::vector<const timing::DeviceVariation*> devp;
+  std::vector<const interconnect::WireVariation*> wirep;
+  for (std::size_t l = 0; l < nl; ++l) {
+    inputs.push_back(&waves[l]);
+    devp.push_back(&devs[l]);
+    wirep.push_back(&wires[l]);
+  }
+
+  obs::Registry batch_reg;
+  std::vector<StageMeasurement> meas;
+  std::vector<timing::Samples> souts;
+  {
+    obs::ScopedContext ctx(&batch_reg, 0);
+    BatchWorkspace bws;
+    measure_stage_batch(st, tech, opt, 7, inputs, shifts, devp, wirep,
+                        /*out_rising=*/false, &souts, meas, bws);
+  }
+  ASSERT_EQ(meas.size(), nl);
+  EXPECT_FALSE(meas[0].failed);
+  EXPECT_FALSE(meas[1].failed);
+  EXPECT_FALSE(meas[2].failed);
+  ASSERT_TRUE(meas[3].failed);
+  EXPECT_EQ(meas[3].diag.kind, sim::FailureKind::kOther);
+  EXPECT_EQ(meas[3].diag.detail.rfind("stage 7 did not complete: ", 0), 0u)
+      << meas[3].diag.detail;
+
+  obs::Registry scalar_reg;
+  for (std::size_t l = 0; l < nl; ++l) {
+    obs::ScopedContext ctx(&scalar_reg, 0);
+    SampleWorkspace ws;
+    timing::Samples samples;
+    try {
+      const timing::RampParams p = measure_stage_with_retry(
+          st, tech, opt, 7, waves[l], shifts[l], devs[l], wires[l],
+          /*out_rising=*/false, &samples, &ws);
+      ASSERT_FALSE(meas[l].failed) << "lane " << l;
+      EXPECT_EQ(p.m, meas[l].params.m) << "lane " << l;
+      EXPECT_EQ(p.s, meas[l].params.s) << "lane " << l;
+      EXPECT_EQ(samples, souts[l]) << "lane " << l;
+    } catch (const sim::SimulationError& e) {
+      ASSERT_TRUE(meas[l].failed) << "lane " << l;
+      EXPECT_EQ(e.kind(), meas[l].diag.kind);
+      EXPECT_EQ(e.diagnostics().detail, meas[l].diag.detail);
+      EXPECT_EQ(e.diagnostics().message(), meas[l].diag.message());
+    }
+  }
+
+#if LCSF_OBS_ENABLED
+  const auto batch = batch_reg.snapshot().counters;
+  const auto scalar = scalar_reg.snapshot().counters;
+  // One transient per rung tried: 1 + 2 + 3 + 3.
+  EXPECT_EQ(scalar.at("teta.transients"), 9u);
+  EXPECT_EQ(batch.at("teta.transients"), scalar.at("teta.transients"));
+  EXPECT_EQ(batch.at("teta.chord_iterations"),
+            scalar.at("teta.chord_iterations"));
+#endif
+}
+
 // Synthetic evaluators isolate the Runner's batch dispatcher from the
 // transient engine: the batched overload must reproduce the scalar
 // fail-soft behaviour exactly -- same survivor values, same classified

@@ -356,10 +356,8 @@ TEST(Dispatch, ShutdownSetsTheFlag) {
 
 // ---- TCP server end to end --------------------------------------------
 
-/// Minimal blocking NDJSON client for the tests: connect to the
-/// loopback port, send each request line, read one response line each.
-std::vector<std::string> exchange(int port,
-                                  const std::vector<std::string>& requests) {
+/// Blocking TCP connection to the server's loopback port.
+int connect_loopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -368,6 +366,14 @@ std::vector<std::string> exchange(int port,
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  return fd;
+}
+
+/// Minimal blocking NDJSON client for the tests: connect to the
+/// loopback port, send each request line, read one response line each.
+std::vector<std::string> exchange(int port,
+                                  const std::vector<std::string>& requests) {
+  const int fd = connect_loopback(port);
   std::vector<std::string> responses;
   std::string buffer;
   for (const std::string& req : requests) {
@@ -435,6 +441,63 @@ TEST(Server, ServesRequestsOverTcpAndShutsDown) {
   EXPECT_EQ(responses[1], expected);  // and cached
   EXPECT_NE(responses[2].find("\"type\":\"shutdown\""), std::string::npos);
   EXPECT_EQ(server.cache().stats().hits, 1u);
+}
+
+// A client that never sends a newline cannot grow the server's buffer
+// without bound: past kMaxRequestLineBytes the server answers one
+// classified invalid-input error and closes the connection, then keeps
+// serving other clients.
+TEST(Server, RejectsAnOverlongRequestLine) {
+  serve::ServerOptions opt;
+  opt.workers = 1;
+  serve::Server server(opt);
+  server.bind_and_listen();
+  ASSERT_GT(server.port(), 0);
+
+  std::string received;
+  bool closed = false;
+  std::vector<std::string> after;
+  runtime::ThreadPool pool(2);
+  pool.parallel_for_lanes(
+      2,
+      [&](std::size_t begin, std::size_t, std::size_t) {
+        if (begin == 0) {
+          server.run();  // blocks until the second client sends shutdown
+          return;
+        }
+        const int fd = connect_loopback(server.port());
+        const std::string junk(serve::kMaxRequestLineBytes + 1, 'x');
+        std::size_t off = 0;
+        while (off < junk.size()) {
+          const ssize_t n = ::send(fd, junk.data() + off, junk.size() - off,
+                                   MSG_NOSIGNAL);
+          if (n <= 0) break;
+          off += static_cast<std::size_t>(n);
+        }
+        char chunk[4096];
+        for (;;) {
+          const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+          if (n <= 0) {
+            closed = n == 0;
+            break;
+          }
+          received.append(chunk, static_cast<std::size_t>(n));
+        }
+        ::close(fd);
+        after = exchange(server.port(), {R"({"id":2,"type":"shutdown"})"});
+      },
+      1);
+
+  ASSERT_FALSE(received.empty());
+  ASSERT_EQ(received.back(), '\n');
+  ASSERT_EQ(received.find('\n'), received.size() - 1);  // one response
+  const serve::Json v =
+      serve::Json::parse(received.substr(0, received.size() - 1));
+  EXPECT_FALSE(v.find("ok")->as_bool());
+  EXPECT_EQ(v.find("error")->find("kind")->as_string(), "invalid-input");
+  EXPECT_TRUE(closed);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_NE(after[0].find("\"type\":\"shutdown\""), std::string::npos);
 }
 
 }  // namespace

@@ -13,6 +13,10 @@
 #               through the lcsf-serve-v1 battery of tools/check_serve.py
 #               (byte-identical cold/warm responses, thread-count
 #               invariance, classified errors), metrics export validated
+#   bench-suite: lcsf_bench smoke (python3 lcsf_bench/run.py smoke, about
+#               12 s of runs plus its build) -- every benchmark workload
+#               at quick sizes, checked for correctness and for every
+#               declared metric
 #   doc-lint  : documentation link/anchor checker
 #   lcsf-lint : project-invariant static analysis via tools/lint.sh --
 #               the per-file rules, the include-graph pass (layering
@@ -251,6 +255,19 @@ if serve_stage; then
   record serve PASS
 else
   record serve FAIL
+fi
+
+echo
+echo "==== stage: bench-suite ===="
+# The benchmark's ledger replays the stage engine through its public API
+# (measure_stage_with_retry, the BatchWorkspace fields,
+# teta::simulate_stage_batch, framework_delay(sample, ws)) and must
+# match the Monte-Carlo runs bitwise, so a break in that API or in the
+# engine's results fails here, not only in a benchmark run.
+if python3 lcsf_bench/run.py smoke; then
+  record bench-suite PASS
+else
+  record bench-suite FAIL
 fi
 
 echo
