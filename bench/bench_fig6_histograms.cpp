@@ -5,7 +5,7 @@
 // full conventional simulation. The paper reports mean and standard
 // deviation agreeing "in the order of numerical precision error".
 //
-// Both sweeps run through the parallel stats::monte_carlo engine; the
+// Both sweeps run through the parallel stats::Runner engine; the
 // framework sweep is additionally run serially to demonstrate the
 // determinism contract (bitwise-equal values) and report the threading
 // speed-up on this host.

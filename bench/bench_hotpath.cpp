@@ -554,7 +554,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(std::ceil(opt.tstop / opt.dt - 1e-9));
 
   // The deterministic variate set all pipelines consume (counter-based
-  // streams, exactly like stats::monte_carlo): per-sample device dl/vt
+  // streams, exactly like stats::Runner): per-sample device dl/vt
   // plus global wire W/H, each at sigma = 1/3 in 3-sigma units, mapped to
   // physical units with the sample_from_sources rules. The wire draw is
   // physical (what a PathSample carries); the normalized ROM coordinates

@@ -1,6 +1,5 @@
 #include "api/session.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <utility>
@@ -275,20 +274,16 @@ YieldResult Session::run_yield(const core::PathVariationModel& model,
   res.clock_period = t_clk;
 
   if (estimator == "mc") {
-    const auto mc = run_monte_carlo(model, opt);
+    auto mc = run_monte_carlo(model, opt);
     if (mc.values.empty()) {
       sim::throw_invalid_input("every Monte-Carlo sample failed");
     }
-    std::size_t pass = 0;
-    for (const double d : mc.values) {
-      if (d <= t_clk) ++pass;
-    }
-    const double n = static_cast<double>(mc.values.size());
-    res.yield = static_cast<double>(pass) / n;
-    res.yield_loss = 1.0 - res.yield;
-    res.std_error = std::sqrt(res.yield * res.yield_loss / n);
-    res.samples = mc.values.size();
-    res.failures = mc.failures;
+    const stats::McYieldEstimate est(std::move(mc), t_clk);
+    res.yield = est.yield;
+    res.yield_loss = 1.0 - est.yield;
+    res.std_error = est.std_error;
+    res.samples = est.samples().values.size();
+    res.failures = est.samples().failures;
     return res;
   }
 

@@ -281,12 +281,6 @@ std::vector<stats::VariationSource> PathAnalyzer::sources(
 }
 
 stats::MonteCarloResult PathAnalyzer::monte_carlo(
-    const PathVariationModel& model,
-    const stats::MonteCarloOptions& opt) const {
-  return monte_carlo(model, stats::RunOptions::from(opt));
-}
-
-stats::MonteCarloResult PathAnalyzer::monte_carlo(
     const PathVariationModel& model, const stats::RunOptions& opt) const {
   LaneBatchWorkspaces pool(opt.exec.threads);
   stats::LanedPerformanceFn f = [this, &model, &pool](const Vector& w,
@@ -319,17 +313,11 @@ stats::IsYieldEstimate PathAnalyzer::yield_importance(
 
 PathAnalyzer::CorrelatedMcResult PathAnalyzer::monte_carlo_correlated(
     const PathVariationModel& model, double rho,
-    const stats::MonteCarloOptions& opt) const {
-  return monte_carlo_correlated(model, rho, stats::RunOptions::from(opt));
-}
-
-PathAnalyzer::CorrelatedMcResult PathAnalyzer::monte_carlo_correlated(
-    const PathVariationModel& model, double rho,
     const stats::RunOptions& opt) const {
   const auto src = sources(model);
   const std::size_t nsrc = src.size();
   if (nsrc == 0) {
-    throw std::invalid_argument("monte_carlo_correlated: no sources");
+    sim::throw_invalid_input("monte_carlo_correlated: no sources");
   }
 
   // Correlation structure: the per-stage device sources of the same kind

@@ -131,14 +131,12 @@ class PathAnalyzer {
   std::vector<stats::VariationSource> sources(
       const PathVariationModel& model) const;
 
-  /// Monte-Carlo path statistics (Sec. 4.3.1) using the framework engine.
-  /// The RunOptions overload is the primary one (it also carries the
-  /// observability registry); the MonteCarloOptions overload delegates.
+  /// Monte-Carlo path statistics (Sec. 4.3.1) using the framework engine:
+  /// stats::Runner::run_monte_carlo in opt.exec.batch sample blocks
+  /// through the block chain, under its determinism and fail-soft
+  /// contracts.
   stats::MonteCarloResult monte_carlo(const PathVariationModel& model,
                                       const stats::RunOptions& opt) const;
-  stats::MonteCarloResult monte_carlo(const PathVariationModel& model,
-                                      const stats::MonteCarloOptions& opt)
-      const;
 
   struct CorrelatedMcResult {
     stats::MonteCarloResult mc;
@@ -148,13 +146,11 @@ class PathAnalyzer {
   /// Monte-Carlo with spatially-correlated per-stage device parameters
   /// (correlation `rho` between any two stages, the common-factor model of
   /// Sec. 4.1.1). PCA turns the correlated sources into a smaller set of
-  /// independent factors which are then sampled.
+  /// independent factors which are then sampled. Throws
+  /// sim::SimulationError (kInvalidInput) when the model has no sources.
   CorrelatedMcResult monte_carlo_correlated(
       const PathVariationModel& model, double rho,
       const stats::RunOptions& opt) const;
-  CorrelatedMcResult monte_carlo_correlated(
-      const PathVariationModel& model, double rho,
-      const stats::MonteCarloOptions& opt) const;
 
   /// Importance-sampled timing yield P(delay <= clock_period) of the
   /// path (stats::Runner::run_yield_is): the proposal is centered on the

@@ -1,6 +1,7 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <exception>
 #include <initializer_list>
 #include <mutex>
@@ -44,15 +45,23 @@ std::string get_string(const Json& req, const char* key,
   return v->as_string();
 }
 
-std::size_t get_size(const Json& req, const char* key,
-                     std::size_t fallback) {
+/// A non-negative integer field; `cap` bounds the fields that size a
+/// request's work (kMaxRequest*).
+std::size_t get_size(const Json& req, const char* key, std::size_t fallback,
+                     std::size_t cap = SIZE_MAX) {
   const Json* v = req.find(key);
   if (v == nullptr) return fallback;
   if (!v->is_int() || v->as_int() < 0) {
     sim::throw_invalid_input(std::string("field '") + key +
                              "' must be a non-negative integer");
   }
-  return static_cast<std::size_t>(v->as_int());
+  const auto value = static_cast<std::size_t>(v->as_int());
+  if (value > cap) {
+    sim::throw_invalid_input(std::string("field '") + key +
+                             "' exceeds the per-request cap of " +
+                             std::to_string(cap));
+  }
+  return value;
 }
 
 double get_double(const Json& req, const char* key, double fallback) {
@@ -98,7 +107,7 @@ api::DesignSpec parse_design(const Json& req, GraphField graph_mode,
       spec.graph = get_bool(req, "graph", false);
       break;
   }
-  spec.top_k = get_size(req, "top_k", 8);
+  spec.top_k = get_size(req, "top_k", 8, kMaxRequestTopK);
   spec.retry = on_failure == "retry";
   return spec;
 }
@@ -116,12 +125,12 @@ stats::RunOptions parse_run_options(const Json& req,
                                     const std::string& on_failure,
                                     obs::Registry* run_registry) {
   stats::RunOptions opt;
-  opt.samples = get_size(req, "samples", 100);
+  opt.samples = get_size(req, "samples", 100, kMaxRequestSamples);
   if (opt.samples == 0) {
     sim::throw_invalid_input("field 'samples' must be >= 1");
   }
   opt.seed = static_cast<std::uint64_t>(get_size(req, "seed", 1));
-  opt.exec.threads = get_size(req, "threads", 0);
+  opt.exec.threads = get_size(req, "threads", 0, kMaxRequestThreads);
   opt.exec.batch = get_size(req, "batch", 0);
   opt.exec.on_failure = on_failure == "abort" ? stats::FailurePolicy::kAbort
                                               : stats::FailurePolicy::kSkip;
@@ -302,7 +311,8 @@ Json handle_yield(const Json& req, const Json& id,
       parse_design(req, GraphField::kOptional, on_failure);
   obs::Registry run_reg;
   stats::RunOptions opt = parse_run_options(req, on_failure, &run_reg);
-  opt.importance.pilot_samples = get_size(req, "is_pilot", 0);
+  opt.importance.pilot_samples =
+      get_size(req, "is_pilot", 0, kMaxRequestPilot);
   const core::PathVariationModel model = parse_model(req);
   const std::string estimator = get_string(req, "estimator", "mc");
   const double clock_period = get_double(req, "clock_period", 0.0);

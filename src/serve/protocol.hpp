@@ -29,6 +29,19 @@
 
 namespace lcsf::serve {
 
+/// Per-request caps on the fields that size one request's work or its
+/// resources: `threads` sizes the lane workspaces up front and starts up
+/// to that many OS threads, and the sample counts and `top_k` size the
+/// result buffers and the path set. Each cap sits far above any
+/// practical request; a value over it is an invalid-input error naming
+/// the field and the cap, so no single request line can exhaust the
+/// host. tools/serve_schema.json pins the same values in its `limits`
+/// block.
+inline constexpr std::size_t kMaxRequestSamples = 100000;  ///< `samples`
+inline constexpr std::size_t kMaxRequestPilot = 100000;    ///< `is_pilot`
+inline constexpr std::size_t kMaxRequestTopK = 1024;       ///< `top_k`
+inline constexpr std::size_t kMaxRequestThreads = 256;     ///< `threads`
+
 /// Shared state a dispatcher operates on. One ServeContext per
 /// connection lane; `cache`, `registry` and `metrics_gate` are shared
 /// across lanes (the registry through per-lane sinks, the gate

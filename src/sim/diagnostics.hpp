@@ -103,7 +103,7 @@ struct RecoveryOptions {
 };
 
 /// Exception that carries a SimDiagnostics through a call chain, so that
-/// fail-soft drivers (stats::monte_carlo and friends) can classify a failed
+/// fail-soft drivers (stats::Runner's analyses) can classify a failed
 /// sample without string matching. Engines return diagnostics in their
 /// result structs; *facades* that must throw (e.g. core::PathAnalyzer's
 /// per-sample evaluation) throw this.

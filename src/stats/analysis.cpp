@@ -1,12 +1,9 @@
-// Thin delegating wrappers over the stats::Runner facade (the engine
-// bodies live in runner.cpp). Kept so existing call sites compile
-// unchanged; deprecation-ready, see docs/monte_carlo.md.
+// Batch-width resolution and the failure-summary report of the
+// statistical drivers (the drivers themselves live in runner.cpp).
 #include "stats/analysis.hpp"
 
 #include <atomic>
 #include <cstdlib>
-
-#include "stats/runner.hpp"
 
 namespace lcsf::stats {
 
@@ -58,30 +55,6 @@ std::string FailureSummary::table() const {
     out += "\n";
   }
   return out;
-}
-
-MonteCarloResult monte_carlo(const PerformanceFn& f,
-                             const std::vector<VariationSource>& sources,
-                             const MonteCarloOptions& opt) {
-  return Runner(RunOptions::from(opt)).run_monte_carlo(f, sources);
-}
-
-MonteCarloResult monte_carlo(const LanedPerformanceFn& f,
-                             const std::vector<VariationSource>& sources,
-                             const MonteCarloOptions& opt) {
-  return Runner(RunOptions::from(opt)).run_monte_carlo(f, sources);
-}
-
-GradientAnalysisResult gradient_analysis(
-    const PerformanceFn& f, const std::vector<VariationSource>& sources,
-    const GradientAnalysisOptions& opt) {
-  return Runner(RunOptions::from(opt)).run_gradients(f, sources);
-}
-
-GradientAnalysisResult gradient_analysis(
-    const LanedPerformanceFn& f, const std::vector<VariationSource>& sources,
-    const GradientAnalysisOptions& opt) {
-  return Runner(RunOptions::from(opt)).run_gradients(f, sources);
 }
 
 }  // namespace lcsf::stats

@@ -1,4 +1,7 @@
-// Monte-Carlo and Gradient-Analysis drivers (paper Sec. 4.1.2-4.1.3).
+// The vocabulary of the Monte-Carlo and Gradient-Analysis drivers (paper
+// Sec. 4.1.2-4.1.3): performance functions, variation sources, failure
+// policy and summaries, execution knobs and result types. The drivers
+// themselves are stats::Runner's methods (stats/runner.hpp).
 //
 // Both operate on an abstract performance function f(w) over independent
 // variation sources w (use Pca::from_factors upstream if the physical
@@ -107,9 +110,7 @@ struct FailureSummary {
 };
 
 /// Execution knobs shared by every statistical driver (Monte-Carlo,
-/// Gradient Analysis, yield). Both analysis option structs inherit from
-/// this, so `opt.threads`/`opt.on_failure` read the same everywhere and
-/// the semantics are documented exactly once.
+/// Gradient Analysis, yield), carried by RunOptions::exec.
 struct ExecutionOptions {
   /// Worker threads for the parallel evaluations. 0 = auto-detect via
   /// runtime::ThreadPool::default_threads() (LCSF_THREADS env, then hardware
@@ -144,15 +145,7 @@ void set_default_batch(std::size_t k);
 /// `what` otherwise.
 std::size_t parse_batch(const std::string& text, const char* what);
 
-struct MonteCarloOptions : ExecutionOptions {
-  std::size_t samples = 100;  ///< sample count; must be >= 1
-  /// Base seed. Sample s draws from stream (seed, s) regardless of how
-  /// samples are partitioned across threads, so two runs with equal
-  /// (samples, seed, latin_hypercube) agree bitwise whatever `threads` is.
-  std::uint64_t seed = 1;
-  bool latin_hypercube = true;  ///< stratified (paper Example 2) vs plain
-};
-
+/// Result of Runner::run_monte_carlo.
 struct MonteCarloResult {
   OnlineStats stats;                       ///< accumulated in sample order
   /// Per-sample performance / variates of the *survivors*, in sample-index
@@ -162,50 +155,7 @@ struct MonteCarloResult {
   FailureSummary failures;  ///< who died, and why (empty under kAbort)
 };
 
-/// Exhaustive sampling of f over the variation sources.
-///
-/// Thin wrapper over stats::Runner::run_monte_carlo (stats/runner.hpp) --
-/// the Runner facade is the preferred entry point and this free function
-/// is deprecation-ready (it will gain [[deprecated]] once downstream
-/// callers migrate; see docs/monte_carlo.md).
-///
-/// Determinism contract: values[s] and samples[s] depend only on
-/// (opt.seed, s, opt.samples if Latin-Hypercube, sources) -- never on
-/// opt.threads or the machine's core count. `samples == 1` with
-/// latin_hypercube is well-defined: the single stratum is the whole unit
-/// interval, so it degenerates to one plain draw.
-///
-/// Throws sim::SimulationError (kInvalidInput) naming the offending
-/// option if `sources`
-/// is empty or `opt.samples == 0`. With the default kAbort policy,
-/// exceptions thrown by f propagate to the caller (first one wins,
-/// remaining samples are abandoned); with kSkip, simulation failures are
-/// recorded in the result's FailureSummary instead.
-MonteCarloResult monte_carlo(const PerformanceFn& f,
-                             const std::vector<VariationSource>& sources,
-                             const MonteCarloOptions& opt);
-
-/// Lane-aware overload: identical contract, but f also receives the lane
-/// index so it can reuse a per-lane sample workspace across evaluations.
-MonteCarloResult monte_carlo(const LanedPerformanceFn& f,
-                             const std::vector<VariationSource>& sources,
-                             const MonteCarloOptions& opt);
-
-/// Options for gradient_analysis. Execution knobs come from
-/// ExecutionOptions; here `threads` spreads the 2 x #sources probe
-/// evaluations (the result stays thread-count invariant: probes are
-/// independent and the Eq. 24 sum is accumulated in source order), and
-/// under kSkip a failed probe zeroes that source's gradient entry, drops
-/// it from the Eq. 24 sum and records it (SampleFailure::index = source
-/// index). A failed *nominal* evaluation always rethrows -- there is no
-/// gradient about a point that does not evaluate.
-struct GradientAnalysisOptions : ExecutionOptions {
-  /// Relative finite-difference step, as a fraction of each source's
-  /// sigma. The paper evaluates "five simulations per variation source";
-  /// central differences use two plus the shared nominal run.
-  double step_fraction = 0.1;
-};
-
+/// Result of Runner::run_gradients.
 struct GradientAnalysisResult {
   double nominal = 0.0;
   numeric::Vector gradient;  ///< dD/dw_l at nominal
@@ -213,17 +163,5 @@ struct GradientAnalysisResult {
   std::size_t evaluations = 0;
   FailureSummary failures;   ///< failed probes by source index
 };
-
-/// First-order (RSS) estimate of the performance spread, paper Eq. 24:
-///   sigma_D = sqrt( sum_l sigma_l^2 (dD/dw_l)^2 ).
-/// Thin deprecation-ready wrapper over stats::Runner::run_gradients.
-GradientAnalysisResult gradient_analysis(
-    const PerformanceFn& f, const std::vector<VariationSource>& sources,
-    const GradientAnalysisOptions& opt = {});
-
-/// Lane-aware overload (LanedPerformanceFn semantics as in monte_carlo).
-GradientAnalysisResult gradient_analysis(
-    const LanedPerformanceFn& f, const std::vector<VariationSource>& sources,
-    const GradientAnalysisOptions& opt = {});
 
 }  // namespace lcsf::stats

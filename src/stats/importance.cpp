@@ -64,16 +64,10 @@ void run_is_phase(const RunOptions& opt, obs::Registry* reg,
   }
   const bool shifted = !numeric::exact_zero(theta_sq);
 
-  // Latin-Hypercube stratum assignment, one permutation stream per
-  // dimension (independent of the plain-MC permutations via perm_tag).
-  std::vector<std::vector<std::size_t>> strata;
-  if (opt.latin_hypercube) {
-    strata.reserve(nw);
-    for (std::size_t d = 0; d < nw; ++d) {
-      SplitMix64 perm_stream = sample_stream(opt.seed, d, perm_tag);
-      strata.push_back(stream_permutation(n, perm_stream));
-    }
-  }
+  // Latin-Hypercube strata, independent of the plain-MC permutations via
+  // perm_tag.
+  const detail::LhsStrata strata(opt.latin_hypercube, opt.seed, nw, n,
+                                 perm_tag);
 
   out.value.assign(n, 0.0);
   out.weight.assign(n, 1.0);
@@ -106,12 +100,7 @@ void run_is_phase(const RunOptions& opt, obs::Registry* reg,
       Vector uvec;
       if (keep_u) uvec.assign(nw, 0.0);
       for (std::size_t d = 0; d < nw; ++d) {
-        const double jitter = stream.uniform_open();
-        const double uu =
-            opt.latin_hypercube
-                ? (static_cast<double>(strata[d][s]) + jitter) /
-                      static_cast<double>(n)
-                : jitter;
+        const double uu = strata.variate(d, s, stream.uniform_open());
         const VariationSource& src = sources[d];
         if (src.kind == VariationSource::Kind::kUniform) {
           // Uniform sources are never shifted (a mean shift would break
@@ -152,18 +141,6 @@ void run_is_phase(const RunOptions& opt, obs::Registry* reg,
   });
 }
 
-/// Serial sample-order fold of a phase's failure slots into a summary
-/// (identical discipline to the plain Monte-Carlo engine).
-void fold_failures(PhaseSlots& slots, std::size_t n, FailureSummary& out) {
-  out.attempted = n;
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!slots.died[s]) continue;
-    ++out.counts[static_cast<std::size_t>(slots.deaths[s].kind)];
-    out.failures.push_back(std::move(slots.deaths[s]));
-  }
-  out.survived = n - out.failures.size();
-}
-
 }  // namespace
 
 IsYieldEstimate Runner::run_yield_is(
@@ -175,17 +152,10 @@ IsYieldEstimate Runner::run_yield_is(
 IsYieldEstimate Runner::run_yield_is(
     const LanedPerformanceFn& f, const std::vector<VariationSource>& sources,
     double clock_period) const {
-  obs::Registry* reg =
-      opt_.registry != nullptr ? opt_.registry : obs::ambient_registry();
-  DriverContext obs_ctx(reg);
+  DriverContext obs_ctx(opt_.registry);
+  obs::Registry* reg = obs_ctx.registry();
   obs::ScopedSpan span("stats.yield_is");
-  if (sources.empty()) {
-    sim::throw_invalid_input(
-        "run_yield_is: `sources` must contain at least one VariationSource");
-  }
-  if (opt_.samples == 0) {
-    sim::throw_invalid_input("run_yield_is: RunOptions::samples must be >= 1");
-  }
+  detail::check_sampling("run_yield_is", sources.size(), opt_.samples);
   const ImportanceOptions& is_opt = opt_.importance;
   if (!(is_opt.shift_scale >= 0.0) || !std::isfinite(is_opt.shift_scale)) {
     sim::throw_invalid_input(
@@ -256,7 +226,7 @@ IsYieldEstimate Runner::run_yield_is(
     run_is_phase(opt_, reg, f, sources, res.surrogate,
                  is_opt.pilot_samples, stream_tag::kIsPilot,
                  stream_tag::kIsPilotPerm, /*keep_u=*/true, slots);
-    fold_failures(slots, is_opt.pilot_samples, res.pilot_failures);
+    detail::fold_failures(slots.died, slots.deaths, res.pilot_failures);
     res.pilot_used = is_opt.pilot_samples;
     double wsum = 0.0;
     Vector centroid(nw);
@@ -288,7 +258,7 @@ IsYieldEstimate Runner::run_yield_is(
   // ---- Serial sample-order fold: failure summary, estimator moments,
   // ESS, obs distributions. This ordering discipline is what makes the
   // result (and the merged obs counters) thread-count invariant.
-  fold_failures(slots, opt_.samples, res.failures);
+  detail::fold_failures(slots.died, slots.deaths, res.failures);
   const std::size_t n_surv = res.failures.survived;
   res.values.reserve(n_surv);
   res.weights.reserve(n_surv);
@@ -370,26 +340,6 @@ IsYieldEstimate Runner::run_yield_is(
   if (degenerate) obs::add_counter("stats.yield_is.degenerate_shift");
   obs::record_value("stats.yield_is.ess", res.ess);
   return res;
-}
-
-IsYieldEstimate importance_yield(const PerformanceFn& f,
-                                 const std::vector<VariationSource>& sources,
-                                 double clock_period,
-                                 const MonteCarloOptions& opt,
-                                 const ImportanceOptions& is) {
-  RunOptions r = RunOptions::from(opt);
-  r.importance = is;
-  return Runner(std::move(r)).run_yield_is(f, sources, clock_period);
-}
-
-IsYieldEstimate importance_yield(const LanedPerformanceFn& f,
-                                 const std::vector<VariationSource>& sources,
-                                 double clock_period,
-                                 const MonteCarloOptions& opt,
-                                 const ImportanceOptions& is) {
-  RunOptions r = RunOptions::from(opt);
-  r.importance = is;
-  return Runner(std::move(r)).run_yield_is(f, sources, clock_period);
 }
 
 }  // namespace lcsf::stats

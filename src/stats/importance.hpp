@@ -114,25 +114,4 @@ struct IsYieldEstimate {
   FailureSummary pilot_failures;  ///< pilot-phase kSkip failures
 };
 
-// The estimator itself is a stats::Runner method (run_yield_is /
-// run_yield_is with a LanedPerformanceFn) so it shares RunOptions with
-// the other analyses; see stats/runner.hpp. The free function below is
-// the thin wrapper mirroring monte_carlo_yield() for callers still on
-// the legacy option structs.
-
-/// Importance-sampled yield from the legacy MonteCarloOptions plus the
-/// IS knobs. Thin delegating wrapper over stats::Runner::run_yield_is.
-IsYieldEstimate importance_yield(const PerformanceFn& f,
-                                 const std::vector<VariationSource>& sources,
-                                 double clock_period,
-                                 const MonteCarloOptions& opt,
-                                 const ImportanceOptions& is = {});
-
-/// Lane-aware overload (LanedPerformanceFn semantics as in monte_carlo).
-IsYieldEstimate importance_yield(const LanedPerformanceFn& f,
-                                 const std::vector<VariationSource>& sources,
-                                 double clock_period,
-                                 const MonteCarloOptions& opt,
-                                 const ImportanceOptions& is = {});
-
 }  // namespace lcsf::stats

@@ -1,8 +1,8 @@
-// The statistical engines behind stats::Runner (and, through their thin
-// delegating wrappers, the legacy free functions in analysis.cpp /
-// yield.cpp). The bodies moved here unchanged from analysis.cpp when the
-// Runner facade was introduced; the observability hooks are additive and
-// never touch the numerics, so every determinism contract is preserved.
+// The engines behind stats::Runner: the one Monte-Carlo sampling loop
+// (shared by the scalar and batch-dispatched overloads), the gradient
+// probes and the Monte-Carlo yield. The observability hooks never touch
+// the numerics, so every determinism contract holds with or without a
+// registry.
 #include "stats/runner.hpp"
 
 #include <cmath>
@@ -19,190 +19,32 @@ using detail::eval_fail_soft;
 using detail::ignore_lane;
 using numeric::Vector;
 
-RunOptions RunOptions::from(const MonteCarloOptions& opt) {
-  RunOptions r;
-  r.samples = opt.samples;
-  r.seed = opt.seed;
-  r.latin_hypercube = opt.latin_hypercube;
-  r.exec = static_cast<const ExecutionOptions&>(opt);
-  return r;
-}
+namespace {
 
-RunOptions RunOptions::from(const GradientAnalysisOptions& opt) {
-  RunOptions r;
-  r.step_fraction = opt.step_fraction;
-  r.exec = static_cast<const ExecutionOptions&>(opt);
-  return r;
-}
-
-MonteCarloOptions RunOptions::monte_carlo_options() const {
-  MonteCarloOptions o;
-  static_cast<ExecutionOptions&>(o) = exec;
-  o.samples = samples;
-  o.seed = seed;
-  o.latin_hypercube = latin_hypercube;
-  return o;
-}
-
-GradientAnalysisOptions RunOptions::gradient_options() const {
-  GradientAnalysisOptions o;
-  static_cast<ExecutionOptions&>(o) = exec;
-  o.step_fraction = step_fraction;
-  return o;
-}
-
-MonteCarloResult Runner::run_monte_carlo(
-    const PerformanceFn& f, const std::vector<VariationSource>& sources)
-    const {
-  return run_monte_carlo(ignore_lane(f), sources);
-}
-
-MonteCarloResult Runner::run_monte_carlo(
-    const LanedPerformanceFn& f, const std::vector<VariationSource>& sources)
-    const {
-  obs::Registry* reg =
-      opt_.registry != nullptr ? opt_.registry : obs::ambient_registry();
-  DriverContext obs_ctx(reg);
+/// The Monte-Carlo sampling loop behind every run_monte_carlo overload.
+/// Work units are nb = floor(n / k) full k-blocks evaluated through `fb`,
+/// then the remainder samples one by one through `f`; with no batch
+/// function (`fb` null) there are zero blocks and every sample is a
+/// remainder unit. Sample s draws the same variate vector whichever
+/// evaluator consumes it.
+MonteCarloResult sample_monte_carlo(
+    const RunOptions& opt, const LanedPerformanceFn& f,
+    const BatchPerformanceFn* fb, std::size_t k,
+    const std::vector<VariationSource>& sources) {
+  DriverContext obs_ctx(opt.registry);
+  obs::Registry* reg = obs_ctx.registry();
   obs::ScopedSpan span("stats.monte_carlo");
-  if (sources.empty()) {
-    sim::throw_invalid_input(
-        "monte_carlo: `sources` must contain at least one VariationSource");
-  }
-  if (opt_.samples == 0) {
-    sim::throw_invalid_input(
-        "monte_carlo: MonteCarloOptions::samples must be >= 1");
-  }
+  detail::check_sampling("monte_carlo", sources.size(), opt.samples);
   const std::size_t nw = sources.size();
-  const std::size_t n = opt_.samples;
+  const std::size_t n = opt.samples;
 
-  // Latin-Hypercube stratum assignment: one deterministic permutation per
-  // dimension, derived from (seed, dimension) -- generation is O(n * nw)
-  // and serial, negligible next to the f(w) evaluations. With n == 1 every
-  // permutation is the identity and the single stratum spans (0, 1).
-  std::vector<std::vector<std::size_t>> strata;
-  if (opt_.latin_hypercube) {
-    strata.reserve(nw);
-    for (std::size_t d = 0; d < nw; ++d) {
-      SplitMix64 perm_stream =
-          sample_stream(opt_.seed, d, stream_tag::kLhsPerm);
-      strata.push_back(stream_permutation(n, perm_stream));
-    }
-  }
-
-  // Per-sample slots; compacted to survivors after the parallel loop.
-  std::vector<double> values(n);
-  std::vector<Vector> samples(n);
-  std::vector<char> died(n, 0);
-  std::vector<SampleFailure> deaths(n);
-  const bool fail_soft = opt_.exec.on_failure == FailurePolicy::kSkip;
-
-  // Each sample draws every variate from its own counter-based stream, so
-  // the partition of [0, n) across threads cannot change any value; and
-  // under kSkip, neither can the set of failed indices.
-  runtime::parallel_for_lanes(
-      opt_.exec.threads, n,
-      [&](std::size_t begin, std::size_t end, std::size_t lane) {
-    // Route engine metrics recorded inside f to this chunk's lane sink.
-    obs::ScopedContext chunk_ctx(reg, lane);
-    const bool timed = obs::enabled();
-    for (std::size_t s = begin; s < end; ++s) {
-      SplitMix64 stream = sample_stream(opt_.seed, s);
-      Vector w(nw);
-      for (std::size_t d = 0; d < nw; ++d) {
-        const double jitter = stream.uniform_open();
-        const double uu =
-            opt_.latin_hypercube
-                ? (static_cast<double>(strata[d][s]) + jitter) /
-                      static_cast<double>(n)
-                : jitter;
-        const VariationSource& src = sources[d];
-        w[d] = (src.kind == VariationSource::Kind::kUniform)
-                   ? to_uniform(uu, src.mean - src.sigma,
-                                src.mean + src.sigma)
-                   : to_normal(uu, src.mean, src.sigma);
-      }
-      const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-      if (fail_soft) {
-        died[s] =
-            eval_fail_soft(f, w, lane, s, values[s], deaths[s]) ? 0 : 1;
-      } else {
-        values[s] = f(w, lane);
-      }
-      if (timed) {
-        obs::record_value(
-            "stats.mc.sample_seconds",
-            static_cast<double>(obs::now_ns() - t0) / 1e9);
-      }
-      samples[s] = std::move(w);
-    }
-  });
-
-  // Compact + accumulate serially in sample order: identical to a serial
-  // run (and to any other thread count) by construction.
-  MonteCarloResult res;
-  res.failures.attempted = n;
-  res.values.reserve(n);
-  res.samples.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (died[s]) {
-      ++res.failures.counts[static_cast<std::size_t>(deaths[s].kind)];
-      res.failures.failures.push_back(std::move(deaths[s]));
-      continue;
-    }
-    res.stats.add(values[s]);
-    res.values.push_back(values[s]);
-    res.samples.push_back(std::move(samples[s]));
-  }
-  res.failures.survived = res.values.size();
-  obs::add_counter("stats.mc.samples", static_cast<std::uint64_t>(n));
-  obs::add_counter("stats.mc.skipped",
-                   static_cast<std::uint64_t>(res.failures.failed()));
-  return res;
-}
-
-MonteCarloResult Runner::run_monte_carlo(
-    const LanedPerformanceFn& f, const BatchPerformanceFn& fb,
-    const std::vector<VariationSource>& sources) const {
-  const std::size_t k =
-      opt_.exec.batch == 0 ? default_batch() : opt_.exec.batch;
-  if (k <= 1 || !fb) return run_monte_carlo(f, sources);
-
-  obs::Registry* reg =
-      opt_.registry != nullptr ? opt_.registry : obs::ambient_registry();
-  DriverContext obs_ctx(reg);
-  obs::ScopedSpan span("stats.monte_carlo");
-  if (sources.empty()) {
-    sim::throw_invalid_input(
-        "monte_carlo: `sources` must contain at least one VariationSource");
-  }
-  if (opt_.samples == 0) {
-    sim::throw_invalid_input(
-        "monte_carlo: MonteCarloOptions::samples must be >= 1");
-  }
-  const std::size_t nw = sources.size();
-  const std::size_t n = opt_.samples;
-
-  std::vector<std::vector<std::size_t>> strata;
-  if (opt_.latin_hypercube) {
-    strata.reserve(nw);
-    for (std::size_t d = 0; d < nw; ++d) {
-      SplitMix64 perm_stream =
-          sample_stream(opt_.seed, d, stream_tag::kLhsPerm);
-      strata.push_back(stream_permutation(n, perm_stream));
-    }
-  }
-  // Sample s draws the exact variate vector of the scalar overload: the
-  // batch partition changes only which evaluator consumes it.
+  const detail::LhsStrata strata(opt.latin_hypercube, opt.seed, nw, n,
+                                 stream_tag::kLhsPerm);
   auto draw = [&](std::size_t s) {
-    SplitMix64 stream = sample_stream(opt_.seed, s);
+    SplitMix64 stream = sample_stream(opt.seed, s);
     Vector w(nw);
     for (std::size_t d = 0; d < nw; ++d) {
-      const double jitter = stream.uniform_open();
-      const double uu =
-          opt_.latin_hypercube
-              ? (static_cast<double>(strata[d][s]) + jitter) /
-                    static_cast<double>(n)
-              : jitter;
+      const double uu = strata.variate(d, s, stream.uniform_open());
       const VariationSource& src = sources[d];
       w[d] = (src.kind == VariationSource::Kind::kUniform)
                  ? to_uniform(uu, src.mean - src.sigma, src.mean + src.sigma)
@@ -211,20 +53,21 @@ MonteCarloResult Runner::run_monte_carlo(
     return w;
   };
 
+  // Per-sample slots; compacted to survivors after the parallel loop.
   std::vector<double> values(n);
   std::vector<Vector> samples(n);
   std::vector<char> died(n, 0);
   std::vector<SampleFailure> deaths(n);
-  const bool fail_soft = opt_.exec.on_failure == FailurePolicy::kSkip;
+  const bool fail_soft = opt.exec.on_failure == FailurePolicy::kSkip;
 
-  // Work units: nb full K-blocks, then the remainder samples one by one.
-  // All units share one queue (and each sample its own stream), so the
+  // All units share one queue and each sample its own stream, so the
   // thread partition can change neither values nor the failed set.
-  const std::size_t nb = n / k;
+  const std::size_t nb = fb != nullptr ? n / k : 0;
   const std::size_t rem = n - nb * k;
   runtime::parallel_for_lanes(
-      opt_.exec.threads, nb + rem,
+      opt.exec.threads, nb + rem,
       [&](std::size_t begin, std::size_t end, std::size_t lane) {
+    // Route engine metrics recorded inside f to this chunk's lane sink.
     obs::ScopedContext chunk_ctx(reg, lane);
     const bool timed = obs::enabled();
     std::vector<Vector> block;
@@ -236,7 +79,7 @@ MonteCarloResult Runner::run_monte_carlo(
         for (std::size_t b = 0; b < k; ++b) block[b] = draw(s0 + b);
         slots.assign(k, BatchSlot{});
         const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-        fb(block, lane, slots);
+        (*fb)(block, lane, slots);
         if (timed) {
           obs::record_value(
               "stats.mc.batch_seconds",
@@ -273,35 +116,57 @@ MonteCarloResult Runner::run_monte_carlo(
     }
   });
 
+  // Compact + accumulate serially in sample order: identical to a serial
+  // run (and to any other thread count) by construction.
   MonteCarloResult res;
-  res.failures.attempted = n;
-  res.values.reserve(n);
-  res.samples.reserve(n);
+  detail::fold_failures(died, deaths, res.failures);
+  res.values.reserve(res.failures.survived);
+  res.samples.reserve(res.failures.survived);
   for (std::size_t s = 0; s < n; ++s) {
-    if (died[s]) {
-      ++res.failures.counts[static_cast<std::size_t>(deaths[s].kind)];
-      res.failures.failures.push_back(std::move(deaths[s]));
-      continue;
-    }
+    if (died[s]) continue;
     res.stats.add(values[s]);
     res.values.push_back(values[s]);
     res.samples.push_back(std::move(samples[s]));
   }
-  res.failures.survived = res.values.size();
   obs::add_counter("stats.mc.samples", static_cast<std::uint64_t>(n));
   obs::add_counter("stats.mc.skipped",
                    static_cast<std::uint64_t>(res.failures.failed()));
-  // Serial so the distribution merges identically for any thread count.
-  obs::add_counter("stats.mc.batches", static_cast<std::uint64_t>(nb));
-  obs::add_counter("stats.mc.batch_remainder_samples",
-                   static_cast<std::uint64_t>(rem));
-  for (std::size_t u = 0; u < nb; ++u) {
-    obs::record_value("stats.mc.batch_fill", static_cast<double>(k));
-  }
-  for (std::size_t r = 0; r < rem; ++r) {
-    obs::record_value("stats.mc.batch_fill", 1.0);
+  if (fb != nullptr) {
+    // Serial so the distribution merges identically for any thread count.
+    obs::add_counter("stats.mc.batches", static_cast<std::uint64_t>(nb));
+    obs::add_counter("stats.mc.batch_remainder_samples",
+                     static_cast<std::uint64_t>(rem));
+    for (std::size_t u = 0; u < nb; ++u) {
+      obs::record_value("stats.mc.batch_fill", static_cast<double>(k));
+    }
+    for (std::size_t r = 0; r < rem; ++r) {
+      obs::record_value("stats.mc.batch_fill", 1.0);
+    }
   }
   return res;
+}
+
+}  // namespace
+
+MonteCarloResult Runner::run_monte_carlo(
+    const PerformanceFn& f, const std::vector<VariationSource>& sources)
+    const {
+  return run_monte_carlo(ignore_lane(f), sources);
+}
+
+MonteCarloResult Runner::run_monte_carlo(
+    const LanedPerformanceFn& f, const std::vector<VariationSource>& sources)
+    const {
+  return sample_monte_carlo(opt_, f, nullptr, 1, sources);
+}
+
+MonteCarloResult Runner::run_monte_carlo(
+    const LanedPerformanceFn& f, const BatchPerformanceFn& fb,
+    const std::vector<VariationSource>& sources) const {
+  const std::size_t k =
+      opt_.exec.batch == 0 ? default_batch() : opt_.exec.batch;
+  return sample_monte_carlo(opt_, f, k > 1 && fb ? &fb : nullptr, k,
+                            sources);
 }
 
 GradientAnalysisResult Runner::run_gradients(
@@ -313,9 +178,8 @@ GradientAnalysisResult Runner::run_gradients(
 GradientAnalysisResult Runner::run_gradients(
     const LanedPerformanceFn& f, const std::vector<VariationSource>& sources)
     const {
-  obs::Registry* reg =
-      opt_.registry != nullptr ? opt_.registry : obs::ambient_registry();
-  DriverContext obs_ctx(reg);
+  DriverContext obs_ctx(opt_.registry);
+  obs::Registry* reg = obs_ctx.registry();
   obs::ScopedSpan span("stats.gradient_analysis");
   if (sources.empty()) {
     sim::throw_invalid_input("gradient_analysis: no sources");
@@ -371,15 +235,10 @@ GradientAnalysisResult Runner::run_gradients(
     }
   });
 
+  detail::fold_failures(died, deaths, res.failures);
   double var = 0.0;
-  res.failures.attempted = nw;
   for (std::size_t d = 0; d < nw; ++d) {
-    if (opt_.step_fraction * sources[d].sigma <= 0.0) continue;
-    if (died[d]) {
-      ++res.failures.counts[static_cast<std::size_t>(deaths[d].kind)];
-      res.failures.failures.push_back(std::move(deaths[d]));
-      continue;
-    }
+    if (opt_.step_fraction * sources[d].sigma <= 0.0 || died[d]) continue;
     res.evaluations += 2;
     const double g = res.gradient[d];
     // Uniform(+-sigma) has variance sigma^2/3; normal has sigma^2.
@@ -389,7 +248,6 @@ GradientAnalysisResult Runner::run_gradients(
             : sources[d].sigma * sources[d].sigma;
     var += s2 * g * g;
   }
-  res.failures.survived = nw - res.failures.failures.size();
   res.stddev = std::sqrt(var);
   obs::add_counter("stats.ga.probes",
                    static_cast<std::uint64_t>(res.evaluations));
@@ -407,9 +265,7 @@ McYieldEstimate Runner::run_yield(const PerformanceFn& f,
 McYieldEstimate Runner::run_yield(const LanedPerformanceFn& f,
                                   const std::vector<VariationSource>& sources,
                                   double clock_period) const {
-  obs::Registry* reg =
-      opt_.registry != nullptr ? opt_.registry : obs::ambient_registry();
-  DriverContext obs_ctx(reg);
+  DriverContext obs_ctx(opt_.registry);
   obs::ScopedSpan span("stats.yield");
   McYieldEstimate est(run_monte_carlo(f, sources), clock_period);
   std::uint64_t pass = 0;

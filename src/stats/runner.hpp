@@ -1,12 +1,8 @@
-// Unified entry point for the statistical analyses (paper Sec. 4).
-//
-// stats::Runner replaces the grown-by-accretion free-function overload
-// pairs (monte_carlo / gradient_analysis / monte_carlo_yield) with one
-// facade sharing a single option struct, RunOptions: configure sampling,
-// seeding, execution and observability once, then run any of the three
-// analyses against it. The free functions remain as thin delegating
-// wrappers (deprecation-ready; see docs/monte_carlo.md) so existing call
-// sites keep compiling with identical results.
+// The statistical driver (paper Sec. 4): stats::Runner runs Monte Carlo,
+// Gradient Analysis (Eq. 24), Monte-Carlo yield and importance-sampled
+// yield under one option struct, RunOptions -- configure sampling,
+// seeding, execution and observability once, then run any analysis
+// against it. It is the only statistical entry point.
 //
 // Observability: every run_* method records phase spans, engine counters
 // and a per-sample latency distribution into RunOptions::registry -- or,
@@ -22,16 +18,23 @@
 
 namespace lcsf::stats {
 
-/// Shared configuration for all Runner analyses. The sampling fields
-/// mirror MonteCarloOptions, `step_fraction` mirrors
-/// GradientAnalysisOptions, and the execution knobs live in `exec`
-/// (one ExecutionOptions for all three analyses).
+/// Shared configuration for all Runner analyses: the sampling fields, the
+/// gradient step, the execution knobs in `exec` (one ExecutionOptions for
+/// every analysis), the importance-sampling knobs and the metrics sink.
 struct RunOptions {
   std::size_t samples = 100;    ///< MC/yield sample count; must be >= 1
-  std::uint64_t seed = 1;       ///< base seed (counter-based streams)
-  bool latin_hypercube = true;  ///< stratified vs plain sampling
-  double step_fraction = 0.1;   ///< gradient finite-difference step
-  ExecutionOptions exec;        ///< threads + failure policy
+  /// Base seed. Sample s draws from stream (seed, s) regardless of how
+  /// samples are partitioned across threads, so two runs with equal
+  /// (samples, seed, latin_hypercube) agree bitwise whatever
+  /// exec.threads is.
+  std::uint64_t seed = 1;
+  bool latin_hypercube = true;  ///< stratified (paper Example 2) vs plain
+  /// Relative finite-difference step of run_gradients, as a fraction of
+  /// each source's sigma. The paper evaluates "five simulations per
+  /// variation source"; central differences use two plus the shared
+  /// nominal run.
+  double step_fraction = 0.1;
+  ExecutionOptions exec;        ///< threads + failure policy + batch
 
   /// Importance-sampled yield knobs (run_yield_is only): proposal shift
   /// scale, defensive-mixture weight, adaptive pilot budget and the
@@ -42,22 +45,12 @@ struct RunOptions {
   /// Metrics/trace destination. Null = inherit the calling thread's
   /// ambient registry (if any); recording is disabled when both are null.
   obs::Registry* registry = nullptr;
-
-  /// Lossless lifts of the legacy per-analysis option structs (the
-  /// delegating free functions use these).
-  static RunOptions from(const MonteCarloOptions& opt);
-  static RunOptions from(const GradientAnalysisOptions& opt);
-
-  /// Projections back onto the legacy structs.
-  MonteCarloOptions monte_carlo_options() const;
-  GradientAnalysisOptions gradient_options() const;
 };
 
-/// Facade running the three statistical analyses under one RunOptions.
-/// Stateless apart from the options (safe to reuse and copy); all
-/// determinism contracts of the underlying engines hold unchanged --
-/// results are bitwise identical for every exec.threads value, with or
-/// without a registry installed.
+/// Facade running the statistical analyses under one RunOptions.
+/// Stateless apart from the options (safe to reuse and copy). Results are
+/// bitwise identical for every exec.threads value, with or without a
+/// registry installed.
 class Runner {
  public:
   Runner() = default;
@@ -66,10 +59,26 @@ class Runner {
   const RunOptions& options() const { return opt_; }
   RunOptions& options() { return opt_; }
 
-  /// Exhaustive sampling of f (contract of stats::monte_carlo).
+  /// Exhaustive sampling of f over the variation sources, plain or
+  /// Latin-Hypercube (options().latin_hypercube).
+  ///
+  /// Determinism contract: values[s] and samples[s] depend only on
+  /// (seed, s, samples if Latin-Hypercube, sources) -- never on
+  /// exec.threads or the machine's core count. `samples == 1` with
+  /// latin_hypercube is well-defined: the single stratum is the whole
+  /// unit interval, so it degenerates to one plain draw.
+  ///
+  /// Throws sim::SimulationError (kInvalidInput) naming the offending
+  /// option if `sources` is empty or RunOptions::samples == 0. Under the
+  /// default FailurePolicy::kAbort, exceptions thrown by f propagate to
+  /// the caller (first one wins, remaining samples are abandoned); under
+  /// kSkip, simulation failures are recorded in the result's
+  /// FailureSummary and the statistics cover the survivors.
   MonteCarloResult run_monte_carlo(
       const PerformanceFn& f,
       const std::vector<VariationSource>& sources) const;
+  /// Lane-aware overload: identical contract, but f also receives the
+  /// lane index so it can reuse a per-lane sample workspace.
   MonteCarloResult run_monte_carlo(
       const LanedPerformanceFn& f,
       const std::vector<VariationSource>& sources) const;
@@ -78,20 +87,32 @@ class Runner {
   /// conforming BatchPerformanceFn) identical results to the laned
   /// overload. Samples are partitioned into floor(samples / K) full
   /// K-blocks evaluated through `fb` plus a scalar remainder loop through
-  /// `f`, where K comes from options().exec.batch (see ExecutionOptions).
-  /// Every sample still draws from its own counter-based stream, and full
-  /// blocks and remainder samples are dispatched through one work queue,
-  /// so results stay bitwise identical for every thread count AND every
-  /// batch width. Under kAbort a failed batched sample surfaces as
+  /// `f`, where K comes from options().exec.batch (see ExecutionOptions);
+  /// K == 1 or an empty `fb` runs the laned overload. Every sample still
+  /// draws from its own counter-based stream, and full blocks and
+  /// remainder samples are dispatched through one work queue, so results
+  /// stay bitwise identical for every thread count AND every batch width.
+  /// Under kAbort a failed batched sample surfaces as
   /// sim::SimulationError carrying its classified diagnostics; under
-  /// kSkip it is recorded exactly like a scalar failure. Emits
-  /// stats.mc.batches / stats.mc.batch_remainder_samples counters and the
-  /// stats.mc.batch_fill distribution.
+  /// kSkip it is recorded exactly like a scalar failure. With K >= 2 it
+  /// emits the stats.mc.batches / stats.mc.batch_remainder_samples
+  /// counters and the stats.mc.batch_fill distribution.
   MonteCarloResult run_monte_carlo(
       const LanedPerformanceFn& f, const BatchPerformanceFn& fb,
       const std::vector<VariationSource>& sources) const;
 
-  /// Eq. 24 RSS spread estimate (contract of stats::gradient_analysis).
+  /// First-order (RSS) estimate of the performance spread, paper Eq. 24:
+  ///   sigma_D = sqrt( sum_l sigma_l^2 (dD/dw_l)^2 ),
+  /// from central differences of step options().step_fraction * sigma_l
+  /// about the source means. exec.threads spreads the 2 x #sources probe
+  /// evaluations; the result stays thread-count invariant (probes are
+  /// independent and the Eq. 24 sum is accumulated in source order).
+  /// Under kSkip a failed probe zeroes that source's gradient entry,
+  /// drops it from the Eq. 24 sum and is recorded
+  /// (SampleFailure::index = source index). A failed *nominal*
+  /// evaluation always rethrows -- there is no gradient about a point
+  /// that does not evaluate. Throws kInvalidInput for empty `sources` or
+  /// step_fraction <= 0.
   GradientAnalysisResult run_gradients(
       const PerformanceFn& f,
       const std::vector<VariationSource>& sources) const;
@@ -99,7 +120,11 @@ class Runner {
       const LanedPerformanceFn& f,
       const std::vector<VariationSource>& sources) const;
 
-  /// Monte-Carlo timing yield (contract of stats::monte_carlo_yield).
+  /// Monte-Carlo timing yield: samples f with run_monte_carlo and counts
+  /// the fraction meeting `clock_period`, so the estimate inherits its
+  /// determinism contract and input checks. Under kSkip, failed samples
+  /// are excluded from the survivor fraction and classified in
+  /// samples().failures; a run where every sample failed reports yield 0.
   McYieldEstimate run_yield(const PerformanceFn& f,
                             const std::vector<VariationSource>& sources,
                             double clock_period) const;

@@ -8,7 +8,6 @@
 #include "numeric/fp_compare.hpp"
 #include "sim/diagnostics.hpp"
 #include "stats/random.hpp"
-#include "stats/runner.hpp"
 
 namespace lcsf::stats {
 
@@ -52,20 +51,6 @@ McYieldEstimate::McYieldEstimate(MonteCarloResult sample_set,
   yield = empirical_yield(samples_.values, clock_period);
   std_error = std::sqrt(yield * (1.0 - yield) /
                         static_cast<double>(samples_.values.size()));
-}
-
-McYieldEstimate monte_carlo_yield(const PerformanceFn& f,
-                                  const std::vector<VariationSource>& sources,
-                                  double clock_period,
-                                  const MonteCarloOptions& opt) {
-  return Runner(RunOptions::from(opt)).run_yield(f, sources, clock_period);
-}
-
-McYieldEstimate monte_carlo_yield(const LanedPerformanceFn& f,
-                                  const std::vector<VariationSource>& sources,
-                                  double clock_period,
-                                  const MonteCarloOptions& opt) {
-  return Runner(RunOptions::from(opt)).run_yield(f, sources, clock_period);
 }
 
 double gaussian_yield(double nominal, double sigma, double clock_period) {

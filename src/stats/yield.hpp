@@ -28,15 +28,14 @@ double empirical_yield(const std::vector<double>& delays,
                        double clock_period);
 
 /// empirical_yield over a grid of clock periods, evaluated on the shared
-/// thread pool (`threads` has MonteCarloOptions::threads semantics). The
+/// thread pool (`threads` has ExecutionOptions::threads semantics). The
 /// returned vector is ordered like `periods` regardless of thread count.
 std::vector<double> empirical_yield_curve(const std::vector<double>& delays,
                                           const std::vector<double>& periods,
                                           std::size_t threads = 0);
 
-/// A Monte-Carlo yield estimate plus the sample it was computed from.
-/// (The sample member was renamed from the cryptic `mc` to the accessor
-/// `samples()` -- see docs/monte_carlo.md for the migration note.)
+/// A Monte-Carlo yield estimate plus the sample it was computed from
+/// (Runner::run_yield).
 class McYieldEstimate {
  public:
   McYieldEstimate() = default;
@@ -56,27 +55,6 @@ class McYieldEstimate {
  private:
   MonteCarloResult samples_;
 };
-
-/// End-to-end Monte-Carlo yield estimator: samples f over the variation
-/// sources with the parallel monte_carlo() engine and counts the fraction
-/// meeting `clock_period`. Inherits monte_carlo()'s determinism contract:
-/// the estimate is bitwise identical for every opt.threads value. With
-/// opt.on_failure == FailurePolicy::kSkip, failed samples are excluded
-/// from the survivor fraction and classified in samples().failures;
-/// importance-sampling-style tail estimation needs exactly this, since
-/// the tail samples are the ones that misbehave.
-/// Thin deprecation-ready wrapper over stats::Runner::run_yield.
-McYieldEstimate monte_carlo_yield(const PerformanceFn& f,
-                                  const std::vector<VariationSource>& sources,
-                                  double clock_period,
-                                  const MonteCarloOptions& opt);
-
-/// Lane-aware overload (LanedPerformanceFn semantics as in monte_carlo):
-/// lets the evaluator reuse per-lane workspaces across the yield samples.
-McYieldEstimate monte_carlo_yield(const LanedPerformanceFn& f,
-                                  const std::vector<VariationSource>& sources,
-                                  double clock_period,
-                                  const MonteCarloOptions& opt);
 
 /// P(delay <= clock_period) under the Gaussian model implied by Gradient
 /// Analysis (Eq. 24): N(nominal, sigma).

@@ -128,6 +128,18 @@ TEST(BatchHotpath, DispatchCountersAndFillDistribution) {
   EXPECT_EQ(fill.min, 1.0);
   EXPECT_EQ(fill.max, 4.0);
   EXPECT_NEAR(fill.mean, (2.0 * 4.0 + 3.0 * 1.0) / 5.0, 1e-12);
+
+  // K = 1 is the same loop with zero blocks: it dispatches nothing, so
+  // it records none of the dispatch metrics.
+  obs::Registry scalar_reg;
+  opt.exec.batch = 1;
+  opt.registry = &scalar_reg;
+  EXPECT_EQ(pa.monte_carlo(model, opt).values.size(), 11u);
+  const obs::Snapshot scalar = scalar_reg.snapshot();
+  EXPECT_EQ(scalar.counters.at("stats.mc.samples"), 11u);
+  EXPECT_EQ(scalar.counters.count("stats.mc.batches"), 0u);
+  EXPECT_EQ(scalar.counters.count("stats.mc.batch_remainder_samples"), 0u);
+  EXPECT_EQ(scalar.distributions.count("stats.mc.batch_fill"), 0u);
 }
 
 // The window ladder: lanes whose output transition does not complete in
@@ -369,6 +381,31 @@ TEST(BatchHotpath, BatchParsingAndDefaultResolution) {
   stats::set_default_batch(0);
   ASSERT_EQ(setenv("LCSF_BATCH", "nope", 1), 0);
   EXPECT_THROW(stats::default_batch(), sim::SimulationError);
+  // Only the batch overload resolves the width: the scalar overload never
+  // reads LCSF_BATCH, while the batch overload at exec.batch = 0 rejects
+  // the invalid value before it samples.
+  stats::RunOptions opt;
+  opt.samples = 4;
+  opt.exec.threads = 1;
+  const std::vector<stats::VariationSource> sources(2);
+  const stats::LanedPerformanceFn f = [](const Vector& w, std::size_t) {
+    return w[0] + w[1];
+  };
+  const stats::BatchPerformanceFn fb =
+      [&f](const std::vector<Vector>& w, std::size_t lane,
+           std::vector<stats::BatchSlot>& out) {
+        for (std::size_t b = 0; b < w.size(); ++b) {
+          out[b].value = f(w[b], lane);
+        }
+      };
+  EXPECT_NO_THROW((void)stats::Runner(opt).run_monte_carlo(f, sources));
+  sim::FailureKind batch_kind = sim::FailureKind::kNone;
+  try {
+    (void)stats::Runner(opt).run_monte_carlo(f, fb, sources);
+  } catch (const sim::SimulationError& e) {
+    batch_kind = e.kind();
+  }
+  EXPECT_EQ(batch_kind, sim::FailureKind::kInvalidInput);
   ASSERT_EQ(unsetenv("LCSF_BATCH"), 0);
   EXPECT_EQ(stats::default_batch(), stats::kDefaultBatch);
 }

@@ -11,6 +11,7 @@
 #include "core/graph_analyzer.hpp"
 #include "core/path.hpp"
 #include "obs/registry.hpp"
+#include "sim/diagnostics.hpp"
 #include "timing/sta.hpp"
 
 namespace lcsf::core {
@@ -118,7 +119,7 @@ TEST(PathAnalyzer, MonteCarloAndGradientAgree) {
   model.std_dl = 0.33;
   model.std_vt = 0.33;
 
-  stats::MonteCarloOptions opt;
+  stats::RunOptions opt;
   opt.samples = 60;
   opt.seed = 17;
   const auto mc = pa.monte_carlo(model, opt);
@@ -143,7 +144,7 @@ TEST(PathAnalyzer, CorrelatedMonteCarloUsesFewerFactors) {
   PathVariationModel model;
   model.std_dl = 0.33;
   model.std_vt = 0.33;
-  stats::MonteCarloOptions opt;
+  stats::RunOptions opt;
   opt.samples = 30;
   opt.seed = 9;
 
@@ -158,8 +159,12 @@ TEST(PathAnalyzer, CorrelatedMonteCarloUsesFewerFactors) {
   // independent stages (variances add linearly instead of in quadrature).
   const auto indep = pa.monte_carlo(model, opt);
   EXPECT_GT(corr.mc.stats.stddev(), indep.stats.stddev());
-  EXPECT_THROW(pa.monte_carlo_correlated(PathVariationModel{}, 0.5, opt),
-               std::invalid_argument);
+  try {
+    (void)pa.monte_carlo_correlated(PathVariationModel{}, 0.5, opt);
+    FAIL() << "expected SimulationError(kInvalidInput)";
+  } catch (const sim::SimulationError& e) {
+    EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput);
+  }
 }
 
 TEST(PathAnalyzer, FromBenchmarkBuildsConsistentSpec) {
@@ -195,7 +200,7 @@ TEST(PathAnalyzer, GradientAnalysisWithGlobalWireSources) {
   EXPECT_NE(ga.gradient[nsrc - 1], 0.0);
 
   // And GA sigma must track MC with the same mixed model.
-  stats::MonteCarloOptions opt;
+  stats::RunOptions opt;
   opt.samples = 50;
   opt.seed = 77;
   const auto mc = pa.monte_carlo(model, opt);

@@ -13,6 +13,7 @@
 #include "sim/diagnostics.hpp"
 #include "spice/transient.hpp"
 #include "stats/analysis.hpp"
+#include "stats/runner.hpp"
 #include "stats/yield.hpp"
 #include "teta/stage.hpp"
 
@@ -298,21 +299,21 @@ double flaky_metric(const Vector& w) {
 }
 
 TEST(FailSoft, MonteCarloAbortPolicyRethrows) {
-  stats::MonteCarloOptions opt;
+  stats::RunOptions opt;
   opt.samples = 200;
   opt.seed = 7;
-  opt.threads = 1;
-  EXPECT_THROW(stats::monte_carlo(flaky_metric, {{}}, opt),
+  opt.exec.threads = 1;
+  EXPECT_THROW(stats::Runner(opt).run_monte_carlo(flaky_metric, {{}}),
                sim::SimulationError);
 }
 
 TEST(FailSoft, MonteCarloSkipPolicyComputesSurvivorStats) {
-  stats::MonteCarloOptions opt;
+  stats::RunOptions opt;
   opt.samples = 200;
   opt.seed = 7;
-  opt.threads = 1;
-  opt.on_failure = stats::FailurePolicy::kSkip;
-  const auto res = stats::monte_carlo(flaky_metric, {{}}, opt);
+  opt.exec.threads = 1;
+  opt.exec.on_failure = stats::FailurePolicy::kSkip;
+  const auto res = stats::Runner(opt).run_monte_carlo(flaky_metric, {{}});
 
   EXPECT_EQ(res.failures.attempted, 200u);
   EXPECT_TRUE(res.failures.any());
@@ -337,15 +338,15 @@ TEST(FailSoft, MonteCarloSkipPolicyComputesSurvivorStats) {
 }
 
 TEST(FailSoft, MonteCarloFailureSummaryIsThreadCountInvariant) {
-  stats::MonteCarloOptions base;
+  stats::RunOptions base;
   base.samples = 100;
   base.seed = 42;
-  base.on_failure = stats::FailurePolicy::kSkip;
+  base.exec.on_failure = stats::FailurePolicy::kSkip;
 
   auto run = [&](std::size_t threads) {
     auto o = base;
-    o.threads = threads;
-    return stats::monte_carlo(flaky_metric, {{}}, o);
+    o.exec.threads = threads;
+    return stats::Runner(o).run_monte_carlo(flaky_metric, {{}});
   };
   const auto serial = run(1);
   ASSERT_TRUE(serial.failures.any()) << "fixture stopped injecting failures";
@@ -374,27 +375,28 @@ TEST(FailSoft, MonteCarloFailureSummaryIsThreadCountInvariant) {
 
 TEST(FailSoft, MonteCarloSkipStillPropagatesLogicErrors) {
   // Misuse is not a simulation outcome: logic_error must escape kSkip.
-  stats::MonteCarloOptions opt;
+  stats::RunOptions opt;
   opt.samples = 4;
-  opt.threads = 1;
-  opt.on_failure = stats::FailurePolicy::kSkip;
+  opt.exec.threads = 1;
+  opt.exec.on_failure = stats::FailurePolicy::kSkip;
   const stats::PerformanceFn misuse = [](const Vector&) -> double {
     throw std::logic_error("bad call");
   };
-  EXPECT_THROW(stats::monte_carlo(misuse, {{}}, opt), std::logic_error);
+  EXPECT_THROW(stats::Runner(opt).run_monte_carlo(misuse, {{}}),
+               std::logic_error);
 }
 
 TEST(FailSoft, YieldOfFullyFailedRunIsZeroNotAThrow) {
-  stats::MonteCarloOptions opt;
+  stats::RunOptions opt;
   opt.samples = 16;
-  opt.threads = 1;
-  opt.on_failure = stats::FailurePolicy::kSkip;
+  opt.exec.threads = 1;
+  opt.exec.on_failure = stats::FailurePolicy::kSkip;
   const stats::PerformanceFn dead = [](const Vector&) -> double {
     sim::SimDiagnostics d;
     d.kind = sim::FailureKind::kNewtonNonConvergence;
     throw sim::SimulationError(d);
   };
-  const auto est = stats::monte_carlo_yield(dead, {{}}, 1e-9, opt);
+  const auto est = stats::Runner(opt).run_yield(dead, {{}}, 1e-9);
   EXPECT_EQ(est.yield, 0.0);
   EXPECT_EQ(est.std_error, 0.0);
   EXPECT_EQ(est.samples().failures.failed(), 16u);
@@ -415,10 +417,10 @@ TEST(FailSoft, GradientAnalysisSkipsFailedProbes) {
     return 2.0 * w[0] + 3.0 * w[1];
   };
   std::vector<stats::VariationSource> sources(2);
-  stats::GradientAnalysisOptions opt;
-  opt.threads = 1;
-  opt.on_failure = stats::FailurePolicy::kSkip;
-  const auto res = stats::gradient_analysis(f, sources, opt);
+  stats::RunOptions opt;
+  opt.exec.threads = 1;
+  opt.exec.on_failure = stats::FailurePolicy::kSkip;
+  const auto res = stats::Runner(opt).run_gradients(f, sources);
   EXPECT_NEAR(res.gradient[0], 2.0, 1e-9);
   EXPECT_EQ(res.gradient[1], 0.0);  // dead probe excluded
   EXPECT_NEAR(res.stddev, 2.0, 1e-9);  // RSS over surviving sources only
@@ -433,10 +435,10 @@ TEST(FailSoft, GradientAnalysisFailedNominalAlwaysRethrows) {
     d.kind = sim::FailureKind::kDcFailure;
     throw sim::SimulationError(d);
   };
-  stats::GradientAnalysisOptions opt;
-  opt.threads = 1;
-  opt.on_failure = stats::FailurePolicy::kSkip;
-  EXPECT_THROW(stats::gradient_analysis(dead, {{}}, opt),
+  stats::RunOptions opt;
+  opt.exec.threads = 1;
+  opt.exec.on_failure = stats::FailurePolicy::kSkip;
+  EXPECT_THROW(stats::Runner(opt).run_gradients(dead, {{}}),
                sim::SimulationError);
 }
 

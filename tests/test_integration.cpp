@@ -214,7 +214,7 @@ TEST(Determinism, MonteCarloPathIsSeedStable) {
   core::PathAnalyzer pa(spec);
   core::PathVariationModel model;
   model.std_dl = 0.33;
-  stats::MonteCarloOptions opt;
+  stats::RunOptions opt;
   opt.samples = 10;
   opt.seed = 5;
   const auto a = pa.monte_carlo(model, opt);

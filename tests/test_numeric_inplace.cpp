@@ -498,13 +498,13 @@ TEST(InPlace, PooledMonteCarloIsThreadCountInvariant) {
   model.std_vt = 1.0 / 3.0;
   model.std_wire_w = 1.0 / 3.0;
 
-  stats::MonteCarloOptions opt;
+  stats::RunOptions opt;
   opt.samples = 4;
   opt.seed = 7;
 
-  opt.threads = 1;
+  opt.exec.threads = 1;
   const stats::MonteCarloResult serial = analyzer.monte_carlo(model, opt);
-  opt.threads = 3;
+  opt.exec.threads = 3;
   const stats::MonteCarloResult parallel = analyzer.monte_carlo(model, opt);
 
   ASSERT_EQ(serial.values.size(), parallel.values.size());

@@ -23,6 +23,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/diagnostics.hpp"
+#include "stats/yield.hpp"
 #include "timing/sta.hpp"
 
 namespace lcsf {
@@ -140,6 +141,36 @@ TEST(ApiSession, ReportsPositiveMemoryFootprint) {
   spec.graph = true;
   spec.top_k = 4;
   EXPECT_GT(api::Session::load(spec)->memory_bytes(), sizeof(api::Session));
+}
+
+TEST(ApiSession, McYieldMatchesMcYieldEstimateBitwise) {
+  api::DesignSpec spec;
+  spec.circuit = "s27";
+  const auto session = api::Session::load(spec);
+  core::PathVariationModel model;
+  model.std_dl = 0.33;
+  model.std_vt = 0.33;
+  stats::RunOptions opt;
+  opt.samples = 16;
+  opt.seed = 5;
+
+  // The "mc" estimator is the McYieldEstimate of the session's own
+  // Monte-Carlo run: same sample set, same yield and standard error.
+  const stats::MonteCarloResult mc = session->run_monte_carlo(model, opt);
+  const double t_clk = mc.stats.mean();
+  const stats::McYieldEstimate est(mc, t_clk);
+  const api::YieldResult y =
+      session->run_yield(model, t_clk, "mc", 0.9987, opt);
+  EXPECT_GT(est.yield, 0.0);
+  EXPECT_LT(est.yield, 1.0);
+  EXPECT_EQ(y.clock_period, t_clk);
+  EXPECT_EQ(y.yield, est.yield);
+  EXPECT_EQ(y.yield_loss, 1.0 - est.yield);
+  EXPECT_EQ(y.std_error, est.std_error);
+  EXPECT_EQ(y.samples, est.samples().values.size());
+  EXPECT_EQ(y.failures.attempted, est.samples().failures.attempted);
+  EXPECT_EQ(y.failures.survived, est.samples().failures.survived);
+  EXPECT_FALSE(y.is.has_value());
 }
 
 // ---- serve::DesignCache -----------------------------------------------
@@ -321,6 +352,52 @@ TEST(Dispatch, ClassifiesProtocolErrors) {
   // Error responses echo the id when it was parseable.
   const std::string resp = f.dispatch(R"({"id":"e9","type":"nope"})");
   EXPECT_NE(resp.find(R"("id":"e9")"), std::string::npos);
+}
+
+TEST(Dispatch, RejectsRunFieldsOverTheirCaps) {
+  DispatchFixture f;
+  const auto error_of = [&](const std::string& line) {
+    const serve::Json v = serve::Json::parse(f.dispatch(line));
+    const serve::Json* err = v.find("error");
+    return err == nullptr
+               ? std::string("ok")
+               : err->find("kind")->as_string() + ": " +
+                     err->find("message")->as_string();
+  };
+  // One probe per capped field, each naming the field and its cap. The
+  // threads probe comes first with a single sample: without the cap it
+  // answers ok at once, so an uncapped dispatcher fails here before the
+  // probes whose unbounded work it would otherwise start.
+  const std::string threads = error_of(
+      R"({"id":1,"type":"monte_carlo","circuit":"s27","samples":1,)"
+      R"("threads":257})");
+  ASSERT_EQ(threads.rfind("invalid-input: ", 0), 0u) << threads;
+  EXPECT_NE(threads.find("'threads'"), std::string::npos) << threads;
+  EXPECT_NE(threads.find("256"), std::string::npos) << threads;
+
+  const std::string samples = error_of(
+      R"({"id":2,"type":"monte_carlo","circuit":"s27","samples":100001})");
+  ASSERT_EQ(samples.rfind("invalid-input: ", 0), 0u) << samples;
+  EXPECT_NE(samples.find("'samples'"), std::string::npos) << samples;
+  EXPECT_NE(samples.find("100000"), std::string::npos) << samples;
+
+  const std::string pilot = error_of(
+      R"({"id":3,"type":"yield","circuit":"s27","samples":1,)"
+      R"("estimator":"is","is_pilot":100001})");
+  ASSERT_EQ(pilot.rfind("invalid-input: ", 0), 0u) << pilot;
+  EXPECT_NE(pilot.find("'is_pilot'"), std::string::npos) << pilot;
+  EXPECT_NE(pilot.find("100000"), std::string::npos) << pilot;
+
+  const std::string top_k = error_of(
+      R"({"id":4,"type":"load","circuit":"s27","graph":true,"top_k":1025})");
+  ASSERT_EQ(top_k.rfind("invalid-input: ", 0), 0u) << top_k;
+  EXPECT_NE(top_k.find("'top_k'"), std::string::npos) << top_k;
+  EXPECT_NE(top_k.find("1024"), std::string::npos) << top_k;
+
+  // A value at its cap is accepted.
+  EXPECT_EQ(error_of(R"({"id":5,"type":"monte_carlo","circuit":"s27",)"
+                     R"("samples":1,"threads":256})"),
+            "ok");
 }
 
 TEST(Dispatch, MetricsReportsServeCounters) {

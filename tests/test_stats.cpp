@@ -164,9 +164,9 @@ TEST(MonteCarlo, LinearFunctionStatistics) {
   // f(w) = 10 + 2 w0 + 3 w1, w ~ N(0,1): mean 10, sigma sqrt(13).
   std::vector<VariationSource> src(2);
   auto f = [](const Vector& w) { return 10.0 + 2 * w[0] + 3 * w[1]; };
-  MonteCarloOptions opt;
+  RunOptions opt;
   opt.samples = 2000;
-  auto res = monte_carlo(f, src, opt);
+  auto res = Runner(opt).run_monte_carlo(f, src);
   EXPECT_EQ(res.values.size(), 2000u);
   EXPECT_NEAR(res.stats.mean(), 10.0, 0.1);
   EXPECT_NEAR(res.stats.stddev(), std::sqrt(13.0), 0.15);
@@ -177,11 +177,11 @@ TEST(MonteCarlo, UniformSourcesAndReproducibility) {
   src[0].kind = VariationSource::Kind::kUniform;
   src[0].sigma = 0.5;  // U(-0.5, 0.5)
   auto f = [](const Vector& w) { return w[0]; };
-  MonteCarloOptions opt;
+  RunOptions opt;
   opt.samples = 500;
   opt.seed = 99;
-  auto r1 = monte_carlo(f, src, opt);
-  auto r2 = monte_carlo(f, src, opt);
+  auto r1 = Runner(opt).run_monte_carlo(f, src);
+  auto r2 = Runner(opt).run_monte_carlo(f, src);
   EXPECT_EQ(r1.values, r2.values);
   EXPECT_NEAR(r1.stats.mean(), 0.0, 0.02);
   // Uniform(-a,a) sigma = a/sqrt(3).
@@ -231,16 +231,16 @@ TEST(MonteCarlo, BitwiseIdenticalAcrossThreadCounts) {
   auto f = [](const Vector& w) { return w[0] + 2.0 * w[1] - w[2]; };
 
   for (bool lhs : {false, true}) {
-    MonteCarloOptions opt;
+    RunOptions opt;
     opt.samples = 333;  // not a multiple of any thread count
     opt.seed = 5;
     opt.latin_hypercube = lhs;
 
-    opt.threads = 1;
-    const auto serial = monte_carlo(f, src, opt);
+    opt.exec.threads = 1;
+    const auto serial = Runner(opt).run_monte_carlo(f, src);
     for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-      opt.threads = threads;
-      const auto par = monte_carlo(f, src, opt);
+      opt.exec.threads = threads;
+      const auto par = Runner(opt).run_monte_carlo(f, src);
       // Element-wise bitwise equality: values AND the sampled w vectors.
       EXPECT_EQ(serial.values, par.values) << "lhs=" << lhs;
       ASSERT_EQ(serial.samples.size(), par.samples.size());
@@ -264,12 +264,12 @@ TEST(MonteCarlo, LatinHypercubeStillStratifiesInParallel) {
     s.mean = 0.5;
     s.sigma = 0.5;  // maps the (0,1) variate to itself
   }
-  MonteCarloOptions opt;
+  RunOptions opt;
   opt.samples = 40;
   opt.seed = 17;
-  opt.threads = 8;
+  opt.exec.threads = 8;
   auto id0 = [](const Vector& w) { return w[0]; };
-  const auto res = monte_carlo(id0, src, opt);
+  const auto res = Runner(opt).run_monte_carlo(id0, src);
   for (std::size_t d = 0; d < 2; ++d) {
     std::vector<bool> stratum(opt.samples, false);
     for (const auto& w : res.samples) {
@@ -285,25 +285,25 @@ TEST(MonteCarlo, SingleSampleLatinHypercubeIsWellDefined) {
   // samples == 1 with stratification: the lone stratum is the whole unit
   // interval, so this must behave like one plain draw, not throw.
   std::vector<VariationSource> src(2);
-  MonteCarloOptions opt;
+  RunOptions opt;
   opt.samples = 1;
   opt.latin_hypercube = true;
   auto f = [](const Vector& w) { return w[0] + w[1]; };
-  const auto res = monte_carlo(f, src, opt);
+  const auto res = Runner(opt).run_monte_carlo(f, src);
   EXPECT_EQ(res.values.size(), 1u);
   EXPECT_TRUE(std::isfinite(res.values[0]));
 
   // ...and it equals the plain draw from the same per-sample stream.
   opt.latin_hypercube = false;
-  const auto plain = monte_carlo(f, src, opt);
+  const auto plain = Runner(opt).run_monte_carlo(f, src);
   EXPECT_EQ(res.values, plain.values);
 }
 
 TEST(MonteCarlo, ErrorsNameTheOffendingOption) {
   auto f = [](const Vector&) { return 0.0; };
-  MonteCarloOptions opt;
+  RunOptions opt;
   try {
-    monte_carlo(f, {}, opt);
+    Runner(opt).run_monte_carlo(f, {});
     FAIL() << "expected SimulationError(kInvalidInput)";
   } catch (const sim::SimulationError& e) {
     EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput);
@@ -313,7 +313,7 @@ TEST(MonteCarlo, ErrorsNameTheOffendingOption) {
   std::vector<VariationSource> src(1);
   opt.samples = 0;
   try {
-    monte_carlo(f, src, opt);
+    Runner(opt).run_monte_carlo(f, src);
     FAIL() << "expected SimulationError(kInvalidInput)";
   } catch (const sim::SimulationError& e) {
     EXPECT_NE(std::string(e.what()).find("samples"), std::string::npos)
@@ -323,14 +323,14 @@ TEST(MonteCarlo, ErrorsNameTheOffendingOption) {
 
 TEST(MonteCarlo, WorkerExceptionPropagates) {
   std::vector<VariationSource> src(1);
-  MonteCarloOptions opt;
+  RunOptions opt;
   opt.samples = 64;
-  opt.threads = 4;
+  opt.exec.threads = 4;
   auto f = [](const Vector& w) {
     if (w[0] > -10.0) throw std::runtime_error("engine diverged");
     return 0.0;
   };
-  EXPECT_THROW(monte_carlo(f, src, opt), std::runtime_error);
+  EXPECT_THROW(Runner(opt).run_monte_carlo(f, src), std::runtime_error);
 }
 
 TEST(GradientAnalysis, ThreadCountInvariant) {
@@ -345,11 +345,11 @@ TEST(GradientAnalysis, ThreadCountInvariant) {
     }
     return acc;
   };
-  GradientAnalysisOptions opt;
-  opt.threads = 1;
-  const auto serial = gradient_analysis(f, src, opt);
-  opt.threads = 8;
-  const auto par = gradient_analysis(f, src, opt);
+  RunOptions opt;
+  opt.exec.threads = 1;
+  const auto serial = Runner(opt).run_gradients(f, src);
+  opt.exec.threads = 8;
+  const auto par = Runner(opt).run_gradients(f, src);
   EXPECT_EQ(serial.nominal, par.nominal);
   EXPECT_EQ(serial.stddev, par.stddev);
   EXPECT_EQ(serial.evaluations, par.evaluations);
@@ -364,7 +364,7 @@ TEST(GradientAnalysis, ExactOnLinearFunctions) {
   src[1].sigma = 2.0;
   src[2].sigma = 0.5;
   auto f = [](const Vector& w) { return 5.0 + w[0] - 4 * w[1] + 2 * w[2]; };
-  auto res = gradient_analysis(f, src);
+  auto res = Runner().run_gradients(f, src);
   EXPECT_DOUBLE_EQ(res.nominal, 5.0);
   EXPECT_NEAR(res.gradient[0], 1.0, 1e-9);
   EXPECT_NEAR(res.gradient[1], -4.0, 1e-9);
@@ -381,81 +381,11 @@ TEST(GradientAnalysis, AgreesWithMonteCarloOnMildNonlinearity) {
   auto f = [](const Vector& w) {
     return std::exp(0.5 * w[0]) + 2.0 * w[1] + 0.1 * w[0] * w[1];
   };
-  auto ga = gradient_analysis(f, src);
-  MonteCarloOptions opt;
+  auto ga = Runner().run_gradients(f, src);
+  RunOptions opt;
   opt.samples = 4000;
-  auto mc = monte_carlo(f, src, opt);
+  auto mc = Runner(opt).run_monte_carlo(f, src);
   EXPECT_NEAR(ga.stddev, mc.stats.stddev(), 0.01);
-}
-
-TEST(Runner, MonteCarloMatchesFreeFunctionBitwise) {
-  // The free functions are thin wrappers over Runner; both paths must
-  // produce bitwise-identical results for the same options.
-  std::vector<VariationSource> src(3);
-  src[2].kind = VariationSource::Kind::kUniform;
-  src[2].sigma = 0.4;
-  auto f = [](const Vector& w) { return w[0] * w[1] + 0.5 * w[2]; };
-  for (bool lhs : {false, true}) {
-    MonteCarloOptions opt;
-    opt.samples = 97;
-    opt.seed = 23;
-    opt.latin_hypercube = lhs;
-    opt.threads = 4;
-    const auto legacy = monte_carlo(f, src, opt);
-    const auto modern = Runner(RunOptions::from(opt)).run_monte_carlo(f, src);
-    EXPECT_EQ(legacy.values, modern.values) << "lhs=" << lhs;
-    ASSERT_EQ(legacy.samples.size(), modern.samples.size());
-    for (std::size_t s = 0; s < legacy.samples.size(); ++s) {
-      EXPECT_EQ(legacy.samples[s], modern.samples[s]) << "lhs=" << lhs;
-    }
-    EXPECT_EQ(legacy.stats.mean(), modern.stats.mean());
-    EXPECT_EQ(legacy.stats.stddev(), modern.stats.stddev());
-  }
-}
-
-TEST(Runner, GradientsMatchFreeFunctionBitwise) {
-  std::vector<VariationSource> src(4);
-  for (std::size_t d = 0; d < src.size(); ++d) {
-    src[d].sigma = 0.2 + 0.1 * static_cast<double>(d);
-  }
-  auto f = [](const Vector& w) {
-    return std::cos(w[0]) + w[1] * w[2] - 0.3 * w[3];
-  };
-  GradientAnalysisOptions opt;
-  opt.step_fraction = 0.05;
-  opt.threads = 4;
-  const auto legacy = gradient_analysis(f, src, opt);
-  const auto modern = Runner(RunOptions::from(opt)).run_gradients(f, src);
-  EXPECT_EQ(legacy.nominal, modern.nominal);
-  EXPECT_EQ(legacy.stddev, modern.stddev);
-  EXPECT_EQ(legacy.evaluations, modern.evaluations);
-  EXPECT_EQ(legacy.gradient, modern.gradient);
-}
-
-TEST(Runner, OptionLiftsRoundTrip) {
-  MonteCarloOptions mc;
-  mc.samples = 7;
-  mc.seed = 99;
-  mc.latin_hypercube = false;
-  mc.threads = 3;
-  mc.on_failure = FailurePolicy::kSkip;
-  const MonteCarloOptions back =
-      RunOptions::from(mc).monte_carlo_options();
-  EXPECT_EQ(back.samples, mc.samples);
-  EXPECT_EQ(back.seed, mc.seed);
-  EXPECT_EQ(back.latin_hypercube, mc.latin_hypercube);
-  EXPECT_EQ(back.threads, mc.threads);
-  EXPECT_EQ(back.on_failure, mc.on_failure);
-
-  GradientAnalysisOptions ga;
-  ga.step_fraction = 0.02;
-  ga.threads = 5;
-  ga.on_failure = FailurePolicy::kSkip;
-  const GradientAnalysisOptions gback =
-      RunOptions::from(ga).gradient_options();
-  EXPECT_EQ(gback.step_fraction, ga.step_fraction);
-  EXPECT_EQ(gback.threads, ga.threads);
-  EXPECT_EQ(gback.on_failure, ga.on_failure);
 }
 
 TEST(GradientAnalysis, UniformSourceVariance) {
@@ -463,7 +393,7 @@ TEST(GradientAnalysis, UniformSourceVariance) {
   src[0].kind = VariationSource::Kind::kUniform;
   src[0].sigma = 0.3;
   auto f = [](const Vector& w) { return 7.0 * w[0]; };
-  auto res = gradient_analysis(f, src);
+  auto res = Runner().run_gradients(f, src);
   EXPECT_NEAR(res.stddev, 7.0 * 0.3 / std::sqrt(3.0), 1e-9);
 }
 

@@ -26,6 +26,7 @@
 #include "sim/diagnostics.hpp"
 #include "stats/analysis.hpp"
 #include "stats/random.hpp"
+#include "stats/runner.hpp"
 
 namespace lcsf {
 namespace {
@@ -101,16 +102,16 @@ TEST(TsanStress, ParallelMonteCarloMatchesSerialBitwise) {
     }
     return acc;
   };
-  stats::MonteCarloOptions serial;
+  stats::RunOptions serial;
   serial.samples = 500;
   serial.seed = 11;
-  serial.threads = 1;
-  const auto base = stats::monte_carlo(metric, sources, serial);
+  serial.exec.threads = 1;
+  const auto base = stats::Runner(serial).run_monte_carlo(metric, sources);
 
-  stats::MonteCarloOptions par = serial;
-  par.threads = 8;
+  stats::RunOptions par = serial;
+  par.exec.threads = 8;
   for (int round = 0; round < 5; ++round) {
-    const auto got = stats::monte_carlo(metric, sources, par);
+    const auto got = stats::Runner(par).run_monte_carlo(metric, sources);
     ASSERT_EQ(got.values, base.values);
     ASSERT_EQ(got.stats.mean(), base.stats.mean());
   }
@@ -129,17 +130,17 @@ TEST(TsanStress, FailSoftSkipUnderContention) {
     }
     return w[1];
   };
-  stats::MonteCarloOptions serial;
+  stats::RunOptions serial;
   serial.samples = 400;
   serial.seed = 5;
-  serial.threads = 1;
-  serial.on_failure = stats::FailurePolicy::kSkip;
-  const auto base = stats::monte_carlo(flaky, sources, serial);
+  serial.exec.threads = 1;
+  serial.exec.on_failure = stats::FailurePolicy::kSkip;
+  const auto base = stats::Runner(serial).run_monte_carlo(flaky, sources);
   ASSERT_GT(base.failures.failed(), 0u);
 
-  stats::MonteCarloOptions par = serial;
-  par.threads = 8;
-  const auto got = stats::monte_carlo(flaky, sources, par);
+  stats::RunOptions par = serial;
+  par.exec.threads = 8;
+  const auto got = stats::Runner(par).run_monte_carlo(flaky, sources);
   EXPECT_EQ(got.values, base.values);
   EXPECT_EQ(got.failures.attempted, base.failures.attempted);
   EXPECT_EQ(got.failures.survived, base.failures.survived);
@@ -154,14 +155,14 @@ TEST(TsanStress, GradientAnalysisParallelProbes) {
     for (std::size_t i = 0; i < w.size(); ++i) acc += w[i] * w[i];
     return acc;
   };
-  stats::GradientAnalysisOptions serial;
-  serial.threads = 1;
-  const auto base = stats::gradient_analysis(metric, sources, serial);
+  stats::RunOptions serial;
+  serial.exec.threads = 1;
+  const auto base = stats::Runner(serial).run_gradients(metric, sources);
 
-  stats::GradientAnalysisOptions par;
-  par.threads = 8;
+  stats::RunOptions par;
+  par.exec.threads = 8;
   for (int round = 0; round < 10; ++round) {
-    const auto got = stats::gradient_analysis(metric, sources, par);
+    const auto got = stats::Runner(par).run_gradients(metric, sources);
     ASSERT_EQ(got.gradient, base.gradient);
     ASSERT_EQ(got.stddev, base.stddev);
   }

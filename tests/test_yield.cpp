@@ -5,6 +5,7 @@
 
 #include "sim/diagnostics.hpp"
 #include "stats/random.hpp"
+#include "stats/runner.hpp"
 #include "stats/yield.hpp"
 
 namespace lcsf::stats {
@@ -70,19 +71,19 @@ TEST(Yield, MonteCarloYieldEstimatorIsThreadCountInvariant) {
   // f(w) = w0 with w0 ~ N(0,1): P(f <= 1) = Phi(1) ~= 0.841.
   std::vector<VariationSource> src(1);
   auto f = [](const numeric::Vector& w) { return w[0]; };
-  MonteCarloOptions opt;
+  RunOptions opt;
   opt.samples = 2000;
   opt.seed = 31;
 
-  opt.threads = 1;
-  const auto serial = monte_carlo_yield(f, src, 1.0, opt);
+  opt.exec.threads = 1;
+  const auto serial = Runner(opt).run_yield(f, src, 1.0);
   EXPECT_NEAR(serial.yield, 0.8413, 0.03);
   EXPECT_NEAR(serial.std_error,
               std::sqrt(serial.yield * (1.0 - serial.yield) / 2000.0),
               1e-12);
 
-  opt.threads = 8;
-  const auto par = monte_carlo_yield(f, src, 1.0, opt);
+  opt.exec.threads = 8;
+  const auto par = Runner(opt).run_yield(f, src, 1.0);
   EXPECT_EQ(serial.yield, par.yield);
   EXPECT_EQ(serial.samples().values, par.samples().values);
 }

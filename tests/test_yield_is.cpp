@@ -278,22 +278,6 @@ TEST(YieldIs, InvalidInputsThrow) {
   }
 }
 
-TEST(YieldIs, FreeWrapperMatchesRunner) {
-  const auto src = normal_sources(3);
-  MonteCarloOptions mco;
-  mco.samples = 300;
-  mco.seed = 7;
-  ImportanceOptions iso;
-  const auto a = importance_yield(
-      [](const Vector& w) { return linear_delay(w); }, src, 104.0, mco, iso);
-  RunOptions ro = RunOptions::from(mco);
-  ro.importance = iso;
-  const auto b = Runner(ro).run_yield_is(
-      [](const Vector& w) { return linear_delay(w); }, src, 104.0);
-  EXPECT_EQ(a.yield_loss, b.yield_loss);
-  EXPECT_EQ(a.ess, b.ess);
-}
-
 TEST(MixtureLikelihoodRatio, KnownValues) {
   // lambda = 0: plain exponential tilt, LR = exp(-score).
   EXPECT_NEAR(mixture_likelihood_ratio(1.0, 0.0), std::exp(-1.0), 1e-15);

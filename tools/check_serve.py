@@ -12,7 +12,8 @@ Modes (combinable; all requests go over one connection, in order):
   --battery          run the built-in conformance battery against
                      --circuit: cold/warm byte-identity of `load`,
                      thread-count invariance of `monte_carlo` payloads,
-                     classified error responses, and a schema-valid
+                     classified error responses, the per-request caps of
+                     the schema's `limits` block, and a schema-valid
                      `metrics` response with populated cache counters
   --shutdown         finish by sending {"type":"shutdown"}
 
@@ -187,6 +188,28 @@ def run_battery(conn, schema, circuit):
         if got != kind:
             fail(f"expected error kind {kind!r} for {bad[:80]!r}, got "
                  f"{got!r}")
+
+    # Each capped field one past its cap (the schema's `limits`). The
+    # threads probe goes first with one sample: an uncapped server
+    # answers it ok at once.
+    over_cap = {
+        "threads": {"type": "monte_carlo", "samples": 1},
+        "samples": {"type": "monte_carlo"},
+        "top_k": {"type": "load", "graph": True},
+        "is_pilot": {"type": "yield", "samples": 1, "estimator": "is"},
+    }
+    for field, base in over_cap.items():
+        cap = schema["limits"][field]
+        req = dict(base, id=f"b-cap-{field}", circuit=circuit)
+        req[field] = cap + 1
+        resp = validate_response(conn.request(json.dumps(req)), schema,
+                                 expect_ok=False)
+        err = (resp or {}).get("error", {})
+        message = err.get("message", "")
+        if (err.get("kind") != "invalid-input"
+                or f"'{field}'" not in message or str(cap) not in message):
+            fail(f"{field} = {cap + 1} was not rejected as invalid-input "
+                 f"naming the field and its cap {cap}: {err!r}")
 
     raw = conn.request(json.dumps({"id": "b-metrics", "type": "metrics"}))
     resp = validate_response(raw, schema, expect_type="metrics",

@@ -139,8 +139,10 @@ echo "==== stage: obs ===="
 # batched Monte-Carlo runs use --samples 11 --batch 4 so the dispatch
 # has both full blocks and a scalar remainder (2 batches + 3 singleton
 # samples), and must stay deterministic across 1/2/8 worker threads at
-# that fixed batch width (docs/performance.md). The s208 runs pin the
-# PACT characterization-reuse counters (one eigensolve per distinct
+# that fixed batch width (docs/performance.md). The --rho runs put the
+# spatially-correlated PCA sampler (PathAnalyzer::monte_carlo_correlated)
+# through the same batch dispatch at 1 and 8 threads. The s208 runs pin
+# the PACT characterization-reuse counters (one eigensolve per distinct
 # internal pencil, memo hits for the rest), also thread-count invariant.
 OBS_DIR=build-ci-release/obs-ci
 STA=build-ci-release/tools/lcsf_sta
@@ -156,6 +158,10 @@ if mkdir -p "$OBS_DIR" \
          --metrics "$OBS_DIR/sta_b4_t2.json" > /dev/null \
     && "$STA" --circuit s27 --samples 11 --seed 3 --threads 8 --batch 4 \
          --metrics "$OBS_DIR/sta_b4_t8.json" > /dev/null \
+    && "$STA" --circuit s27 --samples 11 --seed 3 --threads 1 --batch 4 \
+         --rho 0.5 --metrics "$OBS_DIR/sta_rho_t1.json" > /dev/null \
+    && "$STA" --circuit s27 --samples 11 --seed 3 --threads 8 --batch 4 \
+         --rho 0.5 --metrics "$OBS_DIR/sta_rho_t8.json" > /dev/null \
     && "$STA" --circuit s27 --samples 16 --seed 3 --threads 1 \
          --yield-estimator is --is-pilot 8 \
          --metrics "$OBS_DIR/sta_is_t1.json" > /dev/null \
@@ -182,6 +188,10 @@ if mkdir -p "$OBS_DIR" \
          --require stats.mc.batches \
          --require stats.mc.batch_remainder_samples \
     && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
+         "$OBS_DIR/sta_rho_t1.json" "$OBS_DIR/sta_rho_t8.json" \
+         --require stats.mc.batches \
+         --require stats.mc.batch_remainder_samples \
+    && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
          "$OBS_DIR/sta_is_t1.json" "$OBS_DIR/sta_is_t8.json" \
          --require stats.yield_is.samples \
          --require stats.yield_is.pilot_samples \
@@ -203,6 +213,8 @@ if mkdir -p "$OBS_DIR" \
          "$OBS_DIR/sta_b4_t1.json" "$OBS_DIR/sta_b4_t2.json" \
     && python3 tools/check_metrics.py --diff-deterministic \
          "$OBS_DIR/sta_b4_t1.json" "$OBS_DIR/sta_b4_t8.json" \
+    && python3 tools/check_metrics.py --diff-deterministic \
+         "$OBS_DIR/sta_rho_t1.json" "$OBS_DIR/sta_rho_t8.json" \
     && python3 tools/check_metrics.py --diff-deterministic \
          "$OBS_DIR/sta_is_t1.json" "$OBS_DIR/sta_is_t8.json" \
     && python3 tools/check_metrics.py --diff-deterministic \
