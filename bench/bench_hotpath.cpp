@@ -36,7 +36,6 @@
 #include "bench_common.hpp"
 #include "circuit/technology.hpp"
 #include "core/path.hpp"
-#include "interconnect/coupled_lines.hpp"
 #include "mor/poleres.hpp"
 #include "mor/variational.hpp"
 #include "numeric/fp_compare.hpp"
@@ -440,67 +439,11 @@ TetaResult simulate_stage(const StageCircuit& stage,
 }  // namespace prepr
 
 // ---------------------------------------------------------------------
-// Stage harness: one INV stage built exactly like PathAnalyzer builds it
+// Stage harness: one INV stage whose load is characterized by
+// core::characterize_stage_load, as PathAnalyzer characterizes it
 // (chord-folded 1-line wire pencil, receiver pin cap, PACT order 6,
 // variational over normalized wire W/H).
 // ---------------------------------------------------------------------
-
-/// Gate capacitance of the receiver's switching input pin (the
-/// PathAnalyzer::input_pin_cap rule).
-double receiver_pin_cap(const timing::CellTemplate& cell,
-                        const circuit::Technology& tech) {
-  double cap = 0.0;
-  for (const auto& t : cell.transistors) {
-    if (t.gate.kind == timing::CellNode::Kind::kInput && t.gate.index == 0) {
-      const circuit::Mosfet m =
-          t.type == circuit::MosType::kNmos
-              ? tech.make_nmos(0, 0, 0, t.w_over_l)
-              : tech.make_pmos(0, 0, 0, t.w_over_l);
-      cap += m.cgs() + 1.5 * m.cgd();
-    }
-  }
-  return cap;
-}
-
-mor::VariationalRom characterize_stage_load(
-    const timing::CellTemplate& cell, const circuit::Technology& tech,
-    std::size_t segments, double receiver_cap) {
-  const Vector chords = [&] {
-    teta::StageCircuit probe;
-    const std::size_t out = probe.add_port();
-    const std::size_t in =
-        probe.add_input(circuit::SourceWaveform::dc(0.0));
-    const std::size_t vdd = probe.add_rail(tech.vdd);
-    const std::size_t gnd = probe.add_rail(0.0);
-    timing::instantiate_cell(cell, tech, probe, out, in, vdd, gnd);
-    return probe.port_chord_conductances(tech.vdd);
-  }();
-  const Vector gout{chords[0], 0.0};
-  mor::PencilFamily family = [tech, receiver_cap, segments,
-                              gout](const Vector& w) {
-    interconnect::WireVariation wv;
-    wv.width = w[0] * tech.wire_tol.width;
-    wv.ild_thickness = w[1] * tech.wire_tol.ild_thickness;
-    interconnect::CoupledLineSpec spec;
-    spec.num_lines = 1;
-    spec.segment_length = 1e-6;
-    spec.length = static_cast<double>(segments) * 1e-6;
-    spec.geometry = interconnect::apply_variation(tech.wire, wv);
-    auto bundle = interconnect::build_coupled_lines(spec);
-    bundle.netlist.add_capacitor(bundle.far_ends[0], circuit::kGround,
-                                 receiver_cap);
-    return mor::with_port_conductance(
-        interconnect::build_ported_pencil(
-            bundle.netlist, {bundle.near_ends[0], bundle.far_ends[0]}),
-        gout);
-  };
-  mor::VariationalOptions vopt;
-  vopt.method = mor::ReductionMethod::kPact;
-  vopt.library = mor::LibraryMode::kFullReduction;
-  vopt.pact.internal_modes = 6;
-  vopt.fd_step = 0.2;
-  return mor::build_variational_rom(family, 2, vopt);
-}
 
 teta::StageCircuit make_stage(const timing::CellTemplate& cell,
                               const circuit::Technology& tech,
@@ -537,9 +480,9 @@ int main(int argc, char** argv) {
   const circuit::Technology tech = circuit::technology_180nm();
   const timing::CellTemplate& cell = timing::find_cell("INV");
   const std::size_t segments = 4;  // PathSpec linear_elements_per_stage=10
-  const double rcap = receiver_pin_cap(cell, tech);
+  const double rcap = core::input_pin_cap(cell, tech);
   const mor::VariationalRom rom =
-      characterize_stage_load(cell, tech, segments, rcap);
+      core::characterize_stage_load(cell, tech, segments, rcap, 6);
   const circuit::SourceWaveform input =
       circuit::SourceWaveform::ramp(0.0, tech.vdd, 0.2e-9, 0.1e-9);
 
@@ -556,10 +499,11 @@ int main(int argc, char** argv) {
   // The deterministic variate set all pipelines consume (counter-based
   // streams, exactly like stats::Runner): per-sample device dl/vt
   // plus global wire W/H, each at sigma = 1/3 in 3-sigma units, mapped to
-  // physical units with the sample_from_sources rules. The wire draw is
+  // physical units by core::sample_from_sources. The wire draw is
   // physical (what a PathSample carries); the normalized ROM coordinates
   // are derived from it with core::measure_stage_batch's rule, so the
   // scalar and batched legs consume bitwise-identical ROM inputs.
+  const core::PathVariationModel all_sources{1.0, 1.0, 1.0, 1.0};
   struct Draw {
     timing::DeviceVariation dev;
     interconnect::WireVariation wire;  // physical global wire variation
@@ -572,11 +516,11 @@ int main(int argc, char** argv) {
     auto normal = [&stream] {
       return stats::to_normal(stream.uniform_open(), 0.0, 1.0 / 3.0);
     };
+    const core::PathSample ps = core::sample_from_sources(
+        all_sources, tech, 1, {normal(), normal(), normal(), normal()});
     Draw d;
-    d.dev.delta_l = normal() * tech.sigma3_dl_frac * tech.lmin;
-    d.dev.delta_vt = normal() * tech.sigma3_vt_frac * tech.nmos.vt0;
-    d.wire.width = normal() * tech.wire_tol.width;
-    d.wire.ild_thickness = normal() * tech.wire_tol.ild_thickness;
+    d.dev = ps.device[0];
+    d.wire = ps.wire;
     d.w = Vector{tech.wire_tol.width > 0.0
                      ? d.wire.width / tech.wire_tol.width
                      : 0.0,

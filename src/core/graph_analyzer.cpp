@@ -22,11 +22,6 @@ GraphAnalyzer::GraphAnalyzer(GraphSpec spec)
   if (spec_.top_k == 0) {
     throw std::invalid_argument("GraphAnalyzer: top_k must be positive");
   }
-  segments_per_stage_ = std::max<std::size_t>(
-      1, (spec_.linear_elements_per_stage > 2
-              ? (spec_.linear_elements_per_stage - 2) / 2
-              : 1));
-
   paths_ = graph_.k_most_critical_paths(spec_.top_k);
   if (paths_.empty()) {
     throw std::invalid_argument(
@@ -77,21 +72,13 @@ GraphAnalyzer::GraphAnalyzer(GraphSpec spec)
       continue;
     }
     gs.model.load = characterize_stage_load(*gs.model.cell, spec_.tech,
-                                            segments_per_stage_, cap,
+                                            spec_.wire_segments(), cap,
                                             spec_.rom_internal_modes,
                                             &pact_memo);
     gs.block = blocks_.size();
     blocks_.push_back({gate.cell, cap, slot});
     block_index.emplace(key, gs.block);
   }
-}
-
-StageSimOptions GraphAnalyzer::sim_options() const {
-  StageSimOptions o;
-  o.dt = spec_.dt;
-  o.stage_window = spec_.stage_window;
-  o.recovery = spec_.recovery;
-  return o;
 }
 
 std::size_t GraphAnalyzer::memory_bytes() const {
@@ -131,7 +118,7 @@ StageWaveform GraphAnalyzer::simulate_slot(
   const timing::DeviceVariation* d = &dev;
   const interconnect::WireVariation* w = &wire;
   BatchWorkspace& bws = ws.batch();
-  propagate_stage_batch(stages_[slot].model, spec_.tech, sim_options(),
+  propagate_stage_batch(stages_[slot].model, spec_.tech, spec_.sim_options(),
                         subgraph_[slot], {&in, 1}, {&d, 1}, {&w, 1},
                         bws.next, bws.meas, bws);
   if (bws.meas[0].failed) throw sim::SimulationError(bws.meas[0].diag);
@@ -226,53 +213,9 @@ std::vector<double> GraphAnalyzer::per_path_delays(const GraphSample& sample,
   return delays;
 }
 
-GraphSample GraphAnalyzer::sample_from_sources(
-    const PathVariationModel& model, const Vector& w) const {
-  const std::size_t per_stage = model.sources_per_stage();
-  const std::size_t expected =
-      per_stage * subgraph_.size() + model.global_sources();
-  if (w.size() != expected) {
-    throw std::invalid_argument(
-        "GraphAnalyzer::sample_from_sources: wrong source count");
-  }
-  GraphSample s;
-  s.device.resize(subgraph_.size());
-  std::size_t idx = 0;
-  for (std::size_t k = 0; k < subgraph_.size(); ++k) {
-    if (model.std_dl > 0.0) {
-      s.device[k].delta_l =
-          w[idx++] * spec_.tech.sigma3_dl_frac * spec_.tech.lmin;
-    }
-    if (model.std_vt > 0.0) {
-      s.device[k].delta_vt =
-          w[idx++] * spec_.tech.sigma3_vt_frac * spec_.tech.nmos.vt0;
-    }
-  }
-  if (model.std_wire_w > 0.0) {
-    s.wire.width = w[idx++] * spec_.tech.wire_tol.width;
-  }
-  if (model.std_wire_h > 0.0) {
-    s.wire.ild_thickness = w[idx++] * spec_.tech.wire_tol.ild_thickness;
-  }
-  return s;
-}
-
-std::vector<stats::VariationSource> GraphAnalyzer::sources(
-    const PathVariationModel& model) const {
-  std::vector<stats::VariationSource> src;
-  for (std::size_t k = 0; k < subgraph_.size(); ++k) {
-    if (model.std_dl > 0.0) src.push_back({.sigma = model.std_dl});
-    if (model.std_vt > 0.0) src.push_back({.sigma = model.std_vt});
-  }
-  if (model.std_wire_w > 0.0) src.push_back({.sigma = model.std_wire_w});
-  if (model.std_wire_h > 0.0) src.push_back({.sigma = model.std_wire_h});
-  for (auto& s : src) s.kind = stats::VariationSource::Kind::kNormal;
-  return src;
-}
-
 stats::MonteCarloResult GraphAnalyzer::monte_carlo(
     const PathVariationModel& model, const stats::RunOptions& opt) const {
-  LaneWorkspaces pool(opt.exec.threads);
+  LanePool<SampleWorkspace> pool(opt.exec.threads);
   stats::LanedPerformanceFn f = [this, &model, &pool](const Vector& w,
                                                       std::size_t lane) {
     return evaluate(sample_from_sources(model, w), pool.lane(lane))
@@ -284,108 +227,31 @@ stats::MonteCarloResult GraphAnalyzer::monte_carlo(
 std::vector<timing::ssta::BlockDelayModel> GraphAnalyzer::block_models(
     const PathVariationModel& model) const {
   obs::ScopedSpan span("core.graph_block_models");
-  const double vdd = spec_.tech.vdd;
-  const double m_local = 0.25 * spec_.stage_window;
+  const StageSimOptions sopt = spec_.sim_options();
   const double s_nom = spec_.input.s;
 
+  // Every block at a rising input of the spec slew: one nominal probe,
+  // then the Gradient-Analysis sensitivities about it.
   std::vector<timing::ssta::BlockDelayModel> out;
   out.reserve(blocks_.size());
   for (const Block& b : blocks_) {
-    const GateStage& gs = stages_[b.stage_slot];
-    const bool out_rising = !gs.model.cell->inverting;  // rising input
-    auto stage_delay_slew = [&](double s_in,
-                                const timing::DeviceVariation& dev,
-                                const interconnect::WireVariation& wire) {
-      RampParams in{m_local, s_in, true};
-      const RampParams o = measure_stage_with_retry(
-          gs.model, spec_.tech, sim_options(), b.stage_slot,
-          in.to_source(vdd), 0.0, dev, wire, out_rising, nullptr, nullptr);
-      return std::make_pair(o.m - m_local, o.s);
-    };
-
-    const timing::DeviceVariation dev0{};
-    const interconnect::WireVariation wire0{};
-    const auto [d0, f0] = stage_delay_slew(s_nom, dev0, wire0);
+    const StageModel& st = stages_[b.stage_slot].model;
+    const DelaySlew nominal = stage_delay_slew(
+        st, spec_.tech, sopt, b.stage_slot, s_nom, true, {}, {}, nullptr);
+    const StageSensitivity sens = stage_sensitivity(
+        st, spec_.tech, sopt, b.stage_slot, s_nom, true, model, nullptr);
 
     timing::ssta::BlockDelayModel m;
     m.cell = b.cell;
     m.load_cap = b.receiver_cap;
     m.input_slew = s_nom;
-    m.nominal_delay = d0;
-    m.nominal_slew = f0;
-
-    // Central differences, normalized to one 3-sigma tolerance unit
-    // (sample_from_sources applies the same scaling).
-    const double h_w = 0.2;
-    auto central = [&](auto&& plus, auto&& minus) {
-      const auto [dp, fp] = plus();
-      const auto [dm, fm] = minus();
-      (void)fp;
-      (void)fm;
-      return (dp - dm) / (2.0 * h_w);
-    };
-    if (model.std_dl > 0.0) {
-      const double step =
-          h_w * spec_.tech.sigma3_dl_frac * spec_.tech.lmin;
-      m.d_delay_dl = central(
-          [&] {
-            timing::DeviceVariation d{step, 0.0};
-            return stage_delay_slew(s_nom, d, wire0);
-          },
-          [&] {
-            timing::DeviceVariation d{-step, 0.0};
-            return stage_delay_slew(s_nom, d, wire0);
-          });
-    }
-    if (model.std_vt > 0.0) {
-      const double step =
-          h_w * spec_.tech.sigma3_vt_frac * spec_.tech.nmos.vt0;
-      m.d_delay_vt = central(
-          [&] {
-            timing::DeviceVariation d{0.0, step};
-            return stage_delay_slew(s_nom, d, wire0);
-          },
-          [&] {
-            timing::DeviceVariation d{0.0, -step};
-            return stage_delay_slew(s_nom, d, wire0);
-          });
-    }
-    if (model.std_wire_w > 0.0) {
-      m.d_delay_wire_w = central(
-          [&] {
-            interconnect::WireVariation wv;
-            wv.width = h_w * spec_.tech.wire_tol.width;
-            return stage_delay_slew(s_nom, dev0, wv);
-          },
-          [&] {
-            interconnect::WireVariation wv;
-            wv.width = -h_w * spec_.tech.wire_tol.width;
-            return stage_delay_slew(s_nom, dev0, wv);
-          });
-    }
-    if (model.std_wire_h > 0.0) {
-      m.d_delay_wire_h = central(
-          [&] {
-            interconnect::WireVariation wv;
-            wv.ild_thickness = h_w * spec_.tech.wire_tol.ild_thickness;
-            return stage_delay_slew(s_nom, dev0, wv);
-          },
-          [&] {
-            interconnect::WireVariation wv;
-            wv.ild_thickness = -h_w * spec_.tech.wire_tol.ild_thickness;
-            return stage_delay_slew(s_nom, dev0, wv);
-          });
-    }
-    // Input-slew sensitivity (per second): available for slew-aware
-    // refinements of the analytic composition.
-    const double hs = 0.1 * std::max(s_nom, 10.0 * spec_.dt);
-    {
-      const auto [dp, fp] = stage_delay_slew(s_nom + hs, dev0, wire0);
-      const auto [dm, fm] = stage_delay_slew(s_nom - hs, dev0, wire0);
-      (void)fp;
-      (void)fm;
-      m.d_delay_slew = (dp - dm) / (2.0 * hs);
-    }
+    m.nominal_delay = nominal.delay;
+    m.nominal_slew = nominal.slew;
+    m.d_delay_dl = sens.d_dl.delay;
+    m.d_delay_vt = sens.d_vt.delay;
+    m.d_delay_wire_w = sens.d_wire_w.delay;
+    m.d_delay_wire_h = sens.d_wire_h.delay;
+    m.d_delay_slew = sens.d_slew.delay;
     out.push_back(m);
   }
   return out;

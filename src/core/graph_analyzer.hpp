@@ -27,19 +27,10 @@
 
 namespace lcsf::core {
 
-struct GraphSpec {
-  circuit::Technology tech;
+struct GraphSpec : StageSpec {
   timing::GateNetlist netlist;
   /// How many most-critical latch-to-latch paths to carry.
   std::size_t top_k = 8;
-  /// Per-stage wire size knob, as in PathSpec.
-  std::size_t linear_elements_per_stage = 10;
-  /// Stimulus applied at every path start net.
-  timing::RampParams input{0.2e-9, 0.1e-9, true};
-  double dt = 2e-12;
-  double stage_window = 2.0e-9;
-  std::size_t rom_internal_modes = 6;
-  sim::RecoveryOptions recovery;
   /// Quantum of the stage-memo input-ramp bucket [s]: two arrivals at the
   /// same gate whose (M, S) agree within one quantum share a simulation.
   double ramp_bucket_quantum = 1e-12;
@@ -47,10 +38,7 @@ struct GraphSpec {
 
 /// One parameter sample of the graph: device variation per subgraph gate
 /// (in subgraph_gates() order) plus the global wire variation.
-struct GraphSample {
-  std::vector<timing::DeviceVariation> device;
-  interconnect::WireVariation wire;
-};
+using GraphSample = PathSample;
 
 class GraphAnalyzer {
  public:
@@ -111,12 +99,16 @@ class GraphAnalyzer {
   std::vector<double> per_path_delays(const GraphSample& sample,
                                       Workspace& ws) const;
 
-  /// Map a normalized source vector (layout: per subgraph gate [dl, vt]
-  /// as enabled by the model, then [wire_w, wire_h]) to a sample.
+  /// core::sample_from_sources and PathVariationModel::sources over the
+  /// subgraph gates (one stage each, subgraph_gates() order).
   GraphSample sample_from_sources(const PathVariationModel& model,
-                                  const numeric::Vector& w) const;
+                                  const numeric::Vector& w) const {
+    return core::sample_from_sources(model, spec_.tech, subgraph_.size(), w);
+  }
   std::vector<stats::VariationSource> sources(
-      const PathVariationModel& model) const;
+      const PathVariationModel& model) const {
+    return model.sources(subgraph_.size());
+  }
 
   /// Graph-level Monte Carlo; the per-sample metric is the worst endpoint
   /// delay. Bitwise thread-count-invariant (counter-based streams).
@@ -124,9 +116,10 @@ class GraphAnalyzer {
                                       const stats::RunOptions& opt) const;
 
   /// Compact per-block variational delay models: one per distinct
-  /// (cell, load) block, extracted by central differences around the
-  /// nominal input ramp and reusable across every instantiation of the
-  /// block (and across designs sharing the technology).
+  /// (cell, load) block, extracted by the Gradient-Analysis probe
+  /// (stage_sensitivity) around the nominal input ramp and reusable across
+  /// every instantiation of the block (and across designs sharing the
+  /// technology).
   std::vector<timing::ssta::BlockDelayModel> block_models(
       const PathVariationModel& model) const;
 
@@ -154,7 +147,6 @@ class GraphAnalyzer {
     std::size_t stage_slot = 0;  ///< representative subgraph slot
   };
 
-  StageSimOptions sim_options() const;
   std::size_t slot_of(std::size_t gate) const;
   StageCacheKey cache_key(std::size_t gate,
                           const timing::RampParams& in) const;
@@ -173,7 +165,6 @@ class GraphAnalyzer {
   std::vector<std::size_t> endpoints_;  ///< sorted endpoint nets
   std::vector<GateStage> stages_;       ///< parallel to subgraph_
   std::vector<Block> blocks_;
-  std::size_t segments_per_stage_ = 1;
 };
 
 }  // namespace lcsf::core

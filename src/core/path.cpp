@@ -1,6 +1,5 @@
 #include "core/path.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -8,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "runtime/thread_pool.hpp"
 #include "interconnect/coupled_lines.hpp"
 #include "obs/span.hpp"
 #include "spice/transient.hpp"
@@ -38,12 +36,6 @@ PathAnalyzer::PathAnalyzer(PathSpec spec) : spec_(std::move(spec)) {
   if (spec_.cells.empty()) {
     throw std::invalid_argument("PathAnalyzer: empty path");
   }
-  // linear elements per stage ~ segments (R) + segments + 1 (C) + receiver.
-  segments_per_stage_ = std::max<std::size_t>(
-      1, (spec_.linear_elements_per_stage > 2
-              ? (spec_.linear_elements_per_stage - 2) / 2
-              : 1));
-
   const auto& lib = timing::cell_library();
   // Stages with the same (driver cell, receiver cell) have identical
   // effective loads; characterize each combination once.
@@ -72,19 +64,11 @@ PathAnalyzer::PathAnalyzer(PathSpec spec) : spec_(std::move(spec)) {
     }
 
     st.load = characterize_stage_load(*st.cell, spec_.tech,
-                                      segments_per_stage_, st.receiver_cap,
+                                      spec_.wire_segments(), st.receiver_cap,
                                       spec_.rom_internal_modes, &pact_memo);
     rom_cache.emplace(cache_key, st.load);
     stages_.push_back(std::move(st));
   }
-}
-
-StageSimOptions PathAnalyzer::sim_options() const {
-  StageSimOptions o;
-  o.dt = spec_.dt;
-  o.stage_window = spec_.stage_window;
-  o.recovery = spec_.recovery;
-  return o;
 }
 
 PathDelayResult PathAnalyzer::framework_delay(const PathSample& sample)
@@ -135,7 +119,7 @@ void PathAnalyzer::run_chain_batch(std::span<const PathSample> samples,
       bws.devs.push_back(&samples[l].device[k]);
       bws.wires.push_back(&samples[l].wire);
     }
-    propagate_stage_batch(stages_[k], spec_.tech, sim_options(), k,
+    propagate_stage_batch(stages_[k], spec_.tech, spec_.sim_options(), k,
                           bws.front, bws.devs, bws.wires, bws.next, bws.meas,
                           bws);
     std::size_t n = 0;
@@ -171,6 +155,7 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
   const auto pul = interconnect::sakurai_parasitics(geom);
   const double seg_r = pul.resistance * 1e-6;
   const double seg_c = pul.ground_capacitance * 1e-6;
+  const std::size_t segments = spec_.wire_segments();
 
   circuit::Netlist nl;
   const auto vdd = nl.add_node("vdd");
@@ -194,11 +179,11 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
     // Wire ladder to the next stage.
     circuit::NodeId node = out;
     nl.add_capacitor(node, kGround, 0.5 * seg_c);
-    for (std::size_t s = 0; s < segments_per_stage_; ++s) {
+    for (std::size_t s = 0; s < segments; ++s) {
       const auto next = nl.add_node();
       nl.add_resistor(node, next, seg_r);
       nl.add_capacitor(next, kGround,
-                       s + 1 == segments_per_stage_ ? 0.5 * seg_c : seg_c);
+                       s + 1 == segments ? 0.5 * seg_c : seg_c);
       node = next;
     }
     // Interior stages are loaded by the next cell's real gate caps (added
@@ -237,73 +222,36 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
   return r;
 }
 
-PathSample PathAnalyzer::sample_from_sources(const PathVariationModel& model,
-                                             const Vector& w) const {
-  const std::size_t per_stage = model.sources_per_stage();
-  const std::size_t expected =
-      per_stage * stages_.size() + model.global_sources();
-  if (w.size() != expected) {
-    throw std::invalid_argument("sample_from_sources: wrong source count");
-  }
-  PathSample s;
-  s.device.resize(stages_.size());
-  std::size_t idx = 0;
-  for (std::size_t k = 0; k < stages_.size(); ++k) {
-    if (model.std_dl > 0.0) {
-      s.device[k].delta_l =
-          w[idx++] * spec_.tech.sigma3_dl_frac * spec_.tech.lmin;
-    }
-    if (model.std_vt > 0.0) {
-      s.device[k].delta_vt =
-          w[idx++] * spec_.tech.sigma3_vt_frac * spec_.tech.nmos.vt0;
-    }
-  }
-  if (model.std_wire_w > 0.0) {
-    s.wire.width = w[idx++] * spec_.tech.wire_tol.width;
-  }
-  if (model.std_wire_h > 0.0) {
-    s.wire.ild_thickness = w[idx++] * spec_.tech.wire_tol.ild_thickness;
-  }
-  return s;
-}
-
-std::vector<stats::VariationSource> PathAnalyzer::sources(
-    const PathVariationModel& model) const {
-  std::vector<stats::VariationSource> src;
-  for (std::size_t k = 0; k < stages_.size(); ++k) {
-    if (model.std_dl > 0.0) src.push_back({.sigma = model.std_dl});
-    if (model.std_vt > 0.0) src.push_back({.sigma = model.std_vt});
-  }
-  if (model.std_wire_w > 0.0) src.push_back({.sigma = model.std_wire_w});
-  if (model.std_wire_h > 0.0) src.push_back({.sigma = model.std_wire_h});
-  for (auto& s : src) s.kind = stats::VariationSource::Kind::kNormal;
-  return src;
+stats::MonteCarloResult PathAnalyzer::monte_carlo_over(
+    const stats::RunOptions& opt,
+    const std::vector<stats::VariationSource>& variates,
+    const std::function<PathSample(const Vector&)>& to_sample) const {
+  LanePool<BatchWorkspace> pool(opt.exec.threads);
+  stats::LanedPerformanceFn f = [&](const Vector& v, std::size_t lane) {
+    return chain_delay(to_sample(v), pool.lane(lane)).delay;
+  };
+  stats::BatchPerformanceFn fb = [&](const std::vector<Vector>& v,
+                                     std::size_t lane,
+                                     std::vector<stats::BatchSlot>& out) {
+    std::vector<PathSample> block;
+    block.reserve(v.size());
+    for (const Vector& vi : v) block.push_back(to_sample(vi));
+    run_chain_batch(block, pool.lane(lane), out);
+  };
+  return stats::Runner(opt).run_monte_carlo(f, fb, variates);
 }
 
 stats::MonteCarloResult PathAnalyzer::monte_carlo(
     const PathVariationModel& model, const stats::RunOptions& opt) const {
-  LaneBatchWorkspaces pool(opt.exec.threads);
-  stats::LanedPerformanceFn f = [this, &model, &pool](const Vector& w,
-                                                      std::size_t lane) {
-    return chain_delay(sample_from_sources(model, w), pool.lane(lane)).delay;
-  };
-  stats::BatchPerformanceFn fb =
-      [this, &model, &pool](const std::vector<Vector>& w, std::size_t lane,
-                            std::vector<stats::BatchSlot>& out) {
-        std::vector<PathSample> block;
-        block.reserve(w.size());
-        for (const Vector& wi : w) {
-          block.push_back(sample_from_sources(model, wi));
-        }
-        run_chain_batch(block, pool.lane(lane), out);
-      };
-  return stats::Runner(opt).run_monte_carlo(f, fb, sources(model));
+  return monte_carlo_over(opt, sources(model), [&](const Vector& w) {
+    return sample_from_sources(model, w);
+  });
 }
 
 stats::IsYieldEstimate PathAnalyzer::yield_importance(
     const PathVariationModel& model, double clock_period,
     const stats::RunOptions& opt) const {
-  LaneBatchWorkspaces pool(opt.exec.threads);
+  LanePool<BatchWorkspace> pool(opt.exec.threads);
   stats::LanedPerformanceFn f = [this, &model, &pool](const Vector& w,
                                                       std::size_t lane) {
     return chain_delay(sample_from_sources(model, w), pool.lane(lane)).delay;
@@ -344,26 +292,12 @@ PathAnalyzer::CorrelatedMcResult PathAnalyzer::monte_carlo_correlated(
 
   // Sample the leading independent factors; reverse-transform to the
   // physical sources (Sec. 4.1.1's "by-product reverse transformation").
-  std::vector<stats::VariationSource> factor_src(nfactors);
-  LaneBatchWorkspaces pool(opt.exec.threads);
-  stats::LanedPerformanceFn f = [this, &model, &pca, &pool](
-                                    const Vector& z, std::size_t lane) {
-    const Vector w = pca.from_factors(z);
-    return chain_delay(sample_from_sources(model, w), pool.lane(lane)).delay;
-  };
-  stats::BatchPerformanceFn fb =
-      [this, &model, &pca, &pool](const std::vector<Vector>& z,
-                                  std::size_t lane,
-                                  std::vector<stats::BatchSlot>& out) {
-        std::vector<PathSample> block;
-        block.reserve(z.size());
-        for (const Vector& zi : z) {
-          block.push_back(sample_from_sources(model, pca.from_factors(zi)));
-        }
-        run_chain_batch(block, pool.lane(lane), out);
-      };
   CorrelatedMcResult res;
-  res.mc = stats::Runner(opt).run_monte_carlo(f, fb, factor_src);
+  res.mc = monte_carlo_over(
+      opt, std::vector<stats::VariationSource>(nfactors),
+      [&](const Vector& z) {
+        return sample_from_sources(model, pca.from_factors(z));
+      });
   res.total_sources = nsrc;
   res.factors_used = nfactors;
   return res;
@@ -371,29 +305,10 @@ PathAnalyzer::CorrelatedMcResult PathAnalyzer::monte_carlo_correlated(
 
 PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
     const PathVariationModel& model) const {
-  const double vdd = spec_.tech.vdd;
-  const double m_local = 0.25 * spec_.stage_window;
-  std::size_t sims = 0;
-  SampleWorkspace ws;  // shared by the nominal chain and every FD stage
-
-  // Stage transfer at the saturated-ramp abstraction (Eq. 30): returns
-  // (delay D, output slew F) for input slew s_in and stage-local sources.
-  auto stage_dsf = [&](std::size_t k, double s_in, bool rising_in,
-                       const timing::DeviceVariation& dev,
-                       const interconnect::WireVariation& wire) {
-    RampParams in{m_local, s_in, rising_in};
-    ++sims;
-    const bool out_rising = rising_in != stages_[k].cell->inverting;
-    RampParams o = measure_stage_with_retry(
-        stages_[k], spec_.tech, sim_options(), k, in.to_source(vdd), 0.0,
-        dev, wire, out_rising, nullptr, &ws);
-    return std::pair<double, double>{o.m - m_local, o.s};
-  };
-
-  // Source layout identical to sample_from_sources.
+  SampleWorkspace ws;  // shared by the nominal chain and every probe
+  const auto src = sources(model);
+  const std::size_t nsrc = src.size();
   const std::size_t per_stage = model.sources_per_stage();
-  const std::size_t nsrc =
-      per_stage * stages_.size() + model.global_sources();
   // Sensitivity state propagated along the path (Eq. 31).
   Vector dm(nsrc, 0.0);
   Vector ds(nsrc, 0.0);
@@ -406,104 +321,40 @@ PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
   nominal_sample.device.resize(stages_.size());
   const PathDelayResult nominal_chain =
       chain_delay(nominal_sample, ws.batch(), &stage_in);
-  sims += stages_.size();
+  std::size_t sims = stages_.size();
   bool rising = spec_.input.rising;
 
-  const double h_w = 0.2;   // normalized FD step for variation sources
-  const double h_s = 0.1;   // relative FD step for the input slew
-
   for (std::size_t k = 0; k < stages_.size(); ++k) {
-    const double s_in = stage_in[k].s;
-    const timing::DeviceVariation dev0{};
-    const interconnect::WireVariation wire0{};
-
-    // dD/dS, dF/dS by central difference.
-    const double hs = h_s * std::max(s_in, 10 * spec_.dt);
-    const auto [dp, fp] = stage_dsf(k, s_in + hs, rising, dev0, wire0);
-    const auto [dmn, fmn] = stage_dsf(k, s_in - hs, rising, dev0, wire0);
-    const double dD_dS = (dp - dmn) / (2 * hs);
-    const double dF_dS = (fp - fmn) / (2 * hs);
-
-    // Local derivative of each source at this stage.
+    // Stage transfer sensitivities at the saturated-ramp abstraction
+    // (Eq. 30), scattered into the source layout of sample_from_sources.
+    const StageSensitivity sens =
+        stage_sensitivity(stages_[k], spec_.tech, spec_.sim_options(), k,
+                          stage_in[k].s, rising, model, &ws);
+    sims += sens.simulations;
     Vector dD_dw(nsrc, 0.0), dF_dw(nsrc, 0.0);
-    auto central = [&](auto&& make_plus, auto&& make_minus,
-                       std::size_t src_idx) {
-      const auto [dpl, fpl] = make_plus();
-      const auto [dmi, fmi] = make_minus();
-      dD_dw[src_idx] = (dpl - dmi) / (2 * h_w);
-      dF_dw[src_idx] = (fpl - fmi) / (2 * h_w);
+    const auto put = [&](const DelaySlew& d, std::size_t l) {
+      dD_dw[l] = d.delay;
+      dF_dw[l] = d.slew;
     };
     std::size_t idx = k * per_stage;
-    if (model.std_dl > 0.0) {
-      const double step = h_w * spec_.tech.sigma3_dl_frac * spec_.tech.lmin;
-      central(
-          [&] {
-            timing::DeviceVariation d{step, 0.0};
-            return stage_dsf(k, s_in, rising, d, wire0);
-          },
-          [&] {
-            timing::DeviceVariation d{-step, 0.0};
-            return stage_dsf(k, s_in, rising, d, wire0);
-          },
-          idx++);
-    }
-    if (model.std_vt > 0.0) {
-      const double step =
-          h_w * spec_.tech.sigma3_vt_frac * spec_.tech.nmos.vt0;
-      central(
-          [&] {
-            timing::DeviceVariation d{0.0, step};
-            return stage_dsf(k, s_in, rising, d, wire0);
-          },
-          [&] {
-            timing::DeviceVariation d{0.0, -step};
-            return stage_dsf(k, s_in, rising, d, wire0);
-          },
-          idx++);
-    }
     std::size_t gidx = per_stage * stages_.size();
-    if (model.std_wire_w > 0.0) {
-      central(
-          [&] {
-            interconnect::WireVariation wv;
-            wv.width = h_w * spec_.tech.wire_tol.width;
-            return stage_dsf(k, s_in, rising, dev0, wv);
-          },
-          [&] {
-            interconnect::WireVariation wv;
-            wv.width = -h_w * spec_.tech.wire_tol.width;
-            return stage_dsf(k, s_in, rising, dev0, wv);
-          },
-          gidx++);
-    }
-    if (model.std_wire_h > 0.0) {
-      central(
-          [&] {
-            interconnect::WireVariation wv;
-            wv.ild_thickness = h_w * spec_.tech.wire_tol.ild_thickness;
-            return stage_dsf(k, s_in, rising, dev0, wv);
-          },
-          [&] {
-            interconnect::WireVariation wv;
-            wv.ild_thickness = -h_w * spec_.tech.wire_tol.ild_thickness;
-            return stage_dsf(k, s_in, rising, dev0, wv);
-          },
-          gidx++);
-    }
+    if (model.std_dl > 0.0) put(sens.d_dl, idx++);
+    if (model.std_vt > 0.0) put(sens.d_vt, idx++);
+    if (model.std_wire_w > 0.0) put(sens.d_wire_w, gidx++);
+    if (model.std_wire_h > 0.0) put(sens.d_wire_h, gidx++);
 
     // Recurrence of Eq. 31 with dM_out/dM_in = 1 (time invariance):
     //   dM_out/dw = dD/dw + dM_in/dw + dD/dS dS_in/dw
     //   dS_out/dw = dF/dw + dF/dS dS_in/dw.
     for (std::size_t l = 0; l < nsrc; ++l) {
-      dm[l] = dm[l] + dD_dw[l] + dD_dS * ds[l];
-      ds[l] = dF_dw[l] + dF_dS * ds[l];
+      dm[l] = dm[l] + dD_dw[l] + sens.d_slew.delay * ds[l];
+      ds[l] = dF_dw[l] + sens.d_slew.slew * ds[l];
     }
     rising = rising != stages_[k].cell->inverting;
   }
 
-  // Eq. 24 over the normalized sources; the FD steps above were taken in
-  // *physical* units scaled by h_w, so dD_dw is per normalized unit.
-  const auto src = sources(model);
+  // Eq. 24 over the normalized sources (the probe's derivatives are per
+  // normalized unit).
   double var = 0.0;
   for (std::size_t l = 0; l < nsrc; ++l) {
     var += src[l].sigma * src[l].sigma * dm[l] * dm[l];
@@ -534,7 +385,7 @@ PathAnalyzer::CornerResult PathAnalyzer::worst_case_corner(
 
 std::size_t PathAnalyzer::total_linear_elements() const {
   // Per stage: wire R (segments) + wire C (segments + 1) + receiver cap.
-  return stages_.size() * (2 * segments_per_stage_ + 2);
+  return stages_.size() * (2 * spec_.wire_segments() + 2);
 }
 
 std::size_t PathAnalyzer::memory_bytes() const {

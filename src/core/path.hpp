@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -34,53 +35,15 @@
 
 namespace lcsf::core {
 
-struct PathSpec {
-  circuit::Technology tech;
+struct PathSpec : StageSpec {
   /// Cell of each stage (indices into timing::cell_library()).
   std::vector<std::size_t> cells;
-  /// Target "number of linear circuit elements between stages" (the
-  /// Table 4 knob); converted to a wire length at 1 um RC segmentation.
-  std::size_t linear_elements_per_stage = 10;
-  /// Input stimulus of the first stage.
-  timing::RampParams input{0.2e-9, 0.1e-9, true};
-  double dt = 2e-12;              ///< timestep for both engines
-  double stage_window = 2.0e-9;   ///< simulated window per stage [s]
-  std::size_t rom_internal_modes = 6;  ///< PACT order per stage load
-  /// Bounded per-step (SPICE) / per-run (TETA) dt-halving retry budget,
-  /// forwarded to both engines. Defaults to no retries; statistical
-  /// drivers typically enable it together with
-  /// stats::FailurePolicy::kSkip (see docs/robustness.md).
-  sim::RecoveryOptions recovery;
 
   /// Convenience: build from a generated benchmark's longest path.
   static PathSpec from_benchmark(const circuit::Technology& tech,
                                  const timing::GateNetlist& nl,
                                  const timing::TimingPath& path,
                                  std::size_t linear_elements);
-};
-
-/// One parameter sample: per-stage device fluctuations plus global wire
-/// variation.
-struct PathSample {
-  std::vector<timing::DeviceVariation> device;  ///< size = #stages
-  interconnect::WireVariation wire;
-};
-
-/// Which variation sources a statistical analysis sweeps, in the
-/// normalized units of PathVariationModel (w = 1 means "at the 3-sigma
-/// tolerance" of the technology card).
-struct PathVariationModel {
-  double std_dl = 0.0;  ///< per-stage channel-length reduction (Table 5 DL)
-  double std_vt = 0.0;  ///< per-stage threshold shift (Table 5 VT)
-  double std_wire_w = 0.0;  ///< global wire width
-  double std_wire_h = 0.0;  ///< global ILD thickness
-
-  std::size_t sources_per_stage() const {
-    return (std_dl > 0.0 ? 1 : 0) + (std_vt > 0.0 ? 1 : 0);
-  }
-  std::size_t global_sources() const {
-    return (std_wire_w > 0.0 ? 1 : 0) + (std_wire_h > 0.0 ? 1 : 0);
-  }
 };
 
 struct PathDelayResult {
@@ -124,12 +87,16 @@ class PathAnalyzer {
   /// when run with stats::FailurePolicy::kSkip.
   PathDelayResult spice_delay(const PathSample& sample) const;
 
-  /// Map a normalized source vector w (layout: [dl_0, vt_0, dl_1, vt_1,
-  /// ..., wire_w, wire_h], entries present per the model) to a sample.
+  /// core::sample_from_sources and PathVariationModel::sources over the
+  /// path's stages.
   PathSample sample_from_sources(const PathVariationModel& model,
-                                 const numeric::Vector& w) const;
+                                 const numeric::Vector& w) const {
+    return core::sample_from_sources(model, spec_.tech, stages_.size(), w);
+  }
   std::vector<stats::VariationSource> sources(
-      const PathVariationModel& model) const;
+      const PathVariationModel& model) const {
+    return model.sources(stages_.size());
+  }
 
   /// Monte-Carlo path statistics (Sec. 4.3.1) using the framework engine:
   /// stats::Runner::run_monte_carlo in opt.exec.batch sample blocks
@@ -215,11 +182,15 @@ class PathAnalyzer {
       const PathSample& sample, BatchWorkspace& bws,
       std::vector<timing::RampParams>* stage_inputs = nullptr) const;
 
-  /// Engine knobs forwarded to the shared stage engine.
-  StageSimOptions sim_options() const;
+  /// Monte Carlo through the block chain: each variate vector (drawn
+  /// from `variates`) maps to a path sample by `to_sample`.
+  stats::MonteCarloResult monte_carlo_over(
+      const stats::RunOptions& opt,
+      const std::vector<stats::VariationSource>& variates,
+      const std::function<PathSample(const numeric::Vector&)>& to_sample)
+      const;
 
   PathSpec spec_;
-  std::size_t segments_per_stage_ = 1;
   std::vector<StageModel> stages_;
 };
 

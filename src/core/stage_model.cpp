@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "runtime/thread_pool.hpp"
 #include "interconnect/coupled_lines.hpp"
 
 namespace lcsf::core {
@@ -15,6 +14,45 @@ using circuit::SourceWaveform;
 using numeric::Vector;
 using timing::RampParams;
 using timing::Samples;
+
+std::vector<stats::VariationSource> PathVariationModel::sources(
+    std::size_t stages) const {
+  std::vector<stats::VariationSource> src;
+  for (std::size_t k = 0; k < stages; ++k) {
+    if (std_dl > 0.0) src.push_back({.sigma = std_dl});
+    if (std_vt > 0.0) src.push_back({.sigma = std_vt});
+  }
+  if (std_wire_w > 0.0) src.push_back({.sigma = std_wire_w});
+  if (std_wire_h > 0.0) src.push_back({.sigma = std_wire_h});
+  return src;
+}
+
+PathSample sample_from_sources(const PathVariationModel& model,
+                               const circuit::Technology& tech,
+                               std::size_t stages, const Vector& w) {
+  if (w.size() !=
+      model.sources_per_stage() * stages + model.global_sources()) {
+    throw std::invalid_argument("sample_from_sources: wrong source count");
+  }
+  // The normalized -> physical map (measure_stage_batch holds the wire's
+  // inverse for the ROM): w = 1 is the 3-sigma tolerance of `tech`.
+  PathSample s;
+  s.device.resize(stages);
+  std::size_t idx = 0;
+  for (timing::DeviceVariation& d : s.device) {
+    if (model.std_dl > 0.0) {
+      d.delta_l = w[idx++] * tech.sigma3_dl_frac * tech.lmin;
+    }
+    if (model.std_vt > 0.0) {
+      d.delta_vt = w[idx++] * tech.sigma3_vt_frac * tech.nmos.vt0;
+    }
+  }
+  if (model.std_wire_w > 0.0) s.wire.width = w[idx++] * tech.wire_tol.width;
+  if (model.std_wire_h > 0.0) {
+    s.wire.ild_thickness = w[idx++] * tech.wire_tol.ild_thickness;
+  }
+  return s;
+}
 
 double input_pin_cap(const timing::CellTemplate& cell,
                      const circuit::Technology& tech) {
@@ -319,26 +357,66 @@ void propagate_stage_batch(
   }
 }
 
-LaneWorkspaces::LaneWorkspaces(std::size_t threads)
-    : lanes_(std::max<std::size_t>(
-          1, threads == 0 ? runtime::ThreadPool::default_threads() : threads)) {}
-
-SampleWorkspace& LaneWorkspaces::lane(std::size_t k) {
-  if (!lanes_[k]) {
-    lanes_[k] = std::make_unique<SampleWorkspace>();
-  }
-  return *lanes_[k];
+DelaySlew stage_delay_slew(const StageModel& st,
+                           const circuit::Technology& tech,
+                           const StageSimOptions& opt, std::size_t label,
+                           double s_in, bool rising_in,
+                           const timing::DeviceVariation& dev,
+                           const interconnect::WireVariation& wire,
+                           SampleWorkspace* ws) {
+  const double m_local = 0.25 * opt.stage_window;
+  const RampParams in{m_local, s_in, rising_in};
+  const RampParams out = measure_stage_with_retry(
+      st, tech, opt, label, in.to_source(tech.vdd), 0.0, dev, wire,
+      rising_in != st.cell->inverting, nullptr, ws);
+  return {out.m - m_local, out.s};
 }
 
-LaneBatchWorkspaces::LaneBatchWorkspaces(std::size_t threads)
-    : lanes_(std::max<std::size_t>(
-          1, threads == 0 ? runtime::ThreadPool::default_threads() : threads)) {}
+StageSensitivity stage_sensitivity(const StageModel& st,
+                                   const circuit::Technology& tech,
+                                   const StageSimOptions& opt,
+                                   std::size_t label, double s_in,
+                                   bool rising_in,
+                                   const PathVariationModel& model,
+                                   SampleWorkspace* ws) {
+  StageSensitivity sens;
+  const auto probe = [&](double s, const PathSample& at) {
+    ++sens.simulations;
+    return stage_delay_slew(st, tech, opt, label, s, rising_in,
+                            at.device[0], at.wire, ws);
+  };
+  const auto central = [](const DelaySlew& plus, const DelaySlew& minus,
+                          double h) {
+    return DelaySlew{(plus.delay - minus.delay) / (2 * h),
+                     (plus.slew - minus.slew) / (2 * h)};
+  };
 
-BatchWorkspace& LaneBatchWorkspaces::lane(std::size_t k) {
-  if (!lanes_[k]) {
-    lanes_[k] = std::make_unique<BatchWorkspace>();
+  const PathSample nominal{{timing::DeviceVariation{}}, {}};
+  const double hs = 0.1 * std::max(s_in, 10 * opt.dt);
+  const DelaySlew slew_plus = probe(s_in + hs, nominal);
+  const DelaySlew slew_minus = probe(s_in - hs, nominal);
+  sens.d_slew = central(slew_plus, slew_minus, hs);
+
+  // Each enabled source alone at +/- h_w, through the one source map.
+  const double h_w = 0.2;
+  using Kind = std::pair<double PathVariationModel::*,
+                         DelaySlew StageSensitivity::*>;
+  for (const auto& [sigma, d] :
+       {Kind{&PathVariationModel::std_dl, &StageSensitivity::d_dl},
+        Kind{&PathVariationModel::std_vt, &StageSensitivity::d_vt},
+        Kind{&PathVariationModel::std_wire_w, &StageSensitivity::d_wire_w},
+        Kind{&PathVariationModel::std_wire_h,
+             &StageSensitivity::d_wire_h}}) {
+    if (!(model.*sigma > 0.0)) continue;
+    PathVariationModel alone;
+    alone.*sigma = 1.0;
+    const DelaySlew plus =
+        probe(s_in, sample_from_sources(alone, tech, 1, {h_w}));
+    const DelaySlew minus =
+        probe(s_in, sample_from_sources(alone, tech, 1, {-h_w}));
+    sens.*d = central(plus, minus, h_w);
   }
-  return *lanes_[k];
+  return sens;
 }
 
 }  // namespace lcsf::core

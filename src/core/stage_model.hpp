@@ -1,6 +1,6 @@
-// One characterized logic stage and the pooled per-sample engine scratch
-// shared by the single-path (PathAnalyzer) and multi-path (GraphAnalyzer)
-// analyzers.
+// One characterized logic stage, the variation model, and the pooled
+// per-sample engine scratch shared by the single-path (PathAnalyzer) and
+// multi-path (GraphAnalyzer) analyzers.
 //
 // A stage is a driver cell plus its variational effective load: the RC
 // wire (segmented per micron), the receiver pin capacitance, and the
@@ -9,8 +9,15 @@
 // once per distinct (cell, load) "block"; per-sample evaluation is a TETA
 // transient run by one engine, measure_stage_batch, on blocks of lanes --
 // a single sample is a block of one.
+//
+// The variation model (Sec. 4: per-stage dL and V_T plus the global wire
+// W and H, in 3-sigma units) lives here too: this module alone decides
+// the source layout and the normalized <-> physical scaling, and runs
+// the finite-difference stage probe behind both Gradient Analysis and
+// the graph's block delay models.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -24,13 +31,50 @@
 #include "interconnect/sakurai.hpp"
 #include "mor/poleres.hpp"
 #include "mor/variational.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sim/diagnostics.hpp"
+#include "stats/analysis.hpp"
 #include "teta/batch.hpp"
 #include "teta/stage.hpp"
 #include "timing/cells.hpp"
 #include "timing/waveform.hpp"
 
 namespace lcsf::core {
+
+/// Which variation sources a statistical analysis sweeps, in normalized
+/// units (w = 1 means "at the 3-sigma tolerance" of the technology card).
+struct PathVariationModel {
+  double std_dl = 0.0;  ///< per-stage channel-length reduction (Table 5 DL)
+  double std_vt = 0.0;  ///< per-stage threshold shift (Table 5 VT)
+  double std_wire_w = 0.0;  ///< global wire width
+  double std_wire_h = 0.0;  ///< global ILD thickness
+
+  std::size_t sources_per_stage() const {
+    return (std_dl > 0.0 ? 1 : 0) + (std_vt > 0.0 ? 1 : 0);
+  }
+  std::size_t global_sources() const {
+    return (std_wire_w > 0.0 ? 1 : 0) + (std_wire_h > 0.0 ? 1 : 0);
+  }
+  /// The normalized sources of a `stages`-stage design, in the layout of
+  /// sample_from_sources: [dl_0, vt_0, dl_1, vt_1, ..., wire_w, wire_h],
+  /// entries present per the model.
+  std::vector<stats::VariationSource> sources(std::size_t stages) const;
+};
+
+/// One parameter sample: per-stage device fluctuations plus global wire
+/// variation.
+struct PathSample {
+  std::vector<timing::DeviceVariation> device;  ///< one per stage
+  interconnect::WireVariation wire;
+};
+
+/// Map a normalized source vector `w` (layout of
+/// PathVariationModel::sources(stages)) to a physical sample of `stages`
+/// stages in the units of `tech`. Throws std::invalid_argument on a
+/// wrong-sized `w`.
+PathSample sample_from_sources(const PathVariationModel& model,
+                               const circuit::Technology& tech,
+                               std::size_t stages, const numeric::Vector& w);
 
 /// A stage output carried between gates: ramp parameters plus the
 /// propagated waveform (adaptively compressed PWL) in absolute time.
@@ -102,6 +146,35 @@ struct StageSimOptions {
   sim::RecoveryOptions recovery;
 };
 
+/// The stage-level design knobs PathSpec and GraphSpec share.
+struct StageSpec {
+  circuit::Technology tech;
+  /// Target "number of linear circuit elements between stages" (the
+  /// Table 4 knob); converted to a wire length at 1 um RC segmentation.
+  std::size_t linear_elements_per_stage = 10;
+  /// Input stimulus: of the first stage (path), of every path start net
+  /// (graph).
+  timing::RampParams input{0.2e-9, 0.1e-9, true};
+  double dt = 2e-12;              ///< timestep for both engines
+  double stage_window = 2.0e-9;   ///< simulated window per stage [s]
+  std::size_t rom_internal_modes = 6;  ///< PACT order per stage load
+  /// Bounded per-step (SPICE) / per-run (TETA) dt-halving retry budget,
+  /// forwarded to both engines. Defaults to no retries; statistical
+  /// drivers typically enable it together with
+  /// stats::FailurePolicy::kSkip (see docs/robustness.md).
+  sim::RecoveryOptions recovery;
+
+  /// RC segments of each stage wire: linear elements ~ segments (R) +
+  /// segments + 1 (C) + receiver.
+  std::size_t wire_segments() const {
+    return std::max<std::size_t>(
+        1, linear_elements_per_stage > 2 ? (linear_elements_per_stage - 2) / 2
+                                         : 1);
+  }
+  /// The engine knobs forwarded to the stage engine.
+  StageSimOptions sim_options() const { return {dt, stage_window, recovery}; }
+};
+
 /// Gate capacitance presented by a cell's switching input pin (input 0),
 /// with a Miller factor on the gate-drain overlap.
 double input_pin_cap(const timing::CellTemplate& cell,
@@ -136,7 +209,7 @@ struct StageMeasurement {
 /// be borrowed, see SampleWorkspace::batch), the TETA lockstep SoA
 /// buffers, and the staging of measure_stage_batch, propagate_stage_batch
 /// and PathAnalyzer's chain. One BatchWorkspace per Monte-Carlo lane; see
-/// LaneBatchWorkspaces and docs/performance.md.
+/// LanePool and docs/performance.md.
 struct BatchWorkspace {
   /// Ensure slot `k` exists and return its scalar workspace.
   SampleWorkspace& lane(std::size_t k);
@@ -225,28 +298,65 @@ void propagate_stage_batch(
     std::vector<StageWaveform>& out, std::vector<StageMeasurement>& meas,
     BatchWorkspace& bws);
 
-/// Per-lane workspace pool for the laned statistical drivers: one
-/// SampleWorkspace per thread lane, created on first touch. A lane is
-/// only ever used by one thread at a time (runtime::ThreadPool contract),
-/// so no locking is needed.
-class LaneWorkspaces {
- public:
-  explicit LaneWorkspaces(std::size_t threads);
-  SampleWorkspace& lane(std::size_t k);
-
- private:
-  std::vector<std::unique_ptr<SampleWorkspace>> lanes_;
+/// A stage's 50% delay D and output slew F (the saturated-ramp transfer
+/// of paper Eq. 30), or a derivative of both.
+struct DelaySlew {
+  double delay = 0.0;
+  double slew = 0.0;
 };
 
-/// Per-lane BatchWorkspace pool for the batch-dispatched statistical
-/// drivers (same lane-exclusivity contract as LaneWorkspaces).
-class LaneBatchWorkspaces {
+/// One probe of the stage transfer: the stage driven by a saturated ramp
+/// of slew `s_in` (direction `rising_in`) whose 50% point sits at 1/4 of
+/// the stage window, at device variation `dev` and wire variation
+/// `wire`. measure_stage_with_retry on `ws` (optional); throws the
+/// classified failure.
+DelaySlew stage_delay_slew(const StageModel& st,
+                           const circuit::Technology& tech,
+                           const StageSimOptions& opt, std::size_t label,
+                           double s_in, bool rising_in,
+                           const timing::DeviceVariation& dev,
+                           const interconnect::WireVariation& wire,
+                           SampleWorkspace* ws);
+
+/// Central-difference sensitivities of a stage's (D, F) about a nominal
+/// ramp of slew `s_in`: to the input slew (step 0.1 * max(s_in, 10 dt))
+/// and to each source kind the model enables (step 0.2 normalized units,
+/// mapped to physical units by sample_from_sources). Disabled kinds stay
+/// zero.
+struct StageSensitivity {
+  DelaySlew d_slew;    ///< per second of input slew
+  DelaySlew d_dl;      ///< per normalized channel-length unit
+  DelaySlew d_vt;      ///< per normalized threshold unit
+  DelaySlew d_wire_w;  ///< per normalized wire-width unit
+  DelaySlew d_wire_h;  ///< per normalized ILD-thickness unit
+  std::size_t simulations = 0;  ///< stage_delay_slew probes run
+};
+StageSensitivity stage_sensitivity(const StageModel& st,
+                                   const circuit::Technology& tech,
+                                   const StageSimOptions& opt,
+                                   std::size_t label, double s_in,
+                                   bool rising_in,
+                                   const PathVariationModel& model,
+                                   SampleWorkspace* ws);
+
+/// Per-lane workspace pool for the laned statistical drivers: one W
+/// (SampleWorkspace or BatchWorkspace) per thread lane, created on first
+/// touch. A lane is only ever used by one thread at a time
+/// (runtime::ThreadPool contract), so no locking is needed.
+template <class W>
+class LanePool {
  public:
-  explicit LaneBatchWorkspaces(std::size_t threads);
-  BatchWorkspace& lane(std::size_t k);
+  explicit LanePool(std::size_t threads)
+      : lanes_(std::max<std::size_t>(
+            1, threads == 0 ? runtime::ThreadPool::default_threads()
+                            : threads)) {}
+  W& lane(std::size_t k) {
+    if (!lanes_[k]) lanes_[k] = std::make_unique<W>();
+    return *lanes_[k];
+  }
 
  private:
-  std::vector<std::unique_ptr<BatchWorkspace>> lanes_;
+  std::vector<std::unique_ptr<W>> lanes_;
 };
 
 }  // namespace lcsf::core

@@ -99,7 +99,7 @@ api::DesignSpec parse_design(const Json& req, GraphField graph_mode,
   if (spec.circuit.empty()) {
     sim::throw_invalid_input("missing required field 'circuit'");
   }
-  spec.elements = get_size(req, "elements", 10);
+  spec.elements = get_size(req, "elements", 10, kMaxRequestElements);
   switch (graph_mode) {
     case GraphField::kOff: spec.graph = false; break;
     case GraphField::kOn: spec.graph = true; break;
@@ -192,6 +192,17 @@ void embed_metrics(Json& response, const obs::Registry& reg) {
   response.set("metrics", Json::parse(reg.to_json(false)));
 }
 
+/// Run `analysis` with the request's registry `reg` installed as the
+/// ambient one, as the CLI does: work done outside stats::Runner (nominal
+/// samples, block models, Gradient-Analysis probes) records there too.
+/// The design load stays outside, so cold and warm responses embed the
+/// same projection.
+template <class F>
+auto run_recorded(obs::Registry& reg, F&& analysis) {
+  obs::ScopedContext run_scope(&reg, 0);
+  return analysis();
+}
+
 /// Fold a finished per-request registry's engine counters into the
 /// server-wide registry via the ambient obs context, so serve-level
 /// dashboards see cumulative teta.*/stats.* work alongside serve.*.
@@ -256,7 +267,9 @@ Json handle_monte_carlo(const Json& req, const Json& id,
   Json r = response_base(id, "monte_carlo", true);
   r.set("design", Json::string(session->key()));
   if (rho > 0.0) {
-    const auto corr = session->run_monte_carlo_correlated(model, rho, opt);
+    const auto corr = run_recorded(run_reg, [&] {
+      return session->run_monte_carlo_correlated(model, rho, opt);
+    });
     r.set("rho", Json::number(rho));
     r.set("total_sources", Json::integer(static_cast<std::int64_t>(
                                corr.total_sources)));
@@ -264,7 +277,9 @@ Json handle_monte_carlo(const Json& req, const Json& id,
                               corr.factors_used)));
     r.set("monte_carlo", mc_json(corr.mc));
   } else {
-    r.set("monte_carlo", mc_json(session->run_monte_carlo(model, opt)));
+    r.set("monte_carlo", mc_json(run_recorded(run_reg, [&] {
+            return session->run_monte_carlo(model, opt);
+          })));
   }
   merge_counters(run_reg);
   if (get_bool(req, "include_metrics", false)) embed_metrics(r, run_reg);
@@ -282,10 +297,8 @@ Json handle_gradients(const Json& req, const Json& id,
   const auto session = ctx.cache->get(spec);
 
   obs::Registry run_reg;
-  const auto ga = [&] {
-    obs::ScopedContext run_scope(&run_reg, 0);
-    return session->run_gradients(model);
-  }();
+  const auto ga =
+      run_recorded(run_reg, [&] { return session->run_gradients(model); });
   Json r = response_base(id, "gradients", true);
   r.set("design", Json::string(session->key()));
   r.set("nominal_delay", Json::number(ga.nominal_delay));
@@ -319,8 +332,10 @@ Json handle_yield(const Json& req, const Json& id,
   const double yield_target = get_double(req, "yield_target", 0.9987);
   const auto session = ctx.cache->get(spec);
 
-  const api::YieldResult y =
-      session->run_yield(model, clock_period, estimator, yield_target, opt);
+  const api::YieldResult y = run_recorded(run_reg, [&] {
+    return session->run_yield(model, clock_period, estimator, yield_target,
+                              opt);
+  });
   Json r = response_base(id, "yield", true);
   r.set("design", Json::string(session->key()));
   r.set("estimator", Json::string(y.estimator));
@@ -359,7 +374,8 @@ Json handle_graph(const Json& req, const Json& id,
   const core::PathVariationModel model = parse_model(req);
   const auto session = ctx.cache->get(spec);
 
-  const api::GraphResult g = session->run_graph(model, opt);
+  const api::GraphResult g =
+      run_recorded(run_reg, [&] { return session->run_graph(model, opt); });
   Json r = response_base(id, "graph", true);
   r.set("design", Json::string(session->key()));
   r.set("paths", Json::integer(static_cast<std::int64_t>(

@@ -17,6 +17,7 @@
 
 #include "api/session.hpp"
 #include "core/path.hpp"
+#include "obs/registry.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/cache.hpp"
 #include "serve/json.hpp"
@@ -394,11 +395,80 @@ TEST(Dispatch, RejectsRunFieldsOverTheirCaps) {
   EXPECT_NE(top_k.find("'top_k'"), std::string::npos) << top_k;
   EXPECT_NE(top_k.find("1024"), std::string::npos) << top_k;
 
+  // An unknown circuit: the cap must be checked before any design work,
+  // or the unknown-circuit error comes back instead.
+  const std::string elements = error_of(
+      R"({"id":6,"type":"load","circuit":"nope","elements":2001})");
+  ASSERT_EQ(elements.rfind("invalid-input: ", 0), 0u) << elements;
+  EXPECT_NE(elements.find("'elements'"), std::string::npos) << elements;
+  EXPECT_NE(elements.find("2000"), std::string::npos) << elements;
+
   // A value at its cap is accepted.
   EXPECT_EQ(error_of(R"({"id":5,"type":"monte_carlo","circuit":"s27",)"
                      R"("samples":1,"threads":256})"),
             "ok");
 }
+
+#if LCSF_OBS_ENABLED
+TEST(Dispatch, EmbeddedMetricsCoverTheWholeAnalysis) {
+  // The embedded projection of a response is the analysis run in-process
+  // under one registry (the CLI's --metrics setup), design load excluded:
+  // it counts the nominal sample, the block-model and Gradient-Analysis
+  // probes as well as the Monte-Carlo samples.
+  core::PathVariationModel model;
+  model.std_dl = 0.33;
+  model.std_vt = 0.33;
+  stats::RunOptions opt;
+  opt.samples = 8;
+  opt.seed = 3;
+  opt.exec.threads = 1;
+  const auto in_process = [&](const api::DesignSpec& spec, auto&& analysis) {
+    const auto session = api::Session::load(spec);
+    obs::Registry reg;
+    {
+      obs::ScopedContext scope(&reg, 0);
+      stats::RunOptions o = opt;
+      o.registry = &reg;
+      analysis(*session, o);
+    }
+    return serve::Json::parse(reg.to_json(false));
+  };
+  DispatchFixture f;
+
+  api::DesignSpec graph_spec;
+  graph_spec.circuit = "s27";
+  graph_spec.graph = true;
+  graph_spec.top_k = 8;
+  const serve::Json graph = serve::Json::parse(f.dispatch(
+      R"({"id":1,"type":"graph","circuit":"s27","top_k":8,"samples":8,)"
+      R"("seed":3,"threads":1,"include_metrics":true})"));
+  const serve::Json graph_ref =
+      in_process(graph_spec, [&](const api::Session& s,
+                                 const stats::RunOptions& o) {
+        (void)s.run_graph(model, o);
+      });
+  ASSERT_NE(graph.find("metrics"), nullptr) << graph.dump();
+  EXPECT_EQ(graph.find("metrics")->dump(), graph_ref.dump());
+  // The counts of `lcsf_sta --circuit s27 --graph --top-k 8 --samples 8
+  // --seed 3 --threads 1 --metrics`: 35 block-model probes, the nominal
+  // sample and the Monte-Carlo samples.
+  const serve::Json* counters = graph.find("metrics")->find("counters");
+  EXPECT_EQ(counters->find("teta.transients")->as_int(), 89);
+  EXPECT_EQ(counters->find("stats.graph.stages_simulated")->as_int(), 54);
+
+  // A yield with no clock period takes it from Gradient Analysis first.
+  const serve::Json yield = serve::Json::parse(f.dispatch(
+      R"({"id":2,"type":"yield","circuit":"s27","samples":8,"seed":3,)"
+      R"("threads":1,"include_metrics":true})"));
+  const serve::Json yield_ref =
+      in_process(spec_for("s27"), [&](const api::Session& s,
+                                      const stats::RunOptions& o) {
+        (void)s.run_yield(model, 0.0, "mc", 0.9987, o);
+      });
+  ASSERT_NE(yield.find("metrics"), nullptr) << yield.dump();
+  EXPECT_EQ(yield.find("metrics")->dump(), yield_ref.dump());
+}
+#endif  // LCSF_OBS_ENABLED
 
 TEST(Dispatch, MetricsReportsServeCounters) {
   DispatchFixture f;

@@ -237,18 +237,40 @@ TEST(GraphAnalyzer, OnePathChainMatchesPathAnalyzerBitwise) {
   core::PathVariationModel model;
   model.std_dl = 0.33;
   model.std_vt = 0.33;
-  ASSERT_EQ(graph.sources(model).size(), single.sources(model).size());
+  model.std_wire_w = 0.33;
+  model.std_wire_h = 0.33;
+  // One source map: same sources, same physical samples.
+  const auto graph_src = graph.sources(model);
+  const auto single_src = single.sources(model);
+  ASSERT_EQ(graph_src.size(), single_src.size());
+  for (std::size_t i = 0; i < graph_src.size(); ++i) {
+    EXPECT_TRUE(numeric::exact_eq(graph_src[i].sigma, single_src[i].sigma));
+  }
 
   core::GraphAnalyzer::Workspace ws;
   auto stream = stats::sample_stream(11, 0, 0);
   for (std::size_t s = 0; s < 3; ++s) {
-    numeric::Vector w(graph.sources(model).size());
+    numeric::Vector w(graph_src.size());
     for (double& x : w) {
       x = stats::to_normal(stream.uniform_open(), 0.0, 1.0 / 3.0);
     }
-    const auto r = graph.evaluate(graph.sample_from_sources(model, w), ws);
-    const auto ref =
-        single.framework_delay(single.sample_from_sources(model, w), ws);
+    const core::GraphSample gs = graph.sample_from_sources(model, w);
+    const core::PathSample ps = single.sample_from_sources(model, w);
+    ASSERT_EQ(gs.device.size(), ps.device.size());
+    for (std::size_t k = 0; k < ps.device.size(); ++k) {
+      EXPECT_TRUE(
+          numeric::exact_eq(gs.device[k].delta_l, ps.device[k].delta_l));
+      EXPECT_TRUE(
+          numeric::exact_eq(gs.device[k].delta_vt, ps.device[k].delta_vt));
+    }
+    EXPECT_TRUE(numeric::exact_eq(gs.wire.width, ps.wire.width));
+    EXPECT_TRUE(
+        numeric::exact_eq(gs.wire.ild_thickness, ps.wire.ild_thickness));
+    EXPECT_FALSE(numeric::exact_zero(ps.wire.width));
+    EXPECT_FALSE(numeric::exact_zero(ps.wire.ild_thickness));
+
+    const auto r = graph.evaluate(gs, ws);
+    const auto ref = single.framework_delay(ps, ws);
     // Same stages, same sample, same engine: bitwise identical.
     EXPECT_TRUE(numeric::exact_eq(r.max_delay, ref.delay))
         << r.max_delay << " vs " << ref.delay;
@@ -340,14 +362,21 @@ TEST(GraphAnalyzer, BlockModelsAndAnalyticEndpoints) {
   core::PathVariationModel model;
   model.std_dl = 0.33;
   model.std_vt = 0.33;
+  model.std_wire_w = 0.33;
+  model.std_wire_h = 0.33;
   const auto blocks = graph.block_models(model);
   ASSERT_EQ(blocks.size(), graph.num_blocks());
+  const auto finite_nonzero = [](double x) {
+    return std::isfinite(x) && !numeric::exact_zero(x);
+  };
   for (const auto& b : blocks) {
     EXPECT_GT(b.nominal_delay, 0.0);
     EXPECT_GT(b.nominal_slew, 0.0);
     // Finite, non-degenerate device sensitivities (dl and vt can have
     // opposite signs and nearly cancel on lightly loaded INVs).
     EXPECT_GT(std::abs(b.d_delay_dl) + std::abs(b.d_delay_vt), 0.0);
+    EXPECT_TRUE(finite_nonzero(b.d_delay_wire_w)) << b.d_delay_wire_w;
+    EXPECT_TRUE(finite_nonzero(b.d_delay_wire_h)) << b.d_delay_wire_h;
     EXPECT_TRUE(std::isfinite(b.d_delay_slew));
   }
 
@@ -365,6 +394,12 @@ TEST(GraphAnalyzer, BlockModelsAndAnalyticEndpoints) {
   EXPECT_NEAR(analytic[0].arrival.mean, nominal.max_delay,
               0.30 * nominal.max_delay);
   EXPECT_GT(ssta::variance(analytic[0].arrival), 0.0);
+  // The global wire sources close the layout: [dl, vt] per gate, W, H.
+  const std::size_t nsrc = graph.sources(model).size();
+  ASSERT_EQ(nsrc, 2 * graph.subgraph_gates().size() + 2);
+  ASSERT_EQ(analytic[0].arrival.sens.size(), nsrc);
+  EXPECT_TRUE(finite_nonzero(analytic[0].arrival.sens[nsrc - 2]));
+  EXPECT_TRUE(finite_nonzero(analytic[0].arrival.sens[nsrc - 1]));
 }
 
 TEST(Benchmarks, FillerChainsTerminateAtLatches) {

@@ -197,6 +197,7 @@ def run_battery(conn, schema, circuit):
         "samples": {"type": "monte_carlo"},
         "top_k": {"type": "load", "graph": True},
         "is_pilot": {"type": "yield", "samples": 1, "estimator": "is"},
+        "elements": {"type": "load"},
     }
     for field, base in over_cap.items():
         cap = schema["limits"][field]
