@@ -12,15 +12,18 @@
 //              timestep -- exactly as the shipped code did.
 //   pooled   : the workspace-pooled engine (the Monte-Carlo lane path:
 //              evaluate_into + workspace extraction + TetaWorkspace),
-//              which is allocation-free after warm-up.
+//              which is allocation-free after warm-up. Its one-lane calls
+//              run the TETA step loop's one-lane instance.
 //   batched  : the lockstep SoA engine (core::measure_stage_batch): blocks
-//              of K samples march through the TETA timestep loop together,
-//              every per-step kernel vectorizing across samples
-//              (docs/performance.md).
+//              of K samples march through the step loop's runtime-width
+//              instance together, every per-step kernel vectorizing
+//              across samples (docs/performance.md).
 //
 // All legs perform the same per-sample floating-point operation sequence,
 // so the results must be bitwise identical (the PR 1 invariant, extended
-// to the batched path); the bench fails if they are not. It emits a
+// to the batched path); the bench fails if they are not. The baseline
+// runs the std::complex convolution recurrence, so this three-way check
+// is what holds the step loop's SoA arithmetic to it. It emits a
 // machine-readable BENCH_hotpath.json consumed by tools/bench_compare.py
 // and the ci.sh bench stage.
 //

@@ -228,23 +228,6 @@ void BM_RecursiveConvolutionStep(benchmark::State& state) {
 }
 BENCHMARK(BM_RecursiveConvolutionStep);
 
-void BM_RecursiveConvolutionStepPooled(benchmark::State& state) {
-  // history_into() against a caller-owned buffer: the TETA transient-loop
-  // form (one of the two allocations the legacy step paid per timestep).
-  const auto pencil = wire_pencil(100);
-  const auto z = mor::stabilize(mor::extract_pole_residue(
-      mor::pact_reduce(pencil, mor::PactOptions{8}).model));
-  teta::RecursiveConvolver conv(z, 1e-12);
-  const Vector i(4, 1e-4);
-  Vector hist;
-  for (auto _ : state) {
-    conv.history_into(hist);
-    benchmark::DoNotOptimize(hist.data());
-    conv.advance(i);
-  }
-}
-BENCHMARK(BM_RecursiveConvolutionStepPooled);
-
 }  // namespace
 
 BENCHMARK_MAIN();

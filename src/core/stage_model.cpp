@@ -228,20 +228,31 @@ void measure_stage_batch(
     out[l].failed = true;
   }
 
-  // Per-lane stage circuits, shared by every rung of the ladder.
+  // Per-lane stage circuits, shared by every rung of the ladder. A
+  // sampled device the circuit cannot hold (a non-positive effective
+  // length) fails its lane, like an extraction failure, not the block.
   bws.stages.clear();
   bws.stages.resize(nl);
   for (std::size_t l = 0; l < nl; ++l) {
     if (bws.fallback[l] == 0) continue;
     teta::StageCircuit& stage = bws.stages[l];
-    const std::size_t sout = stage.add_port();
-    (void)stage.add_port();  // far port (receiver side), observed
-    const std::size_t in = stage.add_input(*inputs[l]);
-    const std::size_t vdd = stage.add_rail(tech.vdd);
-    const std::size_t gnd = stage.add_rail(0.0);
-    timing::instantiate_cell(*st.cell, tech, stage, sout, in, vdd, gnd,
-                             *devs[l]);
-    stage.freeze_device_capacitances();
+    try {
+      const std::size_t sout = stage.add_port();
+      (void)stage.add_port();  // far port (receiver side), observed
+      const std::size_t in = stage.add_input(*inputs[l]);
+      const std::size_t vdd = stage.add_rail(tech.vdd);
+      const std::size_t gnd = stage.add_rail(0.0);
+      timing::instantiate_cell(*st.cell, tech, stage, sout, in, vdd, gnd,
+                               *devs[l]);
+      stage.freeze_device_capacitances();
+      continue;
+    } catch (const sim::SimulationError& e) {
+      out[l].diag = e.diagnostics();
+    } catch (const std::runtime_error& e) {
+      out[l].diag = unclassified(e.what());
+    }
+    bws.fallback[l] = 0;
+    out[l].failed = true;
   }
 
   // The window ladder: each rung runs the still-pending lanes as one

@@ -3,23 +3,17 @@
 // The batched Monte-Carlo hot path stores K samples lane-inner
 // (x[i * lanes + l]), so its innermost loops run over independent lanes
 // with unit stride -- exactly the shape compilers auto-vectorize. The
-// LCSF_SIMD_LOOP macro annotates those loops:
-//
-//   * with the opt-in LCSF_SIMD cmake knob (adds -fopenmp-simd and the
-//     LCSF_SIMD define), it expands to `#pragma omp simd`;
-//   * otherwise, on GCC, to `#pragma GCC ivdep` (assert no loop-carried
-//     dependence; the cost model still decides);
-//   * otherwise to nothing.
+// LCSF_SIMD_LOOP macro annotates those loops: on GCC it expands to
+// `#pragma GCC ivdep` (assert no loop-carried dependence; the cost model
+// still decides), elsewhere to nothing.
 //
 // No intrinsics anywhere: correctness never depends on the hint, and the
 // per-lane IEEE operation sequence is identical either way (the build does
-// not enable FMA contraction), so batched results stay bitwise equal to
-// the scalar path. See docs/performance.md.
+// not enable FMA contraction), so a lane of a block stays bitwise equal to
+// a one-lane run. See docs/performance.md.
 #pragma once
 
-#if defined(LCSF_SIMD)
-#define LCSF_SIMD_LOOP _Pragma("omp simd")
-#elif defined(__GNUC__) && !defined(__clang__)
+#if defined(__GNUC__) && !defined(__clang__)
 #define LCSF_SIMD_LOOP _Pragma("GCC ivdep")
 #else
 #define LCSF_SIMD_LOOP

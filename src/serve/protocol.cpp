@@ -139,9 +139,18 @@ stats::RunOptions parse_run_options(const Json& req,
 }
 
 core::PathVariationModel parse_model(const Json& req) {
+  // A negative sigma would silently mean zero (no source); reject it.
+  const auto sigma = [&req](const char* key) {
+    const double v = get_double(req, key, 0.33);
+    if (v < 0.0) {
+      sim::throw_invalid_input(std::string("field '") + key +
+                               "' must be >= 0");
+    }
+    return v;
+  };
   core::PathVariationModel model;
-  model.std_dl = get_double(req, "std_dl", 0.33);
-  model.std_vt = get_double(req, "std_vt", 0.33);
+  model.std_dl = sigma("std_dl");
+  model.std_vt = sigma("std_vt");
   return model;
 }
 

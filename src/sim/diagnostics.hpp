@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -75,12 +76,16 @@ struct SimDiagnostics {
 
   bool failed() const { return kind != FailureKind::kNone; }
 
-  /// "newton-nonconvergence at t = 1.2e-10 s: <detail> (3 retries)"
+  /// "newton-nonconvergence at t = 1.2e-10 s: <detail> (after 3 retries)"
+  /// The time prints with six significant digits (%g): engine failures
+  /// happen at picoseconds to nanoseconds, where fixed-point reads 0.
   std::string message() const {
     if (!failed()) return "converged";
     std::string m = failure_kind_name(kind);
     if (failure_time > 0.0) {
-      m += " at t = " + std::to_string(failure_time) + " s";
+      char t[32];
+      std::snprintf(t, sizeof t, "%g", failure_time);
+      m += std::string(" at t = ") + t + " s";
     }
     if (!detail.empty()) m += ": " + detail;
     if (retries_used > 0) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "circuit/mosfet.hpp"
 #include "numeric/simd.hpp"
@@ -56,6 +57,391 @@ bool same_shape(const StageCircuit& a, const StageCircuit& b,
 
 }  // namespace
 
+namespace detail {
+
+template <std::size_t kLanes>
+void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
+               const TetaOptions& opt, BatchTetaWorkspace& bws) {
+  const std::size_t B = kLanes != 0 ? kLanes : live.size();
+  const StageCircuit& rstage = *lanes[live[0]].stage;
+  const TetaWorkspace& rws = *lanes[live[0]].ws;
+  const std::vector<int>& node_to_unknown = rws.node_to_unknown;
+  const std::size_t n = rws.x.size();
+  const std::size_t np = rstage.num_ports();
+  const std::size_t nn = rstage.num_nodes();
+  const std::size_t nk = rws.conv.num_poles();
+  const std::size_t nck = rws.chord_known.size();
+  const std::size_t ncp = rws.caps.size();
+  const double dt = opt.dt;
+  const double clamp = opt.damping_frac * opt.vdd;
+
+  // ---- Pack: AoS lane state -> lane-inner SoA ------------------------
+  bws.x.resize(n * B);
+  bws.xn.resize(n * B);
+  bws.rhs.resize(n * B);
+  bws.rhs_const.resize(n * B);
+  bws.vknown.assign(nn * B, 0.0);
+  bws.hist.resize(np * B);
+  bws.yhist.resize(np * B);
+  bws.vp.resize(np * B);
+  bws.il.resize(np * B);
+  bws.acc.resize(B);
+  bws.d_re.resize(nk * B);
+  bws.d_im.resize(nk * B);
+  bws.ca_re.resize(nk * B);
+  bws.ca_im.resize(nk * B);
+  bws.cb_re.resize(nk * B);
+  bws.cb_im.resize(nk * B);
+  bws.w_re.resize(nk * B);
+  bws.w_im.resize(nk * B);
+  bws.r_re.resize(nk * np * np * B);
+  bws.r_im.resize(nk * np * np * B);
+  bws.st_re.resize(nk * np * B);
+  bws.st_im.resize(nk * np * B);
+  bws.ip.resize(np * B);
+  bws.ck_g.resize(nck * B);
+  bws.cap_geq.resize(ncp * B);
+  bws.cap_u.resize(ncp * B);
+  bws.cap_i.resize(ncp * B);
+  bws.y_h.resize(B);
+  bws.alive.assign(B, 1);
+  bws.sc_done.resize(B);
+  bws.known_nodes.clear();
+  for (std::size_t node = 0; node < nn; ++node) {
+    if (node_to_unknown[node] < 0) bws.known_nodes.push_back(node);
+  }
+
+  for (std::size_t b = 0; b < B; ++b) {
+    const TetaWorkspace& w = *lanes[live[b]].ws;
+    for (std::size_t i = 0; i < n; ++i) bws.x[i * B + b] = w.x[i];
+    // Coefficients are *copied* from the lane's initialized convolver;
+    // recomputing them here would redo complex divisions whose bit
+    // patterns RecursiveConvolver fixes.
+    for (std::size_t k = 0; k < nk; ++k) {
+      const numeric::Complex dk = w.conv.decay(k);
+      const numeric::Complex cak = w.conv.ca(k);
+      const numeric::Complex cbk = w.conv.cb(k);
+      bws.d_re[k * B + b] = dk.real();
+      bws.d_im[k * B + b] = dk.imag();
+      bws.ca_re[k * B + b] = cak.real();
+      bws.ca_im[k * B + b] = cak.imag();
+      bws.cb_re[k * B + b] = cbk.real();
+      bws.cb_im[k * B + b] = cbk.imag();
+      // w = ca - cb/dt, hoisted out of the history kernel: componentwise
+      // operations on constants, so per-transient equals per-step.
+      bws.w_re[k * B + b] = cak.real() - cbk.real() / dt;
+      bws.w_im[k * B + b] = cak.imag() - cbk.imag() / dt;
+      const numeric::ComplexMatrix& rk = w.conv.residue(k);
+      for (std::size_t i = 0; i < np; ++i) {
+        for (std::size_t j = 0; j < np; ++j) {
+          const numeric::Complex rij = rk(i, j);
+          bws.r_re[((k * np + i) * np + j) * B + b] = rij.real();
+          bws.r_im[((k * np + i) * np + j) * B + b] = rij.imag();
+        }
+      }
+      const numeric::CVector& st = w.conv.state(k);
+      for (std::size_t j = 0; j < np; ++j) {
+        bws.st_re[(k * np + j) * B + b] = st[j].real();
+        bws.st_im[(k * np + j) * B + b] = st[j].imag();
+      }
+    }
+    for (std::size_t j = 0; j < np; ++j) {
+      bws.ip[j * B + b] = w.conv.committed_current()[j];
+    }
+    for (std::size_t c = 0; c < nck; ++c) {
+      bws.ck_g[c * B + b] = w.chord_known[c].g;
+    }
+    for (std::size_t c = 0; c < ncp; ++c) {
+      bws.cap_geq[c * B + b] = w.caps[c].geq;
+      bws.cap_u[c * B + b] = w.caps[c].u_prev;
+      bws.cap_i[c * B + b] = w.caps[c].i_prev;
+    }
+    bws.y_h[b] = &w.y_h;
+  }
+
+  const auto nsteps =
+      static_cast<std::size_t>(std::ceil(opt.tstop / opt.dt - 1e-9));
+  auto store_lane = [&](std::size_t b, double t) {
+    TetaResult& res = *lanes[live[b]].out;
+    const std::size_t k = res.time.size();
+    res.time.push_back(t);
+    if (k == res.port_voltages.size()) res.port_voltages.emplace_back(np);
+    Vector& pv = res.port_voltages[k];
+    pv.resize(np);
+    for (std::size_t p = 0; p < np; ++p) pv[p] = bws.x[p * B + b];
+  };
+  for (std::size_t b = 0; b < B; ++b) {
+    TetaResult& res = *lanes[live[b]].out;
+    res.time.reserve(nsteps + 1);
+    res.port_voltages.reserve(nsteps + 1);
+    store_lane(b, 0.0);
+  }
+
+  // ---- Transient loop -------------------------------------------------
+  // Dead lanes (left the block) simply stop being read: the SoA kernels
+  // keep streaming over their slots, which is harmless and keeps every
+  // inner loop mask-free.
+  for (std::size_t step = 1; step <= nsteps; ++step) {
+    const double t = static_cast<double>(step) * dt;
+
+    // Known node voltages once per lane per step: they are pure in t.
+    for (std::size_t b = 0; b < B; ++b) {
+      if (!bws.alive[b]) continue;
+      const StageCircuit& stg = *lanes[live[b]].stage;
+      for (const std::size_t node : bws.known_nodes) {
+        bws.vknown[node * B + b] = stg.kind(node) == StageNodeKind::kInput
+                                       ? stg.input_wave(node).value(t)
+                                       : stg.rail_voltage(node);
+      }
+    }
+
+    // Constant part of the RHS: known-chord couplings, cap companions.
+    std::fill(bws.rhs_const.begin(), bws.rhs_const.end(), 0.0);
+    for (std::size_t c = 0; c < nck; ++c) {
+      double* rc = &bws.rhs_const[rws.chord_known[c].row * B];
+      const double* g = &bws.ck_g[c * B];
+      const double* kv = &bws.vknown[rws.chord_known[c].node * B];
+      LCSF_SIMD_LOOP
+      for (std::size_t b = 0; b < B; ++b) rc[b] += g[b] * kv[b];
+    }
+    for (std::size_t c = 0; c < ncp; ++c) {
+      // Row a: +i = geq(va - vb) - (geq u_prev + i_prev); the -geq vb term
+      // moves to the RHS with a + sign when b is a known node (and
+      // symmetrically for row b).
+      const TetaWorkspace::CapState& cm = rws.caps[c];
+      const double* geq = &bws.cap_geq[c * B];
+      const double* cu = &bws.cap_u[c * B];
+      const double* ci = &bws.cap_i[c * B];
+      const double* kva = cm.ua < 0 ? &bws.vknown[cm.na * B] : nullptr;
+      const double* kvb = cm.ub < 0 ? &bws.vknown[cm.nb * B] : nullptr;
+      double* ra = cm.ua >= 0
+                       ? &bws.rhs_const[static_cast<std::size_t>(cm.ua) * B]
+                       : nullptr;
+      double* rb = cm.ub >= 0
+                       ? &bws.rhs_const[static_cast<std::size_t>(cm.ub) * B]
+                       : nullptr;
+      for (std::size_t b = 0; b < B; ++b) {
+        const double h = geq[b] * cu[b] + ci[b];
+        const double ka = kva ? geq[b] * kva[b] : 0.0;
+        const double kb = kvb ? geq[b] * kvb[b] : 0.0;
+        if (ra) ra[b] += h + kb;
+        if (rb) rb[b] += -h + ka;
+      }
+    }
+
+    // Recursive-convolution history, lane-inner:
+    //   hist_i = sum_k Re[ Rk ( e^{ph} s_k + (ca - cb/h) i_prev ) ]_i.
+    // Complex products are expanded to (ac - bd, ad + bc): GCC's
+    // finite-operand fast path, so each lane's arithmetic matches
+    // RecursiveConvolver::history() bit-for-bit (same j-ascending
+    // accumulation order).
+    for (std::size_t i = 0; i < np; ++i) {
+      double* hi = &bws.hist[i * B];
+      for (std::size_t b = 0; b < B; ++b) hi[b] = 0.0;
+    }
+    for (std::size_t k = 0; k < nk; ++k) {
+      const double* dre = &bws.d_re[k * B];
+      const double* dim = &bws.d_im[k * B];
+      const double* wre = &bws.w_re[k * B];
+      const double* wim = &bws.w_im[k * B];
+      for (std::size_t i = 0; i < np; ++i) {
+        double* acc = bws.acc.data();
+        for (std::size_t b = 0; b < B; ++b) acc[b] = 0.0;
+        for (std::size_t j = 0; j < np; ++j) {
+          const double* rre = &bws.r_re[((k * np + i) * np + j) * B];
+          const double* rim = &bws.r_im[((k * np + i) * np + j) * B];
+          const double* sre = &bws.st_re[(k * np + j) * B];
+          const double* sim_ = &bws.st_im[(k * np + j) * B];
+          const double* ipj = &bws.ip[j * B];
+          LCSF_SIMD_LOOP
+          for (std::size_t b = 0; b < B; ++b) {
+            const double mre = dre[b] * sre[b] - dim[b] * sim_[b];
+            const double mim = dre[b] * sim_[b] + dim[b] * sre[b];
+            const double ure = mre + wre[b] * ipj[b];
+            const double uim = mim + wim[b] * ipj[b];
+            acc[b] += rre[b] * ure - rim[b] * uim;
+          }
+        }
+        double* hi = &bws.hist[i * B];
+        LCSF_SIMD_LOOP
+        for (std::size_t b = 0; b < B; ++b) hi[b] += acc[b];
+      }
+    }
+    numeric::mul_into_batch(bws.y_h.data(), np, np, bws.hist.data(),
+                            bws.yhist.data(), B);
+    for (std::size_t p = 0; p < np; ++p) {
+      double* rc = &bws.rhs_const[p * B];
+      const double* yh = &bws.yhist[p * B];
+      LCSF_SIMD_LOOP
+      for (std::size_t b = 0; b < B; ++b) rc[b] += yh[b];
+    }
+
+    // Successive-chords iteration, per lane (device evaluation and the
+    // triangular solves are inherently per-sample); each lane iterates
+    // on its own and drops out of the iteration when converged.
+    for (std::size_t b = 0; b < B; ++b) bws.sc_done[b] = !bws.alive[b];
+    for (int it = 0; it < opt.max_sc_iters; ++it) {
+      bool pending = false;
+      for (std::size_t b = 0; b < B; ++b) {
+        pending = pending || bws.sc_done[b] == 0;
+      }
+      if (!pending) break;
+      for (std::size_t b = 0; b < B; ++b) {
+        if (bws.sc_done[b]) continue;
+        const BatchLane& ln = lanes[live[b]];
+        const StageCircuit& stg = *ln.stage;
+        TetaWorkspace& w = *ln.ws;
+        for (std::size_t i = 0; i < n; ++i) {
+          bws.rhs[i * B + b] = bws.rhs_const[i * B + b];
+        }
+        Vector& vn = w.vnode;
+        vn.resize(nn);
+        for (std::size_t node = 0; node < nn; ++node) {
+          const int u = node_to_unknown[node];
+          vn[node] = u >= 0 ? bws.x[static_cast<std::size_t>(u) * B + b]
+                            : bws.vknown[node * B + b];
+        }
+        // Device Norton currents at iterate v: j = ids(v) - G_ch (vd - vs);
+        // accumulate -j into rhs rows (current leaving drain is +ids).
+        for (std::size_t d = 0; d < stg.mosfets().size(); ++d) {
+          const Mosfet& m = stg.mosfets()[d];
+          const double vg = vn[static_cast<std::size_t>(m.gate)];
+          const double vd = vn[static_cast<std::size_t>(m.drain)];
+          const double vs = vn[static_cast<std::size_t>(m.source)];
+          const double ids = circuit::mosfet_eval(m, vg, vd, vs).ids;
+          const double j = ids - w.chords[d] * (vd - vs);
+          const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
+          const int us = node_to_unknown[static_cast<std::size_t>(m.source)];
+          if (ud >= 0) bws.rhs[static_cast<std::size_t>(ud) * B + b] -= j;
+          if (us >= 0) bws.rhs[static_cast<std::size_t>(us) * B + b] += j;
+        }
+        w.lu_tr.solve_into_strided(&bws.rhs[b], &bws.xn[b], B, w.rhs, w.xn);
+        double dmax = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double d = bws.xn[i * B + b] - bws.x[i * B + b];
+          dmax = std::max(dmax, std::abs(d));
+          bws.x[i * B + b] += std::clamp(d, -clamp, clamp);
+        }
+        ++ln.out->total_sc_iterations;
+        if (dmax < opt.vtol) bws.sc_done[b] = 1;
+      }
+    }
+
+    // A lane that hit the SC limit or blew up leaves the block with the
+    // diagnostics of its failure.
+    bool any = false;
+    for (std::size_t b = 0; b < B; ++b) {
+      if (!bws.alive[b]) continue;
+      double mv = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        mv = std::max(mv, std::abs(bws.x[i * B + b]));
+      }
+      const bool sc_limit = !bws.sc_done[b];
+      if (!sc_limit && !(mv > opt.vblowup)) {
+        any = true;
+        continue;
+      }
+      bws.alive[b] = 0;
+      TetaResult& res = *lanes[live[b]].out;
+      if (sc_limit) {
+        res.diag.kind = sim::FailureKind::kNewtonNonConvergence;
+        res.diag.detail =
+            "SC iteration limit " + std::to_string(opt.max_sc_iters) + " hit";
+      } else {
+        res.diag.kind = sim::FailureKind::kBlowUp;
+        res.diag.detail = "port/internal voltage blew up (unstable load?)";
+      }
+      res.diag.failure_time = t;
+      res.diag.iterations = res.total_sc_iterations;
+      res.diag.max_abs_v = mv;
+    }
+    if (!any) return;
+
+    // Commit: load current, convolver state, cap states.
+    for (std::size_t p = 0; p < np; ++p) {
+      double* vpp = &bws.vp[p * B];
+      const double* xp = &bws.x[p * B];
+      LCSF_SIMD_LOOP
+      for (std::size_t b = 0; b < B; ++b) vpp[b] = xp[b];
+    }
+    numeric::mul_into_batch(bws.y_h.data(), np, np, bws.vp.data(),
+                            bws.il.data(), B);
+    for (std::size_t p = 0; p < np; ++p) {
+      double* ilp = &bws.il[p * B];
+      const double* yh = &bws.yhist[p * B];
+      LCSF_SIMD_LOOP
+      for (std::size_t b = 0; b < B; ++b) ilp[b] -= yh[b];
+    }
+    // RecursiveConvolver::advance(): state = (decay*state + ca*a) + cb*b_,
+    // with its association and componentwise complex*double products.
+    for (std::size_t k = 0; k < nk; ++k) {
+      const double* dre = &bws.d_re[k * B];
+      const double* dim = &bws.d_im[k * B];
+      const double* care = &bws.ca_re[k * B];
+      const double* caim = &bws.ca_im[k * B];
+      const double* cbre = &bws.cb_re[k * B];
+      const double* cbim = &bws.cb_im[k * B];
+      for (std::size_t j = 0; j < np; ++j) {
+        double* sre = &bws.st_re[(k * np + j) * B];
+        double* sim_ = &bws.st_im[(k * np + j) * B];
+        const double* ipj = &bws.ip[j * B];
+        const double* ilj = &bws.il[j * B];
+        LCSF_SIMD_LOOP
+        for (std::size_t b = 0; b < B; ++b) {
+          const double a = ipj[b];
+          const double b_ = (ilj[b] - a) / dt;
+          const double mre = dre[b] * sre[b] - dim[b] * sim_[b];
+          const double mim = dre[b] * sim_[b] + dim[b] * sre[b];
+          sre[b] = (mre + care[b] * a) + cbre[b] * b_;
+          sim_[b] = (mim + caim[b] * a) + cbim[b] * b_;
+        }
+      }
+    }
+    for (std::size_t j = 0; j < np; ++j) {
+      double* ipj = &bws.ip[j * B];
+      const double* ilj = &bws.il[j * B];
+      LCSF_SIMD_LOOP
+      for (std::size_t b = 0; b < B; ++b) ipj[b] = ilj[b];
+    }
+    for (std::size_t c = 0; c < ncp; ++c) {
+      const TetaWorkspace::CapState& cm = rws.caps[c];
+      const double* va = cm.ua >= 0
+                             ? &bws.x[static_cast<std::size_t>(cm.ua) * B]
+                             : &bws.vknown[cm.na * B];
+      const double* vb = cm.ub >= 0
+                             ? &bws.x[static_cast<std::size_t>(cm.ub) * B]
+                             : &bws.vknown[cm.nb * B];
+      const double* geq = &bws.cap_geq[c * B];
+      double* cu = &bws.cap_u[c * B];
+      double* ci = &bws.cap_i[c * B];
+      LCSF_SIMD_LOOP
+      for (std::size_t b = 0; b < B; ++b) {
+        const double u_new = va[b] - vb[b];
+        const double i_new = geq[b] * (u_new - cu[b]) - ci[b];
+        cu[b] = u_new;
+        ci[b] = i_new;
+      }
+    }
+    for (std::size_t b = 0; b < B; ++b) {
+      if (bws.alive[b]) store_lane(b, t);
+    }
+  }
+
+  for (std::size_t b = 0; b < B; ++b) {
+    if (!bws.alive[b]) continue;
+    TetaResult& res = *lanes[live[b]].out;
+    res.converged = true;
+    res.diag.iterations = res.total_sc_iterations;
+  }
+}
+
+template void step_loop<0>(const BatchLane*, std::span<const std::size_t>,
+                           const TetaOptions&, BatchTetaWorkspace&);
+template void step_loop<1>(const BatchLane*, std::span<const std::size_t>,
+                           const TetaOptions&, BatchTetaWorkspace&);
+
+}  // namespace detail
+
 void simulate_stage_batch(const std::vector<BatchLane>& lanes,
                           const TetaOptions& opt, BatchTetaWorkspace& bws) {
   const std::size_t nl = lanes.size();
@@ -68,8 +454,8 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
   obs::ScopedSpan span("teta.stage_batch");
 
   // ---- Preflight -----------------------------------------------------
-  // Lanes the lockstep block cannot carry go straight to the scalar
-  // engine so their diagnostics, counters and exceptions match it
+  // Lanes the lockstep block cannot carry go straight to simulate_stage
+  // so their diagnostics, counters and exceptions match a one-lane call
   // exactly: invalid/unstable inputs now, shape mismatches at the end.
   bws.rerun.assign(nl, 0);
   bws.live.clear();
@@ -88,394 +474,37 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
       bws.rerun[l] = 1;
       continue;
     }
-    // Shared scalar setup + DC. A lane that fails here would fail the
-    // scalar engine's first attempt identically; hand it the whole run
-    // (setup_and_dc resets the result, so nothing leaks).
-    detail::StageSetup setup;
-    if (detail::setup_and_dc(*ln.stage, *ln.load, opt, *ln.ws, *ln.out,
-                             setup)) {
+    // A lane that fails setup would fail simulate_stage's first attempt
+    // identically; hand it the whole run (setup_and_dc resets the
+    // result, so nothing leaks).
+    if (detail::setup_and_dc(*ln.stage, *ln.load, opt, *ln.ws, *ln.out)) {
       bws.live.push_back(l);
     } else {
       bws.rerun[l] = 1;
     }
   }
 
-  const std::size_t B = bws.live.size();
-  if (B > 0) {
-    const StageCircuit& rstage = *lanes[bws.live[0]].stage;
-    const TetaWorkspace& rws = *lanes[bws.live[0]].ws;
-    const std::vector<int>& node_to_unknown = rws.node_to_unknown;
-    const std::size_t n = rws.x.size();
-    const std::size_t np = rstage.num_ports();
-    const std::size_t nn = rstage.num_nodes();
-    const std::size_t nk = rws.conv.num_poles();
-    const std::size_t nck = rws.chord_known.size();
-    const std::size_t ncp = rws.caps.size();
-    const double dt = opt.dt;
-    const double clamp = opt.damping_frac * opt.vdd;
-
-    // ---- Pack: AoS lane state -> lane-inner SoA ----------------------
-    bws.x.resize(n * B);
-    bws.xn.resize(n * B);
-    bws.rhs.resize(n * B);
-    bws.rhs_const.resize(n * B);
-    bws.vknown.assign(nn * B, 0.0);
-    bws.hist.resize(np * B);
-    bws.yhist.resize(np * B);
-    bws.vp.resize(np * B);
-    bws.il.resize(np * B);
-    bws.acc.resize(B);
-    bws.d_re.resize(nk * B);
-    bws.d_im.resize(nk * B);
-    bws.ca_re.resize(nk * B);
-    bws.ca_im.resize(nk * B);
-    bws.cb_re.resize(nk * B);
-    bws.cb_im.resize(nk * B);
-    bws.w_re.resize(nk * B);
-    bws.w_im.resize(nk * B);
-    bws.r_re.resize(nk * np * np * B);
-    bws.r_im.resize(nk * np * np * B);
-    bws.st_re.resize(nk * np * B);
-    bws.st_im.resize(nk * np * B);
-    bws.ip.resize(np * B);
-    bws.ck_g.resize(nck * B);
-    bws.cap_geq.resize(ncp * B);
-    bws.cap_u.resize(ncp * B);
-    bws.cap_i.resize(ncp * B);
-    bws.y_h.resize(B);
-    bws.alive.assign(B, 1);
-    bws.sc_done.resize(B);
-    bws.known_nodes.clear();
-    for (std::size_t node = 0; node < nn; ++node) {
-      if (node_to_unknown[node] < 0) bws.known_nodes.push_back(node);
-    }
-
-    for (std::size_t b = 0; b < B; ++b) {
-      const TetaWorkspace& w = *lanes[bws.live[b]].ws;
-      for (std::size_t i = 0; i < n; ++i) bws.x[i * B + b] = w.x[i];
-      // Coefficients are *copied* from the scalar-initialized convolver;
-      // recomputing them here would redo complex divisions whose bit
-      // patterns must match the scalar path.
-      for (std::size_t k = 0; k < nk; ++k) {
-        const numeric::Complex dk = w.conv.decay(k);
-        const numeric::Complex cak = w.conv.ca(k);
-        const numeric::Complex cbk = w.conv.cb(k);
-        bws.d_re[k * B + b] = dk.real();
-        bws.d_im[k * B + b] = dk.imag();
-        bws.ca_re[k * B + b] = cak.real();
-        bws.ca_im[k * B + b] = cak.imag();
-        bws.cb_re[k * B + b] = cbk.real();
-        bws.cb_im[k * B + b] = cbk.imag();
-        // w = ca - cb/dt, hoisted out of history_into: componentwise
-        // operations on constants, so per-transient equals per-step.
-        bws.w_re[k * B + b] = cak.real() - cbk.real() / dt;
-        bws.w_im[k * B + b] = cak.imag() - cbk.imag() / dt;
-        const numeric::ComplexMatrix& rk = w.conv.residue(k);
-        for (std::size_t i = 0; i < np; ++i) {
-          for (std::size_t j = 0; j < np; ++j) {
-            const numeric::Complex rij = rk(i, j);
-            bws.r_re[((k * np + i) * np + j) * B + b] = rij.real();
-            bws.r_im[((k * np + i) * np + j) * B + b] = rij.imag();
-          }
-        }
-        const numeric::CVector& st = w.conv.state(k);
-        for (std::size_t j = 0; j < np; ++j) {
-          bws.st_re[(k * np + j) * B + b] = st[j].real();
-          bws.st_im[(k * np + j) * B + b] = st[j].imag();
-        }
+  if (!bws.live.empty()) {
+    detail::step_loop<0>(lanes.data(), bws.live, opt, bws);
+    // Converged lanes get the ladder's bookkeeping for a first-attempt
+    // success; lanes that left the block rerun on the ladder.
+    for (std::size_t b = 0; b < bws.live.size(); ++b) {
+      if (!bws.alive[b]) {
+        bws.rerun[bws.live[b]] = 1;
+        continue;
       }
-      for (std::size_t j = 0; j < np; ++j) {
-        bws.ip[j * B + b] = w.conv.committed_current()[j];
-      }
-      for (std::size_t c = 0; c < nck; ++c) {
-        bws.ck_g[c * B + b] = w.chord_known[c].g;
-      }
-      for (std::size_t c = 0; c < ncp; ++c) {
-        bws.cap_geq[c * B + b] = w.caps[c].geq;
-        bws.cap_u[c * B + b] = w.caps[c].u_prev;
-        bws.cap_i[c * B + b] = w.caps[c].i_prev;
-      }
-      bws.y_h[b] = &w.y_h;
-    }
-
-    const auto nsteps =
-        static_cast<std::size_t>(std::ceil(opt.tstop / opt.dt - 1e-9));
-    auto store_lane = [&](std::size_t b, double t) {
       TetaResult& res = *lanes[bws.live[b]].out;
-      const std::size_t k = res.time.size();
-      res.time.push_back(t);
-      if (k == res.port_voltages.size()) res.port_voltages.emplace_back(np);
-      Vector& pv = res.port_voltages[k];
-      pv.resize(np);
-      for (std::size_t p = 0; p < np; ++p) pv[p] = bws.x[p * B + b];
-    };
-    for (std::size_t b = 0; b < B; ++b) {
-      TetaResult& res = *lanes[bws.live[b]].out;
-      res.time.reserve(nsteps + 1);
-      res.port_voltages.reserve(nsteps + 1);
-      store_lane(b, 0.0);
-    }
-
-    // ---- Lockstep transient loop -------------------------------------
-    // Dead lanes (rerouted to the scalar engine) simply stop being read:
-    // the SoA kernels keep streaming over their slots, which is harmless
-    // and keeps every inner loop mask-free.
-    for (std::size_t step = 1; step <= nsteps; ++step) {
-      const double t = static_cast<double>(step) * dt;
-      bool any = false;
-      for (std::size_t b = 0; b < B; ++b) any = any || bws.alive[b] != 0;
-      if (!any) break;
-
-      // Known node voltages once per lane per step. The scalar path
-      // evaluates these lazily (several times per step); they are pure in
-      // t, so caching changes evaluation count, not values.
-      for (std::size_t b = 0; b < B; ++b) {
-        if (!bws.alive[b]) continue;
-        const StageCircuit& stg = *lanes[bws.live[b]].stage;
-        for (const std::size_t node : bws.known_nodes) {
-          bws.vknown[node * B + b] =
-              stg.kind(node) == StageNodeKind::kInput
-                  ? stg.input_wave(node).value(t)
-                  : stg.rail_voltage(node);
-        }
-      }
-
-      // Constant part of the RHS: known-chord couplings, cap companions.
-      std::fill(bws.rhs_const.begin(), bws.rhs_const.end(), 0.0);
-      for (std::size_t c = 0; c < nck; ++c) {
-        double* rc = &bws.rhs_const[rws.chord_known[c].row * B];
-        const double* g = &bws.ck_g[c * B];
-        const double* kv = &bws.vknown[rws.chord_known[c].node * B];
-        LCSF_SIMD_LOOP
-        for (std::size_t b = 0; b < B; ++b) rc[b] += g[b] * kv[b];
-      }
-      for (std::size_t c = 0; c < ncp; ++c) {
-        const TetaWorkspace::CapState& cm = rws.caps[c];
-        const double* geq = &bws.cap_geq[c * B];
-        const double* cu = &bws.cap_u[c * B];
-        const double* ci = &bws.cap_i[c * B];
-        const double* kva =
-            cm.ua < 0 ? &bws.vknown[cm.na * B] : nullptr;
-        const double* kvb =
-            cm.ub < 0 ? &bws.vknown[cm.nb * B] : nullptr;
-        double* ra =
-            cm.ua >= 0
-                ? &bws.rhs_const[static_cast<std::size_t>(cm.ua) * B]
-                : nullptr;
-        double* rb =
-            cm.ub >= 0
-                ? &bws.rhs_const[static_cast<std::size_t>(cm.ub) * B]
-                : nullptr;
-        for (std::size_t b = 0; b < B; ++b) {
-          const double h = geq[b] * cu[b] + ci[b];
-          const double ka = kva ? geq[b] * kva[b] : 0.0;
-          const double kb = kvb ? geq[b] * kvb[b] : 0.0;
-          if (ra) ra[b] += h + kb;
-          if (rb) rb[b] += -h + ka;
-        }
-      }
-
-      // Recursive-convolution history, lane-inner. Complex products are
-      // expanded to (ac - bd, ad + bc): GCC's finite-operand fast path,
-      // so each lane's arithmetic matches the scalar history_into()
-      // bit-for-bit (same j-ascending accumulation order).
-      for (std::size_t i = 0; i < np; ++i) {
-        double* hi = &bws.hist[i * B];
-        for (std::size_t b = 0; b < B; ++b) hi[b] = 0.0;
-      }
-      for (std::size_t k = 0; k < nk; ++k) {
-        const double* dre = &bws.d_re[k * B];
-        const double* dim = &bws.d_im[k * B];
-        const double* wre = &bws.w_re[k * B];
-        const double* wim = &bws.w_im[k * B];
-        for (std::size_t i = 0; i < np; ++i) {
-          double* acc = bws.acc.data();
-          for (std::size_t b = 0; b < B; ++b) acc[b] = 0.0;
-          for (std::size_t j = 0; j < np; ++j) {
-            const double* rre = &bws.r_re[((k * np + i) * np + j) * B];
-            const double* rim = &bws.r_im[((k * np + i) * np + j) * B];
-            const double* sre = &bws.st_re[(k * np + j) * B];
-            const double* sim_ = &bws.st_im[(k * np + j) * B];
-            const double* ipj = &bws.ip[j * B];
-            LCSF_SIMD_LOOP
-            for (std::size_t b = 0; b < B; ++b) {
-              const double mre = dre[b] * sre[b] - dim[b] * sim_[b];
-              const double mim = dre[b] * sim_[b] + dim[b] * sre[b];
-              const double ure = mre + wre[b] * ipj[b];
-              const double uim = mim + wim[b] * ipj[b];
-              acc[b] += rre[b] * ure - rim[b] * uim;
-            }
-          }
-          double* hi = &bws.hist[i * B];
-          LCSF_SIMD_LOOP
-          for (std::size_t b = 0; b < B; ++b) hi[b] += acc[b];
-        }
-      }
-      numeric::mul_into_batch(bws.y_h.data(), np, np, bws.hist.data(),
-                              bws.yhist.data(), B);
-      for (std::size_t p = 0; p < np; ++p) {
-        double* rc = &bws.rhs_const[p * B];
-        const double* yh = &bws.yhist[p * B];
-        LCSF_SIMD_LOOP
-        for (std::size_t b = 0; b < B; ++b) rc[b] += yh[b];
-      }
-
-      // Successive-chords iteration, per lane (device evaluation and the
-      // triangular solves are inherently per-sample); each lane iterates
-      // exactly as the scalar engine would and drops out when converged.
-      for (std::size_t b = 0; b < B; ++b) bws.sc_done[b] = !bws.alive[b];
-      for (int it = 0; it < opt.max_sc_iters; ++it) {
-        bool pending = false;
-        for (std::size_t b = 0; b < B; ++b) {
-          pending = pending || bws.sc_done[b] == 0;
-        }
-        if (!pending) break;
-        for (std::size_t b = 0; b < B; ++b) {
-          if (bws.sc_done[b]) continue;
-          const BatchLane& ln = lanes[bws.live[b]];
-          const StageCircuit& stg = *ln.stage;
-          TetaWorkspace& w = *ln.ws;
-          for (std::size_t i = 0; i < n; ++i) {
-            bws.rhs[i * B + b] = bws.rhs_const[i * B + b];
-          }
-          Vector& vn = w.vnode;
-          vn.resize(nn);
-          for (std::size_t node = 0; node < nn; ++node) {
-            const int u = node_to_unknown[node];
-            vn[node] = u >= 0 ? bws.x[static_cast<std::size_t>(u) * B + b]
-                              : bws.vknown[node * B + b];
-          }
-          for (std::size_t d = 0; d < stg.mosfets().size(); ++d) {
-            const Mosfet& m = stg.mosfets()[d];
-            const double vg = vn[static_cast<std::size_t>(m.gate)];
-            const double vd = vn[static_cast<std::size_t>(m.drain)];
-            const double vs = vn[static_cast<std::size_t>(m.source)];
-            const double ids = circuit::mosfet_eval(m, vg, vd, vs).ids;
-            const double j = ids - w.chords[d] * (vd - vs);
-            const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
-            const int us =
-                node_to_unknown[static_cast<std::size_t>(m.source)];
-            if (ud >= 0) bws.rhs[static_cast<std::size_t>(ud) * B + b] -= j;
-            if (us >= 0) bws.rhs[static_cast<std::size_t>(us) * B + b] += j;
-          }
-          w.lu_tr.solve_into_strided(&bws.rhs[b], &bws.xn[b], B, w.rhs,
-                                     w.xn);
-          double dmax = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            const double d = bws.xn[i * B + b] - bws.x[i * B + b];
-            dmax = std::max(dmax, std::abs(d));
-            bws.x[i * B + b] += std::clamp(d, -clamp, clamp);
-          }
-          ++ln.out->total_sc_iterations;
-          if (dmax < opt.vtol) bws.sc_done[b] = 1;
-        }
-      }
-      for (std::size_t b = 0; b < B; ++b) {
-        if (!bws.alive[b]) continue;
-        if (!bws.sc_done[b]) {  // SC limit hit: scalar retry ladder
-          bws.alive[b] = 0;
-          bws.rerun[bws.live[b]] = 1;
-          continue;
-        }
-        double mv = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          mv = std::max(mv, std::abs(bws.x[i * B + b]));
-        }
-        if (mv > opt.vblowup) {
-          bws.alive[b] = 0;
-          bws.rerun[bws.live[b]] = 1;
-        }
-      }
-
-      // Commit: load current, convolver state, cap states.
-      for (std::size_t p = 0; p < np; ++p) {
-        double* vpp = &bws.vp[p * B];
-        const double* xp = &bws.x[p * B];
-        LCSF_SIMD_LOOP
-        for (std::size_t b = 0; b < B; ++b) vpp[b] = xp[b];
-      }
-      numeric::mul_into_batch(bws.y_h.data(), np, np, bws.vp.data(),
-                              bws.il.data(), B);
-      for (std::size_t p = 0; p < np; ++p) {
-        double* ilp = &bws.il[p * B];
-        const double* yh = &bws.yhist[p * B];
-        LCSF_SIMD_LOOP
-        for (std::size_t b = 0; b < B; ++b) ilp[b] -= yh[b];
-      }
-      // advance(): state = (decay*state + ca*a) + cb*b_, matching the
-      // scalar association and componentwise complex*double products.
-      for (std::size_t k = 0; k < nk; ++k) {
-        const double* dre = &bws.d_re[k * B];
-        const double* dim = &bws.d_im[k * B];
-        const double* care = &bws.ca_re[k * B];
-        const double* caim = &bws.ca_im[k * B];
-        const double* cbre = &bws.cb_re[k * B];
-        const double* cbim = &bws.cb_im[k * B];
-        for (std::size_t j = 0; j < np; ++j) {
-          double* sre = &bws.st_re[(k * np + j) * B];
-          double* sim_ = &bws.st_im[(k * np + j) * B];
-          const double* ipj = &bws.ip[j * B];
-          const double* ilj = &bws.il[j * B];
-          LCSF_SIMD_LOOP
-          for (std::size_t b = 0; b < B; ++b) {
-            const double a = ipj[b];
-            const double b_ = (ilj[b] - a) / dt;
-            const double mre = dre[b] * sre[b] - dim[b] * sim_[b];
-            const double mim = dre[b] * sim_[b] + dim[b] * sre[b];
-            sre[b] = (mre + care[b] * a) + cbre[b] * b_;
-            sim_[b] = (mim + caim[b] * a) + cbim[b] * b_;
-          }
-        }
-      }
-      for (std::size_t j = 0; j < np; ++j) {
-        double* ipj = &bws.ip[j * B];
-        const double* ilj = &bws.il[j * B];
-        LCSF_SIMD_LOOP
-        for (std::size_t b = 0; b < B; ++b) ipj[b] = ilj[b];
-      }
-      for (std::size_t c = 0; c < ncp; ++c) {
-        const TetaWorkspace::CapState& cm = rws.caps[c];
-        const double* va =
-            cm.ua >= 0 ? &bws.x[static_cast<std::size_t>(cm.ua) * B]
-                       : &bws.vknown[cm.na * B];
-        const double* vb =
-            cm.ub >= 0 ? &bws.x[static_cast<std::size_t>(cm.ub) * B]
-                       : &bws.vknown[cm.nb * B];
-        const double* geq = &bws.cap_geq[c * B];
-        double* cu = &bws.cap_u[c * B];
-        double* ci = &bws.cap_i[c * B];
-        LCSF_SIMD_LOOP
-        for (std::size_t b = 0; b < B; ++b) {
-          const double u_new = va[b] - vb[b];
-          const double i_new = geq[b] * (u_new - cu[b]) - ci[b];
-          cu[b] = u_new;
-          ci[b] = i_new;
-        }
-      }
-      for (std::size_t b = 0; b < B; ++b) {
-        if (bws.alive[b]) store_lane(b, t);
-      }
-    }
-
-    // ---- Epilogue: mirror the scalar wrapper for converged lanes -----
-    for (std::size_t b = 0; b < B; ++b) {
-      if (!bws.alive[b]) continue;
-      TetaResult& res = *lanes[bws.live[b]].out;
-      res.converged = true;
-      res.diag.iterations = res.total_sc_iterations;
-      res.diag.retries_used = 0;
       res.port_voltages.resize(res.time.size());
       obs::add_counter("teta.transients");
-      obs::add_counter(
-          "teta.chord_iterations",
-          static_cast<std::uint64_t>(res.total_sc_iterations));
+      obs::add_counter("teta.chord_iterations",
+                       static_cast<std::uint64_t>(res.total_sc_iterations));
       obs::add_counter("teta.dt_halvings", 0);
     }
   }
 
-  // Lanes the block dropped repeat their first attempt bitwise under the
-  // scalar engine (same setup, same failure) and continue with its retry
-  // ladder, so per-sample results and counters match scalar execution.
+  // Lanes the block dropped repeat their first attempt bitwise under
+  // simulate_stage (same setup, same failure) and continue with its retry
+  // ladder, so per-sample results and counters match one-lane calls.
   for (std::size_t l = 0; l < nl; ++l) {
     if (bws.rerun[l]) {
       simulate_stage(*lanes[l].stage, *lanes[l].load, opt, *lanes[l].ws,

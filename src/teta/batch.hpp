@@ -1,25 +1,23 @@
 // Lockstep SoA execution of a block of TETA transients.
 //
 // A Monte-Carlo batch runs K samples of the *same stage topology* whose
-// device parameters differ. Setup + DC reuse the scalar engine per lane
+// device parameters differ. Setup + DC run per lane
 // (teta/stage_detail.hpp); the timestep loop then runs all lanes in
 // lockstep with every per-step kernel (recursive-convolution history,
 // state advance, RHS assembly, capacitor companions) expressed over
 // lane-inner structure-of-arrays buffers, so the compiler vectorizes
-// across samples (numeric/simd.hpp).
+// across samples (numeric/simd.hpp). That loop is the engine's only one:
+// simulate_stage runs its one-lane instance.
 //
 // Contract: results are bitwise identical to running teta::simulate_stage
 // on each lane separately. This holds because
-//   * setup/DC *is* the scalar code (shared, not duplicated);
-//   * the per-step kernels perform the same double operations in the same
-//     order per lane -- complex arithmetic is expanded to the
-//     (ac - bd, ad + bc) component form, which is GCC's fast path for
-//     finite operands (the only case a converging transient produces);
-//   * coefficients involving complex divisions are copied bit-for-bit
-//     from the scalar-initialized convolver, never recomputed;
+//   * setup/DC and the timestep loop are the same code for one lane and
+//     for a block; only the lane count differs;
+//   * lanes are independent: every per-step kernel performs the same
+//     double operations in the same order per lane whatever the width;
 //   * any lane that cannot stay in lockstep (shape mismatch, setup or
-//     convergence failure, blow-up) is rerun from scratch under the
-//     scalar engine, whose first attempt repeats the failed lockstep
+//     convergence failure, blow-up) is rerun from scratch by
+//     simulate_stage, whose first attempt repeats the failed lockstep
 //     attempt bitwise and then continues with the usual retry ladder.
 #pragma once
 
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "mor/poleres.hpp"
-#include "numeric/matrix.hpp"
 #include "teta/stage.hpp"
 
 namespace lcsf::teta {
@@ -35,7 +32,7 @@ namespace lcsf::teta {
 /// One sample of a lockstep block: caller-owned circuit, load, scratch and
 /// result. Stages may differ in device parameters but must share topology
 /// (node kinds, device terminals, capacitor endpoints, pole count) to run
-/// in lockstep; lanes that do not are transparently run scalar.
+/// in lockstep; lanes that do not are run one lane at a time.
 struct BatchLane {
   const StageCircuit* stage = nullptr;
   const mor::PoleResidueModel* load = nullptr;
@@ -43,33 +40,12 @@ struct BatchLane {
   TetaResult* out = nullptr;
 };
 
-/// Reusable SoA scratch for simulate_stage_batch; all buffers are
-/// lane-inner (index [... * B + b] for live-lane slot b) and sized on
-/// entry, so back-to-back batches allocate nothing once warm. Engine
-/// internals; treat as opaque storage.
-struct BatchTetaWorkspace {
-  // Unknowns / RHS / per-step vectors, [i * B + b].
-  std::vector<double> x, xn, rhs, rhs_const, vknown, hist, yhist, vp, il;
-  std::vector<double> acc;  // history accumulator, [b]
-  // Recursive-convolution coefficients, [k * B + b].
-  std::vector<double> d_re, d_im, ca_re, ca_im, cb_re, cb_im, w_re, w_im;
-  std::vector<double> r_re, r_im;    // residues, [((k*np + i)*np + j)*B + b]
-  std::vector<double> st_re, st_im;  // conv state, [(k*np + j)*B + b]
-  std::vector<double> ip;            // committed port current, [j * B + b]
-  std::vector<double> ck_g;          // known-chord conductance, [c * B + b]
-  std::vector<double> cap_geq, cap_u, cap_i;  // cap companions, [c * B + b]
-  std::vector<const numeric::Matrix*> y_h;    // per live slot
-  std::vector<std::size_t> known_nodes;       // nodes with known voltage
-  std::vector<std::size_t> live;              // lane index per SoA slot
-  std::vector<unsigned char> alive, sc_done;  // per live slot
-  std::vector<unsigned char> rerun;           // per lane
-};
-
 /// Simulate every lane, in lockstep where possible (see file comment for
 /// the bitwise contract). Each lane's `out` carries the same result,
-/// diagnostics and iteration counts as a scalar simulate_stage call;
-/// invalid inputs (port-count mismatch) throw exactly as the scalar
-/// engine does.
+/// diagnostics and iteration counts as a one-lane simulate_stage call;
+/// invalid inputs (port-count mismatch) throw exactly as simulate_stage
+/// does. `bws` is the block's SoA scratch (BatchTetaWorkspace lives in
+/// teta/stage.hpp).
 void simulate_stage_batch(const std::vector<BatchLane>& lanes,
                           const TetaOptions& opt, BatchTetaWorkspace& bws);
 

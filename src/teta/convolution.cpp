@@ -80,15 +80,9 @@ void RecursiveConvolver::initialize_dc(const Vector& i0) {
 }
 
 Vector RecursiveConvolver::history() const {
-  Vector hist;
-  history_into(hist);
-  return hist;
-}
-
-void RecursiveConvolver::history_into(Vector& hist) const {
   // v(t+h) = H i(t+h) + hist with
   //   hist_i = sum_k Re[ Rk ( e^{ph} s_k + (ca - cb/h) i_prev ) ]_i.
-  hist.assign(np_, 0.0);
+  Vector hist(np_, 0.0);
   for (std::size_t k = 0; k < poles_.size(); ++k) {
     const Complex w = ca_[k] - cb_[k] / dt_;
     for (std::size_t i = 0; i < np_; ++i) {
@@ -100,6 +94,7 @@ void RecursiveConvolver::history_into(Vector& hist) const {
       hist[i] += acc.real();
     }
   }
+  return hist;
 }
 
 void RecursiveConvolver::advance(const Vector& i_now) {

@@ -50,21 +50,21 @@ class RecursiveConvolver {
   void initialize_dc(const numeric::Vector& i0);
 
   /// History vector for the *next* step, given the committed state and the
-  /// current at the start of the step.
+  /// current at the start of the step. The reference form of the step
+  /// loop's SoA history kernel (teta/batch.cpp), which must match it
+  /// bitwise.
   numeric::Vector history() const;
-  /// history() into a caller-owned buffer (no allocation once warm).
-  void history_into(numeric::Vector& hist) const;
 
   /// Commit a step: the current moved linearly from its previous committed
   /// value to i_now over dt.
   void advance(const numeric::Vector& i_now);
 
-  // Read-only access to the per-pole recurrence data, used by the batched
-  // SoA engine (teta/batch.cpp) to *copy* the exact coefficients and
-  // committed state of a scalar-initialized convolver into lane-inner
-  // arrays. The batch kernels never recompute these (the coefficient
-  // formulas involve complex divisions whose bit pattern must match the
-  // scalar path), so batched transients stay bitwise identical.
+  // Read-only access to the per-pole recurrence data, used by the step
+  // loop (teta/batch.cpp) to *copy* the exact coefficients and committed
+  // state of an initialized convolver into lane-inner arrays. The loop
+  // never recomputes these (the coefficient formulas involve complex
+  // divisions whose bit pattern this class fixes), so its transients
+  // match history()/advance() bitwise.
   std::size_t num_poles() const { return poles_.size(); }
   numeric::Complex decay(std::size_t k) const { return decay_[k]; }
   numeric::Complex ca(std::size_t k) const { return ca_[k]; }

@@ -14,7 +14,6 @@
 namespace lcsf::teta {
 
 using circuit::Mosfet;
-using numeric::LuFactorization;
 using numeric::Matrix;
 using numeric::Vector;
 
@@ -168,7 +167,7 @@ namespace detail {
 
 bool setup_and_dc(const StageCircuit& stage,
                   const mor::PoleResidueModel& load, const TetaOptions& opt,
-                  TetaWorkspace& ws, TetaResult& res, StageSetup& setup) {
+                  TetaWorkspace& ws, TetaResult& res) {
   res.converged = false;
   res.total_sc_iterations = 0;
   res.diag = sim::SimDiagnostics{};
@@ -405,181 +404,10 @@ bool setup_and_dc(const StageCircuit& stage,
       cs.i_prev = 0.0;
     }
   }
-
-  setup.n = n;
   return true;
 }
 
 }  // namespace detail
-
-namespace {
-
-/// One full transient attempt at a fixed dt/damping; simulate_stage() owns
-/// the retry policy around it. All shape-invariant state lives in `ws`, and
-/// `res` keeps its waveform storage between calls, so back-to-back runs are
-/// fully allocation-free. `res.port_voltages` may exceed `res.time` on
-/// return (pooled capacity); the public wrapper truncates it.
-void simulate_stage_once(const StageCircuit& stage,
-                         const mor::PoleResidueModel& load,
-                         const TetaOptions& opt, TetaWorkspace& ws,
-                         TetaResult& res) {
-  detail::StageSetup setup;
-  if (!detail::setup_and_dc(stage, load, opt, ws, res, setup)) return;
-
-  const std::size_t n = setup.n;
-  const std::size_t np = stage.num_ports();
-  const double clamp = opt.damping_frac * opt.vdd;
-  const std::vector<int>& node_to_unknown = ws.node_to_unknown;
-  RecursiveConvolver& conv = ws.conv;
-  const LuFactorization& lu_tr = ws.lu_tr;
-  const Matrix& y_h = ws.y_h;
-  const std::vector<TetaWorkspace::KnownCoupling>& chord_known =
-      ws.chord_known;
-  std::vector<TetaWorkspace::CapState>& caps = ws.caps;
-  const std::vector<double>& chords = ws.chords;
-  Vector& x = ws.x;
-
-  // Known node voltages at time t.
-  auto known_voltage = [&](std::size_t node, double t) {
-    switch (stage.kind(node)) {
-      case StageNodeKind::kInput:
-        return stage.input_wave(node).value(t);
-      case StageNodeKind::kRail:
-        return stage.rail_voltage(node);
-      default:
-        throw std::logic_error("known_voltage: unknown node");
-    }
-  };
-  // Full node voltages from the unknown vector at time t, written into the
-  // reusable ws.vnode buffer.
-  auto node_voltages = [&](const Vector& xv, double t) -> const Vector& {
-    Vector& v = ws.vnode;
-    v.resize(stage.num_nodes());
-    for (std::size_t nn = 0; nn < stage.num_nodes(); ++nn) {
-      const int u = node_to_unknown[nn];
-      v[nn] = (u >= 0) ? xv[static_cast<std::size_t>(u)]
-                       : known_voltage(nn, t);
-    }
-    return v;
-  };
-  // Device Norton currents at iterate v: j = ids(v) - G_ch (vd - vs);
-  // accumulate -j into rhs rows (current leaving drain is +ids).
-  auto add_device_norton = [&](const Vector& vnode, Vector& rhs) {
-    for (std::size_t d = 0; d < stage.mosfets().size(); ++d) {
-      const Mosfet& m = stage.mosfets()[d];
-      const double vg = vnode[static_cast<std::size_t>(m.gate)];
-      const double vd = vnode[static_cast<std::size_t>(m.drain)];
-      const double vs = vnode[static_cast<std::size_t>(m.source)];
-      const double ids = circuit::mosfet_eval(m, vg, vd, vs).ids;
-      const double j = ids - chords[d] * (vd - vs);
-      const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
-      const int us = node_to_unknown[static_cast<std::size_t>(m.source)];
-      if (ud >= 0) rhs[static_cast<std::size_t>(ud)] -= j;
-      if (us >= 0) rhs[static_cast<std::size_t>(us)] += j;
-    }
-  };
-
-  const auto nsteps =
-      static_cast<std::size_t>(std::ceil(opt.tstop / opt.dt - 1e-9));
-  res.time.reserve(nsteps + 1);
-  res.port_voltages.reserve(nsteps + 1);
-  auto store = [&](double t) {
-    const std::size_t k = res.time.size();
-    res.time.push_back(t);
-    if (k == res.port_voltages.size()) res.port_voltages.emplace_back(np);
-    Vector& vp = res.port_voltages[k];
-    vp.resize(np);
-    for (std::size_t p = 0; p < np; ++p) vp[p] = x[p];
-  };
-  store(0.0);
-
-  // ---- Transient loop -------------------------------------------------
-  for (std::size_t step = 1; step <= nsteps; ++step) {
-    const double t = static_cast<double>(step) * opt.dt;
-
-    Vector& rhs_const = ws.rhs_const;
-    rhs_const.assign(n, 0.0);
-    for (const auto& kc : chord_known) {
-      rhs_const[kc.row] += kc.g * known_voltage(kc.node, t);
-    }
-    for (const auto& cs : caps) {
-      // Row a: +i = geq(va - vb) - (geq u_prev + i_prev); the -geq vb term
-      // moves to the RHS with a + sign when b is a known node (and
-      // symmetrically for row b).
-      const double h = cs.geq * cs.u_prev + cs.i_prev;
-      const double ka =
-          cs.ua < 0 ? cs.geq * known_voltage(cs.na, t) : 0.0;
-      const double kb =
-          cs.ub < 0 ? cs.geq * known_voltage(cs.nb, t) : 0.0;
-      if (cs.ua >= 0) rhs_const[cs.ua] += h + kb;
-      if (cs.ub >= 0) rhs_const[cs.ub] += -h + ka;
-    }
-    conv.history_into(ws.hist);
-    numeric::mul_into(y_h, ws.hist, ws.yhist);
-    const Vector& yhist = ws.yhist;
-    for (std::size_t p = 0; p < np; ++p) rhs_const[p] += yhist[p];
-
-    bool ok = false;
-    for (int it = 0; it < opt.max_sc_iters; ++it) {
-      Vector& rhs = ws.rhs;
-      rhs = rhs_const;
-      add_device_norton(node_voltages(x, t), rhs);
-      Vector& xn = ws.xn;
-      lu_tr.solve_into(rhs, xn);
-      double dmax = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        double d = xn[i] - x[i];
-        dmax = std::max(dmax, std::abs(d));
-        x[i] += std::clamp(d, -clamp, clamp);
-      }
-      ++res.total_sc_iterations;
-      if (dmax < opt.vtol) {
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      res.diag.kind = sim::FailureKind::kNewtonNonConvergence;
-      res.diag.failure_time = t;
-      res.diag.detail =
-          "SC iteration limit " + std::to_string(opt.max_sc_iters) + " hit";
-      res.diag.iterations = res.total_sc_iterations;
-      res.diag.max_abs_v = numeric::max_abs(x);
-      return;
-    }
-    if (const double mv = numeric::max_abs(x); mv > opt.vblowup) {
-      res.diag.kind = sim::FailureKind::kBlowUp;
-      res.diag.failure_time = t;
-      res.diag.detail = "port/internal voltage blew up (unstable load?)";
-      res.diag.iterations = res.total_sc_iterations;
-      res.diag.max_abs_v = mv;
-      return;
-    }
-
-    // Commit: load current and cap states.
-    {
-      Vector& vp = ws.vp;
-      vp.resize(np);
-      for (std::size_t p = 0; p < np; ++p) vp[p] = x[p];
-      numeric::mul_into(y_h, vp, ws.i_load);
-      for (std::size_t p = 0; p < np; ++p) ws.i_load[p] -= yhist[p];
-      conv.advance(ws.i_load);
-    }
-    const Vector& vn = node_voltages(x, t);
-    for (auto& cs : caps) {
-      const double u_new = vn[cs.na] - vn[cs.nb];
-      const double i_new = cs.geq * (u_new - cs.u_prev) - cs.i_prev;
-      cs.u_prev = u_new;
-      cs.i_prev = i_new;
-    }
-    store(t);
-  }
-
-  res.converged = true;
-  res.diag.iterations = res.total_sc_iterations;
-}
-
-}  // namespace
 
 TetaResult simulate_stage(const StageCircuit& stage,
                           const mor::PoleResidueModel& load,
@@ -627,11 +455,18 @@ void simulate_stage(const StageCircuit& stage,
 
   // The SC system matrix is constant across the whole transient (one LU
   // per run), so recovery reruns the transient at halved dt / tightened
-  // damping instead of retrying a single step.
+  // damping instead of retrying a single step. Each attempt is setup + DC
+  // and then the one-lane instance of the step loop, whose SoA scratch
+  // the workspace owns; `out` keeps its waveform storage between calls,
+  // so back-to-back runs allocate nothing once warm.
+  static constexpr std::size_t kOnlyLane[] = {0};
+  const BatchLane lane{&stage, &load, &ws, &out};
   TetaOptions attempt = opt;
   long iterations = 0;
   for (int retry = 0;; ++retry) {
-    simulate_stage_once(stage, load, attempt, ws, out);
+    if (detail::setup_and_dc(stage, load, attempt, ws, out)) {
+      detail::step_loop<1>(&lane, kOnlyLane, attempt, ws.one_lane);
+    }
     iterations += out.total_sc_iterations;
     out.total_sc_iterations = iterations;
     out.diag.iterations = iterations;

@@ -131,6 +131,30 @@ struct TetaResult {
   std::vector<std::pair<double, double>> waveform(std::size_t port) const;
 };
 
+/// Reusable SoA scratch of the TETA step loop. All buffers are lane-inner
+/// (index [... * B + b] for slot b of a B-lane block) and sized on entry,
+/// so back-to-back transients allocate nothing once warm.
+/// simulate_stage_batch takes one for its lockstep blocks; every
+/// TetaWorkspace owns one for its one-lane attempts. Engine internals;
+/// treat as opaque storage.
+struct BatchTetaWorkspace {
+  // Unknowns / RHS / per-step vectors, [i * B + b].
+  std::vector<double> x, xn, rhs, rhs_const, vknown, hist, yhist, vp, il;
+  std::vector<double> acc;  // history accumulator, [b]
+  // Recursive-convolution coefficients, [k * B + b].
+  std::vector<double> d_re, d_im, ca_re, ca_im, cb_re, cb_im, w_re, w_im;
+  std::vector<double> r_re, r_im;    // residues, [((k*np + i)*np + j)*B + b]
+  std::vector<double> st_re, st_im;  // conv state, [(k*np + j)*B + b]
+  std::vector<double> ip;            // committed port current, [j * B + b]
+  std::vector<double> ck_g;          // known-chord conductance, [c * B + b]
+  std::vector<double> cap_geq, cap_u, cap_i;  // cap companions, [c * B + b]
+  std::vector<const numeric::Matrix*> y_h;    // per slot
+  std::vector<std::size_t> known_nodes;       // nodes with known voltage
+  std::vector<std::size_t> live;              // lane index per slot
+  std::vector<unsigned char> alive, sc_done;  // per slot
+  std::vector<unsigned char> rerun;           // per lane
+};
+
 /// Reusable per-worker scratch for simulate_stage: every factorization,
 /// matrix, vector, and the convolver state whose shape depends only on the
 /// stage/load structure. One workspace per Monte-Carlo worker makes the
@@ -163,8 +187,9 @@ struct TetaWorkspace {
   numeric::LuFactorization lu_dc;  // DC singularity probe
   numeric::LuFactorization lu_tr;  // the one transient factorization
   numeric::LuFactorization lu_newton;  // per-iteration DC Newton factor
-  numeric::Vector x, xn, rhs, rhs_const, vnode, hist, yhist, vp, i_load;
+  numeric::Vector x, xn, rhs, vnode, vp, i_load;
   numeric::Vector col_b, col_x;    // column scratch for matrix solves
+  BatchTetaWorkspace one_lane;     // step-loop scratch of one-lane attempts
 };
 
 /// Simulate a stage against a stable pole/residue load. The load's chord

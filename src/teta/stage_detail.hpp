@@ -1,38 +1,47 @@
-// Internal seam between the scalar TETA engine (stage.cpp) and the batched
-// SoA engine (batch.cpp).
+// Internal seam between the TETA retry ladder (stage.cpp) and the step
+// loop (batch.cpp).
 //
 // One transient attempt splits into two phases:
 //   1. setup + DC: build the unknown map, stamp the constant SC system,
 //      factorize it, find the DC operating point with damped Newton, and
 //      initialize the convolver history and capacitor states;
-//   2. the timestep loop.
-// Phase 1 is identical per sample whether samples run scalar or batched,
-// so the batch engine calls this shared implementation per lane and only
-// the timestep loop is re-expressed in lane-inner SoA form. Sharing the
-// code (rather than duplicating it) is what keeps the batched path
-// bitwise identical to the scalar one by construction.
+//   2. the timestep loop, step_loop<kLanes>.
+// Phase 1 runs per lane. Phase 2 marches the lanes of one stage shape
+// through the same per-step kernels over lane-inner SoA buffers. It has
+// two instances: kLanes = 1, which simulate_stage's retry ladder runs,
+// and kLanes = 0 (width read at run time), which simulate_stage_batch
+// runs for its lockstep blocks. A compile-time width folds the lane
+// strides and one-trip lane loops away. The loop lives in batch.cpp,
+// whose translation unit gets the dynamic vectorizer cost model.
 //
 // This header is engine-internal: only stage.cpp and batch.cpp include it.
 #pragma once
 
 #include <cstddef>
+#include <span>
 
+#include "teta/batch.hpp"
 #include "teta/stage.hpp"
 
 namespace lcsf::teta::detail {
 
-/// Scalars produced by the setup phase that the timestep loop needs.
-struct StageSetup {
-  std::size_t n = 0;  ///< number of SC unknowns (ports + internals)
-};
-
 /// Setup + DC phase of one transient attempt (see file comment). Resets
-/// `res`, fills `ws` (unknown map, chords, chord_known, caps, factored
-/// lu_tr, y_h/y_dc, DC solution in ws.x, initialized convolver) and
-/// `setup`. Returns false with res.diag classified when the attempt
-/// cannot proceed (singular system, DC Newton failure).
+/// `res` and fills `ws` (unknown map, chords, chord_known, caps, factored
+/// lu_tr, y_h/y_dc, DC solution in ws.x, initialized convolver). Returns
+/// false with res.diag classified when the attempt cannot proceed
+/// (singular system, DC Newton failure).
 bool setup_and_dc(const StageCircuit& stage,
                   const mor::PoleResidueModel& load, const TetaOptions& opt,
-                  TetaWorkspace& ws, TetaResult& res, StageSetup& setup);
+                  TetaWorkspace& ws, TetaResult& res);
+
+/// Timestep phase for lanes[live[0]], lanes[live[1]], ...: one stage
+/// shape, each lane set up by setup_and_dc under `opt`. The width is
+/// kLanes, or live.size() when kLanes is 0. On return bws.alive[b] says
+/// whether slot b converged (out->converged set). A lane that left the
+/// block carries the classified diagnostics of its failure (SC iteration
+/// limit or blow-up). Counters are the caller's.
+template <std::size_t kLanes>
+void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
+               const TetaOptions& opt, BatchTetaWorkspace& bws);
 
 }  // namespace lcsf::teta::detail

@@ -1,17 +1,23 @@
-// Batched (SoA) Monte-Carlo hot path: bitwise equivalence against the
-// scalar engine across batch widths and thread counts, the dispatch
-// counters, fail-soft parity of the batch dispatcher, and the
-// strided-batch numeric kernels. See docs/performance.md.
+// Batched (SoA) Monte-Carlo hot path: bitwise equivalence against
+// one-lane runs across batch widths and thread counts, lanes that leave
+// a lockstep block, the dispatch counters, fail-soft parity of the batch
+// dispatcher, and the strided-batch numeric kernels. See
+// docs/performance.md.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <map>
+#include <string>
 
 #include "core/path.hpp"
+#include "mor/poleres.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/matrix.hpp"
 #include "obs/registry.hpp"
 #include "stats/runner.hpp"
+#include "teta/batch.hpp"
+#include "timing/cells.hpp"
 
 namespace lcsf::core {
 namespace {
@@ -48,34 +54,69 @@ PathVariationModel small_model() {
 }
 
 // Every batch width must reproduce the scalar (batch = 1) run bitwise:
-// same survivors, same per-sample delays, same draws. samples = 10 is
-// deliberately not a multiple of any tested width, so each run also
-// covers the scalar remainder loop (K = 8: one block + 2 singletons).
+// same survivors, same per-sample delays, same draws, same failure
+// records. samples = 10 is deliberately not a multiple of any tested
+// width, so each run also covers the scalar remainder loop (K = 8: one
+// block + 2 singletons). The wide model's channel-length sigma makes
+// some samples fail on a non-positive effective length while their
+// block is built and others on the SC iteration limit inside lockstep
+// blocks; under kSkip neither may disturb the rest of the block.
 TEST(BatchHotpath, BatchWidthInvariantBitwise) {
   PathAnalyzer pa(small_path_spec());
-  const PathVariationModel model = small_model();
-  stats::RunOptions opt;
-  opt.samples = 10;
-  opt.seed = 17;
-  opt.exec.threads = 1;
-  opt.exec.batch = 1;
-  const auto ref = pa.monte_carlo(model, opt);
-  ASSERT_EQ(ref.values.size(), 10u);
+  const PathVariationModel narrow = small_model();
+  const PathVariationModel wide = [] {
+    PathVariationModel m = small_model();
+    m.std_dl = 10.0;
+    return m;
+  }();
+  for (const PathVariationModel* m : {&narrow, &wide}) {
+    const PathVariationModel& model = *m;
+    stats::RunOptions opt;
+    opt.samples = 10;
+    opt.seed = 17;
+    opt.exec.threads = 1;
+    opt.exec.on_failure = stats::FailurePolicy::kSkip;
+    opt.exec.batch = 1;
+    const auto ref = pa.monte_carlo(model, opt);
+    ASSERT_EQ(ref.failures.attempted, 10u);
 
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4},
-                              std::size_t{8}}) {
-    opt.exec.batch = k;
-    const auto got = pa.monte_carlo(model, opt);
-    ASSERT_EQ(got.values.size(), ref.values.size()) << "batch " << k;
-    for (std::size_t s = 0; s < ref.values.size(); ++s) {
-      EXPECT_EQ(got.values[s], ref.values[s])
-          << "batch " << k << " sample " << s;
+    for (const std::size_t k : {std::size_t{2}, std::size_t{4},
+                                std::size_t{8}}) {
+      opt.exec.batch = k;
+      const auto got = pa.monte_carlo(model, opt);
+      ASSERT_EQ(got.values.size(), ref.values.size()) << "batch " << k;
+      for (std::size_t s = 0; s < ref.values.size(); ++s) {
+        EXPECT_EQ(got.values[s], ref.values[s])
+            << "batch " << k << " sample " << s;
+      }
+      ASSERT_EQ(got.samples.size(), ref.samples.size());
+      for (std::size_t s = 0; s < ref.samples.size(); ++s) {
+        EXPECT_EQ(got.samples[s], ref.samples[s]);
+      }
+      EXPECT_EQ(got.stats.mean(), ref.stats.mean()) << "batch " << k;
+      const auto& gf = got.failures.failures;
+      const auto& rf = ref.failures.failures;
+      ASSERT_EQ(gf.size(), rf.size()) << "batch " << k;
+      for (std::size_t i = 0; i < rf.size(); ++i) {
+        EXPECT_EQ(gf[i].index, rf[i].index) << "batch " << k;
+        EXPECT_EQ(gf[i].kind, rf[i].kind) << "batch " << k;
+        EXPECT_EQ(gf[i].detail, rf[i].detail) << "batch " << k;
+      }
     }
-    ASSERT_EQ(got.samples.size(), ref.samples.size());
-    for (std::size_t s = 0; s < ref.samples.size(); ++s) {
-      EXPECT_EQ(got.samples[s], ref.samples[s]);
+    if (m == &narrow) {
+      EXPECT_EQ(ref.values.size(), 10u);
+      continue;
     }
-    EXPECT_EQ(got.stats.mean(), ref.stats.mean()) << "batch " << k;
+    std::size_t leff = 0, sc_limit = 0;
+    for (const auto& f : ref.failures.failures) {
+      if (f.detail.find("non-positive effective length") !=
+          std::string::npos) {
+        ++leff;
+      }
+      if (f.kind == sim::FailureKind::kNewtonNonConvergence) ++sc_limit;
+    }
+    EXPECT_GT(leff, 0u);
+    EXPECT_GT(sc_limit, 0u);
   }
 }
 
@@ -224,6 +265,159 @@ TEST(BatchHotpath, WindowLadderMatchesOneLaneCallsBitwise) {
   EXPECT_EQ(batch.at("teta.chord_iterations"),
             scalar.at("teta.chord_iterations"));
 #endif
+}
+
+// One hand-built TETA lane: a stage model's cell driven by `input` with
+// device variation `dev`, against the model's nominal load.
+struct TetaLaneInputs {
+  teta::StageCircuit stage;
+  mor::PoleResidueModel load;
+};
+
+TetaLaneInputs teta_lane(const StageModel& st, const circuit::Technology& tech,
+                         const circuit::SourceWaveform& input,
+                         const timing::DeviceVariation& dev) {
+  TetaLaneInputs ln;
+  ln.load = mor::stabilize(
+      mor::extract_pole_residue(st.load.evaluate(Vector{0.0, 0.0})));
+  const std::size_t out = ln.stage.add_port();
+  (void)ln.stage.add_port();  // far port
+  const std::size_t in = ln.stage.add_input(input);
+  const std::size_t vdd = ln.stage.add_rail(tech.vdd);
+  const std::size_t gnd = ln.stage.add_rail(0.0);
+  timing::instantiate_cell(*st.cell, tech, ln.stage, out, in, vdd, gnd, dev);
+  ln.stage.freeze_device_capacitances();
+  return ln;
+}
+
+// Runs `in` as one simulate_stage_batch block and again as one-lane
+// simulate_stage calls; every lane's result and the teta.* counters must
+// match bitwise. Returns the one-lane results.
+std::vector<teta::TetaResult> expect_block_matches_one_lane_calls(
+    const std::vector<TetaLaneInputs>& in, const teta::TetaOptions& opt) {
+  const std::size_t nl = in.size();
+  obs::Registry batch_reg;
+  std::vector<teta::TetaWorkspace> bws_lanes(nl);
+  std::vector<teta::TetaResult> got(nl);
+  {
+    obs::ScopedContext ctx(&batch_reg, 0);
+    std::vector<teta::BatchLane> lanes;
+    for (std::size_t l = 0; l < nl; ++l) {
+      lanes.push_back({&in[l].stage, &in[l].load, &bws_lanes[l], &got[l]});
+    }
+    teta::BatchTetaWorkspace bws;
+    teta::simulate_stage_batch(lanes, opt, bws);
+  }
+  obs::Registry one_reg;
+  std::vector<teta::TetaResult> want(nl);
+  {
+    obs::ScopedContext ctx(&one_reg, 0);
+    for (std::size_t l = 0; l < nl; ++l) {
+      teta::TetaWorkspace ws;
+      teta::simulate_stage(in[l].stage, in[l].load, opt, ws, want[l]);
+    }
+  }
+  for (std::size_t l = 0; l < nl; ++l) {
+    const teta::TetaResult& g = got[l];
+    const teta::TetaResult& w = want[l];
+    EXPECT_EQ(g.converged, w.converged) << "lane " << l;
+    EXPECT_EQ(g.time, w.time) << "lane " << l;
+    EXPECT_EQ(g.port_voltages, w.port_voltages) << "lane " << l;
+    EXPECT_EQ(g.total_sc_iterations, w.total_sc_iterations) << "lane " << l;
+    EXPECT_EQ(g.diag.kind, w.diag.kind) << "lane " << l;
+    EXPECT_EQ(g.diag.detail, w.diag.detail) << "lane " << l;
+    EXPECT_EQ(g.diag.failure_time, w.diag.failure_time) << "lane " << l;
+    EXPECT_EQ(g.diag.iterations, w.diag.iterations) << "lane " << l;
+    EXPECT_EQ(g.diag.retries_used, w.diag.retries_used) << "lane " << l;
+    EXPECT_EQ(g.diag.max_abs_v, w.diag.max_abs_v) << "lane " << l;
+  }
+#if LCSF_OBS_ENABLED
+  const auto teta_counters = [](const obs::Registry& reg) {
+    std::map<std::string, std::uint64_t> c;
+    for (const auto& [name, v] : reg.snapshot().counters) {
+      if (name.rfind("teta.", 0) == 0) c[name] = v;
+    }
+    return c;
+  };
+  EXPECT_EQ(teta_counters(batch_reg), teta_counters(one_reg));
+#endif
+  return want;
+}
+
+// Lanes leave a lockstep block on the SC iteration limit or on blow-up.
+// Each must end exactly as a one-lane call would -- converged in
+// lockstep, recovered on the dt-halving ladder, or with the ladder
+// exhausted -- and a lane of another shape never enters the block.
+TEST(BatchHotpath, LanesLeavingALockstepBlockMatchOneLaneCalls) {
+  const PathAnalyzer pa(small_path_spec());
+  const circuit::Technology& tech = pa.spec().tech;
+  const StageModel& inv = pa.stage_model(0);
+  const StageModel& nand = pa.stage_model(1);
+  teta::TetaOptions opt;
+  opt.tstop = 0.4e-9;
+  opt.vdd = tech.vdd;
+  opt.recovery.max_dt_retries = 2;
+  opt.recovery.damping_factor = 1.0;  // keep DC within the tight budget
+
+  // SC limit: a coarse step and a 12-iteration budget. The faster the
+  // input edge, the more chord iterations a step needs: the idle lane
+  // converges in lockstep, the 100 ps edge recovers at dt/4, the faster
+  // ones exhaust the ladder, and so does the NAND2 lane.
+  {
+    teta::TetaOptions sc = opt;
+    sc.dt = 12e-12;
+    sc.max_sc_iters = 12;
+    const std::vector<double> start{1e-9, 0.05e-9, 0.05e-9, 0.05e-9};
+    const std::vector<double> rise{200e-12, 100e-12, 30e-12, 1e-12};
+    std::vector<TetaLaneInputs> in;
+    for (std::size_t l = 0; l < rise.size(); ++l) {
+      timing::DeviceVariation dev;
+      dev.delta_vt = 0.01 * static_cast<double>(l);
+      in.push_back(teta_lane(
+          inv, tech,
+          circuit::SourceWaveform::ramp(0.0, tech.vdd, start[l], rise[l]),
+          dev));
+    }
+    in.push_back(teta_lane(
+        nand, tech,
+        circuit::SourceWaveform::ramp(0.0, tech.vdd, 0.05e-9, 100e-12), {}));
+    const auto res = expect_block_matches_one_lane_calls(in, sc);
+    EXPECT_TRUE(res[0].converged);
+    EXPECT_EQ(res[0].diag.retries_used, 0);
+    EXPECT_TRUE(res[1].converged);
+    EXPECT_EQ(res[1].diag.retries_used, 2);
+    for (const std::size_t l : {2, 3, 4}) {
+      EXPECT_FALSE(res[l].converged) << "lane " << l;
+      EXPECT_EQ(res[l].diag.kind, sim::FailureKind::kNewtonNonConvergence)
+          << "lane " << l;
+      EXPECT_EQ(res[l].diag.retries_used, 2) << "lane " << l;
+    }
+  }
+
+  // Blow-up: a 1 V ceiling on a rising output. Lanes whose input falls
+  // inside the window cross it at different steps; the last one never
+  // switches and converges in lockstep.
+  {
+    teta::TetaOptions bu = opt;
+    bu.dt = 2e-12;
+    bu.vblowup = 1.0;
+    const std::vector<double> fall_at{0.05e-9, 0.15e-9, 0.25e-9, 1e-9};
+    std::vector<TetaLaneInputs> in;
+    for (const double t0 : fall_at) {
+      in.push_back(teta_lane(
+          inv, tech, circuit::SourceWaveform::ramp(tech.vdd, 0.0, t0, 50e-12),
+          {}));
+    }
+    const auto res = expect_block_matches_one_lane_calls(in, bu);
+    for (const std::size_t l : {0, 1, 2}) {
+      EXPECT_EQ(res[l].diag.kind, sim::FailureKind::kBlowUp) << "lane " << l;
+      EXPECT_EQ(res[l].diag.retries_used, 2) << "lane " << l;
+    }
+    EXPECT_LT(res[0].diag.failure_time, res[1].diag.failure_time);
+    EXPECT_LT(res[1].diag.failure_time, res[2].diag.failure_time);
+    EXPECT_TRUE(res[3].converged);
+    EXPECT_EQ(res[3].diag.retries_used, 0);
+  }
 }
 
 // Synthetic evaluators isolate the Runner's batch dispatcher from the

@@ -45,6 +45,11 @@ TEST(Diagnostics, MessageFormatsKindTimeAndRetries) {
   EXPECT_NE(msg.find("blow-up"), std::string::npos) << msg;
   EXPECT_NE(msg.find("|v| exceeded"), std::string::npos) << msg;
   EXPECT_NE(msg.find("2 retries"), std::string::npos) << msg;
+  // Six significant digits, never fixed-point zeros.
+  EXPECT_NE(msg.find("at t = 1e-09 s"), std::string::npos) << msg;
+  d.failure_time = 2.5e-10;
+  EXPECT_EQ(d.message(),
+            "blow-up at t = 2.5e-10 s: |v| exceeded 1e4 (after 2 retries)");
 }
 
 TEST(Diagnostics, SimulationErrorCarriesDiagnostics) {

@@ -301,13 +301,11 @@ TEST(InPlace, ConvolverResetAndHistoryIntoMatchCtorAndHistory) {
   pooled.reset(test_load(), 2 * dt);  // different shape first: must re-form
   pooled.reset(z, dt);
 
-  Vector hist_buf;
   std::mt19937 rng(91);
   std::uniform_real_distribution<double> u(-1e-3, 1e-3);
   for (int k = 0; k < 50; ++k) {
     const Vector i{u(rng)};
-    pooled.history_into(hist_buf);
-    expect_bitwise(hist_buf, fresh.history());
+    expect_bitwise(pooled.history(), fresh.history());
     fresh.advance(i);
     pooled.advance(i);
   }

@@ -403,6 +403,13 @@ TEST(Dispatch, RejectsRunFieldsOverTheirCaps) {
   EXPECT_NE(elements.find("'elements'"), std::string::npos) << elements;
   EXPECT_NE(elements.find("2000"), std::string::npos) << elements;
 
+  // A negative sigma is malformed, not "no variation".
+  const std::string sigma = error_of(
+      R"({"id":7,"type":"monte_carlo","circuit":"s27","samples":1,)"
+      R"("std_vt":-0.1})");
+  ASSERT_EQ(sigma.rfind("invalid-input: ", 0), 0u) << sigma;
+  EXPECT_NE(sigma.find("'std_vt'"), std::string::npos) << sigma;
+
   // A value at its cap is accepted.
   EXPECT_EQ(error_of(R"({"id":5,"type":"monte_carlo","circuit":"s27",)"
                      R"("samples":1,"threads":256})"),

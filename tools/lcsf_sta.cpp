@@ -153,12 +153,13 @@ int main(int argc, char** argv) {
       if (!v) bad_value(arg, text);
       return static_cast<std::size_t>(*v);
     };
-    auto next_double = [&]() -> double {
-      const std::string text = next();
-      const auto v = tools::parse_double(text);
-      if (!v) bad_value(arg, text);
-      return *v;
-    };
+    auto next_double =
+        [&](double min = -std::numeric_limits<double>::infinity()) {
+          const std::string text = next();
+          const auto v = tools::parse_double(text);
+          if (!v || *v < min) bad_value(arg, text);
+          return *v;
+        };
     if (arg == "--circuit") {
       circuit_name = next();
     } else if (arg == "--elements") {
@@ -168,9 +169,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       seed = next_size();
     } else if (arg == "--std-dl") {
-      std_dl = next_double();
+      // A negative sigma is malformed, not "no variation" (that is 0).
+      std_dl = next_double(0.0);
     } else if (arg == "--std-vt") {
-      std_vt = next_double();
+      std_vt = next_double(0.0);
     } else if (arg == "--rho") {
       rho = next_double();
     } else if (arg == "--corner") {
