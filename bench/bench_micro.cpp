@@ -14,7 +14,6 @@
 #include "numeric/eigen_sym.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/sparse.hpp"
-#include "teta/convolution.hpp"
 
 namespace {
 
@@ -214,19 +213,6 @@ void BM_PoleResidueExtractionPooled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PoleResidueExtractionPooled)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_RecursiveConvolutionStep(benchmark::State& state) {
-  const auto pencil = wire_pencil(100);
-  const auto z = mor::stabilize(mor::extract_pole_residue(
-      mor::pact_reduce(pencil, mor::PactOptions{8}).model));
-  teta::RecursiveConvolver conv(z, 1e-12);
-  const Vector i(4, 1e-4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(conv.history());
-    conv.advance(i);
-  }
-}
-BENCHMARK(BM_RecursiveConvolutionStep);
 
 }  // namespace
 

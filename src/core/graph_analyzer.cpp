@@ -9,6 +9,7 @@
 
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "sim/diagnostics.hpp"
 
 namespace lcsf::core {
 
@@ -20,11 +21,11 @@ GraphAnalyzer::GraphAnalyzer(GraphSpec spec)
     : spec_(std::move(spec)), graph_(spec_.netlist) {
   obs::ScopedSpan span("core.graph_characterize");
   if (spec_.top_k == 0) {
-    throw std::invalid_argument("GraphAnalyzer: top_k must be positive");
+    sim::throw_invalid_input("GraphAnalyzer: top_k must be positive");
   }
   paths_ = graph_.k_most_critical_paths(spec_.top_k);
   if (paths_.empty()) {
-    throw std::invalid_argument(
+    sim::throw_invalid_input(
         "GraphAnalyzer: netlist has no latch-to-latch paths");
   }
   for (const auto& p : paths_) {

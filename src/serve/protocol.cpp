@@ -131,7 +131,7 @@ stats::RunOptions parse_run_options(const Json& req,
   }
   opt.seed = static_cast<std::uint64_t>(get_size(req, "seed", 1));
   opt.exec.threads = get_size(req, "threads", 0, kMaxRequestThreads);
-  opt.exec.batch = get_size(req, "batch", 0);
+  opt.exec.batch = get_size(req, "batch", 0, kMaxRequestBatch);
   opt.exec.on_failure = on_failure == "abort" ? stats::FailurePolicy::kAbort
                                               : stats::FailurePolicy::kSkip;
   opt.registry = run_registry;

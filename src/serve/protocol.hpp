@@ -31,7 +31,8 @@ namespace lcsf::serve {
 
 /// Per-request caps on the fields that size one request's work or its
 /// resources: `threads` sizes the lane workspaces up front and starts up
-/// to that many OS threads, the sample counts and `top_k` size the
+/// to that many OS threads, `batch` sizes each lane's SoA block (about
+/// 50-65 KB of scratch per slot), the sample counts and `top_k` size the
 /// result buffers and the path set, and `elements` sizes the
 /// characterized stage wire. Each cap sits far above any
 /// practical request; a value over it is an invalid-input error naming
@@ -43,6 +44,7 @@ inline constexpr std::size_t kMaxRequestPilot = 100000;    ///< `is_pilot`
 inline constexpr std::size_t kMaxRequestTopK = 1024;       ///< `top_k`
 inline constexpr std::size_t kMaxRequestThreads = 256;     ///< `threads`
 inline constexpr std::size_t kMaxRequestElements = 2000;   ///< `elements`
+inline constexpr std::size_t kMaxRequestBatch = 64;        ///< `batch`
 
 /// Shared state a dispatcher operates on. One ServeContext per
 /// connection lane; `cache`, `registry` and `metrics_gate` are shared

@@ -1,0 +1,187 @@
+// Allocation policy of the pooled hot path (docs/performance.md): once a
+// workspace is warm, a transient allocates nothing per timestep, so its
+// heap traffic is a constant per call whatever the transient length.
+// This binary replaces the global operator new/delete to count the
+// allocations inside a window, which pins the policy exactly and without
+// timing noise: an allocation added to the step loop, or to any per-step
+// path it calls, makes the longer transient allocate more.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "core/path.hpp"
+#include "mor/poleres.hpp"
+#include "teta/stage.hpp"
+#include "timing/cells.hpp"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_allocations{0};
+
+void* counted_malloc(std::size_t n) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+}  // namespace
+
+// Every unaligned form is replaced, so whatever operator new a library
+// calls, its block reaches the matching operator delete (sanitizers
+// check the pairing). Out of line, so the compiler never pairs an
+// inlined malloc/free with the new/delete expressions of the code under
+// test.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+[[gnu::noinline]] void* operator new[](std::size_t n,
+                                       const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace lcsf::core {
+namespace {
+
+using numeric::Vector;
+
+/// Heap allocations made by `f()`.
+template <typename F>
+std::size_t allocations_of(F&& f) {
+  g_allocations.store(0);
+  g_counting.store(true);
+  f();
+  g_counting.store(false);
+  return g_allocations.load();
+}
+
+// The replaced operator new sees the heap allocations of the code under
+// test (a vector that escapes the window cannot be elided).
+TEST(AllocationPolicy, CounterSeesHeapAllocations) {
+  std::vector<std::vector<double>> keep;
+  EXPECT_EQ(allocations_of([&] {
+              keep.reserve(2);
+              keep.emplace_back(16);
+              keep.emplace_back(16);
+            }),
+            3u);
+}
+
+struct InvStage {
+  circuit::Technology tech = circuit::technology_180nm();
+  StageModel model;
+  circuit::SourceWaveform input =
+      circuit::SourceWaveform::ramp(0.0, tech.vdd, 0.2e-9, 0.1e-9);
+
+  InvStage() {
+    model.cell = &timing::find_cell("INV");
+    model.receiver_cap = input_pin_cap(*model.cell, tech);
+    model.load =
+        characterize_stage_load(*model.cell, tech, 4, model.receiver_cap, 6);
+  }
+};
+
+// One-lane instance: a warm pooled simulate_stage makes as many heap
+// allocations at 1000 steps as at 2000. The workspace warms at the longer
+// length first; a longer transient than the pooled one is a shape change,
+// which may grow the result storage.
+TEST(AllocationPolicy, WarmOneLaneTransientIsConstantPerCall) {
+  const InvStage inv;
+  teta::StageCircuit stage;
+  const std::size_t out = stage.add_port();
+  (void)stage.add_port();
+  const std::size_t in = stage.add_input(inv.input);
+  const std::size_t vdd = stage.add_rail(inv.tech.vdd);
+  const std::size_t gnd = stage.add_rail(0.0);
+  timing::instantiate_cell(*inv.model.cell, inv.tech, stage, out, in, vdd,
+                           gnd, {});
+  stage.freeze_device_capacitances();
+  const mor::PoleResidueModel z = mor::stabilize(
+      mor::extract_pole_residue(inv.model.load.evaluate(Vector{0.0, 0.0})));
+
+  teta::TetaOptions opt;
+  opt.dt = 1e-12;
+  opt.vdd = inv.tech.vdd;
+  teta::TetaWorkspace ws;
+  teta::TetaResult res;
+  const auto run = [&](double tstop) {
+    opt.tstop = tstop;
+    teta::simulate_stage(stage, z, opt, ws, res);
+  };
+  run(2e-9);
+  ASSERT_TRUE(res.converged) << res.failure();
+  const std::size_t longer = allocations_of([&] { run(2e-9); });
+  const std::size_t shorter = allocations_of([&] { run(1e-9); });
+  ASSERT_TRUE(res.converged) << res.failure();
+  EXPECT_EQ(res.time.size(), 1001u);
+  EXPECT_EQ(longer, shorter);
+}
+
+// Runtime-width instance, through the whole per-sample pipeline: a warm
+// K = 4 measure_stage_batch block (ROM evaluation, pole/residue
+// extraction, stamping, the lockstep transient, measurement) makes as
+// many heap allocations in a 2 ns window as in a 1 ns one.
+TEST(AllocationPolicy, WarmBlockIsConstantPerCall) {
+  const InvStage inv;
+  constexpr std::size_t kLanes = 4;
+  std::vector<timing::DeviceVariation> devs(kLanes);
+  std::vector<interconnect::WireVariation> wires(kLanes);
+  std::vector<const circuit::SourceWaveform*> inputs(kLanes, &inv.input);
+  const std::vector<double> shifts(kLanes, 0.0);
+  std::vector<const timing::DeviceVariation*> devp;
+  std::vector<const interconnect::WireVariation*> wirep;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    devs[l].delta_vt = 0.01 * static_cast<double>(l);
+    wires[l].width = 0.1 * static_cast<double>(l) * inv.tech.wire_tol.width;
+    devp.push_back(&devs[l]);
+    wirep.push_back(&wires[l]);
+  }
+  StageSimOptions opt;
+  opt.dt = 1e-12;
+  BatchWorkspace bws;
+  std::vector<StageMeasurement> meas;
+  const auto run = [&](double window) {
+    opt.stage_window = window;
+    measure_stage_batch(inv.model, inv.tech, opt, 0, inputs, shifts, devp,
+                        wirep, /*out_rising=*/false, nullptr, meas, bws);
+  };
+  run(2e-9);
+  const std::size_t longer = allocations_of([&] { run(2e-9); });
+  const std::size_t shorter = allocations_of([&] { run(1e-9); });
+  ASSERT_EQ(meas.size(), kLanes);
+  for (const StageMeasurement& m : meas) {
+    ASSERT_FALSE(m.failed) << m.diag.message();
+  }
+  EXPECT_EQ(longer, shorter);
+}
+
+}  // namespace
+}  // namespace lcsf::core

@@ -1,22 +1,27 @@
 // Batched (SoA) Monte-Carlo hot path: bitwise equivalence against
 // one-lane runs across batch widths and thread counts, lanes that leave
-// a lockstep block, the dispatch counters, fail-soft parity of the batch
-// dispatcher, and the strided-batch numeric kernels. See
+// a lockstep block, the step loop's SoA state against a
+// RecursiveConvolver replay, the dispatch counters, fail-soft parity of
+// the batch dispatcher, and the strided-batch numeric kernels. See
 // docs/performance.md.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/path.hpp"
 #include "mor/poleres.hpp"
+#include "numeric/fp_compare.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/matrix.hpp"
 #include "obs/registry.hpp"
 #include "stats/runner.hpp"
 #include "teta/batch.hpp"
+#include "teta/convolution.hpp"
 #include "timing/cells.hpp"
 
 namespace lcsf::core {
@@ -417,6 +422,144 @@ TEST(BatchHotpath, LanesLeavingALockstepBlockMatchOneLaneCalls) {
     EXPECT_LT(res[1].diag.failure_time, res[2].diag.failure_time);
     EXPECT_TRUE(res[3].converged);
     EXPECT_EQ(res[3].diag.retries_used, 0);
+  }
+}
+
+// Replays slot `slot` of a converged step-loop run through a fresh
+// RecursiveConvolver: DC history from the t = 0 port voltages, then per
+// step the loop's own commit, il = Y_h v[n] - Y_h history(), advance(il).
+// Returns how many entries of the replay's final pole states and committed
+// current differ from the slot's SoA state (bitwise).
+std::size_t replay_mismatches(const mor::PoleResidueModel& load,
+                              const teta::TetaOptions& opt,
+                              const teta::TetaWorkspace& ws,
+                              const teta::TetaResult& out,
+                              const teta::BatchTetaWorkspace& soa,
+                              std::size_t slot) {
+  const std::size_t width = soa.alive.size();
+  teta::RecursiveConvolver ref(load, opt.dt);
+  const std::size_t np = ref.num_ports();
+  Vector il(np), yv(np), yhist(np);
+  numeric::mul_into(ws.y_dc, out.port_voltages[0], il);
+  ref.initialize_dc(il);
+  for (std::size_t n = 1; n < out.port_voltages.size(); ++n) {
+    const Vector hist = ref.history();
+    numeric::mul_into(ws.y_h, out.port_voltages[n], yv);
+    numeric::mul_into(ws.y_h, hist, yhist);
+    for (std::size_t p = 0; p < np; ++p) il[p] = yv[p] - yhist[p];
+    ref.advance(il);
+  }
+  std::size_t bad = 0;
+  for (std::size_t k = 0; k < ref.num_poles(); ++k) {
+    for (std::size_t j = 0; j < np; ++j) {
+      const std::size_t at = (k * np + j) * width + slot;
+      if (!numeric::exact_eq(ref.state(k)[j].real(), soa.st_re[at])) ++bad;
+      if (!numeric::exact_eq(ref.state(k)[j].imag(), soa.st_im[at])) ++bad;
+    }
+  }
+  for (std::size_t j = 0; j < np; ++j) {
+    if (!numeric::exact_eq(ref.committed_current()[j],
+                           soa.ip[j * width + slot])) {
+      ++bad;
+    }
+  }
+  return bad;
+}
+
+// The step loop is TETA's only transient loop, so this replay is what
+// holds its SoA convolution arithmetic to the std::complex recurrence of
+// RecursiveConvolver::history()/advance(). Both instances run: a one-lane
+// simulate_stage, and simulate_stage_batch blocks of K = 3 (the
+// vectorizer's scalar epilogue) and K = 8 (its vector body). Stage loads
+// are real-pole only, which leaves the imaginary half of every expanded
+// complex product at zero, so each case runs again with one
+// complex-conjugate pole pair added to the load.
+TEST(BatchHotpath, StepLoopReplaysThroughRecursiveConvolverBitwise) {
+  const circuit::Technology tech = circuit::technology_180nm();
+  StageModel st;  // the hot-path bench's INV stage
+  st.cell = &timing::find_cell("INV");
+  st.receiver_cap = input_pin_cap(*st.cell, tech);
+  st.load = characterize_stage_load(*st.cell, tech, 4, st.receiver_cap, 6);
+  teta::TetaOptions opt;
+  opt.dt = 1e-12;
+  opt.tstop = 0.6e-9;
+  opt.vdd = tech.vdd;
+  const circuit::SourceWaveform input =
+      circuit::SourceWaveform::ramp(0.0, tech.vdd, 0.2e-9, 0.1e-9);
+
+  // Lane l: its own device and wire draw, so every slot's coefficients
+  // and states differ; every lane gets the pair at the same poles.
+  const auto lanes = [&](std::size_t k, bool pair) {
+    std::vector<TetaLaneInputs> in;
+    for (std::size_t l = 0; l < k; ++l) {
+      const double u = 0.1 * static_cast<double>(l) - 0.3;
+      timing::DeviceVariation dev;
+      dev.delta_vt = 0.01 * u;
+      TetaLaneInputs ln = teta_lane(st, tech, input, dev);
+      ln.load = mor::stabilize(
+          mor::extract_pole_residue(st.load.evaluate(Vector{u, -u})));
+      if (pair) {
+        // Poles at -3e10 +/- 8e10j with conjugate residues a fifth the
+        // size of the first pole's: a small ringing term on a load that
+        // stays stable.
+        const std::size_t np = ln.load.num_ports();
+        std::vector<numeric::Complex> poles = ln.load.poles();
+        std::vector<numeric::ComplexMatrix> res;
+        for (std::size_t q = 0; q < poles.size(); ++q) {
+          res.push_back(ln.load.residue(q));
+        }
+        numeric::ComplexMatrix r(np, np), rc(np, np);
+        for (std::size_t i = 0; i < np; ++i) {
+          for (std::size_t j = 0; j < np; ++j) {
+            r(i, j) = 0.2 * std::abs(res[0](i, j)) *
+                      numeric::Complex{1.0, -0.5};
+            rc(i, j) = std::conj(r(i, j));
+          }
+        }
+        poles.push_back({-3e10, 8e10});
+        poles.push_back({-3e10, -8e10});
+        res.push_back(r);
+        res.push_back(rc);
+        ln.load = mor::PoleResidueModel(np, ln.load.direct(), poles, res);
+      }
+      in.push_back(std::move(ln));
+    }
+    return in;
+  };
+
+  for (const bool pair : {false, true}) {
+    {
+      const std::vector<TetaLaneInputs> in = lanes(1, pair);
+      teta::TetaWorkspace ws;
+      teta::TetaResult out;
+      teta::simulate_stage(in[0].stage, in[0].load, opt, ws, out);
+      ASSERT_TRUE(out.converged) << out.failure();
+      ASSERT_EQ(out.diag.retries_used, 0);
+      ASSERT_EQ(out.port_voltages.size(), 601u);
+      EXPECT_EQ(replay_mismatches(in[0].load, opt, ws, out, ws.one_lane, 0),
+                0u)
+          << "one lane, pair " << pair;
+    }
+    for (const std::size_t k : {std::size_t{3}, std::size_t{8}}) {
+      const std::vector<TetaLaneInputs> in = lanes(k, pair);
+      std::vector<teta::TetaWorkspace> ws(k);
+      std::vector<teta::TetaResult> out(k);
+      std::vector<teta::BatchLane> block;
+      for (std::size_t l = 0; l < k; ++l) {
+        block.push_back({&in[l].stage, &in[l].load, &ws[l], &out[l]});
+      }
+      teta::BatchTetaWorkspace bws;
+      teta::simulate_stage_batch(block, opt, bws);
+      ASSERT_EQ(bws.live.size(), k);
+      for (std::size_t b = 0; b < k; ++b) {
+        ASSERT_TRUE(bws.alive[b]) << "K " << k << " slot " << b;
+        const std::size_t l = bws.live[b];
+        ASSERT_TRUE(out[l].converged) << out[l].failure();
+        EXPECT_EQ(replay_mismatches(in[l].load, opt, ws[l], out[l], bws, b),
+                  0u)
+            << "K " << k << " slot " << b << ", pair " << pair;
+      }
+    }
   }
 }
 

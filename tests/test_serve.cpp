@@ -403,6 +403,25 @@ TEST(Dispatch, RejectsRunFieldsOverTheirCaps) {
   EXPECT_NE(elements.find("'elements'"), std::string::npos) << elements;
   EXPECT_NE(elements.find("2000"), std::string::npos) << elements;
 
+  // One sample in one 65-lane block: the block is sized by `batch`, not
+  // by the sample count.
+  const std::string batch = error_of(
+      R"({"id":8,"type":"monte_carlo","circuit":"s27","samples":1,)"
+      R"("batch":65})");
+  ASSERT_EQ(batch.rfind("invalid-input: ", 0), 0u) << batch;
+  EXPECT_NE(batch.find("'batch'"), std::string::npos) << batch;
+  EXPECT_NE(batch.find("64"), std::string::npos) << batch;
+
+  // top_k = 0 is under its cap but selects no path: a classified
+  // invalid-input, for a graph load and for a graph analysis alike.
+  for (const char* line :
+       {R"({"id":9,"type":"load","circuit":"s27","graph":true,"top_k":0})",
+        R"({"id":10,"type":"graph","circuit":"s27","top_k":0,"samples":1})"}) {
+    const std::string zero_k = error_of(line);
+    ASSERT_EQ(zero_k.rfind("invalid-input: ", 0), 0u) << zero_k;
+    EXPECT_NE(zero_k.find("top_k"), std::string::npos) << zero_k;
+  }
+
   // A negative sigma is malformed, not "no variation".
   const std::string sigma = error_of(
       R"({"id":7,"type":"monte_carlo","circuit":"s27","samples":1,)"

@@ -1,47 +1,44 @@
 #!/usr/bin/env python3
-"""Compare two BENCH_*.json result files and flag perf regressions.
+"""Check absolute metric floors on one benchmark result file.
 
-Every bench that emits machine-readable results writes a flat JSON object
-with a "metrics" section (see docs/performance.md). This tool diffs the
-metrics of a candidate run against a baseline run and fails when a
-throughput-style metric drops -- or a cost-style metric rises -- by more
-than the allowed fraction.
+Two result shapes carry a "metrics" object:
 
-Metric direction is inferred from the name: anything matching
-*_per_sec / speedup / throughput is higher-is-better; anything matching
-*_ms_* / *_us_* / *_seconds / _time is lower-is-better. Unknown metrics
-are reported but never gate.
+* a BENCH_*.json file written by a bench_* binary, whose metrics are
+  plain numbers (see docs/performance.md);
+* an lcsf_bench result line saved to a file (the last stdout line of
+  `python3 lcsf_bench/run.py --workload ...`), whose metrics are
+  {"value": x, "unit": u} objects.
+
+A result that reports "correct": false fails the check whatever its
+metrics.
 
 Usage:
-  tools/bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
-  tools/bench_compare.py BASELINE.json CANDIDATE.json --only speedup
-  tools/bench_compare.py --check CANDIDATE.json --min speedup=1.5
+  tools/bench_compare.py --check RESULT.json --min speedup=1.5 [--min ...]
 
---only restricts the two-file diff to the named metrics (repeatable).
-The CI obs stage uses it to gate the disabled-observability overhead on
-the machine-independent speedup ratio alone, ignoring the absolute
-wall-clock metrics that vary from host to host.
+Comparing two sets of runs is lcsf_bench's job: `python3 lcsf_bench/run.py
+compare PARENT_DIR CHANGE_DIR` calls gains and regressions over
+alternating pairs with the bounds in BENCHMARK.json.
 
-Exit status: 0 = no regression, 1 = regression (or floor violated),
-2 = usage / malformed input.
+Exit status: 0 = every floor holds, 1 = a floor is violated or its metric
+is missing, or the result reports itself incorrect, 2 = usage / malformed
+input.
 """
 
 import argparse
 import json
 import sys
 
-HIGHER_IS_BETTER = ("per_sec", "speedup", "throughput", "samples_per")
-LOWER_IS_BETTER = ("_ms", "_us", "_ns", "seconds", "_time")
+
+def die(msg):
+    print(f"bench_compare: {msg}", file=sys.stderr)
+    sys.exit(2)
 
 
-def metric_direction(name):
-    """+1 higher-is-better, -1 lower-is-better, 0 unknown (never gates)."""
-    low = name.lower()
-    if any(tag in low for tag in HIGHER_IS_BETTER):
-        return 1
-    if any(tag in low for tag in LOWER_IS_BETTER):
-        return -1
-    return 0
+def metric_value(v):
+    """A metric's number: plain, or the "value" of a {value, unit} object."""
+    if isinstance(v, dict):
+        v = v.get("value")
+    return float(v) if isinstance(v, (int, float)) else None
 
 
 def load_metrics(path):
@@ -49,87 +46,41 @@ def load_metrics(path):
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        sys.exit(
-            f"bench_compare: {path} does not exist; regenerate it by "
-            "running the corresponding bench_* binary with the output "
-            "path as its argument (see docs/performance.md), or pass "
-            "the checked-in BENCH_*.json baseline from the repo root")
+        die(f"{path} does not exist; regenerate it by running the "
+            "corresponding bench_* binary with the output path as its "
+            "argument (see docs/performance.md), or pass the checked-in "
+            "BENCH_*.json baseline from the repo root")
     except (OSError, json.JSONDecodeError) as err:
-        sys.exit(f"bench_compare: cannot read {path}: {err}")
+        die(f"cannot read {path}: {err}")
     if not isinstance(doc, dict):
-        sys.exit(f"bench_compare: {path} is not a JSON object "
-                 "(expected a BENCH_*.json result file)")
+        die(f"{path} is not a JSON object (expected a benchmark result)")
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
-        sys.exit(
-            f"bench_compare: {path} has no 'metrics' object; every "
-            "BENCH_*.json result carries one (keys present: "
-            f"{sorted(doc)})")
-    return doc, {
-        k: float(v) for k, v in metrics.items() if isinstance(v, (int, float))
-    }
+        die(f"{path} has no 'metrics' object; every benchmark result "
+            f"carries one (keys present: {sorted(doc)})")
+    values = {k: metric_value(v) for k, v in metrics.items()}
+    return doc, {k: v for k, v in values.items() if v is not None}
 
 
-def compare(base_path, cand_path, threshold, only=None):
-    """Diff candidate vs baseline; return the number of regressions."""
-    base_doc, base = load_metrics(base_path)
-    cand_doc, cand = load_metrics(cand_path)
-    if only:
-        missing = [m for m in only if m not in base and m not in cand]
-        if missing:
-            sys.exit(f"bench_compare: --only metric(s) {missing} "
-                     "absent from both files")
-        base = {k: v for k, v in base.items() if k in only}
-        cand = {k: v for k, v in cand.items() if k in only}
-    if base_doc.get("bench") != cand_doc.get("bench"):
-        print(
-            f"bench_compare: warning: comparing different benches "
-            f"({base_doc.get('bench')!r} vs {cand_doc.get('bench')!r})",
-            file=sys.stderr,
-        )
-
-    regressions = 0
-    width = max((len(k) for k in sorted(set(base) | set(cand))), default=0)
-    for name in sorted(set(base) | set(cand)):
-        if name not in base or name not in cand:
-            print(f"  {name:<{width}}  (only in one file, skipped)")
-            continue
-        b, c = base[name], cand[name]
-        direction = metric_direction(name)
-        if b == 0.0 or direction == 0:
-            verdict = "info"
-        else:
-            # Positive delta = candidate better, in the metric's own sense.
-            delta = (c - b) / b * direction
-            if delta < -threshold:
-                verdict = "REGRESSION"
-                regressions += 1
-            else:
-                verdict = "ok"
-        rel = (c - b) / b * 100.0 if b else float("nan")
-        print(f"  {name:<{width}}  {b:>12.6g} -> {c:>12.6g}  "
-              f"({rel:+7.2f}%)  {verdict}")
-    return regressions
-
-
-def check_floors(cand_path, floors):
-    """Assert absolute metric floors (metric=value) on a single file."""
-    _, cand = load_metrics(cand_path)
+def check_floors(path, floors):
+    """Assert absolute metric floors (metric=value); count violations."""
+    doc, metrics = load_metrics(path)
     violations = 0
+    if doc.get("correct") is False:
+        print(f"  {path}: result reports \"correct\": false  VIOLATION")
+        violations += 1
     for spec in floors:
         name, _, value = spec.partition("=")
         if not value:
-            sys.exit(f"bench_compare: bad --min spec {spec!r} "
-                     "(expected metric=value)")
+            die(f"bad --min spec {spec!r} (expected metric=value)")
         try:
             floor = float(value)
         except ValueError:
-            sys.exit(f"bench_compare: bad --min spec {spec!r} "
-                     f"({value!r} is not a number)")
-        got = cand.get(name)
+            die(f"bad --min spec {spec!r} ({value!r} is not a number)")
+        got = metrics.get(name)
         if got is None:
             print(f"  {name}: MISSING (floor {floor:g}); metrics present: "
-                  f"{sorted(cand)}")
+                  f"{sorted(metrics)}")
             violations += 1
         elif got < floor:
             print(f"  {name}: {got:g} < floor {floor:g}  VIOLATION")
@@ -141,43 +92,14 @@ def check_floors(cand_path, floors):
 
 def main(argv):
     parser = argparse.ArgumentParser(
-        description="Diff two BENCH_*.json files for perf regressions.")
-    parser.add_argument("baseline", nargs="?",
-                        help="baseline BENCH_*.json")
-    parser.add_argument("candidate", nargs="?",
-                        help="candidate BENCH_*.json")
-    parser.add_argument("--threshold", type=float, default=0.10,
-                        help="allowed fractional regression per metric "
-                             "(default 0.10 = 10%%)")
-    parser.add_argument("--check", metavar="CANDIDATE.json",
-                        help="single-file mode: check absolute floors only")
-    parser.add_argument("--min", action="append", default=[],
+        description="Check absolute metric floors on one benchmark result.")
+    parser.add_argument("--check", metavar="RESULT.json", required=True,
+                        help="the result file to check")
+    parser.add_argument("--min", action="append", required=True,
                         metavar="METRIC=VALUE",
-                        help="absolute floor for a metric (repeatable; "
-                             "used with --check)")
-    parser.add_argument("--only", action="append", default=[],
-                        metavar="METRIC",
-                        help="restrict the two-file diff to this metric "
-                             "(repeatable)")
+                        help="absolute floor for a metric (repeatable)")
     args = parser.parse_args(argv)
-
-    if args.check:
-        if not args.min:
-            parser.error("--check requires at least one --min metric=value")
-        bad = check_floors(args.check, args.min)
-        return 1 if bad else 0
-
-    if not args.baseline or not args.candidate:
-        parser.error("need BASELINE.json and CANDIDATE.json "
-                     "(or --check mode)")
-    bad = compare(args.baseline, args.candidate, args.threshold,
-                  only=set(args.only) or None)
-    if bad:
-        print(f"bench_compare: {bad} metric(s) regressed beyond "
-              f"{args.threshold:.0%}")
-        return 1
-    print("bench_compare: no regressions")
-    return 0
+    return 1 if check_floors(args.check, args.min) else 0
 
 
 if __name__ == "__main__":

@@ -198,6 +198,7 @@ def run_battery(conn, schema, circuit):
         "top_k": {"type": "load", "graph": True},
         "is_pilot": {"type": "yield", "samples": 1, "estimator": "is"},
         "elements": {"type": "load"},
+        "batch": {"type": "monte_carlo", "samples": 1},
     }
     for field, base in over_cap.items():
         cap = schema["limits"][field]

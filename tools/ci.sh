@@ -16,7 +16,8 @@
 #   bench-suite: lcsf_bench smoke (python3 lcsf_bench/run.py smoke, about
 #               12 s of runs plus its build) -- every benchmark workload
 #               at quick sizes, checked for correctness and for every
-#               declared metric
+#               declared metric -- plus the framework-vs-SPICE speed floor
+#               on a quick traced mc_long_path run
 #   doc-lint  : documentation link/anchor checker
 #   lcsf-lint : project-invariant static analysis via tools/lint.sh --
 #               the per-file rules, the include-graph pass (layering
@@ -70,16 +71,17 @@ run_build_stage tsan build-ci-tsan -DLCSF_SANITIZE=thread
 
 echo
 echo "==== stage: bench-quick ===="
-# Hot-path perf gate: run the pooled-vs-baseline-vs-batched Monte-Carlo
-# bench in quick mode (few samples, noisy) and require both the pooled
-# engine and the batched SoA engine to stay comfortably ahead. Full-mode
-# acceptance floors are 1.5x (pooled vs baseline) and 1.3x (batched vs
-# pooled), held against the checked-in BENCH_hotpath.json; quick mode
-# uses 1.2x / 1.15x to absorb short-run jitter. Quick mode runs half the
-# transient steps per sample (the fixed per-sample setup cost weighs
-# differently), so quick ratios are not comparable to the full-mode
-# ratios within a tight tolerance -- quick holds floors only, and the
-# checked-in full-mode file holds the acceptance floors. See
+# Hot-path perf gate: run the pooled-vs-batched Monte-Carlo bench in
+# quick mode (few samples, noisy) and require the batched SoA engine to
+# stay ahead of the pooled one-lane calls: 1.3x on the checked-in
+# full-mode BENCH_hotpath.json, 1.15x on the quick run to absorb
+# short-run jitter. Quick mode runs half the transient steps per sample
+# (the fixed per-sample setup cost weighs differently), so quick ratios
+# are not comparable to the full-mode ratio within a tight tolerance --
+# quick holds a floor only, and the checked-in full-mode file holds the
+# acceptance floor. The bench exits nonzero if the two legs' delays
+# differ in a single bit. The engine's speed floor against a fixed
+# reference is the bench-suite stage's spice.speedup gate. See
 # docs/performance.md.
 BENCH_JSON=build-ci-release/BENCH_hotpath.json
 BENCH_IS_JSON=build-ci-release/BENCH_yield_is.json
@@ -105,9 +107,9 @@ if cmake --build build-ci-release -j "$JOBS" --target bench_hotpath \
     && cmake --build build-ci-release -j "$JOBS" --target bench_serve \
     && LCSF_BENCH_QUICK=1 build-ci-release/bench/bench_hotpath "$BENCH_JSON" \
     && python3 tools/bench_compare.py --check "$BENCH_JSON" \
-         --min speedup=1.2 --min batched_speedup_vs_pooled=1.15 \
+         --min batched_speedup_vs_pooled=1.15 \
     && python3 tools/bench_compare.py --check BENCH_hotpath.json \
-         --min speedup=1.5 --min batched_speedup_vs_pooled=1.3 \
+         --min batched_speedup_vs_pooled=1.3 \
     && LCSF_BENCH_QUICK=1 build-ci-release/bench/bench_yield_is \
          "$BENCH_IS_JSON" \
     && python3 tools/bench_compare.py --check "$BENCH_IS_JSON" \
@@ -276,7 +278,29 @@ echo "==== stage: bench-suite ===="
 # teta::simulate_stage_batch, framework_delay(sample, ws)) and must
 # match the Monte-Carlo runs bitwise, so a break in that API or in the
 # engine's results fails here, not only in a benchmark run.
-if python3 lcsf_bench/run.py smoke; then
+#
+# Speed floor: the paper's Table 4 ratio, spice.speedup -- the
+# framework's one-lane chain (framework_delay) against the in-tree SPICE
+# engine on the same path -- from a quick traced mc_long_path run. SPICE
+# is a fixed reference that engine changes do not move. On a 4-core
+# x86-64 host, two sweeps over seeds 1-10 measured 5.09-6.36x and
+# 5.14-8.94x, each with a median of 6.1x; the floor of 4 is 0.66 of
+# that. The run must also exit 0 and report
+# "correct": true (bench_compare.py fails a result that does not).
+SUITE_DIR=build-ci-release/bench-suite
+bench_suite_stage() {
+  mkdir -p "$SUITE_DIR" || return 1
+  python3 lcsf_bench/run.py smoke || return 1
+  if ! LCSF_BENCH_QUICK=1 python3 lcsf_bench/run.py --workload mc_long_path \
+      --seed 1 --seconds 1 --trace 1 > "$SUITE_DIR/mc_long_path.out"; then
+    cat "$SUITE_DIR/mc_long_path.out"
+    return 1
+  fi
+  tail -n 1 "$SUITE_DIR/mc_long_path.out" > "$SUITE_DIR/mc_long_path.json"
+  python3 tools/bench_compare.py --check "$SUITE_DIR/mc_long_path.json" \
+      --min spice.speedup=4
+}
+if bench_suite_stage; then
   record bench-suite PASS
 else
   record bench-suite FAIL
