@@ -256,7 +256,9 @@ void measure_stage_batch(
   }
 
   // The window ladder: each rung runs the still-pending lanes as one
-  // block (lockstep when it holds two or more) at a doubled window.
+  // block (lockstep when it holds two or more) at a doubled window. Only
+  // an incomplete transition climbs: a failed transient would repeat its
+  // dt and trajectory in a wider window and fail again at the same step.
   teta::TetaOptions topt;
   topt.dt = opt.dt;
   topt.vdd = tech.vdd;
@@ -278,6 +280,8 @@ void measure_stage_batch(
       const teta::TetaResult& res = bws.lane(l).teta_result;
       if (!res.converged) {
         out[l].diag = res.diag;
+        out[l].failed = true;
+        bws.fallback[l] = 0;
         continue;
       }
       try {

@@ -249,9 +249,11 @@ struct BatchWorkspace {
 /// `inputs` in size) and extract each lane's output ramp, `shift` added
 /// back to the arrival. The stage window is a heuristic: the block runs
 /// at window scale 1 through the lockstep TETA engine, and lanes whose
-/// transient does not converge or whose output transition does not
-/// complete rerun as a narrower block at scale 2, then 4 -- no lane
-/// repeats a rung it already failed. A lane that exhausts the ladder, or
+/// output transition does not complete rerun as a narrower block at
+/// scale 2, then 4 -- no lane repeats a rung it already failed. A lane
+/// whose transient does not converge leaves the ladder at once: a wider
+/// window repeats its dt and trajectory, so it would fail again at the
+/// same step. A lane that fails its transient, exhausts the ladder, or
 /// whose load fails pole/residue extraction, reports failed=true in `out`
 /// with the last attempt's classified diagnostics, prefixed "stage
 /// <label> did not complete: ", instead of throwing, so one diverging

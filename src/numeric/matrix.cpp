@@ -265,15 +265,15 @@ void axpy_batch(double a, const double* x, double* y, std::size_t n) {
 
 void mul_into_batch(const Matrix* const* a, std::size_t rows,
                     std::size_t cols, const double* x, double* y,
-                    std::size_t lanes) {
+                    std::size_t lanes, std::size_t stride) {
   // Per lane this is exactly mul_into's i-outer / ascending-j accumulation;
   // lanes are independent, so the lane-inner reorder cannot change any bit.
   for (std::size_t i = 0; i < rows; ++i) {
-    double* yi = y + i * lanes;
+    double* yi = y + i * stride;
     LCSF_SIMD_LOOP
     for (std::size_t l = 0; l < lanes; ++l) yi[l] = 0.0;
     for (std::size_t j = 0; j < cols; ++j) {
-      const double* xj = x + j * lanes;
+      const double* xj = x + j * stride;
       for (std::size_t l = 0; l < lanes; ++l) {
         yi[l] += (*a[l])(i, j) * xj[l];
       }

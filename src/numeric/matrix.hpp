@@ -143,12 +143,13 @@ void mul_into(const Matrix& a, const Vector& x, Vector& y);
 /// axpy(Vector) inner loop on raw SoA storage.
 void axpy_batch(double a, const double* x, double* y, std::size_t n);
 
-/// Batched mat-vec over `lanes` SoA lanes with per-lane matrices:
-/// y[i*lanes+l] = sum_j a[l](i,j) * x[j*lanes+l], accumulated in ascending
-/// j per lane (the mul_into order). All a[l] must be rows x cols.
+/// Batched mat-vec over the first `lanes` of `stride`-wide SoA rows with
+/// per-lane matrices: y[i*stride+l] = sum_j a[l](i,j) * x[j*stride+l],
+/// accumulated in ascending j per lane (the mul_into order). All a[l]
+/// must be rows x cols.
 void mul_into_batch(const Matrix* const* a, std::size_t rows,
                     std::size_t cols, const double* x, double* y,
-                    std::size_t lanes);
+                    std::size_t lanes, std::size_t stride);
 
 /// Batched gemm: c[l] <- a[l] * b[l] for each lane, with the loop order
 /// and exact-zero skip of gemm_into (bitwise identical per lane).

@@ -111,6 +111,23 @@ Snapshot Registry::snapshot() const {
   return snap;
 }
 
+void Registry::merge_into(LaneSink& dst) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& lane : lanes_) {
+    if (!lane) continue;
+    for (const auto& [name, v] : lane->counters_) dst.counters_[name] += v;
+    for (const auto& [name, vals] : lane->values_) {
+      std::vector<double>& d = dst.values_[name];
+      d.insert(d.end(), vals.begin(), vals.end());
+    }
+    for (const auto& [name, t] : lane->timers_) {
+      TimerStat& d = dst.timers_[name];
+      d.count += t.count;
+      d.total_ns += t.total_ns;
+    }
+  }
+}
+
 bool is_wall_clock_metric(std::string_view name) {
   for (const char* suffix : {"_seconds", "_ms", "_us", "_ns"}) {
     const std::string_view suf(suffix);
@@ -143,6 +160,12 @@ void record_value(std::string_view name, double value) {
   Context& ctx = context();
   if (ctx.sink == nullptr) return;
   ctx.sink->record_value(name, value);
+}
+
+void merge_metrics(const Registry& from) {
+  Context& ctx = context();
+  if (ctx.sink == nullptr) return;
+  from.merge_into(*ctx.sink);
 }
 
 std::uint64_t now_ns() {

@@ -130,6 +130,11 @@ class Registry {
   /// Deterministic merge of all lanes (see file comment).
   Snapshot snapshot() const;
 
+  /// Fold every lane's counters, distribution values and timers -- but
+  /// not its span events -- into `dst`, a sink of another registry. Call
+  /// only once this registry's recording threads have joined.
+  void merge_into(LaneSink& dst) const;
+
   /// Structured JSON export (schema: tools/metrics_schema.json). With
   /// `include_wall_clock == false` the timers section and every
   /// time-suffixed distribution are omitted; what remains is bitwise
@@ -179,6 +184,10 @@ void add_counter(std::string_view name, std::uint64_t delta = 1);
 /// Record one observation of a value distribution; no-op when disabled.
 void record_value(std::string_view name, double value);
 
+/// Fold a finished registry into the current lane (Registry::merge_into:
+/// no span events); no-op when disabled.
+void merge_metrics(const Registry& from);
+
 /// Nanoseconds since the installed registry's epoch; 0 when disabled.
 std::uint64_t now_ns();
 
@@ -204,6 +213,7 @@ inline bool enabled() { return false; }
 inline Registry* ambient_registry() { return nullptr; }
 inline void add_counter(std::string_view, std::uint64_t = 1) {}
 inline void record_value(std::string_view, double) {}
+inline void merge_metrics(const Registry&) {}
 inline std::uint64_t now_ns() { return 0; }
 
 class ScopedContext {

@@ -223,6 +223,19 @@ void merge_counters(const obs::Registry& reg) {
   }
 }
 
+/// The request's design, from the cache or loaded here. A cold load
+/// characterizes under a registry of its own, folded into the
+/// server-wide one without its span events: nothing in the server
+/// exports spans, and keeping them would grow the process with every
+/// cold load.
+std::shared_ptr<api::Session> cached_design(const ServeContext& ctx,
+                                            const api::DesignSpec& spec) {
+  obs::Registry load_reg;
+  auto session = run_recorded(load_reg, [&] { return ctx.cache->get(spec); });
+  obs::merge_metrics(load_reg);
+  return session;
+}
+
 // ---- request handlers -------------------------------------------------
 
 Json handle_load(const Json& req, const Json& id,
@@ -232,7 +245,7 @@ Json handle_load(const Json& req, const Json& id,
   const std::string on_failure = parse_on_failure(req);
   const api::DesignSpec spec =
       parse_design(req, GraphField::kOptional, on_failure);
-  const auto session = ctx.cache->get(spec);
+  const auto session = cached_design(ctx, spec);
 
   Json r = response_base(id, "load", true);
   r.set("design", Json::string(session->key()));
@@ -271,7 +284,7 @@ Json handle_monte_carlo(const Json& req, const Json& id,
       parse_run_options(req, on_failure, &run_reg);
   const core::PathVariationModel model = parse_model(req);
   const double rho = get_double(req, "rho", -1.0);
-  const auto session = ctx.cache->get(spec);
+  const auto session = cached_design(ctx, spec);
 
   Json r = response_base(id, "monte_carlo", true);
   r.set("design", Json::string(session->key()));
@@ -303,7 +316,7 @@ Json handle_gradients(const Json& req, const Json& id,
   const api::DesignSpec spec =
       parse_design(req, GraphField::kOff, on_failure);
   const core::PathVariationModel model = parse_model(req);
-  const auto session = ctx.cache->get(spec);
+  const auto session = cached_design(ctx, spec);
 
   obs::Registry run_reg;
   const auto ga =
@@ -339,7 +352,7 @@ Json handle_yield(const Json& req, const Json& id,
   const std::string estimator = get_string(req, "estimator", "mc");
   const double clock_period = get_double(req, "clock_period", 0.0);
   const double yield_target = get_double(req, "yield_target", 0.9987);
-  const auto session = ctx.cache->get(spec);
+  const auto session = cached_design(ctx, spec);
 
   const api::YieldResult y = run_recorded(run_reg, [&] {
     return session->run_yield(model, clock_period, estimator, yield_target,
@@ -381,7 +394,7 @@ Json handle_graph(const Json& req, const Json& id,
   const stats::RunOptions opt =
       parse_run_options(req, on_failure, &run_reg);
   const core::PathVariationModel model = parse_model(req);
-  const auto session = ctx.cache->get(spec);
+  const auto session = cached_design(ctx, spec);
 
   const api::GraphResult g =
       run_recorded(run_reg, [&] { return session->run_graph(model, opt); });

@@ -55,12 +55,31 @@ bool same_shape(const StageCircuit& a, const StageCircuit& b,
   return true;
 }
 
+/// Exchanges slots `a` and `c` of a `B`-wide block: every lane-inner
+/// buffer that carries a lane's state from one step to the next, and the
+/// slot's lane. The per-step scratch is rebuilt before each use.
+void swap_slots(BatchTetaWorkspace& bws, std::span<std::size_t> live,
+                std::size_t a, std::size_t c, std::size_t B) {
+  for (std::vector<double>* v :
+       {&bws.x, &bws.xprev, &bws.d_re, &bws.d_im, &bws.ca_re, &bws.ca_im,
+        &bws.cb_re, &bws.cb_im, &bws.w_re, &bws.w_im, &bws.r_re, &bws.r_im,
+        &bws.st_re, &bws.st_im, &bws.ip, &bws.ck_g, &bws.cap_geq,
+        &bws.cap_u, &bws.cap_i}) {
+    for (std::size_t r = 0; r < v->size(); r += B) {
+      std::swap((*v)[r + a], (*v)[r + c]);
+    }
+  }
+  std::swap(bws.y_h[a], bws.y_h[c]);
+  std::swap(bws.alive[a], bws.alive[c]);
+  std::swap(live[a], live[c]);
+}
+
 }  // namespace
 
 namespace detail {
 
 template <std::size_t kLanes>
-void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
+void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
                const TetaOptions& opt, BatchTetaWorkspace& bws) {
   const std::size_t B = kLanes != 0 ? kLanes : live.size();
   const StageCircuit& rstage = *lanes[live[0]].stage;
@@ -77,6 +96,7 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
 
   // ---- Pack: AoS lane state -> lane-inner SoA ------------------------
   bws.x.resize(n * B);
+  bws.xprev.resize(n * B);
   bws.xn.resize(n * B);
   bws.rhs.resize(n * B);
   bws.rhs_const.resize(n * B);
@@ -113,7 +133,10 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
 
   for (std::size_t b = 0; b < B; ++b) {
     const TetaWorkspace& w = *lanes[live[b]].ws;
-    for (std::size_t i = 0; i < n; ++i) bws.x[i * B + b] = w.x[i];
+    for (std::size_t i = 0; i < n; ++i) {
+      bws.x[i * B + b] = w.x[i];
+      bws.xprev[i * B + b] = w.x[i];  // no slope before the first step
+    }
     // Coefficients are *copied* from the lane's initialized convolver;
     // recomputing them here would redo complex divisions whose bit
     // patterns RecursiveConvolver fixes.
@@ -165,7 +188,15 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
     TetaResult& res = *lanes[live[b]].out;
     const std::size_t k = res.time.size();
     res.time.push_back(t);
-    if (k == res.port_voltages.size()) res.port_voltages.emplace_back(np);
+    if (k == res.port_voltages.size()) {
+      std::vector<Vector>& spare = lanes[live[b]].ws->spare_ports;
+      if (spare.empty()) {
+        res.port_voltages.emplace_back(np);
+      } else {
+        res.port_voltages.push_back(std::move(spare.back()));
+        spare.pop_back();
+      }
+    }
     Vector& pv = res.port_voltages[k];
     pv.resize(np);
     for (std::size_t p = 0; p < np; ++p) pv[p] = bws.x[p * B + b];
@@ -174,19 +205,60 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
     TetaResult& res = *lanes[live[b]].out;
     res.time.reserve(nsteps + 1);
     res.port_voltages.reserve(nsteps + 1);
+    lanes[live[b]].ws->spare_ports.reserve(nsteps + 1);
     store_lane(b, 0.0);
   }
+  auto finish = [&](std::size_t b) {
+    TetaResult& res = *lanes[live[b]].out;
+    res.converged = true;
+    res.diag.iterations = res.total_sc_iterations;
+  };
+
+  // The settle stop (docs/performance.md): after committed step t, a lane
+  // is done once its inputs have reached their last breakpoint and every
+  // port has swung more than vdd/2 from its t = 0 value to within
+  // 1e-4 vdd (the propagation tolerance) of a rail. The rule reads only
+  // the lane's own state and never tstop, so a lane stops at the same
+  // step alone, in any block and at any window; a port that never
+  // switches never satisfies it.
+  const double swing = 0.5 * opt.vdd;
+  const double settle_tol = 1e-4 * opt.vdd;
+  auto settled = [&](std::size_t b, double t) {
+    const BatchLane& ln = lanes[live[b]];
+    for (const std::size_t node : bws.known_nodes) {
+      if (ln.stage->kind(node) != StageNodeKind::kInput) continue;
+      const auto& pts = ln.stage->input_wave(node).points();
+      if (!pts.empty() && t < pts.back().first) return false;
+    }
+    const Vector& v0 = ln.out->port_voltages[0];
+    for (std::size_t p = 0; p < np; ++p) {
+      const double v = bws.x[p * B + b];
+      if (!(std::abs(v - v0[p]) > swing)) return false;
+      bool at_rail = false;
+      for (const std::size_t node : bws.known_nodes) {
+        at_rail = at_rail || (ln.stage->kind(node) == StageNodeKind::kRail &&
+                              std::abs(v - bws.vknown[node * B + b]) <=
+                                  settle_tol);
+      }
+      if (!at_rail) return false;
+    }
+    return true;
+  };
 
   // ---- Transient loop -------------------------------------------------
-  // Dead lanes (left the block) simply stop being read: the SoA kernels
-  // keep streaming over their slots, which is harmless and keeps every
-  // inner loop mask-free.
+  // Slots [0, active) hold the running lanes. A lane that fails or
+  // settles leaves at the end of its step by swapping with the last
+  // running slot, so its state stays frozen in a slot the kernels no
+  // longer reach and every inner loop stays mask-free.
+  std::size_t active = B;
   for (std::size_t step = 1; step <= nsteps; ++step) {
     const double t = static_cast<double>(step) * dt;
+    // One lane runs until it leaves, so the one-lane instance keeps its
+    // compile-time trip counts.
+    const std::size_t nb = kLanes != 0 ? kLanes : active;
 
     // Known node voltages once per lane per step: they are pure in t.
-    for (std::size_t b = 0; b < B; ++b) {
-      if (!bws.alive[b]) continue;
+    for (std::size_t b = 0; b < nb; ++b) {
       const StageCircuit& stg = *lanes[live[b]].stage;
       for (const std::size_t node : bws.known_nodes) {
         bws.vknown[node * B + b] = stg.kind(node) == StageNodeKind::kInput
@@ -202,7 +274,7 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
       const double* g = &bws.ck_g[c * B];
       const double* kv = &bws.vknown[rws.chord_known[c].node * B];
       LCSF_SIMD_LOOP
-      for (std::size_t b = 0; b < B; ++b) rc[b] += g[b] * kv[b];
+      for (std::size_t b = 0; b < nb; ++b) rc[b] += g[b] * kv[b];
     }
     for (std::size_t c = 0; c < ncp; ++c) {
       // Row a: +i = geq(va - vb) - (geq u_prev + i_prev); the -geq vb term
@@ -220,7 +292,7 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
       double* rb = cm.ub >= 0
                        ? &bws.rhs_const[static_cast<std::size_t>(cm.ub) * B]
                        : nullptr;
-      for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t b = 0; b < nb; ++b) {
         const double h = geq[b] * cu[b] + ci[b];
         const double ka = kva ? geq[b] * kva[b] : 0.0;
         const double kb = kvb ? geq[b] * kvb[b] : 0.0;
@@ -237,7 +309,7 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
     // accumulation order).
     for (std::size_t i = 0; i < np; ++i) {
       double* hi = &bws.hist[i * B];
-      for (std::size_t b = 0; b < B; ++b) hi[b] = 0.0;
+      for (std::size_t b = 0; b < nb; ++b) hi[b] = 0.0;
     }
     for (std::size_t k = 0; k < nk; ++k) {
       const double* dre = &bws.d_re[k * B];
@@ -246,7 +318,7 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
       const double* wim = &bws.w_im[k * B];
       for (std::size_t i = 0; i < np; ++i) {
         double* acc = bws.acc.data();
-        for (std::size_t b = 0; b < B; ++b) acc[b] = 0.0;
+        for (std::size_t b = 0; b < nb; ++b) acc[b] = 0.0;
         for (std::size_t j = 0; j < np; ++j) {
           const double* rre = &bws.r_re[((k * np + i) * np + j) * B];
           const double* rim = &bws.r_im[((k * np + i) * np + j) * B];
@@ -254,7 +326,7 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
           const double* sim_ = &bws.st_im[(k * np + j) * B];
           const double* ipj = &bws.ip[j * B];
           LCSF_SIMD_LOOP
-          for (std::size_t b = 0; b < B; ++b) {
+          for (std::size_t b = 0; b < nb; ++b) {
             const double mre = dre[b] * sre[b] - dim[b] * sim_[b];
             const double mim = dre[b] * sim_[b] + dim[b] * sre[b];
             const double ure = mre + wre[b] * ipj[b];
@@ -264,29 +336,42 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
         }
         double* hi = &bws.hist[i * B];
         LCSF_SIMD_LOOP
-        for (std::size_t b = 0; b < B; ++b) hi[b] += acc[b];
+        for (std::size_t b = 0; b < nb; ++b) hi[b] += acc[b];
       }
     }
     numeric::mul_into_batch(bws.y_h.data(), np, np, bws.hist.data(),
-                            bws.yhist.data(), B);
+                            bws.yhist.data(), nb, B);
     for (std::size_t p = 0; p < np; ++p) {
       double* rc = &bws.rhs_const[p * B];
       const double* yh = &bws.yhist[p * B];
       LCSF_SIMD_LOOP
-      for (std::size_t b = 0; b < B; ++b) rc[b] += yh[b];
+      for (std::size_t b = 0; b < nb; ++b) rc[b] += yh[b];
+    }
+
+    // Predicted chord start: the linear extrapolation 2 x[n] - x[n-1] of
+    // the committed solutions (x[n] itself on the first step).
+    for (std::size_t i = 0; i < n; ++i) {
+      double* xi = &bws.x[i * B];
+      double* pi = &bws.xprev[i * B];
+      LCSF_SIMD_LOOP
+      for (std::size_t b = 0; b < nb; ++b) {
+        const double xc = xi[b];
+        xi[b] = 2.0 * xc - pi[b];
+        pi[b] = xc;
+      }
     }
 
     // Successive-chords iteration, per lane (device evaluation and the
     // triangular solves are inherently per-sample); each lane iterates
     // on its own and drops out of the iteration when converged.
-    for (std::size_t b = 0; b < B; ++b) bws.sc_done[b] = !bws.alive[b];
+    for (std::size_t b = 0; b < nb; ++b) bws.sc_done[b] = 0;
     for (int it = 0; it < opt.max_sc_iters; ++it) {
       bool pending = false;
-      for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t b = 0; b < nb; ++b) {
         pending = pending || bws.sc_done[b] == 0;
       }
       if (!pending) break;
-      for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t b = 0; b < nb; ++b) {
         if (bws.sc_done[b]) continue;
         const BatchLane& ln = lanes[live[b]];
         const StageCircuit& stg = *ln.stage;
@@ -327,20 +412,15 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
       }
     }
 
-    // A lane that hit the SC limit or blew up leaves the block with the
-    // diagnostics of its failure.
-    bool any = false;
-    for (std::size_t b = 0; b < B; ++b) {
-      if (!bws.alive[b]) continue;
+    // A lane that hit the SC limit or blew up is classified now, stores
+    // no sample for this step and leaves the block at its end.
+    for (std::size_t b = 0; b < nb; ++b) {
       double mv = 0.0;
       for (std::size_t i = 0; i < n; ++i) {
         mv = std::max(mv, std::abs(bws.x[i * B + b]));
       }
       const bool sc_limit = !bws.sc_done[b];
-      if (!sc_limit && !(mv > opt.vblowup)) {
-        any = true;
-        continue;
-      }
+      if (!sc_limit && !(mv > opt.vblowup)) continue;
       bws.alive[b] = 0;
       TetaResult& res = *lanes[live[b]].out;
       if (sc_limit) {
@@ -355,22 +435,21 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
       res.diag.iterations = res.total_sc_iterations;
       res.diag.max_abs_v = mv;
     }
-    if (!any) return;
 
     // Commit: load current, convolver state, cap states.
     for (std::size_t p = 0; p < np; ++p) {
       double* vpp = &bws.vp[p * B];
       const double* xp = &bws.x[p * B];
       LCSF_SIMD_LOOP
-      for (std::size_t b = 0; b < B; ++b) vpp[b] = xp[b];
+      for (std::size_t b = 0; b < nb; ++b) vpp[b] = xp[b];
     }
     numeric::mul_into_batch(bws.y_h.data(), np, np, bws.vp.data(),
-                            bws.il.data(), B);
+                            bws.il.data(), nb, B);
     for (std::size_t p = 0; p < np; ++p) {
       double* ilp = &bws.il[p * B];
       const double* yh = &bws.yhist[p * B];
       LCSF_SIMD_LOOP
-      for (std::size_t b = 0; b < B; ++b) ilp[b] -= yh[b];
+      for (std::size_t b = 0; b < nb; ++b) ilp[b] -= yh[b];
     }
     // RecursiveConvolver::advance(): state = (decay*state + ca*a) + cb*b_,
     // with its association and componentwise complex*double products.
@@ -387,7 +466,7 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
         const double* ipj = &bws.ip[j * B];
         const double* ilj = &bws.il[j * B];
         LCSF_SIMD_LOOP
-        for (std::size_t b = 0; b < B; ++b) {
+        for (std::size_t b = 0; b < nb; ++b) {
           const double a = ipj[b];
           const double b_ = (ilj[b] - a) / dt;
           const double mre = dre[b] * sre[b] - dim[b] * sim_[b];
@@ -401,7 +480,7 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
       double* ipj = &bws.ip[j * B];
       const double* ilj = &bws.il[j * B];
       LCSF_SIMD_LOOP
-      for (std::size_t b = 0; b < B; ++b) ipj[b] = ilj[b];
+      for (std::size_t b = 0; b < nb; ++b) ipj[b] = ilj[b];
     }
     for (std::size_t c = 0; c < ncp; ++c) {
       const TetaWorkspace::CapState& cm = rws.caps[c];
@@ -415,29 +494,36 @@ void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
       double* cu = &bws.cap_u[c * B];
       double* ci = &bws.cap_i[c * B];
       LCSF_SIMD_LOOP
-      for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t b = 0; b < nb; ++b) {
         const double u_new = va[b] - vb[b];
         const double i_new = geq[b] * (u_new - cu[b]) - ci[b];
         cu[b] = u_new;
         ci[b] = i_new;
       }
     }
-    for (std::size_t b = 0; b < B; ++b) {
-      if (bws.alive[b]) store_lane(b, t);
+    for (std::size_t b = 0; b < nb; ++b) {
+      if (!bws.alive[b]) continue;
+      store_lane(b, t);
+      if (settled(b, t)) finish(b);
     }
+
+    // Failed and settled lanes leave the block.
+    for (std::size_t b = 0; b < active;) {
+      if (bws.alive[b] && !lanes[live[b]].out->converged) {
+        ++b;
+      } else {
+        swap_slots(bws, live, b, --active, B);
+      }
+    }
+    if (active == 0) return;
   }
 
-  for (std::size_t b = 0; b < B; ++b) {
-    if (!bws.alive[b]) continue;
-    TetaResult& res = *lanes[live[b]].out;
-    res.converged = true;
-    res.diag.iterations = res.total_sc_iterations;
-  }
+  for (std::size_t b = 0; b < active; ++b) finish(b);
 }
 
-template void step_loop<0>(const BatchLane*, std::span<const std::size_t>,
+template void step_loop<0>(const BatchLane*, std::span<std::size_t>,
                            const TetaOptions&, BatchTetaWorkspace&);
-template void step_loop<1>(const BatchLane*, std::span<const std::size_t>,
+template void step_loop<1>(const BatchLane*, std::span<std::size_t>,
                            const TetaOptions&, BatchTetaWorkspace&);
 
 }  // namespace detail
@@ -487,17 +573,18 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
   if (!bws.live.empty()) {
     detail::step_loop<0>(lanes.data(), bws.live, opt, bws);
     // Converged lanes get the ladder's bookkeeping for a first-attempt
-    // success; lanes that left the block rerun on the ladder.
+    // success; lanes that failed in the block rerun on the ladder.
     for (std::size_t b = 0; b < bws.live.size(); ++b) {
       if (!bws.alive[b]) {
         bws.rerun[bws.live[b]] = 1;
         continue;
       }
       TetaResult& res = *lanes[bws.live[b]].out;
-      res.port_voltages.resize(res.time.size());
+      detail::trim_result(*lanes[bws.live[b]].ws, res);
       obs::add_counter("teta.transients");
       obs::add_counter("teta.chord_iterations",
                        static_cast<std::uint64_t>(res.total_sc_iterations));
+      obs::add_counter("teta.steps", res.time.size() - 1);
       obs::add_counter("teta.dt_halvings", 0);
     }
   }

@@ -15,6 +15,9 @@
 //     for a block; only the lane count differs;
 //   * lanes are independent: every per-step kernel performs the same
 //     double operations in the same order per lane whatever the width;
+//   * a lane's settle stop reads only its own state, so it leaves the
+//     block at the step a one-lane run would stop at, and the block runs
+//     on without it;
 //   * any lane that cannot stay in lockstep (shape mismatch, setup or
 //     convergence failure, blow-up) is rerun from scratch by
 //     simulate_stage, whose first attempt repeats the failed lockstep

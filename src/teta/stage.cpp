@@ -407,6 +407,13 @@ bool setup_and_dc(const StageCircuit& stage,
   return true;
 }
 
+void trim_result(TetaWorkspace& ws, TetaResult& out) {
+  while (out.port_voltages.size() > out.time.size()) {
+    ws.spare_ports.push_back(std::move(out.port_voltages.back()));
+    out.port_voltages.pop_back();
+  }
+}
+
 }  // namespace detail
 
 TetaResult simulate_stage(const StageCircuit& stage,
@@ -459,15 +466,17 @@ void simulate_stage(const StageCircuit& stage,
   // and then the one-lane instance of the step loop, whose SoA scratch
   // the workspace owns; `out` keeps its waveform storage between calls,
   // so back-to-back runs allocate nothing once warm.
-  static constexpr std::size_t kOnlyLane[] = {0};
+  std::size_t only_lane[] = {0};
   const BatchLane lane{&stage, &load, &ws, &out};
   TetaOptions attempt = opt;
   long iterations = 0;
+  std::size_t steps = 0;
   for (int retry = 0;; ++retry) {
     if (detail::setup_and_dc(stage, load, attempt, ws, out)) {
-      detail::step_loop<1>(&lane, kOnlyLane, attempt, ws.one_lane);
+      detail::step_loop<1>(&lane, only_lane, attempt, ws.one_lane);
     }
     iterations += out.total_sc_iterations;
+    if (!out.time.empty()) steps += out.time.size() - 1;
     out.total_sc_iterations = iterations;
     out.diag.iterations = iterations;
     out.diag.retries_used = retry;
@@ -475,15 +484,14 @@ void simulate_stage(const StageCircuit& stage,
         out.diag.kind == sim::FailureKind::kSingularSystem) {
       obs::add_counter("teta.chord_iterations",
                        static_cast<std::uint64_t>(iterations));
+      obs::add_counter("teta.steps", steps);
       obs::add_counter("teta.dt_halvings", static_cast<std::uint64_t>(retry));
       if (out.converged) {
         if (retry > 0) obs::add_counter("teta.recovered_transients");
       } else {
         obs::add_counter("teta.failed_transients");
       }
-      // Drop pooled per-step vectors beyond this run's step count so the
-      // public time/port_voltages invariant holds.
-      out.port_voltages.resize(out.time.size());
+      detail::trim_result(ws, out);
       return;
     }
     attempt.dt *= 0.5;

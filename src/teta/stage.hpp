@@ -116,6 +116,12 @@ struct TetaOptions {
   sim::RecoveryOptions recovery;
 };
 
+/// Outcome of one stage transient. A converged transient ends at tstop or
+/// at its settle step -- the first committed step at which its inputs
+/// have reached their last breakpoint and every port has swung more than
+/// vdd/2 to within 1e-4 vdd of a rail -- and its last sample holds from
+/// there on (docs/performance.md, "The chord predictor and the settle
+/// stop").
 struct TetaResult {
   bool converged = false;
   /// Structured outcome record (kind == kNone on success; retries_used is
@@ -138,8 +144,10 @@ struct TetaResult {
 /// TetaWorkspace owns one for its one-lane attempts. Engine internals;
 /// treat as opaque storage.
 struct BatchTetaWorkspace {
-  // Unknowns / RHS / per-step vectors, [i * B + b].
-  std::vector<double> x, xn, rhs, rhs_const, vknown, hist, yhist, vp, il;
+  // Unknowns / RHS / per-step vectors, [i * B + b]; xprev is the
+  // previous committed solution, the chord predictor's second point.
+  std::vector<double> x, xprev, xn, rhs, rhs_const, vknown, hist, yhist, vp,
+      il;
   std::vector<double> acc;  // history accumulator, [b]
   // Recursive-convolution coefficients, [k * B + b].
   std::vector<double> d_re, d_im, ca_re, ca_im, cb_re, cb_im, w_re, w_im;
@@ -190,12 +198,18 @@ struct TetaWorkspace {
   numeric::Vector x, xn, rhs, vnode, vp, i_load;
   numeric::Vector col_b, col_x;    // column scratch for matrix solves
   BatchTetaWorkspace one_lane;     // step-loop scratch of one-lane attempts
+  // Port vectors a result held past its last step, kept for the next
+  // run: with the settle stop, run lengths vary call to call.
+  std::vector<numeric::Vector> spare_ports;
 };
 
 /// Simulate a stage against a stable pole/residue load. The load's chord
 /// conductances must already be folded in (construct the effective load
 /// with mor::with_port_conductance(pencil, stage.port_chord_conductances())
-/// before reduction -- Table 1 step 2).
+/// before reduction -- Table 1 step 2). Each step's chord iteration starts
+/// from the linear extrapolation of the last two committed solutions. A
+/// converged run ends at tstop or at its settle step, whichever comes
+/// first, and its last sample holds (see TetaResult).
 TetaResult simulate_stage(const StageCircuit& stage,
                           const mor::PoleResidueModel& load,
                           const TetaOptions& opt);

@@ -34,14 +34,22 @@ bool setup_and_dc(const StageCircuit& stage,
                   const mor::PoleResidueModel& load, const TetaOptions& opt,
                   TetaWorkspace& ws, TetaResult& res);
 
+/// Restores out.port_voltages.size() == out.time.size(), moving the port
+/// vectors past the last step into ws.spare_ports for the next run.
+void trim_result(TetaWorkspace& ws, TetaResult& out);
+
 /// Timestep phase for lanes[live[0]], lanes[live[1]], ...: one stage
 /// shape, each lane set up by setup_and_dc under `opt`. The width is
-/// kLanes, or live.size() when kLanes is 0. On return bws.alive[b] says
-/// whether slot b converged (out->converged set). A lane that left the
-/// block carries the classified diagnostics of its failure (SC iteration
-/// limit or blow-up). Counters are the caller's.
+/// kLanes, or live.size() when kLanes is 0. Each step starts its chord
+/// iteration from the predicted 2 x[n] - x[n-1], and a lane runs until it
+/// fails, settles (see the settle stop in batch.cpp) or reaches tstop.
+/// Lanes that leave move to the back of the block, so the loop permutes
+/// `live` with its slots: on return slot b holds lane live[b], and
+/// bws.alive[b] says whether it converged (out->converged set). A lane
+/// that failed carries the classified diagnostics of its failure (SC
+/// iteration limit or blow-up). Counters are the caller's.
 template <std::size_t kLanes>
-void step_loop(const BatchLane* lanes, std::span<const std::size_t> live,
+void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
                const TetaOptions& opt, BatchTetaWorkspace& bws);
 
 }  // namespace lcsf::teta::detail

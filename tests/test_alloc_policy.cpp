@@ -95,11 +95,14 @@ TEST(AllocationPolicy, CounterSeesHeapAllocations) {
             3u);
 }
 
+// The input switches early but has a last breakpoint past both windows
+// the tests compare, so no lane meets the settle stop and every run
+// lasts its whole window: the two lengths really differ.
 struct InvStage {
   circuit::Technology tech = circuit::technology_180nm();
   StageModel model;
-  circuit::SourceWaveform input =
-      circuit::SourceWaveform::ramp(0.0, tech.vdd, 0.2e-9, 0.1e-9);
+  circuit::SourceWaveform input = circuit::SourceWaveform::pwl(
+      {{0.2e-9, 0.0}, {0.3e-9, tech.vdd}, {3e-9, tech.vdd}});
 
   InvStage() {
     model.cell = &timing::find_cell("INV");
@@ -110,9 +113,11 @@ struct InvStage {
 };
 
 // One-lane instance: a warm pooled simulate_stage makes as many heap
-// allocations at 1000 steps as at 2000. The workspace warms at the longer
-// length first; a longer transient than the pooled one is a shape change,
-// which may grow the result storage.
+// allocations at 1000 steps as at 2000, and as many again at 2000 steps
+// after the shorter run (run lengths vary with the settle stop, so a
+// shorter run must not give back the warm result storage). The workspace
+// warms at the longer length first; a longer transient than the pooled
+// one is a shape change, which may grow the result storage.
 TEST(AllocationPolicy, WarmOneLaneTransientIsConstantPerCall) {
   const InvStage inv;
   teta::StageCircuit stage;
@@ -139,16 +144,21 @@ TEST(AllocationPolicy, WarmOneLaneTransientIsConstantPerCall) {
   run(2e-9);
   ASSERT_TRUE(res.converged) << res.failure();
   const std::size_t longer = allocations_of([&] { run(2e-9); });
+  ASSERT_TRUE(res.converged) << res.failure();
+  EXPECT_EQ(res.time.size(), 2001u);
   const std::size_t shorter = allocations_of([&] { run(1e-9); });
   ASSERT_TRUE(res.converged) << res.failure();
   EXPECT_EQ(res.time.size(), 1001u);
   EXPECT_EQ(longer, shorter);
+  EXPECT_EQ(allocations_of([&] { run(2e-9); }), longer);
+  EXPECT_EQ(res.time.size(), 2001u);
 }
 
 // Runtime-width instance, through the whole per-sample pipeline: a warm
 // K = 4 measure_stage_batch block (ROM evaluation, pole/residue
 // extraction, stamping, the lockstep transient, measurement) makes as
-// many heap allocations in a 2 ns window as in a 1 ns one.
+// many heap allocations in a 2 ns window as in a 1 ns one, and in a 2 ns
+// one again after it.
 TEST(AllocationPolicy, WarmBlockIsConstantPerCall) {
   const InvStage inv;
   constexpr std::size_t kLanes = 4;
@@ -173,14 +183,22 @@ TEST(AllocationPolicy, WarmBlockIsConstantPerCall) {
     measure_stage_batch(inv.model, inv.tech, opt, 0, inputs, shifts, devp,
                         wirep, /*out_rising=*/false, nullptr, meas, bws);
   };
+  // Every lane measured, in one window-scale-1 run of `steps` steps.
+  const auto expect_lengths = [&](std::size_t steps) {
+    ASSERT_EQ(meas.size(), kLanes);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      ASSERT_FALSE(meas[l].failed) << meas[l].diag.message();
+      EXPECT_EQ(bws.lane(l).teta_result.time.size(), steps + 1) << l;
+    }
+  };
   run(2e-9);
   const std::size_t longer = allocations_of([&] { run(2e-9); });
+  expect_lengths(2000);
   const std::size_t shorter = allocations_of([&] { run(1e-9); });
-  ASSERT_EQ(meas.size(), kLanes);
-  for (const StageMeasurement& m : meas) {
-    ASSERT_FALSE(m.failed) << m.diag.message();
-  }
+  expect_lengths(1000);
   EXPECT_EQ(longer, shorter);
+  EXPECT_EQ(allocations_of([&] { run(2e-9); }), longer);
+  expect_lengths(2000);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // docs/performance.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
@@ -269,6 +270,71 @@ TEST(BatchHotpath, WindowLadderMatchesOneLaneCallsBitwise) {
   EXPECT_EQ(batch.at("teta.transients"), scalar.at("teta.transients"));
   EXPECT_EQ(batch.at("teta.chord_iterations"),
             scalar.at("teta.chord_iterations"));
+  EXPECT_EQ(batch.at("teta.steps"), scalar.at("teta.steps"));
+#endif
+}
+
+// Only lanes whose output transition did not complete climb the window
+// ladder. A lane whose transient fails would fail again on every rung --
+// a wider window repeats its dt and trajectory -- so it fails at once:
+// one failed transient for the lane, with a one-lane call's diagnostics.
+TEST(BatchHotpath, FailedTransientSkipsTheWindowLadder) {
+  const PathAnalyzer pa(small_path_spec());
+  const StageModel& st = pa.stage_model(0);  // INV: falling output
+  const circuit::Technology& tech = pa.spec().tech;
+  StageSimOptions opt;
+  opt.stage_window = 1e-9;
+  const circuit::SourceWaveform wave =
+      timing::RampParams{0.25e-9, 0.1e-9, true}.to_source(tech.vdd);
+  constexpr std::size_t kLanes = 3;
+  std::vector<timing::DeviceVariation> devs(kLanes);
+  devs[1].delta_l = 0.95 * tech.lmin;  // hits the SC iteration limit
+  const interconnect::WireVariation wire;
+  const std::vector<const circuit::SourceWaveform*> inputs(kLanes, &wave);
+  const std::vector<double> shifts(kLanes, 0.0);
+  const std::vector<const interconnect::WireVariation*> wirep(kLanes,
+                                                              &wire);
+  std::vector<const timing::DeviceVariation*> devp;
+  for (const auto& d : devs) devp.push_back(&d);
+
+  obs::Registry batch_reg;
+  std::vector<StageMeasurement> meas;
+  {
+    obs::ScopedContext ctx(&batch_reg, 0);
+    BatchWorkspace bws;
+    measure_stage_batch(st, tech, opt, 3, inputs, shifts, devp, wirep,
+                        /*out_rising=*/false, nullptr, meas, bws);
+  }
+  ASSERT_EQ(meas.size(), kLanes);
+  EXPECT_FALSE(meas[0].failed);
+  EXPECT_FALSE(meas[2].failed);
+  ASSERT_TRUE(meas[1].failed);
+  EXPECT_EQ(meas[1].diag.kind, sim::FailureKind::kNewtonNonConvergence);
+
+  obs::Registry one_reg;
+  try {
+    obs::ScopedContext ctx(&one_reg, 0);
+    SampleWorkspace ws;
+    (void)measure_stage_with_retry(st, tech, opt, 3, wave, 0.0, devs[1],
+                                   wire, /*out_rising=*/false, nullptr,
+                                   &ws);
+    ADD_FAILURE() << "the one-lane call converged";
+  } catch (const sim::SimulationError& e) {
+    EXPECT_EQ(e.kind(), meas[1].diag.kind);
+    EXPECT_EQ(e.diagnostics().detail, meas[1].diag.detail);
+    EXPECT_EQ(e.diagnostics().failure_time, meas[1].diag.failure_time);
+    EXPECT_EQ(e.diagnostics().iterations, meas[1].diag.iterations);
+    EXPECT_EQ(e.diagnostics().message(), meas[1].diag.message());
+  }
+
+#if LCSF_OBS_ENABLED
+  const auto batch = batch_reg.snapshot().counters;
+  const auto one = one_reg.snapshot().counters;
+  EXPECT_EQ(batch.at("teta.failed_transients"), 1u);
+  EXPECT_EQ(one.at("teta.failed_transients"), 1u);
+  // One transient per lane: no lane repeats the 1x window.
+  EXPECT_EQ(batch.at("teta.transients"), kLanes);
+  EXPECT_EQ(one.at("teta.transients"), 1u);
 #endif
 }
 
@@ -364,14 +430,15 @@ TEST(BatchHotpath, LanesLeavingALockstepBlockMatchOneLaneCalls) {
   opt.recovery.max_dt_retries = 2;
   opt.recovery.damping_factor = 1.0;  // keep DC within the tight budget
 
-  // SC limit: a coarse step and a 12-iteration budget. The faster the
-  // input edge, the more chord iterations a step needs: the idle lane
-  // converges in lockstep, the 100 ps edge recovers at dt/4, the faster
-  // ones exhaust the ladder, and so does the NAND2 lane.
+  // SC limit: a coarse step and a 10-iteration budget (the predicted
+  // chord start converges the 30 ps edge and the NAND2 lane within 12).
+  // The faster the input edge, the more chord iterations a step needs:
+  // the idle lane converges in lockstep, the 100 ps edge recovers at
+  // dt/4, the faster ones exhaust the ladder, and so does the NAND2 lane.
   {
     teta::TetaOptions sc = opt;
     sc.dt = 12e-12;
-    sc.max_sc_iters = 12;
+    sc.max_sc_iters = 10;
     const std::vector<double> start{1e-9, 0.05e-9, 0.05e-9, 0.05e-9};
     const std::vector<double> rise{200e-12, 100e-12, 30e-12, 1e-12};
     std::vector<TetaLaneInputs> in;
@@ -425,6 +492,48 @@ TEST(BatchHotpath, LanesLeavingALockstepBlockMatchOneLaneCalls) {
   }
 }
 
+// The settle stop ends a lane at the first committed step where its
+// input has reached its last breakpoint and every port has swung more
+// than vdd/2 to within 1e-4 vdd of a rail. A DC input never swings and a
+// pulse's output swings back to where it started, so both run to tstop;
+// a ramp's lane stops early, alone at the same step as in the block, and
+// at the same step in a window twice as long.
+TEST(BatchHotpath, SettleStopNeedsACompletedSwing) {
+  const PathAnalyzer pa(small_path_spec());
+  const circuit::Technology& tech = pa.spec().tech;
+  const StageModel& inv = pa.stage_model(0);
+  teta::TetaOptions opt;
+  opt.tstop = 1e-9;
+  opt.dt = 2e-12;
+  opt.vdd = tech.vdd;
+  using circuit::SourceWaveform;
+  std::vector<TetaLaneInputs> in;
+  in.push_back(teta_lane(inv, tech, SourceWaveform::dc(0.0), {}));
+  in.push_back(teta_lane(
+      inv, tech,
+      SourceWaveform::pulse(0.0, tech.vdd, 0.1e-9, 50e-12, 0.2e-9, 50e-12),
+      {}));
+  in.push_back(teta_lane(
+      inv, tech, SourceWaveform::ramp(0.0, tech.vdd, 0.1e-9, 50e-12), {}));
+  const auto res = expect_block_matches_one_lane_calls(in, opt);
+  for (const auto& r : res) ASSERT_TRUE(r.converged) << r.failure();
+  EXPECT_EQ(res[0].time.size(), 501u) << "DC input";
+  EXPECT_EQ(res[1].time.size(), 501u) << "pulse";
+  ASSERT_LT(res[2].time.size(), 501u) << "ramp";
+  EXPECT_GE(res[2].time.back(), 0.15e-9);
+  for (const double v : res[2].port_voltages.back()) {
+    EXPECT_LE(std::abs(v), 1e-4 * tech.vdd);  // settled at ground
+  }
+
+  teta::TetaOptions longer = opt;
+  longer.tstop = 2e-9;
+  teta::TetaWorkspace ws;
+  teta::TetaResult out;
+  teta::simulate_stage(in[2].stage, in[2].load, longer, ws, out);
+  EXPECT_EQ(out.time, res[2].time);
+  EXPECT_EQ(out.port_voltages, res[2].port_voltages);
+}
+
 // Replays slot `slot` of a converged step-loop run through a fresh
 // RecursiveConvolver: DC history from the t = 0 port voltages, then per
 // step the loop's own commit, il = Y_h v[n] - Y_h history(), advance(il).
@@ -473,7 +582,10 @@ std::size_t replay_mismatches(const mor::PoleResidueModel& load,
 // vectorizer's scalar epilogue) and K = 8 (its vector body). Stage loads
 // are real-pole only, which leaves the imaginary half of every expanded
 // complex product at zero, so each case runs again with one
-// complex-conjugate pole pair added to the load.
+// complex-conjugate pole pair added to the load. Every lane settles
+// before tstop, each at its own step: a slot that leaves its block early
+// must keep the state of the steps it ran, untouched by the steps its
+// block runs after it.
 TEST(BatchHotpath, StepLoopReplaysThroughRecursiveConvolverBitwise) {
   const circuit::Technology tech = circuit::technology_180nm();
   StageModel st;  // the hot-path bench's INV stage
@@ -484,40 +596,46 @@ TEST(BatchHotpath, StepLoopReplaysThroughRecursiveConvolverBitwise) {
   opt.dt = 1e-12;
   opt.tstop = 0.6e-9;
   opt.vdd = tech.vdd;
-  const circuit::SourceWaveform input =
-      circuit::SourceWaveform::ramp(0.0, tech.vdd, 0.2e-9, 0.1e-9);
 
   // Lane l: its own device and wire draw, so every slot's coefficients
-  // and states differ; every lane gets the pair at the same poles.
+  // and states differ, and an input edge 20 ps after lane l - 1's, so the
+  // lanes settle in turn; every lane gets the pair at the same poles.
   const auto lanes = [&](std::size_t k, bool pair) {
     std::vector<TetaLaneInputs> in;
     for (std::size_t l = 0; l < k; ++l) {
       const double u = 0.1 * static_cast<double>(l) - 0.3;
       timing::DeviceVariation dev;
       dev.delta_vt = 0.01 * u;
-      TetaLaneInputs ln = teta_lane(st, tech, input, dev);
+      TetaLaneInputs ln = teta_lane(
+          st, tech,
+          circuit::SourceWaveform::ramp(
+              0.0, tech.vdd, 0.2e-9 + 20e-12 * static_cast<double>(l),
+              0.1e-9),
+          dev);
       ln.load = mor::stabilize(
           mor::extract_pole_residue(st.load.evaluate(Vector{u, -u})));
       if (pair) {
-        // Poles at -3e10 +/- 8e10j with conjugate residues a fifth the
-        // size of the first pole's: a small ringing term on a load that
-        // stays stable.
+        // Poles at -3e10 +/- 8e10j with conjugate residues a twentieth
+        // the size of the first pole's: a small ringing term on a load
+        // that stays stable. r / p is purely imaginary, so the pair adds
+        // nothing at DC and the lanes still swing rail to rail and settle.
         const std::size_t np = ln.load.num_ports();
         std::vector<numeric::Complex> poles = ln.load.poles();
         std::vector<numeric::ComplexMatrix> res;
         for (std::size_t q = 0; q < poles.size(); ++q) {
           res.push_back(ln.load.residue(q));
         }
+        const numeric::Complex p{-3e10, 8e10};
         numeric::ComplexMatrix r(np, np), rc(np, np);
         for (std::size_t i = 0; i < np; ++i) {
           for (std::size_t j = 0; j < np; ++j) {
-            r(i, j) = 0.2 * std::abs(res[0](i, j)) *
-                      numeric::Complex{1.0, -0.5};
+            r(i, j) = 0.05 * std::abs(res[0](i, j)) *
+                      numeric::Complex{0.0, 1.0} * p / std::abs(p);
             rc(i, j) = std::conj(r(i, j));
           }
         }
-        poles.push_back({-3e10, 8e10});
-        poles.push_back({-3e10, -8e10});
+        poles.push_back(p);
+        poles.push_back(std::conj(p));
         res.push_back(r);
         res.push_back(rc);
         ln.load = mor::PoleResidueModel(np, ln.load.direct(), poles, res);
@@ -535,7 +653,7 @@ TEST(BatchHotpath, StepLoopReplaysThroughRecursiveConvolverBitwise) {
       teta::simulate_stage(in[0].stage, in[0].load, opt, ws, out);
       ASSERT_TRUE(out.converged) << out.failure();
       ASSERT_EQ(out.diag.retries_used, 0);
-      ASSERT_EQ(out.port_voltages.size(), 601u);
+      ASSERT_LT(out.port_voltages.size(), 601u) << "settled before tstop";
       EXPECT_EQ(replay_mismatches(in[0].load, opt, ws, out, ws.one_lane, 0),
                 0u)
           << "one lane, pair " << pair;
@@ -551,14 +669,19 @@ TEST(BatchHotpath, StepLoopReplaysThroughRecursiveConvolverBitwise) {
       teta::BatchTetaWorkspace bws;
       teta::simulate_stage_batch(block, opt, bws);
       ASSERT_EQ(bws.live.size(), k);
+      std::size_t first = 601, last = 0;  // waveform lengths in the block
       for (std::size_t b = 0; b < k; ++b) {
         ASSERT_TRUE(bws.alive[b]) << "K " << k << " slot " << b;
         const std::size_t l = bws.live[b];
         ASSERT_TRUE(out[l].converged) << out[l].failure();
+        first = std::min(first, out[l].port_voltages.size());
+        last = std::max(last, out[l].port_voltages.size());
         EXPECT_EQ(replay_mismatches(in[l].load, opt, ws[l], out[l], bws, b),
                   0u)
             << "K " << k << " slot " << b << ", pair " << pair;
       }
+      EXPECT_LT(first, last) << "K " << k;
+      EXPECT_LT(last, 601u) << "K " << k;
     }
   }
 }
@@ -648,8 +771,10 @@ TEST(BatchHotpath, NumericKernelsMatchScalarBitwise) {
     EXPECT_EQ(y, y_ref);
   }
 
-  // mul_into_batch with per-lane matrices == mul_into per lane.
-  {
+  // mul_into_batch with per-lane matrices == mul_into per lane, over the
+  // leading lanes of wider rows (the step loop's running slots); the
+  // slots past them stay untouched.
+  for (const std::size_t lanes : {kLanes, kLanes - 3}) {
     std::vector<Matrix> mats(kLanes, Matrix(kRows, kCols));
     std::vector<const Matrix*> mp(kLanes);
     for (std::size_t l = 0; l < kLanes; ++l) {
@@ -658,16 +783,17 @@ TEST(BatchHotpath, NumericKernelsMatchScalarBitwise) {
       }
       mp[l] = &mats[l];
     }
-    std::vector<double> x(kCols * kLanes), y(kRows * kLanes, 0.0);
+    std::vector<double> x(kCols * kLanes), y(kRows * kLanes, -1.0);
     for (auto& v : x) v = rnd();
     numeric::mul_into_batch(mp.data(), kRows, kCols, x.data(), y.data(),
-                            kLanes);
+                            lanes, kLanes);
     Vector xl(kCols), yl(kRows);
     for (std::size_t l = 0; l < kLanes; ++l) {
       for (std::size_t j = 0; j < kCols; ++j) xl[j] = x[j * kLanes + l];
       numeric::mul_into(mats[l], xl, yl);
       for (std::size_t i = 0; i < kRows; ++i) {
-        EXPECT_EQ(y[i * kLanes + l], yl[i]) << "lane " << l << " row " << i;
+        EXPECT_EQ(y[i * kLanes + l], l < lanes ? yl[i] : -1.0)
+            << "lanes " << lanes << " lane " << l << " row " << i;
       }
     }
   }

@@ -516,6 +516,29 @@ TEST(Dispatch, MetricsReportsServeCounters) {
   EXPECT_GT(counters->find("stats.mc.samples")->as_int(), 0);
 }
 
+#if LCSF_OBS_ENABLED
+// A cold load characterizes under a registry of its own, folded into the
+// server-wide one without its span events: cold loads leave the server's
+// span log as it was, while its counters and timers count every load.
+TEST(Dispatch, ColdLoadsAddNoServerSpanEvents) {
+  DispatchFixture f;
+  const std::size_t spans = f.registry.snapshot().spans.size();
+  constexpr std::size_t kLoads = 3;
+  for (std::size_t k = 0; k < kLoads; ++k) {
+    const std::string resp =
+        f.dispatch(R"({"id":1,"type":"load","circuit":"s27","elements":)" +
+                   std::to_string(10 + k) + "}");
+    ASSERT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+  }
+  EXPECT_EQ(f.cache.stats().misses, kLoads);
+  const obs::Snapshot snap = f.registry.snapshot();
+  EXPECT_EQ(snap.spans.size(), spans);
+  EXPECT_EQ(snap.timers.at("core.characterize").count, kLoads);
+  EXPECT_EQ(snap.counters.at("serve.cache.misses"), kLoads);
+  EXPECT_GT(snap.counters.at("mor.pact.eigensolves"), 0u);
+}
+#endif  // LCSF_OBS_ENABLED
+
 TEST(Dispatch, ShutdownSetsTheFlag) {
   DispatchFixture f;
   const auto out =

@@ -251,18 +251,18 @@ TEST(StageEngine, InverterMatchesSpice) {
   auto tres = fix.run_teta(tstop, dt);
   ASSERT_TRUE(tres.converged) << tres.failure();
 
-  // Compare the driven port and the far node over the full waveform.
+  // Compare the driven port and the far node over TETA's samples. TETA
+  // stops once the stage has settled and its last sample holds from
+  // there on, so SPICE's remaining tail is compared against it too.
   auto sw_out = sres.waveform(2);  // "out" was second added node
   auto sw_far = sres.waveform(3);
-  ASSERT_EQ(sw_out.size(), tres.time.size());
+  const std::size_t nt = tres.time.size();
+  ASSERT_LT(nt, sw_out.size()) << "the settled stage stops early";
   double max_err_out = 0.0, max_err_far = 0.0;
-  for (std::size_t k = 0; k < tres.time.size(); ++k) {
-    max_err_out =
-        std::max(max_err_out,
-                 std::abs(sw_out[k].second - tres.port_voltages[k][0]));
-    max_err_far =
-        std::max(max_err_far,
-                 std::abs(sw_far[k].second - tres.port_voltages[k][1]));
+  for (std::size_t k = 0; k < sw_out.size(); ++k) {
+    const numeric::Vector& v = tres.port_voltages[std::min(k, nt - 1)];
+    max_err_out = std::max(max_err_out, std::abs(sw_out[k].second - v[0]));
+    max_err_far = std::max(max_err_far, std::abs(sw_far[k].second - v[1]));
   }
   // Same device model, same timestep, both second-order integrators.
   EXPECT_LT(max_err_out, 0.02) << "driven port diverges from SPICE";

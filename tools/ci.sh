@@ -183,7 +183,7 @@ if mkdir -p "$OBS_DIR" \
     && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
          "$OBS_DIR/sta_t1.json" "$OBS_DIR/sta_t8.json" \
          --require stats.mc.samples --require teta.transients \
-         --require mor.rom_evaluations \
+         --require teta.steps --require mor.rom_evaluations \
     && python3 tools/check_metrics.py --schema tools/metrics_schema.json \
          "$OBS_DIR/sta_b4_t1.json" "$OBS_DIR/sta_b4_t2.json" \
          "$OBS_DIR/sta_b4_t8.json" \
