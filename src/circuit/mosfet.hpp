@@ -11,6 +11,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 namespace lcsf::circuit {
 
@@ -57,10 +58,75 @@ struct MosOperatingPoint {
   double gds = 0.0;  ///< d ids / d vds
 };
 
-/// Evaluate the level-1 equations at terminal voltages (vg, vd, vs).
-/// Handles source/drain swap for reverse conduction and the PMOS mirror.
-MosOperatingPoint mosfet_eval(const Mosfet& m, double vg, double vd,
-                              double vs);
+/// Per-instance constants of the level-1 equations: all mosfet_eval reads
+/// besides the terminal voltages. A caller that evaluates a device many
+/// times builds them once (TETA, per transient in TetaWorkspace::devices).
+struct MosfetConstants {
+  double sign = 1.0;    ///< polarity: +1 NMOS, -1 PMOS
+  double vt = 0.0;      ///< threshold vt0 + delta_vt [V]
+  double beta = 0.0;    ///< kp * w / Leff [A/V^2]
+  double lambda = 0.0;  ///< channel-length modulation [1/V]
+
+  /// Throws std::runtime_error when Leff <= 0 (Mosfet::leff()).
+  static MosfetConstants of(const Mosfet& m) {
+    return {m.type == MosType::kNmos ? 1.0 : -1.0, m.model.vt0 + m.delta_vt,
+            m.model.kp * m.w / m.leff(), m.model.lambda};
+  }
+};
+
+/// The one definition of the level-1 equations at terminal voltages
+/// (vg, vd, vs), shared by SPICE's Newton and AC stamps and TETA's DC
+/// Newton and chord iteration. Handles source/drain swap for reverse
+/// conduction and the PMOS mirror. Inline, so a caller that reads only
+/// .ids drops the gm and gds work.
+inline MosOperatingPoint mosfet_eval(const MosfetConstants& c, double vg,
+                                     double vd, double vs) {
+  // Normalize to NMOS polarity. The level-1 device is symmetric: if
+  // vds < 0 the roles of drain and source swap. Track the swap so the
+  // returned derivatives stay with respect to the *original* (vgs, vds).
+  const double nvg = c.sign * vg;
+  double nvd = c.sign * vd;
+  double nvs = c.sign * vs;
+  const bool swapped = nvd < nvs;
+  if (swapped) std::swap(nvd, nvs);
+  const double vgst = nvg - nvs - c.vt;
+  const double vds = nvd - nvs;
+
+  MosOperatingPoint op;  // cutoff, vgst <= 0: all zero (NaN propagates)
+  if (!(vgst <= 0.0)) {
+    const double clm = 1.0 + c.lambda * vds;
+    if (vds < vgst) {  // triode
+      op.ids = c.beta * (vgst * vds - 0.5 * vds * vds) * clm;
+      op.gm = c.beta * vds * clm;
+      op.gds = c.beta * ((vgst - vds) * clm +
+                         c.lambda * (vgst * vds - 0.5 * vds * vds));
+    } else {  // saturation
+      op.ids = 0.5 * c.beta * vgst * vgst * clm;
+      op.gm = c.beta * vgst * clm;
+      op.gds = 0.5 * c.beta * vgst * vgst * c.lambda;
+    }
+  }
+  if (swapped) {
+    // Reverse conduction: by device symmetry i(vgs, vds) = -i_f(vgd, -vds)
+    // with vgd = vgs - vds, and the equations above were evaluated exactly
+    // at (vgd, -vds). Chain rule:
+    //   d i / d vgs = -gm_f
+    //   d i / d vds = -(gm_f * (-1) + gds_f * (-1)) = gm_f + gds_f
+    const double gm_f = op.gm;
+    op.ids = -op.ids;
+    op.gm = -gm_f;
+    op.gds = gm_f + op.gds;
+  }
+  // PMOS mirror: the current flips; gm and gds flip twice, so they stay.
+  if (c.sign < 0.0) op.ids = -op.ids;
+  return op;
+}
+
+/// mosfet_eval over the constants of `m`, recomputed per call.
+inline MosOperatingPoint mosfet_eval(const Mosfet& m, double vg, double vd,
+                                     double vs) {
+  return mosfet_eval(MosfetConstants::of(m), vg, vd, vs);
+}
 
 /// Saturation current at |vgs| = vdd, the natural scale for chord selection.
 double mosfet_idsat(const Mosfet& m, double vdd);

@@ -1,5 +1,6 @@
 #include "circuit/netlist.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace lcsf::circuit {
@@ -30,7 +31,9 @@ void Netlist::check_node(NodeId n) const {
 void Netlist::add_resistor(NodeId a, NodeId b, double ohms) {
   check_node(a);
   check_node(b);
-  if (ohms <= 0.0) throw std::invalid_argument("Netlist: R must be > 0");
+  if (!std::isfinite(ohms) || ohms <= 0.0) {
+    throw std::invalid_argument("Netlist: R must be finite and > 0");
+  }
   if (a == b) throw std::invalid_argument("Netlist: R shorted to itself");
   resistors_.push_back({a, b, ohms});
 }
@@ -38,7 +41,9 @@ void Netlist::add_resistor(NodeId a, NodeId b, double ohms) {
 void Netlist::add_capacitor(NodeId a, NodeId b, double farads) {
   check_node(a);
   check_node(b);
-  if (farads < 0.0) throw std::invalid_argument("Netlist: C must be >= 0");
+  if (!std::isfinite(farads) || farads < 0.0) {
+    throw std::invalid_argument("Netlist: C must be finite and >= 0");
+  }
   if (a == b) throw std::invalid_argument("Netlist: C shorted to itself");
   capacitors_.push_back({a, b, farads});
 }
@@ -46,7 +51,9 @@ void Netlist::add_capacitor(NodeId a, NodeId b, double farads) {
 void Netlist::add_inductor(NodeId a, NodeId b, double henries) {
   check_node(a);
   check_node(b);
-  if (henries <= 0.0) throw std::invalid_argument("Netlist: L must be > 0");
+  if (!std::isfinite(henries) || henries <= 0.0) {
+    throw std::invalid_argument("Netlist: L must be finite and > 0");
+  }
   if (a == b) throw std::invalid_argument("Netlist: L shorted to itself");
   inductors_.push_back({a, b, henries});
 }

@@ -67,6 +67,10 @@ class Netlist {
   std::size_t node_count() const { return names_.size(); }
   const std::string& node_name(NodeId n) const { return names_.at(n); }
 
+  /// Element adders throw std::invalid_argument for a value that is not
+  /// finite (NaN, inf) or is out of range (R, L <= 0; C < 0) and for an
+  /// element shorted to itself; parse_netlist reports it as a ParseError
+  /// naming the card's line.
   void add_resistor(NodeId a, NodeId b, double ohms);
   void add_capacitor(NodeId a, NodeId b, double farads);
   void add_inductor(NodeId a, NodeId b, double henries);

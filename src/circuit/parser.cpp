@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -51,26 +52,20 @@ std::vector<std::string> tokenize(const std::string& text) {
 
 }  // namespace
 
-double parse_value(const std::string& token) {
-  if (token.empty()) throw ParseError(0, "empty value");
-  std::size_t pos = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(token, &pos);
-  } catch (const std::exception&) {
-    throw ParseError(0, "bad numeric value '" + token + "'");
-  }
-  const std::string suffix = lower(token.substr(pos));
-  if (suffix.empty()) return v;
-  if (suffix == "f") return v * 1e-15;
-  if (suffix == "p") return v * 1e-12;
-  if (suffix == "n") return v * 1e-9;
-  if (suffix == "u") return v * 1e-6;
-  if (suffix == "m") return v * 1e-3;
-  if (suffix == "k") return v * 1e3;
-  if (suffix == "meg") return v * 1e6;
-  if (suffix == "g") return v * 1e9;
-  if (suffix == "t") return v * 1e12;
+namespace {
+
+/// Multiplier of an engineering suffix ("", "p", "meg", "pF", "V").
+double suffix_scale(const std::string& token, const std::string& suffix) {
+  if (suffix.empty()) return 1.0;
+  if (suffix == "f") return 1e-15;
+  if (suffix == "p") return 1e-12;
+  if (suffix == "n") return 1e-9;
+  if (suffix == "u") return 1e-6;
+  if (suffix == "m") return 1e-3;
+  if (suffix == "k") return 1e3;
+  if (suffix == "meg") return 1e6;
+  if (suffix == "g") return 1e9;
+  if (suffix == "t") return 1e12;
   // SPICE ignores trailing unit letters after a recognized suffix
   // ("2.5pF", "10kohm"); accept a letter tail.
   static const std::pair<const char*, double> prefixes[] = {
@@ -81,14 +76,34 @@ double parse_value(const std::string& token) {
     if (suffix.rfind(pre, 0) == 0 &&
         std::all_of(suffix.begin() + static_cast<long>(len), suffix.end(),
                     [](unsigned char c) { return std::isalpha(c); })) {
-      return v * scale;
+      return scale;
     }
   }
   if (std::all_of(suffix.begin(), suffix.end(),
                   [](unsigned char c) { return std::isalpha(c); })) {
-    return v;  // bare unit like "5V"
+    return 1.0;  // bare unit like "5V"
   }
   throw ParseError(0, "bad value suffix '" + token + "'");
+}
+
+}  // namespace
+
+double parse_value(const std::string& token) {
+  if (token.empty()) throw ParseError(0, "empty value");
+  std::size_t pos = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(token, &pos);
+  } catch (const std::exception&) {
+    throw ParseError(0, "bad numeric value '" + token + "'");
+  }
+  v *= suffix_scale(token, lower(token.substr(pos)));
+  // std::stod reads "nan", "inf" and "infinity", and a suffix can
+  // overflow: no element, width or breakpoint takes a non-finite value.
+  if (!std::isfinite(v)) {
+    throw ParseError(0, "bad numeric value '" + token + "'");
+  }
+  return v;
 }
 
 namespace {
@@ -185,74 +200,80 @@ Netlist parse_netlist(std::istream& in, const Technology& tech) {
         throw ParseError(ln, e.detail());
       }
     };
-    switch (head[0]) {
-      case 'r': {
-        need(4);
-        nl.add_resistor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
-        break;
-      }
-      case 'c': {
-        need(4);
-        nl.add_capacitor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
-        break;
-      }
-      case 'l': {
-        need(4);
-        nl.add_inductor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
-        break;
-      }
-      case 'v': {
-        need(4);
-        nl.add_vsource(nl.node(tok[1]), nl.node(tok[2]),
-                       parse_source(tok, 3, ln));
-        break;
-      }
-      case 'i': {
-        need(4);
-        nl.add_isource(nl.node(tok[1]), nl.node(tok[2]),
-                       parse_source(tok, 3, ln));
-        break;
-      }
-      case 'm': {
-        // Mname d g s NMOS|PMOS [W= v] [L= v] [DVT= v] [DL= v]
-        need(5);
-        const std::string model = lower(tok[4]);
-        Mosfet m;
-        if (model == "nmos") {
-          m = tech.make_nmos(nl.node(tok[1]), nl.node(tok[2]),
-                             nl.node(tok[3]));
-        } else if (model == "pmos") {
-          m = tech.make_pmos(nl.node(tok[1]), nl.node(tok[2]),
-                             nl.node(tok[3]));
-        } else {
-          throw ParseError(ln, "unknown MOS model '" + tok[4] + "'");
+    // Element checks (Netlist::add_*, SourceWaveform::pulse) throw
+    // std::invalid_argument; in a deck that is this card's error.
+    try {
+      switch (head[0]) {
+        case 'r': {
+          need(4);
+          nl.add_resistor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
+          break;
         }
-        for (std::size_t i = 5; i < tok.size(); i += 3) {
-          if (i + 2 >= tok.size()) {
-            throw ParseError(ln, "truncated key=value near '" + tok[i] + "'");
-          }
-          if (tok[i + 1] != "=") {
-            throw ParseError(ln, "expected key=value near '" + tok[i] + "'");
-          }
-          const std::string key = lower(tok[i]);
-          const double v = value_at(i + 2);
-          if (key == "w") {
-            m.w = v;
-          } else if (key == "l") {
-            m.l = v;
-          } else if (key == "dvt") {
-            m.delta_vt = v;
-          } else if (key == "dl") {
-            m.delta_l = v;
+        case 'c': {
+          need(4);
+          nl.add_capacitor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
+          break;
+        }
+        case 'l': {
+          need(4);
+          nl.add_inductor(nl.node(tok[1]), nl.node(tok[2]), value_at(3));
+          break;
+        }
+        case 'v': {
+          need(4);
+          nl.add_vsource(nl.node(tok[1]), nl.node(tok[2]),
+                         parse_source(tok, 3, ln));
+          break;
+        }
+        case 'i': {
+          need(4);
+          nl.add_isource(nl.node(tok[1]), nl.node(tok[2]),
+                         parse_source(tok, 3, ln));
+          break;
+        }
+        case 'm': {
+          // Mname d g s NMOS|PMOS [W= v] [L= v] [DVT= v] [DL= v]
+          need(5);
+          const std::string model = lower(tok[4]);
+          Mosfet m;
+          if (model == "nmos") {
+            m = tech.make_nmos(nl.node(tok[1]), nl.node(tok[2]),
+                               nl.node(tok[3]));
+          } else if (model == "pmos") {
+            m = tech.make_pmos(nl.node(tok[1]), nl.node(tok[2]),
+                               nl.node(tok[3]));
           } else {
-            throw ParseError(ln, "unknown MOS parameter '" + tok[i] + "'");
+            throw ParseError(ln, "unknown MOS model '" + tok[4] + "'");
           }
+          for (std::size_t i = 5; i < tok.size(); i += 3) {
+            if (i + 2 >= tok.size()) {
+              throw ParseError(ln, "truncated key=value near '" + tok[i] + "'");
+            }
+            if (tok[i + 1] != "=") {
+              throw ParseError(ln, "expected key=value near '" + tok[i] + "'");
+            }
+            const std::string key = lower(tok[i]);
+            const double v = value_at(i + 2);
+            if (key == "w") {
+              m.w = v;
+            } else if (key == "l") {
+              m.l = v;
+            } else if (key == "dvt") {
+              m.delta_vt = v;
+            } else if (key == "dl") {
+              m.delta_l = v;
+            } else {
+              throw ParseError(ln, "unknown MOS parameter '" + tok[i] + "'");
+            }
+          }
+          nl.add_mosfet(std::move(m));
+          break;
         }
-        nl.add_mosfet(std::move(m));
-        break;
+        default:
+          throw ParseError(ln, "unknown card '" + card + "'");
       }
-      default:
-        throw ParseError(ln, "unknown card '" + card + "'");
+    } catch (const std::invalid_argument& e) {
+      throw ParseError(ln, e.what());
     }
   }
   obs::add_counter("parser.cards", static_cast<std::uint64_t>(cards.size()));

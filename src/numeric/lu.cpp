@@ -64,33 +64,11 @@ Vector LuFactorization::solve(const Vector& b) const {
 }
 
 void LuFactorization::solve_into(const Vector& b, Vector& x) const {
-  const std::size_t n = size();
-  if (b.size() != n) throw std::invalid_argument("LU solve: size mismatch");
-  x.resize(n);
-  // Apply permutation and forward-substitute L y = P b. Every element of x
-  // is written before it is read, so stale workspace contents are harmless.
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[piv_[i]];
-    for (std::size_t j = 0; j < i; ++j) s -= lu_(i, j) * x[j];
-    x[i] = s;
+  if (b.size() != size()) {
+    throw std::invalid_argument("LU solve: size mismatch");
   }
-  // Back-substitute U x = y.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(ii, j) * x[j];
-    x[ii] = s / lu_(ii, ii);
-  }
-}
-
-void LuFactorization::solve_into_strided(const double* b, double* x,
-                                         std::size_t stride,
-                                         Vector& scratch_b,
-                                         Vector& scratch_x) const {
-  const std::size_t n = size();
-  scratch_b.resize(n);
-  for (std::size_t i = 0; i < n; ++i) scratch_b[i] = b[i * stride];
-  solve_into(scratch_b, scratch_x);
-  for (std::size_t i = 0; i < n; ++i) x[i * stride] = scratch_x[i];
+  x.resize(size());
+  solve_into_strided(b.data(), x.data(), 1);
 }
 
 Matrix LuFactorization::solve(const Matrix& b) const {

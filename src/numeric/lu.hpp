@@ -43,12 +43,30 @@ class LuFactorization {
                   Vector& col_x) const;
   /// Solve A^T x = b (needed for adjoint sensitivity computations).
   Vector solve_transposed(const Vector& b) const;
-  /// Strided-batch solve for SoA lane storage: element i of the RHS lives
-  /// at b[i*stride] and the solution is scattered to x[i*stride] (b and x
-  /// must not alias). Gathers through the caller's dense scratch vectors,
-  /// runs solve_into, and scatters back -- bitwise identical to solve().
-  void solve_into_strided(const double* b, double* x, std::size_t stride,
-                          Vector& scratch_b, Vector& scratch_x) const;
+  /// Strided solve for SoA lane storage: element i of the RHS lives at
+  /// b[i*stride] and the solution goes to x[i*stride] (b and x must not
+  /// alias; both hold size() strided entries). Forward and back
+  /// substitution run in place on x -- the one triangular solve, which
+  /// solve_into runs at stride 1 -- so every stride gives the same bits.
+  /// Inline for the TETA chord iteration.
+  void solve_into_strided(const double* b, double* x,
+                          std::size_t stride) const {
+    // Forward-substitute L y = P b, then back-substitute U x = y. Every
+    // element of x is written before it is read.
+    const std::size_t n = size();
+    for (std::size_t i = 0; i < n; ++i) {
+      double s = b[piv_[i] * stride];
+      for (std::size_t j = 0; j < i; ++j) s -= lu_(i, j) * x[j * stride];
+      x[i * stride] = s;
+    }
+    for (std::size_t ii = n; ii-- > 0;) {
+      double s = x[ii * stride];
+      for (std::size_t j = ii + 1; j < n; ++j) {
+        s -= lu_(ii, j) * x[j * stride];
+      }
+      x[ii * stride] = s / lu_(ii, ii);
+    }
+  }
 
   /// det(A), with pivoting sign folded in.
   double determinant() const;

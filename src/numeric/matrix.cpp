@@ -208,7 +208,10 @@ double norm(const Vector& x) { return std::sqrt(dot(x, x)); }
 
 double max_abs(const Vector& x) {
   double m = 0.0;
-  for (double v : x) m = std::max(m, std::abs(v));
+  for (double v : x) {
+    if (std::isnan(v)) return std::abs(v);  // std::max would drop it
+    m = std::max(m, std::abs(v));
+  }
   return m;
 }
 
@@ -278,13 +281,6 @@ void mul_into_batch(const Matrix* const* a, std::size_t rows,
         yi[l] += (*a[l])(i, j) * xj[l];
       }
     }
-  }
-}
-
-void gemm_into_batch(const Matrix* const* a, const Matrix* const* b,
-                     Matrix* const* c, std::size_t lanes) {
-  for (std::size_t l = 0; l < lanes; ++l) {
-    gemm_into(*a[l], *b[l], *c[l]);
   }
 }
 

@@ -116,7 +116,7 @@ std::ostream& operator<<(std::ostream& os, const Matrix& m);
 double dot(const Vector& x, const Vector& y);
 /// Euclidean norm.
 double norm(const Vector& x);
-/// Largest absolute entry; 0 for empty vectors.
+/// Largest absolute entry; 0 for empty vectors, NaN if any entry is NaN.
 double max_abs(const Vector& x);
 /// y <- y + a*x
 void axpy(double a, const Vector& x, Vector& y);
@@ -150,11 +150,6 @@ void axpy_batch(double a, const double* x, double* y, std::size_t n);
 void mul_into_batch(const Matrix* const* a, std::size_t rows,
                     std::size_t cols, const double* x, double* y,
                     std::size_t lanes, std::size_t stride);
-
-/// Batched gemm: c[l] <- a[l] * b[l] for each lane, with the loop order
-/// and exact-zero skip of gemm_into (bitwise identical per lane).
-void gemm_into_batch(const Matrix* const* a, const Matrix* const* b,
-                     Matrix* const* c, std::size_t lanes);
 
 /// Congruence product X^T A X — the kernel of projection-based MOR.
 Matrix congruence(const Matrix& x, const Matrix& a);

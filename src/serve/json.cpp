@@ -416,7 +416,11 @@ class Parser {
       return Json::integer(v);
     }
     const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("bad number");
+    // The grammar above admits no "inf" or "nan", so a non-finite value
+    // is an overflow (1e999): as malformed as any other bad number.
+    if (end == nullptr || *end != '\0' || !std::isfinite(v)) {
+      fail("bad number");
+    }
     return Json::number(v);
   }
 

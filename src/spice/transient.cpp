@@ -293,7 +293,9 @@ double TransientSimulator::newton_iteration(double ceff, const Vector& vk,
   double dmax = 0.0;
   for (std::size_t i = 0; i < num_unknowns_; ++i) {
     double d = xn[i] - x[i];
-    dmax = std::max(dmax, std::abs(d));
+    // A NaN step must reach newton_loop's non-finite check: std::max keeps
+    // a NaN dmax but would drop a NaN d.
+    dmax = std::isnan(d) ? d : std::max(dmax, std::abs(d));
     d = std::clamp(d, -opt.damping, opt.damping);
     x[i] += d;
   }
@@ -452,7 +454,7 @@ TransientResult TransientSimulator::run(const TransientOptions& opt) {
       return d;
     }
     const double mv = numeric::max_abs(xn);
-    if (mv > opt.vblowup) {
+    if (!(mv <= opt.vblowup)) {
       d.kind = sim::FailureKind::kBlowUp;
       d.failure_time = t1;
       d.max_abs_v = mv;

@@ -130,6 +130,22 @@ void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
   for (std::size_t node = 0; node < nn; ++node) {
     if (node_to_unknown[node] < 0) bws.known_nodes.push_back(node);
   }
+  // Lanes share device terminals: resolve each terminal's voltage row (x
+  // for an unknown, vknown for a known node) and rhs row once per block.
+  const auto v_row = [&](int node) -> const double* {
+    const int u = node_to_unknown[static_cast<std::size_t>(node)];
+    return u >= 0 ? &bws.x[static_cast<std::size_t>(u) * B]
+                  : &bws.vknown[static_cast<std::size_t>(node) * B];
+  };
+  const auto rhs_row = [&](int node) -> double* {
+    const int u = node_to_unknown[static_cast<std::size_t>(node)];
+    return u >= 0 ? &bws.rhs[static_cast<std::size_t>(u) * B] : nullptr;
+  };
+  bws.terminals.clear();
+  for (const Mosfet& m : rstage.mosfets()) {
+    bws.terminals.push_back({v_row(m.gate), v_row(m.drain), v_row(m.source),
+                             rhs_row(m.drain), rhs_row(m.source)});
+  }
 
   for (std::size_t b = 0; b < B; ++b) {
     const TetaWorkspace& w = *lanes[live[b]].ws;
@@ -373,67 +389,63 @@ void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
       if (!pending) break;
       for (std::size_t b = 0; b < nb; ++b) {
         if (bws.sc_done[b]) continue;
-        const BatchLane& ln = lanes[live[b]];
-        const StageCircuit& stg = *ln.stage;
-        TetaWorkspace& w = *ln.ws;
+        const TetaWorkspace& w = *lanes[live[b]].ws;
         for (std::size_t i = 0; i < n; ++i) {
           bws.rhs[i * B + b] = bws.rhs_const[i * B + b];
         }
-        Vector& vn = w.vnode;
-        vn.resize(nn);
-        for (std::size_t node = 0; node < nn; ++node) {
-          const int u = node_to_unknown[node];
-          vn[node] = u >= 0 ? bws.x[static_cast<std::size_t>(u) * B + b]
-                            : bws.vknown[node * B + b];
-        }
         // Device Norton currents at iterate v: j = ids(v) - G_ch (vd - vs);
         // accumulate -j into rhs rows (current leaving drain is +ids).
-        for (std::size_t d = 0; d < stg.mosfets().size(); ++d) {
-          const Mosfet& m = stg.mosfets()[d];
-          const double vg = vn[static_cast<std::size_t>(m.gate)];
-          const double vd = vn[static_cast<std::size_t>(m.drain)];
-          const double vs = vn[static_cast<std::size_t>(m.source)];
-          const double ids = circuit::mosfet_eval(m, vg, vd, vs).ids;
+        for (std::size_t d = 0; d < bws.terminals.size(); ++d) {
+          const BatchTetaWorkspace::Terminals& tm = bws.terminals[d];
+          const double vd = tm.vd[b];
+          const double vs = tm.vs[b];
+          const double ids =
+              circuit::mosfet_eval(w.devices[d], tm.vg[b], vd, vs).ids;
           const double j = ids - w.chords[d] * (vd - vs);
-          const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
-          const int us = node_to_unknown[static_cast<std::size_t>(m.source)];
-          if (ud >= 0) bws.rhs[static_cast<std::size_t>(ud) * B + b] -= j;
-          if (us >= 0) bws.rhs[static_cast<std::size_t>(us) * B + b] += j;
+          if (tm.rd) tm.rd[b] -= j;
+          if (tm.rs) tm.rs[b] += j;
         }
-        w.lu_tr.solve_into_strided(&bws.rhs[b], &bws.xn[b], B, w.rhs, w.xn);
+        w.lu_tr.solve_into_strided(&bws.rhs[b], &bws.xn[b], B);
         double dmax = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
           const double d = bws.xn[i * B + b] - bws.x[i * B + b];
           dmax = std::max(dmax, std::abs(d));
           bws.x[i * B + b] += std::clamp(d, -clamp, clamp);
         }
-        ++ln.out->total_sc_iterations;
+        ++lanes[live[b]].out->total_sc_iterations;
         if (dmax < opt.vtol) bws.sc_done[b] = 1;
       }
     }
 
     // A lane that hit the SC limit or blew up is classified now, stores
-    // no sample for this step and leaves the block at its end.
+    // no sample for this step and leaves the block at its end. A NaN
+    // iterate is a blow-up: the clamped update keeps a NaN in x for the
+    // rest of the step (std::max below and dmax above would drop it).
     for (std::size_t b = 0; b < nb; ++b) {
       double mv = 0.0;
+      bool finite = true;
       for (std::size_t i = 0; i < n; ++i) {
-        mv = std::max(mv, std::abs(bws.x[i * B + b]));
+        const double v = std::abs(bws.x[i * B + b]);
+        mv = std::max(mv, v);
+        finite = finite && std::isfinite(v);
       }
       const bool sc_limit = !bws.sc_done[b];
-      if (!sc_limit && !(mv > opt.vblowup)) continue;
+      if (!sc_limit && finite && !(mv > opt.vblowup)) continue;
       bws.alive[b] = 0;
       TetaResult& res = *lanes[live[b]].out;
-      if (sc_limit) {
+      if (sc_limit && finite) {
         res.diag.kind = sim::FailureKind::kNewtonNonConvergence;
         res.diag.detail =
             "SC iteration limit " + std::to_string(opt.max_sc_iters) + " hit";
       } else {
         res.diag.kind = sim::FailureKind::kBlowUp;
-        res.diag.detail = "port/internal voltage blew up (unstable load?)";
+        res.diag.detail = finite
+                              ? "port/internal voltage blew up (unstable load?)"
+                              : "non-finite port/internal voltage";
       }
       res.diag.failure_time = t;
       res.diag.iterations = res.total_sc_iterations;
-      res.diag.max_abs_v = mv;
+      res.diag.max_abs_v = finite ? mv : opt.vblowup;
     }
 
     // Commit: load current, convolver state, cap states.

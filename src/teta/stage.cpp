@@ -61,8 +61,9 @@ void StageCircuit::add_capacitor(std::size_t a, std::size_t b,
   if (a >= kinds_.size() || b >= kinds_.size() || a == b) {
     sim::throw_invalid_input("StageCircuit: bad capacitor nodes");
   }
-  if (farads < 0.0) {
-    sim::throw_invalid_input("StageCircuit: negative capacitance");
+  if (!std::isfinite(farads) || farads < 0.0) {
+    sim::throw_invalid_input(
+        "StageCircuit: capacitance must be finite and >= 0");
   }
   caps_.push_back({static_cast<int>(a), static_cast<int>(b), farads});
 }
@@ -206,12 +207,16 @@ bool setup_and_dc(const StageCircuit& stage,
   std::vector<TetaWorkspace::KnownCoupling>& chord_known = ws.chord_known;
   chord_known.clear();
 
+  // Per device, once per transient: the chord conductance and the
+  // level-1 constants the DC Newton and every chord iteration read.
   std::vector<double>& chords = ws.chords;
   chords.assign(stage.mosfets().size(), 0.0);
+  ws.devices.clear();
   for (std::size_t d = 0; d < stage.mosfets().size(); ++d) {
     const Mosfet& m = stage.mosfets()[d];
     const double g = StageCircuit::chord_conductance(m, opt.vdd);
     chords[d] = g;
+    ws.devices.push_back(circuit::MosfetConstants::of(m));
     const int ud = node_to_unknown[static_cast<std::size_t>(m.drain)];
     const int us = node_to_unknown[static_cast<std::size_t>(m.source)];
     auto stamp = [&](Matrix& a) {
@@ -329,11 +334,12 @@ bool setup_and_dc(const StageCircuit& stage,
       Vector& rhs = ws.rhs;
       rhs.assign(n, 0.0);
       const Vector& vnode = node_voltages(x, 0.0);
-      for (const Mosfet& m : stage.mosfets()) {
+      for (std::size_t d = 0; d < stage.mosfets().size(); ++d) {
+        const Mosfet& m = stage.mosfets()[d];
         const double vg = vnode[static_cast<std::size_t>(m.gate)];
         const double vd = vnode[static_cast<std::size_t>(m.drain)];
         const double vs = vnode[static_cast<std::size_t>(m.source)];
-        const auto op = circuit::mosfet_eval(m, vg, vd, vs);
+        const auto op = circuit::mosfet_eval(ws.devices[d], vg, vd, vs);
         const double ieq = op.ids - op.gm * (vg - vs) - op.gds * (vd - vs);
         const int rd = node_to_unknown[static_cast<std::size_t>(m.drain)];
         const int rs =
@@ -376,7 +382,9 @@ bool setup_and_dc(const StageCircuit& stage,
       }
       ++res.total_sc_iterations;
       if (dmax < opt.vtol) {
-        ok = true;
+        // std::max drops a NaN step; the clamped update keeps it in x.
+        ok = std::all_of(x.begin(), x.end(),
+                         [](double v) { return std::isfinite(v); });
         break;
       }
     }

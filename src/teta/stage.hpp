@@ -49,7 +49,8 @@ class StageCircuit {
   /// Terminals are local node ids returned by the add_* calls.
   void add_mosfet(circuit::Mosfet m);
   /// Local linear capacitor (device caps are added automatically by
-  /// freeze_device_capacitances()).
+  /// freeze_device_capacitances()). A value that is not finite or is
+  /// negative throws sim::SimulationError (kInvalidInput).
   void add_capacitor(std::size_t a, std::size_t b, double farads);
   /// Fold the constant device capacitances (cgs/cgd/cdb) into the local
   /// linear caps, mirroring Netlist::freeze_device_capacitances().
@@ -156,6 +157,14 @@ struct BatchTetaWorkspace {
   std::vector<double> ip;            // committed port current, [j * B + b]
   std::vector<double> ck_g;          // known-chord conductance, [c * B + b]
   std::vector<double> cap_geq, cap_u, cap_i;  // cap companions, [c * B + b]
+  // Per device, lane b at [b]: gate/drain/source voltage rows (of x or
+  // vknown) and drain/source rhs rows (null at a known node). Pointers
+  // into the buffers above, set on each step-loop entry.
+  struct Terminals {
+    const double *vg = nullptr, *vd = nullptr, *vs = nullptr;
+    double *rd = nullptr, *rs = nullptr;
+  };
+  std::vector<Terminals> terminals;
   std::vector<const numeric::Matrix*> y_h;    // per slot
   std::vector<std::size_t> known_nodes;       // nodes with known voltage
   std::vector<std::size_t> live;              // lane index per slot
@@ -165,9 +174,10 @@ struct BatchTetaWorkspace {
 
 /// Reusable per-worker scratch for simulate_stage: every factorization,
 /// matrix, vector, and the convolver state whose shape depends only on the
-/// stage/load structure. One workspace per Monte-Carlo worker makes the
-/// chord/transient loops allocation-free after the first sample. The
-/// members are engine internals; treat the struct as opaque storage.
+/// stage/load structure, and each device's per-transient constants (chord
+/// conductance, level-1 constants). One workspace per Monte-Carlo worker
+/// makes the chord/transient loops allocation-free after the first sample.
+/// The members are engine internals; treat the struct as opaque storage.
 struct TetaWorkspace {
   struct KnownCoupling {
     std::size_t row;
@@ -185,6 +195,7 @@ struct TetaWorkspace {
   RecursiveConvolver conv;
   std::vector<int> node_to_unknown;
   std::vector<double> chords;
+  std::vector<circuit::MosfetConstants> devices;  // level-1 constants
   std::vector<KnownCoupling> chord_known;
   std::vector<CapState> caps;
   numeric::Matrix a_dc, a_tr;      // constant SC system matrices

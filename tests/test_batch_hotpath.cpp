@@ -798,7 +798,8 @@ TEST(BatchHotpath, NumericKernelsMatchScalarBitwise) {
     }
   }
 
-  // solve_into_strided scatters the exact solve_into solution.
+  // solve_into_strided, in place on the strided lanes, writes the exact
+  // solve_into solution.
   {
     Matrix a(kRows, kRows);
     for (std::size_t i = 0; i < kRows; ++i) {
@@ -808,9 +809,9 @@ TEST(BatchHotpath, NumericKernelsMatchScalarBitwise) {
     const numeric::LuFactorization lu(a);
     std::vector<double> b(kRows * kLanes), x(kRows * kLanes, 0.0);
     for (auto& v : b) v = rnd();
-    Vector sb(kRows), sx(kRows), bl(kRows), xl(kRows);
+    Vector bl(kRows), xl(kRows);
     for (std::size_t l = 0; l < kLanes; ++l) {
-      lu.solve_into_strided(&b[l], &x[l], kLanes, sb, sx);
+      lu.solve_into_strided(&b[l], &x[l], kLanes);
       for (std::size_t i = 0; i < kRows; ++i) bl[i] = b[i * kLanes + l];
       lu.solve_into(bl, xl);
       for (std::size_t i = 0; i < kRows; ++i) {

@@ -7,12 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "core/graph_analyzer.hpp"
 #include "core/path.hpp"
+#include "obs/registry.hpp"
 #include "stats/random.hpp"
+#include "timing/sta.hpp"
 
 namespace lcsf::core {
 namespace {
@@ -81,6 +87,94 @@ TEST(Differential, FrameworkTracksSpiceOnRandomPaths) {
       "differential oracle: %zu cases, worst delay error %.4f, worst slew "
       "error %.4f, mean delay error %.4f\n",
       kCases, worst_delay, worst_slew, mean_delay);
+}
+
+// Golden bits: the pipeline's outputs on s27 as recorded from a build
+// of the default x86-64 target (SSE2, no FMA contraction). Every other
+// bitwise pin compares two paths within one build; this one compares
+// against the recorded tree, so it checks a change that claims bitwise
+// identity. A change that moves numerics on purpose re-records the
+// literals and says so in CHANGES.md.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bits(const char* what, const std::vector<double>& got,
+                 const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(bits(got[i]), bits(want[i]))
+        << what << "[" << i << "]: got " << std::hexfloat << got[i]
+        << ", recorded " << want[i];
+  }
+}
+
+// An s27 path Monte Carlo (16 samples, batch 8, 2 threads), an s27 graph
+// Monte Carlo (top-4 paths, 8 samples), the s27 Gradient Analysis and one
+// framework/SPICE sample pair -- the only item that reaches SPICE's gm and
+// gds -- plus the deterministic engine counters of all of them.
+TEST(Differential, PipelineBitsMatchTheRecordedParent) {
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "golden bits are recorded for x86-64 SSE2 without FMA";
+#endif
+  const auto nl = timing::generate_benchmark(timing::find_benchmark("s27"));
+  PathVariationModel model;
+  model.std_dl = 0.33;
+  model.std_vt = 0.33;
+  model.std_wire_w = 0.33;
+  model.std_wire_h = 0.33;
+  obs::Registry reg;
+  stats::RunOptions opt;
+  opt.seed = 3;
+  opt.registry = &reg;
+
+  const PathAnalyzer pa(PathSpec::from_benchmark(
+      circuit::technology_180nm(), nl, timing::longest_path(nl), 10));
+  opt.samples = 16;
+  opt.exec.batch = 8;
+  opt.exec.threads = 2;
+  expect_bits("path MC", pa.monte_carlo(model, opt).values,
+              {0x1.c465a60048691p-33, 0x1.c0341445efe59p-33,
+               0x1.e43971192d83bp-33, 0x1.b494972611f61p-33,
+               0x1.b2ecf84df20a3p-33, 0x1.bcae9779a9605p-33,
+               0x1.d509cb24c1311p-33, 0x1.c2e792c410bdfp-33,
+               0x1.c187b7c9007b7p-33, 0x1.afacc1dcce3ffp-33,
+               0x1.bb4af29c0cffdp-33, 0x1.b040ea387a299p-33,
+               0x1.d589df0d1a7bfp-33, 0x1.ce0cc08d2f27fp-33,
+               0x1.cc3f728f6a4e9p-33, 0x1.cc1dfe90e59a5p-33});
+
+  GraphSpec gspec;
+  gspec.tech = circuit::technology_180nm();
+  gspec.netlist = nl;
+  gspec.top_k = 4;
+  gspec.linear_elements_per_stage = 10;
+  const GraphAnalyzer graph(std::move(gspec));
+  opt.samples = 8;
+  expect_bits("graph MC", graph.monte_carlo(model, opt).values,
+              {0x1.130d948d8daap-32, 0x1.2041444489d24p-32,
+               0x1.1e8173843ee62p-32, 0x1.159ba2e1e7418p-32,
+               0x1.22152a77128p-32, 0x1.1cbb943179a8p-32,
+               0x1.0a63c404de8aap-32, 0x1.1801e8667d03p-32});
+
+  {
+    obs::ScopedContext ctx(&reg, 0);
+    const PathAnalyzer::GaResult ga = pa.gradient_analysis(model);
+    expect_bits("GA", {ga.nominal_delay, ga.stddev},
+                {0x1.c39d1a206b7ddp-33, 0x1.555b35236e49p-38});
+    numeric::Vector w(pa.sources(model).size());
+    for (std::size_t i = 0; i < w.size(); ++i) w[i] = i % 2 ? -0.4 : 0.7;
+    const PathSample sample = pa.sample_from_sources(model, w);
+    const PathDelayResult fw = pa.framework_delay(sample);
+    const PathDelayResult sp = pa.spice_delay(sample);
+    expect_bits("framework/SPICE",
+                {fw.delay, fw.output_slew, sp.delay, sp.output_slew},
+                {0x1.8c3c904cd2f1dp-33, 0x1.6078770d30b13p-35,
+                 0x1.7d46819ca649dp-33, 0x1.72ce1e3dd8f06p-35});
+  }
+#if LCSF_OBS_ENABLED
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("teta.chord_iterations"), 269274u);
+  EXPECT_EQ(snap.counters.at("teta.steps"), 58107u);
+  EXPECT_EQ(snap.counters.at("spice.newton_iterations"), 6984u);
+#endif
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "circuit/mna.hpp"
 #include "circuit/parser.hpp"
@@ -155,6 +157,52 @@ TEST(Parser, ErrorsCarryTheDeckLineExactlyOnce) {
     EXPECT_EQ(msg.find("netlist line"), msg.rfind("netlist line")) << msg;
     EXPECT_EQ(msg.find("line 0"), std::string::npos) << msg;
   }
+}
+
+// std::stod reads "nan", "inf" and "infinity"; none may reach a deck.
+TEST(ParseValue, RejectsNonFiniteValues) {
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                          "infp", "nanF", "1e308k"}) {
+    EXPECT_THROW(parse_value(bad), ParseError) << bad;
+  }
+  EXPECT_DOUBLE_EQ(parse_value("1e308"), 1e308);
+}
+
+// A non-finite value and an element the adders reject (bad value or a
+// self-short) both fail as a ParseError naming the card's line, not as
+// an adder's std::invalid_argument escaping the parser.
+TEST(Parser, ElementErrorsNameTheirLine) {
+  const auto line_of = [](const std::string& card) -> std::size_t {
+    try {
+      parse_netlist("* title\nR1 a 0 1k\n" + card + "\n", kTech);
+    } catch (const ParseError& e) {
+      return e.line();
+    }
+    return 0;
+  };
+  for (const char* card :
+       {"R2 a b nan", "C2 a 0 inf", "L2 a b -infinity", "M1 d a 0 NMOS W=nan",
+        "V1 a 0 PWL(0 0 nan 1)", "V1 a 0 DC inf", "R2 a b -5", "R2 a a 1k",
+        "C2 a 0 -1p", "L2 a b 0", "V1 a 0 PULSE(0 1 0 -1p 1n 1p)"}) {
+    EXPECT_EQ(line_of(card), 3u) << card;
+  }
+}
+
+// The element adders reject NaN, which a `<= 0` / `< 0` check lets
+// through, and infinity.
+TEST(Netlist, ElementAddersRejectNonFiniteValues) {
+  Netlist nl;
+  const auto a = nl.add_node("a");
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(nl.add_resistor(a, kGround, v), std::invalid_argument) << v;
+    EXPECT_THROW(nl.add_capacitor(a, kGround, v), std::invalid_argument)
+        << v;
+    EXPECT_THROW(nl.add_inductor(a, kGround, v), std::invalid_argument) << v;
+  }
+  EXPECT_EQ(nl.linear_element_count(), 0u);
+  nl.add_capacitor(a, kGround, 0.0);
+  EXPECT_EQ(nl.linear_element_count(), 1u);
 }
 
 TEST(Parser, ParsedInverterSimulates) {

@@ -435,6 +435,43 @@ TEST(Dispatch, RejectsRunFieldsOverTheirCaps) {
             "ok");
 }
 
+// A number that overflows a double (1e999) is the parse error a
+// malformed number gets, as it is for lcsf_sta's flags, in every numeric
+// field: read as inf it would fail a monte_carlo run as `other` and
+// answer a gradients run with a null stddev and a yield run with yield 1.
+TEST(Dispatch, RejectsNumbersThatOverflowADouble) {
+  DispatchFixture f;
+  for (const char* line :
+       {R"({"id":1,"type":"monte_carlo","circuit":"s27","samples":2,)"
+        R"("std_dl":1e999})",
+        R"({"id":2,"type":"gradients","circuit":"s27","std_dl":1e999})",
+        R"({"id":3,"type":"yield","circuit":"s27","samples":2,)"
+        R"("clock_period":1e999})",
+        R"({"id":4,"type":"yield","circuit":"s27","samples":2,)"
+        R"("clock_period":-1e999})"}) {
+    const serve::Json v = serve::Json::parse(f.dispatch(line));
+    EXPECT_FALSE(v.find("ok")->as_bool()) << line;
+    const serve::Json* err = v.find("error");
+    ASSERT_NE(err, nullptr) << line;
+    EXPECT_EQ(err->find("kind")->as_string(), "invalid-input") << line;
+    EXPECT_NE(err->find("message")->as_string().find("bad number"),
+              std::string::npos)
+        << line;
+  }
+  for (const char* text : {"[1e999]", "[-1.5e400]", R"({"a":2e308})"}) {
+    try {
+      (void)serve::Json::parse(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const sim::SimulationError& e) {
+      EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput) << text;
+    }
+  }
+  // Underflow is not an error: 1e-999 reads as zero, a valid sigma.
+  const serve::Json ok = serve::Json::parse(f.dispatch(
+      R"({"id":5,"type":"gradients","circuit":"s27","std_dl":1e-999})"));
+  EXPECT_TRUE(ok.find("ok")->as_bool());
+}
+
 #if LCSF_OBS_ENABLED
 TEST(Dispatch, EmbeddedMetricsCoverTheWholeAnalysis) {
   // The embedded projection of a response is the analysis run in-process

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "circuit/netlist.hpp"
 #include "circuit/technology.hpp"
@@ -273,6 +274,32 @@ TEST(Transient, NewtonIterationsAreCounted) {
   TransientResult res = sim.run(opt);
   ASSERT_TRUE(res.converged);
   EXPECT_GT(res.total_newton_iterations, 500);  // >= 1 per step
+}
+
+// A NaN source value must fail the transient at the step it reaches:
+// the Newton step's dmax has to carry the NaN (std::max(m, NaN) == m) to
+// newton_loop's non-finite check.
+TEST(Transient, NanSourceValueFails) {
+  Technology t = technology_180nm();
+  InverterFixture f(t);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  f.nl.add_vsource(f.in, kGround,
+                   SourceWaveform::pwl({{0.0, 0.0},
+                                        {50e-12, 0.0},
+                                        {100e-12, nan},
+                                        {200e-12, t.vdd}}));
+  TransientSimulator sim(f.nl);
+  TransientOptions opt;
+  opt.tstop = 0.3e-9;
+  opt.dt = 1e-12;
+  const TransientResult res = sim.run(opt);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.diag.kind, sim::FailureKind::kNewtonNonConvergence)
+      << res.failure();
+  EXPECT_NEAR(res.diag.failure_time, 50e-12, 1.5e-12);
+  for (const auto& [time, v] : res.waveform(f.out)) {
+    EXPECT_TRUE(std::isfinite(v)) << "t = " << time;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "circuit/netlist.hpp"
 #include "circuit/technology.hpp"
@@ -13,6 +15,7 @@
 #include "mor/variational.hpp"
 #include "sim/diagnostics.hpp"
 #include "spice/transient.hpp"
+#include "teta/batch.hpp"
 #include "teta/convolution.hpp"
 #include "teta/stage.hpp"
 
@@ -379,6 +382,128 @@ TEST(StageEngine, ReportsIterationBudgetExhaustion) {
   EXPECT_TRUE(res.diag.kind == sim::FailureKind::kDcFailure ||
               res.diag.kind == sim::FailureKind::kNewtonNonConvergence)
       << res.failure();
+}
+
+// An inverter driving an RC load through a reduced one-port model, with
+// the input and the NMOS threshold shift free: the NaN-iterate cases below
+// run it alone and as lanes of a lockstep block.
+struct NanInverter {
+  Technology tech = technology_180nm();
+  StageCircuit stage;
+  mor::PoleResidueModel load;
+
+  explicit NanInverter(const SourceWaveform& input, double nmos_dvt = 0.0) {
+    const std::size_t p_out = stage.add_port();
+    const std::size_t in = stage.add_input(input);
+    const std::size_t vdd = stage.add_rail(tech.vdd);
+    const std::size_t gnd = stage.add_rail(0.0);
+    circuit::Mosfet n = tech.make_nmos(static_cast<int>(p_out),
+                                       static_cast<int>(in),
+                                       static_cast<int>(gnd), 6.0);
+    n.delta_vt = nmos_dvt;
+    stage.add_mosfet(n);
+    stage.add_mosfet(tech.make_pmos(static_cast<int>(p_out),
+                                    static_cast<int>(in),
+                                    static_cast<int>(vdd), 12.0));
+    stage.freeze_device_capacitances();
+    circuit::Netlist rc;
+    const auto out = rc.add_node("out");
+    rc.add_capacitor(out, kGround, 20e-15);
+    rc.add_resistor(out, kGround, 1e5);
+    auto pencil = interconnect::build_ported_pencil(rc, {out});
+    pencil = mor::with_port_conductance(
+        std::move(pencil), stage.port_chord_conductances(tech.vdd));
+    load = mor::extract_pole_residue(
+        mor::pact_reduce(pencil, mor::PactOptions{2}).model);
+  }
+
+  TetaOptions options() const {
+    TetaOptions topt;
+    topt.tstop = 0.5e-9;
+    topt.dt = 1e-12;
+    topt.vdd = tech.vdd;
+    return topt;
+  }
+};
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// std::max(m, NaN) == m, so neither the chord iteration's dmax nor the
+// blow-up check's max sees a NaN: a NaN iterate must still fail as a
+// blow-up at the step it appears, with only finite samples stored.
+TEST(StageEngine, NanInputFailsAsBlowUp) {
+  // The input turns NaN past 50 ps: value(t) interpolates toward NaN.
+  const NanInverter fix(SourceWaveform::pwl(
+      {{0.0, 0.0}, {50e-12, 0.0}, {100e-12, kNaN}, {200e-12, 1.8}}));
+  const TetaResult res = simulate_stage(fix.stage, fix.load, fix.options());
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.diag.kind, sim::FailureKind::kBlowUp) << res.failure();
+  EXPECT_NEAR(res.diag.failure_time, 50e-12, 1.5e-12);
+  ASSERT_FALSE(res.time.empty());
+  EXPECT_LT(res.time.back(), res.diag.failure_time);
+  for (const Vector& v : res.port_voltages) EXPECT_TRUE(std::isfinite(v[0]));
+}
+
+// A NaN device parameter reaches the DC Newton, whose dmax cannot see it
+// either: the operating point fails instead of starting a NaN transient.
+TEST(StageEngine, NanDeviceFailsAtDc) {
+  const NanInverter fix(SourceWaveform::ramp(0.0, 1.8, 50e-12, 80e-12),
+                        kNaN);
+  const TetaResult res = simulate_stage(fix.stage, fix.load, fix.options());
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.diag.kind, sim::FailureKind::kDcFailure) << res.failure();
+}
+
+// A NaN or infinite stage capacitor stops at the adder, before it can
+// reach the transient matrix.
+TEST(StageCircuit, RejectsNonFiniteCapacitance) {
+  StageCircuit s;
+  const std::size_t a = s.add_port();
+  const std::size_t g = s.add_rail(0.0);
+  for (const double c : {kNaN, std::numeric_limits<double>::infinity(),
+                         -1e-15}) {
+    try {
+      s.add_capacitor(a, g, c);
+      ADD_FAILURE() << "accepted " << c;
+    } catch (const sim::SimulationError& e) {
+      EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput) << c;
+    }
+  }
+  EXPECT_TRUE(s.capacitors().empty());
+  s.add_capacitor(a, g, 0.0);
+  EXPECT_EQ(s.capacitors().size(), 1u);
+}
+
+// In a K = 3 block the NaN lane leaves at its failure step with the same
+// result as a one-lane run, and its neighbours stay bitwise unchanged.
+TEST(StageEngine, NanLaneLeavesItsBlockAlone) {
+  const SourceWaveform ramp = SourceWaveform::ramp(0.0, 1.8, 50e-12, 80e-12);
+  const std::vector<NanInverter> fixes = {
+      NanInverter(ramp, 0.02),
+      NanInverter(SourceWaveform::pwl(
+          {{0.0, 0.0}, {50e-12, 0.0}, {100e-12, kNaN}, {200e-12, 1.8}})),
+      NanInverter(ramp, -0.02)};
+  const TetaOptions topt = fixes[0].options();
+  std::vector<TetaWorkspace> ws(fixes.size());
+  std::vector<TetaResult> block(fixes.size());
+  std::vector<BatchLane> lanes;
+  for (std::size_t l = 0; l < fixes.size(); ++l) {
+    lanes.push_back({&fixes[l].stage, &fixes[l].load, &ws[l], &block[l]});
+  }
+  BatchTetaWorkspace bws;
+  simulate_stage_batch(lanes, topt, bws);
+  for (std::size_t l = 0; l < fixes.size(); ++l) {
+    const TetaResult one = simulate_stage(fixes[l].stage, fixes[l].load, topt);
+    EXPECT_EQ(block[l].converged, l != 1) << "lane " << l;
+    EXPECT_EQ(block[l].diag.kind, one.diag.kind) << "lane " << l;
+    EXPECT_EQ(block[l].total_sc_iterations, one.total_sc_iterations);
+    ASSERT_EQ(block[l].time, one.time) << "lane " << l;
+    for (std::size_t k = 0; k < one.time.size(); ++k) {
+      ASSERT_EQ(block[l].port_voltages[k][0], one.port_voltages[k][0])
+          << "lane " << l << " step " << k;
+    }
+  }
+  EXPECT_EQ(block[1].diag.kind, sim::FailureKind::kBlowUp);
 }
 
 }  // namespace

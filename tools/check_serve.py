@@ -182,6 +182,10 @@ def run_battery(conn, schema, circuit):
          "invalid-input"),
         (json.dumps({"id": "b-e3", "type": "monte_carlo",
                      "circuit": circuit, "samples": 0}), "invalid-input"),
+        # A number that overflows a double is malformed, not inf (which
+        # json.dumps cannot write, hence the hand-built line).
+        ('{"id": "b-e4", "type": "gradients", "circuit": %s, '
+         '"std_dl": 1e999}' % json.dumps(circuit), "invalid-input"),
     ]:
         resp = validate_response(conn.request(bad), schema, expect_ok=False)
         got = (resp or {}).get("error", {}).get("kind")
