@@ -90,18 +90,6 @@ std::string spec_content(const DesignSpec& spec,
   return content;
 }
 
-std::size_t gate_netlist_bytes(const timing::GateNetlist& nl) {
-  std::size_t total = sizeof(nl) + nl.name.size() +
-                      nl.gates.capacity() * sizeof(timing::Gate);
-  for (const timing::Gate& g : nl.gates) {
-    total += g.inputs.capacity() * sizeof(std::size_t);
-  }
-  total += (nl.primary_inputs.capacity() + nl.latch_outputs.capacity() +
-            nl.latch_inputs.capacity()) *
-           sizeof(std::size_t);
-  return total;
-}
-
 }  // namespace
 
 circuit::Technology technology_by_name(const std::string& name) {
@@ -181,7 +169,7 @@ std::shared_ptr<Session> Session::load(const DesignSpec& spec) {
 }
 
 std::size_t Session::memory_bytes() const {
-  std::size_t total = sizeof(*this) + gate_netlist_bytes(netlist_);
+  std::size_t total = sizeof(*this) + netlist_.memory_bytes();
   if (path_an_) total += path_an_->memory_bytes();
   if (graph_an_) total += graph_an_->memory_bytes();
   if (deck_nl_) {

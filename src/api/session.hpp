@@ -103,8 +103,9 @@ class Session {
   bool is_deck() const { return deck_nl_ != nullptr; }
   bool is_graph() const { return graph_an_ != nullptr; }
 
-  /// Resident heap footprint of the characterized artifacts (stage-load
-  /// ROMs, enumerated paths, parsed netlist) -- the byte cost
+  /// Resident heap footprint of the session (its netlist and the
+  /// analyzer: stage-load ROMs, enumerated paths, the analyzer's netlist
+  /// and timing graph; or the parsed deck) -- the byte cost
   /// serve::DesignCache accounts against its budget.
   std::size_t memory_bytes() const;
 

@@ -80,10 +80,31 @@ GraphAnalyzer::GraphAnalyzer(GraphSpec spec)
     blocks_.push_back({gate.cell, cap, slot});
     block_index.emplace(key, gs.block);
   }
+
+  // The walk's visit order, and one backward pass for both last-use
+  // tables: a gate's output is memoized only when the gate is visited
+  // again, and a net's arrival is dropped after its last read or write
+  // (endpoint arrivals stay).
+  for (const timing::TimingPath& path : paths_) {
+    for (std::size_t k = 0; k < path.gates.size(); ++k) {
+      const timing::Gate& gate = nl.gates[path.gates[k]];
+      visits_.push_back({path.gates[k], slot_of(path.gates[k]),
+                         gate.inputs[path.switching_pin[k]], gate.output});
+    }
+  }
+  std::vector<bool> gate_seen(nl.gates.size(), false);
+  std::vector<bool> net_seen(nl.num_nets, false);
+  for (std::size_t net : endpoints_) net_seen[net] = true;
+  for (auto v = visits_.rbegin(); v != visits_.rend(); ++v) {
+    v->memo = gate_seen[v->gate];
+    v->drop_in = !net_seen[v->in_net];
+    gate_seen[v->gate] = net_seen[v->in_net] = net_seen[v->out_net] = true;
+  }
 }
 
 std::size_t GraphAnalyzer::memory_bytes() const {
-  std::size_t total = sizeof(*this);
+  std::size_t total = sizeof(*this) + spec_.netlist.memory_bytes() +
+                      graph_.memory_bytes();
   total += stages_.capacity() * sizeof(GateStage);
   for (const GateStage& s : stages_) {
     total += s.model.memory_bytes() - sizeof(StageModel);
@@ -91,6 +112,7 @@ std::size_t GraphAnalyzer::memory_bytes() const {
   total += blocks_.capacity() * sizeof(Block);
   total += subgraph_.capacity() * sizeof(std::size_t);
   total += endpoints_.capacity() * sizeof(std::size_t);
+  total += visits_.capacity() * sizeof(Visit);
   for (const timing::TimingPath& p : paths_) {
     total += sizeof(p) + p.gates.capacity() * sizeof(std::size_t) +
              p.switching_pin.capacity() * sizeof(std::size_t);
@@ -112,79 +134,12 @@ StageCacheKey GraphAnalyzer::cache_key(std::size_t gate,
   return {gate, std::llround(in.m / q), std::llround(in.s / q), in.rising};
 }
 
-StageWaveform GraphAnalyzer::simulate_slot(
-    std::size_t slot, const StageWaveform& in,
-    const timing::DeviceVariation& dev,
-    const interconnect::WireVariation& wire, Workspace& ws) const {
-  const timing::DeviceVariation* d = &dev;
-  const interconnect::WireVariation* w = &wire;
-  BatchWorkspace& bws = ws.batch();
-  propagate_stage_batch(stages_[slot].model, spec_.tech, spec_.sim_options(),
-                        subgraph_[slot], {&in, 1}, {&d, 1}, {&w, 1},
-                        bws.next, bws.meas, bws);
-  if (bws.meas[0].failed) throw sim::SimulationError(bws.meas[0].diag);
-  return std::move(bws.next[0]);
-}
-
 GraphAnalyzer::SampleResult GraphAnalyzer::evaluate(
     const GraphSample& sample, Workspace& ws) const {
-  if (sample.device.size() != subgraph_.size()) {
-    throw std::invalid_argument("GraphAnalyzer: sample size mismatch");
-  }
   SampleResult res;
-  ws.stage_cache.clear();
-  ws.net_arrival.clear();
-
-  StageWaveform start;
-  start.params = spec_.input;
-  start.wave = spec_.input.to_source(spec_.tech.vdd);
-
-  const timing::GateNetlist& nl = spec_.netlist;
-  for (const timing::TimingPath& path : paths_) {
-    for (std::size_t k = 0; k < path.gates.size(); ++k) {
-      const std::size_t g = path.gates[k];
-      const std::size_t in_net = nl.gates[g].inputs[path.switching_pin[k]];
-      // The arrival front at the input net is the statistical-max winner
-      // seen so far (paths run most-critical first); start nets carry the
-      // shared stimulus.
-      const StageWaveform* in = &start;
-      if (auto it = ws.net_arrival.find(in_net);
-          it != ws.net_arrival.end()) {
-        in = &it->second;
-      }
-      const StageCacheKey key = cache_key(g, in->params);
-      const StageWaveform* out = nullptr;
-      if (auto it = ws.stage_cache.find(key); it != ws.stage_cache.end()) {
-        out = &it->second;
-        ++res.stage_cache_hits;
-      } else {
-        const std::size_t slot = slot_of(g);
-        StageWaveform sw =
-            simulate_slot(slot, *in, sample.device[slot], sample.wire, ws);
-        out = &ws.stage_cache.emplace(key, std::move(sw)).first->second;
-        ++res.stages_simulated;
-      }
-      // Statistical max at the output net: keep the later 50% arrival
-      // (its waveform propagates downstream).
-      const auto [it, inserted] =
-          ws.net_arrival.emplace(nl.gates[g].output, *out);
-      if (!inserted) {
-        ++res.merges;
-        if (out->params.m > it->second.params.m) it->second = *out;
-      }
-    }
-  }
-
-  for (std::size_t net : endpoints_) {
-    const StageWaveform& a = ws.net_arrival.at(net);
-    EndpointDelay e;
-    e.net = net;
-    e.delay = a.params.m - spec_.input.m;
-    e.slew = a.params.s;
-    res.max_delay = std::max(res.max_delay, e.delay);
-    res.endpoints.push_back(e);
-  }
-
+  stats::BatchSlot slot;
+  evaluate({&sample, 1}, ws.batch(), {&res, 1}, {&slot, 1});
+  if (slot.failed) throw sim::SimulationError(std::move(slot.diag));
   obs::add_counter("stats.graph.paths", paths_.size());
   obs::add_counter("stats.graph.stages_simulated", res.stages_simulated);
   obs::add_counter("stats.graph.stage_cache_hits", res.stage_cache_hits);
@@ -192,22 +147,127 @@ GraphAnalyzer::SampleResult GraphAnalyzer::evaluate(
   return res;
 }
 
+void GraphAnalyzer::evaluate(std::span<const GraphSample> samples,
+                             BatchWorkspace& bws,
+                             std::span<SampleResult> res,
+                             std::span<stats::BatchSlot> out,
+                             std::vector<RampParams>* stage_inputs) const {
+  for (std::size_t l = 0; l < samples.size(); ++l) {
+    if (samples[l].device.size() != subgraph_.size()) {
+      throw std::invalid_argument("GraphAnalyzer: sample size mismatch");
+    }
+    bws.lane(l).stage_cache.clear();
+    bws.lane(l).net_arrival.clear();
+    res[l] = {};
+    out[l] = {};
+  }
+  const StageWaveform start{spec_.input, spec_.input.to_source(spec_.tech.vdd)};
+  // Lane l's arrival front at `net`: the statistical-max winner seen so
+  // far (paths run most-critical first); start nets carry the stimulus.
+  const auto arrival = [&](std::size_t l,
+                           std::size_t net) -> const StageWaveform& {
+    const auto& fronts = bws.lane(l).net_arrival;
+    const auto it = fronts.find(net);
+    return it == fronts.end() ? start : it->second;
+  };
+  // Statistical max at the output net: keep the later 50% arrival (its
+  // waveform propagates downstream).
+  const auto arrive = [&](std::size_t l, std::size_t net, StageWaveform w) {
+    const auto [it, inserted] =
+        bws.lane(l).net_arrival.try_emplace(net, std::move(w));
+    if (inserted) return;
+    ++res[l].merges;
+    if (w.params.m > it->second.params.m) it->second = std::move(w);
+  };
+
+  for (const Visit& v : visits_) {
+    if (stage_inputs != nullptr && !out[0].failed) {
+      const StageWaveform& in = arrival(0, v.in_net);
+      stage_inputs->push_back(timing::measure_ramp(
+          in.wave.points(), spec_.tech.vdd, in.params.rising));
+    }
+    bws.block.clear();
+    for (std::size_t l = 0; l < samples.size(); ++l) {
+      if (out[l].failed) continue;
+      const auto& memo = bws.lane(l).stage_cache;
+      const auto it = memo.find(cache_key(v.gate, arrival(l, v.in_net).params));
+      if (it == memo.end()) {
+        bws.block.push_back(l);
+        continue;
+      }
+      ++res[l].stage_cache_hits;
+      arrive(l, v.out_net, it->second);
+    }
+    // The misses, one block per input direction (propagate_stage_batch
+    // drives a block in the direction of its first lane).
+    for (auto first = bws.block.begin(); first != bws.block.end();) {
+      const bool rising = arrival(*first, v.in_net).params.rising;
+      const auto last = std::partition(first, bws.block.end(), [&](auto l) {
+        return arrival(l, v.in_net).params.rising == rising;
+      });
+      bws.ins.clear();
+      bws.devs.clear();
+      bws.wires.clear();
+      for (auto l = first; l != last; ++l) {
+        bws.ins.push_back(&arrival(*l, v.in_net));
+        bws.devs.push_back(&samples[*l].device[v.slot]);
+        bws.wires.push_back(&samples[*l].wire);
+      }
+      propagate_stage_batch(stages_[v.slot].model, spec_.tech,
+                            spec_.sim_options(), v.gate, bws.ins, bws.devs,
+                            bws.wires, bws.next, bws.meas, bws);
+      for (std::size_t i = 0; first + i != last; ++i) {
+        const std::size_t l = first[i];
+        if (bws.meas[i].failed) {
+          out[l].failed = true;
+          out[l].diag = std::move(bws.meas[i].diag);
+          continue;
+        }
+        ++res[l].stages_simulated;
+        if (v.memo) {
+          bws.lane(l).stage_cache.emplace(
+              cache_key(v.gate, bws.ins[i]->params), bws.next[i]);
+        }
+        arrive(l, v.out_net, std::move(bws.next[i]));
+      }
+      first = last;
+    }
+    if (!v.drop_in) continue;
+    for (std::size_t l = 0; l < samples.size(); ++l) {
+      bws.lane(l).net_arrival.erase(v.in_net);
+    }
+  }
+
+  for (std::size_t l = 0; l < samples.size(); ++l) {
+    if (out[l].failed) continue;
+    for (std::size_t net : endpoints_) {
+      const RampParams& a = bws.lane(l).net_arrival.at(net).params;
+      res[l].endpoints.push_back({net, a.m - spec_.input.m, a.s});
+      res[l].max_delay = std::max(res[l].max_delay, a.m - spec_.input.m);
+    }
+  }
+}
+
 std::vector<double> GraphAnalyzer::per_path_delays(const GraphSample& sample,
                                                    Workspace& ws) const {
   if (sample.device.size() != subgraph_.size()) {
     throw std::invalid_argument("GraphAnalyzer: sample size mismatch");
   }
-  StageWaveform start;
-  start.params = spec_.input;
-  start.wave = spec_.input.to_source(spec_.tech.vdd);
-
+  BatchWorkspace& bws = ws.batch();
   std::vector<double> delays;
   delays.reserve(paths_.size());
   for (const timing::TimingPath& path : paths_) {
-    StageWaveform cur = start;
+    StageWaveform cur{spec_.input, spec_.input.to_source(spec_.tech.vdd)};
     for (std::size_t g : path.gates) {
-      const std::size_t slot = slot_of(g);
-      cur = simulate_slot(slot, cur, sample.device[slot], sample.wire, ws);
+      // The stage on a one-lane block, throwing its classified failure.
+      const StageWaveform* in = &cur;
+      const timing::DeviceVariation* d = &sample.device[slot_of(g)];
+      const interconnect::WireVariation* w = &sample.wire;
+      propagate_stage_batch(stages_[slot_of(g)].model, spec_.tech,
+                            spec_.sim_options(), g, {&in, 1}, {&d, 1},
+                            {&w, 1}, bws.next, bws.meas, bws);
+      if (bws.meas[0].failed) throw sim::SimulationError(bws.meas[0].diag);
+      cur = std::move(bws.next[0]);
     }
     delays.push_back(cur.params.m - spec_.input.m);
   }

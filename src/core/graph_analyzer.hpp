@@ -1,24 +1,25 @@
 // Multi-path statistical timing engine over a gate netlist (the tentpole
-// of docs/timing_graph.md).
+// of docs/timing_graph.md), and the one analyzer: core::PathAnalyzer is
+// this engine on a one-path chain netlist.
 //
 // GraphAnalyzer builds the timing DAG (timing::TimingGraph), enumerates
 // the K most-critical latch-to-latch paths, characterizes each distinct
 // (driver cell, effective load) block ONCE -- the compact variational
 // block models of hierarchical SSTA -- and evaluates parameter samples
-// with a per-sample engine in which stages shared between paths are
-// transistor-level-simulated once per sample: results are memoized in the
-// pooled core::SampleWorkspace keyed by (gate id, input-ramp bucket), and
-// a statistical max (the per-sample max arrival, carrying the winner's
-// waveform) is taken where paths merge. Monte Carlo rides on
-// stats::Runner's counter-based RNG streams, so graph-level results are
-// bitwise thread-count-invariant.
+// with one walk over a block of samples in which stages shared between
+// paths are transistor-level-simulated once per sample: results are
+// memoized in each lane's core::SampleWorkspace keyed by (gate id,
+// input-ramp bucket), and a statistical max (the per-sample max arrival,
+// carrying the winner's waveform) is taken where paths merge. Monte Carlo
+// rides on stats::Runner's counter-based RNG streams, so graph-level
+// results are bitwise thread-count-invariant.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "circuit/technology.hpp"
-#include "core/path.hpp"
 #include "core/stage_model.hpp"
 #include "stats/runner.hpp"
 #include "timing/graph.hpp"
@@ -67,9 +68,9 @@ class GraphAnalyzer {
     return stages_[slot].model;
   }
 
-  /// Resident heap footprint of the characterized artifacts (per-slot
-  /// stage models + enumerated paths) -- what a design cache pays to keep
-  /// this analyzer warm. See serve::DesignCache.
+  /// Resident heap footprint of the analyzer (per-slot stage models,
+  /// enumerated paths, its netlist copy and timing graph) -- what a design
+  /// cache pays to keep this analyzer warm. See serve::DesignCache.
   std::size_t memory_bytes() const;
 
   using Workspace = SampleWorkspace;
@@ -89,8 +90,22 @@ class GraphAnalyzer {
 
   /// Evaluate one parameter sample over the whole path set: paths in
   /// descending criticality, per-stage memoization, statistical max at
-  /// merge nets. Throws sim::SimulationError when a stage fails.
+  /// merge nets. Throws sim::SimulationError when a stage fails. The walk
+  /// below on a one-sample block, plus the stats.graph.* counters.
   SampleResult evaluate(const GraphSample& sample, Workspace& ws) const;
+
+  /// The walk over a block of samples, lane l's state in bws.lane(l): at
+  /// each (path, stage) position the lanes whose stage memo misses run as
+  /// one propagate_stage_batch block per input direction. Lane l's result
+  /// lands in res[l]; a lane whose stage fails is recorded in out[l]
+  /// (failed, classified diagnostics) and leaves the walk. Each lane
+  /// equals a one-lane call bitwise. `res` and `out` must be sized to
+  /// samples.size(). For samples[0], `stage_inputs` (optional) receives
+  /// the input ramp of every position it reached (gradient analysis).
+  void evaluate(std::span<const GraphSample> samples, BatchWorkspace& bws,
+                std::span<SampleResult> res, std::span<stats::BatchSlot> out,
+                std::vector<timing::RampParams>* stage_inputs = nullptr)
+      const;
 
   /// Path-by-path baseline: every path re-simulated independently with no
   /// memoization or merging -- the brute-force reference the bench and
@@ -147,16 +162,19 @@ class GraphAnalyzer {
     std::size_t stage_slot = 0;  ///< representative subgraph slot
   };
 
+  /// One (path, stage) position of the walk, in visit order.
+  struct Visit {
+    std::size_t gate = 0;
+    std::size_t slot = 0;    ///< subgraph slot of `gate`
+    std::size_t in_net = 0;  ///< the switching input
+    std::size_t out_net = 0;
+    bool memo = false;       ///< `gate` is visited again later
+    bool drop_in = false;    ///< last use of in_net, not an endpoint
+  };
+
   std::size_t slot_of(std::size_t gate) const;
   StageCacheKey cache_key(std::size_t gate,
                           const timing::RampParams& in) const;
-  /// Simulate the stage of subgraph slot `slot` driven by `in`
-  /// (propagate_stage_batch on a one-lane block); returns the output
-  /// waveform in absolute time or throws the classified failure.
-  StageWaveform simulate_slot(std::size_t slot, const StageWaveform& in,
-                              const timing::DeviceVariation& dev,
-                              const interconnect::WireVariation& wire,
-                              Workspace& ws) const;
 
   GraphSpec spec_;
   timing::TimingGraph graph_;
@@ -165,6 +183,7 @@ class GraphAnalyzer {
   std::vector<std::size_t> endpoints_;  ///< sorted endpoint nets
   std::vector<GateStage> stages_;       ///< parallel to subgraph_
   std::vector<Block> blocks_;
+  std::vector<Visit> visits_;
 };
 
 }  // namespace lcsf::core

@@ -1,15 +1,14 @@
 #include "core/path.hpp"
 
 #include <cmath>
-#include <map>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "interconnect/coupled_lines.hpp"
 #include "obs/span.hpp"
 #include "spice/transient.hpp"
+#include "stats/pca.hpp"
 
 namespace lcsf::core {
 
@@ -36,39 +35,24 @@ PathAnalyzer::PathAnalyzer(PathSpec spec) : spec_(std::move(spec)) {
   if (spec_.cells.empty()) {
     throw std::invalid_argument("PathAnalyzer: empty path");
   }
-  const auto& lib = timing::cell_library();
-  // Stages with the same (driver cell, receiver cell) have identical
-  // effective loads; characterize each combination once.
-  std::map<std::pair<std::size_t, std::size_t>, mor::VariationalRom>
-      rom_cache;
-  // Every stage's wire is the same, so distinct (cell, receiver) blocks
-  // differ only in port entries and share their PACT eigensolves.
-  mor::PactMemo pact_memo;
-  for (std::size_t k = 0; k < spec_.cells.size(); ++k) {
-    StageModel st;
-    st.cell = &lib.at(spec_.cells[k]);
-
-    const std::size_t receiver_idx =
-        (k + 1 < spec_.cells.size())
-            ? spec_.cells[k + 1]
-            : static_cast<std::size_t>(
-                  &timing::find_cell("INV") - lib.data());
-    const timing::CellTemplate& receiver = lib.at(receiver_idx);
-    st.receiver_cap = input_pin_cap(receiver, spec_.tech);
-
-    const auto cache_key = std::make_pair(spec_.cells[k], receiver_idx);
-    if (auto it = rom_cache.find(cache_key); it != rom_cache.end()) {
-      st.load = it->second;
-      stages_.push_back(std::move(st));
-      continue;
-    }
-
-    st.load = characterize_stage_load(*st.cell, spec_.tech,
-                                      spec_.wire_segments(), st.receiver_cap,
-                                      spec_.rom_internal_modes, &pact_memo);
-    rom_cache.emplace(cache_key, st.load);
-    stages_.push_back(std::move(st));
+  // The path as a one-path graph: net k drives gate k, whose output is
+  // net k + 1, and every side input sits on one undriven net. So stage k
+  // is loaded by cell k + 1's input pin, the last stage by a latch pin.
+  GraphSpec chain;
+  static_cast<StageSpec&>(chain) = spec_;
+  chain.top_k = 1;
+  const std::size_t n = spec_.cells.size();
+  chain.netlist.num_nets = n + 2;
+  chain.netlist.primary_inputs = {0};
+  chain.netlist.latch_inputs = {n};
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t cell = spec_.cells[k];
+    timing::Gate gate{cell, {}, k + 1};
+    gate.inputs.assign(timing::cell_library().at(cell).num_inputs, n + 1);
+    gate.inputs[0] = k;
+    chain.netlist.gates.push_back(std::move(gate));
   }
+  graph_ = std::make_unique<GraphAnalyzer>(std::move(chain));
 }
 
 PathDelayResult PathAnalyzer::framework_delay(const PathSample& sample)
@@ -85,68 +69,18 @@ PathDelayResult PathAnalyzer::framework_delay(const PathSample& sample,
 PathDelayResult PathAnalyzer::chain_delay(
     const PathSample& sample, BatchWorkspace& bws,
     std::vector<RampParams>* stage_inputs) const {
-  if (sample.device.size() != stages_.size()) {
+  if (sample.device.size() != num_stages()) {
     throw std::invalid_argument("framework_delay: sample size mismatch");
   }
+  GraphAnalyzer::SampleResult res;
   stats::BatchSlot slot;
-  RampParams output;
-  run_chain_batch({&sample, 1}, bws, {&slot, 1}, &output, stage_inputs);
+  graph_->evaluate({&sample, 1}, bws, {&res, 1}, {&slot, 1}, stage_inputs);
   if (slot.failed) throw sim::SimulationError(std::move(slot.diag));
-  return {slot.value, output.s};
-}
-
-void PathAnalyzer::run_chain_batch(std::span<const PathSample> samples,
-                                   BatchWorkspace& bws,
-                                   std::span<stats::BatchSlot> out,
-                                   RampParams* output,
-                                   std::vector<RampParams>* stage_inputs)
-    const {
-  const double vdd = spec_.tech.vdd;
-  // The arrival front of the live lanes; bws.live maps each to its sample.
-  bws.front.assign(samples.size(),
-                   StageWaveform{spec_.input, spec_.input.to_source(vdd)});
-  bws.live.resize(samples.size());
-  std::iota(bws.live.begin(), bws.live.end(), std::size_t{0});
-  for (std::size_t k = 0; k < stages_.size() && !bws.live.empty(); ++k) {
-    if (stage_inputs != nullptr && bws.live[0] == 0) {
-      // Ramp-equivalent parameters of this stage's input (for GA).
-      stage_inputs->push_back(timing::measure_ramp(
-          bws.front[0].wave.points(), vdd, bws.front[0].params.rising));
-    }
-    bws.devs.clear();
-    bws.wires.clear();
-    for (const std::size_t l : bws.live) {
-      bws.devs.push_back(&samples[l].device[k]);
-      bws.wires.push_back(&samples[l].wire);
-    }
-    propagate_stage_batch(stages_[k], spec_.tech, spec_.sim_options(), k,
-                          bws.front, bws.devs, bws.wires, bws.next, bws.meas,
-                          bws);
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < bws.live.size(); ++i) {
-      const std::size_t l = bws.live[i];
-      if (bws.meas[i].failed) {
-        out[l].failed = true;
-        out[l].diag = std::move(bws.meas[i].diag);
-        continue;
-      }
-      bws.live[n] = l;
-      std::swap(bws.front[n], bws.next[i]);
-      ++n;
-    }
-    bws.live.resize(n);
-    bws.front.resize(n);
-  }
-  for (std::size_t i = 0; i < bws.live.size(); ++i) {
-    out[bws.live[i]].value = bws.front[i].params.m - spec_.input.m;
-  }
-  if (output != nullptr && !bws.live.empty() && bws.live[0] == 0) {
-    *output = bws.front[0].params;
-  }
+  return {res.endpoints[0].delay, res.endpoints[0].slew};
 }
 
 PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
-  if (sample.device.size() != stages_.size()) {
+  if (sample.device.size() != num_stages()) {
     throw std::invalid_argument("spice_delay: sample size mismatch");
   }
   const double vdd_v = spec_.tech.vdd;
@@ -165,8 +99,10 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
 
   circuit::NodeId prev = in0;
   circuit::NodeId last_far = prev;
-  for (std::size_t k = 0; k < stages_.size(); ++k) {
-    const timing::CellTemplate& cell = *stages_[k].cell;
+  bool rising = spec_.input.rising;
+  for (std::size_t k = 0; k < num_stages(); ++k) {
+    const timing::CellTemplate& cell = *stage_model(k).cell;
+    rising = rising != cell.inverting;
     const auto out = nl.add_node("s" + std::to_string(k) + "_out");
     // Side inputs tied to the sensitizing rails.
     std::vector<circuit::NodeId> ins(cell.num_inputs);
@@ -189,8 +125,8 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
     // Interior stages are loaded by the next cell's real gate caps (added
     // by freeze_device_capacitances); only the last stage's receiver needs
     // an explicit model.
-    if (k + 1 == stages_.size()) {
-      nl.add_capacitor(node, kGround, stages_[k].receiver_cap);
+    if (k + 1 == num_stages()) {
+      nl.add_capacitor(node, kGround, stage_model(k).receiver_cap);
     }
     last_far = node;
     prev = node;
@@ -203,16 +139,12 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
   opt.recovery = spec_.recovery;
   // The whole transition must march down the path inside one window.
   opt.tstop = spec_.input.m + 0.5 * spec_.input.s +
-              static_cast<double>(stages_.size()) * spec_.stage_window;
+              static_cast<double>(num_stages()) * spec_.stage_window;
   spice::TransientResult res = sim.run(opt);
   if (!res.converged) {
     sim::SimDiagnostics diag = res.diag;
     diag.detail = "whole-path SPICE: " + diag.detail;
     throw sim::SimulationError(std::move(diag));
-  }
-  bool rising = spec_.input.rising;
-  for (const StageModel& st : stages_) {
-    rising = st.cell->inverting ? !rising : rising;
   }
   const RampParams out =
       timing::measure_ramp(res.waveform(last_far), vdd_v, rising);
@@ -236,7 +168,11 @@ stats::MonteCarloResult PathAnalyzer::monte_carlo_over(
     std::vector<PathSample> block;
     block.reserve(v.size());
     for (const Vector& vi : v) block.push_back(to_sample(vi));
-    run_chain_batch(block, pool.lane(lane), out);
+    std::vector<GraphAnalyzer::SampleResult> res(v.size());
+    graph_->evaluate(block, pool.lane(lane), res, out);
+    for (std::size_t l = 0; l < v.size(); ++l) {
+      if (!out[l].failed) out[l].value = res[l].endpoints[0].delay;
+    }
   };
   return stats::Runner(opt).run_monte_carlo(f, fb, variates);
 }
@@ -279,8 +215,8 @@ PathAnalyzer::CorrelatedMcResult PathAnalyzer::monte_carlo_correlated(
       double c = 0.0;
       if (i == j) {
         c = 1.0;
-      } else if (per_stage > 0 && i < per_stage * stages_.size() &&
-                 j < per_stage * stages_.size() &&
+      } else if (per_stage > 0 && i < per_stage * num_stages() &&
+                 j < per_stage * num_stages() &&
                  (i % per_stage) == (j % per_stage)) {
         c = rho;  // same parameter kind, different stage
       }
@@ -318,17 +254,17 @@ PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
   // per-stage nominal input slews about which the derivatives are taken.
   std::vector<RampParams> stage_in;
   PathSample nominal_sample;
-  nominal_sample.device.resize(stages_.size());
+  nominal_sample.device.resize(num_stages());
   const PathDelayResult nominal_chain =
       chain_delay(nominal_sample, ws.batch(), &stage_in);
-  std::size_t sims = stages_.size();
+  std::size_t sims = num_stages();
   bool rising = spec_.input.rising;
 
-  for (std::size_t k = 0; k < stages_.size(); ++k) {
+  for (std::size_t k = 0; k < num_stages(); ++k) {
     // Stage transfer sensitivities at the saturated-ramp abstraction
     // (Eq. 30), scattered into the source layout of sample_from_sources.
     const StageSensitivity sens =
-        stage_sensitivity(stages_[k], spec_.tech, spec_.sim_options(), k,
+        stage_sensitivity(stage_model(k), spec_.tech, spec_.sim_options(), k,
                           stage_in[k].s, rising, model, &ws);
     sims += sens.simulations;
     Vector dD_dw(nsrc, 0.0), dF_dw(nsrc, 0.0);
@@ -337,7 +273,7 @@ PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
       dF_dw[l] = d.slew;
     };
     std::size_t idx = k * per_stage;
-    std::size_t gidx = per_stage * stages_.size();
+    std::size_t gidx = per_stage * num_stages();
     if (model.std_dl > 0.0) put(sens.d_dl, idx++);
     if (model.std_vt > 0.0) put(sens.d_vt, idx++);
     if (model.std_wire_w > 0.0) put(sens.d_wire_w, gidx++);
@@ -350,7 +286,7 @@ PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
       dm[l] = dm[l] + dD_dw[l] + sens.d_slew.delay * ds[l];
       ds[l] = dF_dw[l] + sens.d_slew.slew * ds[l];
     }
-    rising = rising != stages_[k].cell->inverting;
+    rising = rising != stage_model(k).cell->inverting;
   }
 
   // Eq. 24 over the normalized sources (the probe's derivatives are per
@@ -385,16 +321,12 @@ PathAnalyzer::CornerResult PathAnalyzer::worst_case_corner(
 
 std::size_t PathAnalyzer::total_linear_elements() const {
   // Per stage: wire R (segments) + wire C (segments + 1) + receiver cap.
-  return stages_.size() * (2 * spec_.wire_segments() + 2);
+  return num_stages() * (2 * spec_.wire_segments() + 2);
 }
 
 std::size_t PathAnalyzer::memory_bytes() const {
-  std::size_t total =
-      sizeof(*this) + stages_.capacity() * sizeof(StageModel);
-  for (const StageModel& s : stages_) {
-    total += s.memory_bytes() - sizeof(StageModel);
-  }
-  return total;
+  return sizeof(*this) + spec_.cells.capacity() * sizeof(std::size_t) +
+         graph_->memory_bytes();
 }
 
 }  // namespace lcsf::core

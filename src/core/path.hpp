@@ -2,11 +2,13 @@
 //
 // A path is a chain of logic stages; between consecutive stages lies an RC
 // wire (segmented per micron, parasitics from Sakurai's formulas). The
-// analyzer pre-characterizes each stage's effective load ONCE -- driver
-// chord conductances folded in (Table 1), variational over the global wire
-// parameters -- and then evaluates:
+// analyzer is a one-path core::GraphAnalyzer on the chain netlist of the
+// path's cells: it pre-characterizes each distinct stage load ONCE --
+// driver chord conductances folded in (Table 1), variational over the
+// global wire parameters -- and then evaluates:
 //   * framework_delay(): stage-by-stage TETA simulation propagating a
-//     fine-resolution piecewise-linear waveform (Sec. 4.3.1), and
+//     fine-resolution piecewise-linear waveform (Sec. 4.3.1), through the
+//     graph's walk, and
 //   * spice_delay(): the conventional whole-path Newton simulation the
 //     paper benchmarks against.
 // On top sit monte_carlo() and gradient_analysis() (Secs. 4.1/4.3).
@@ -14,22 +16,13 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
-#include <span>
+#include <memory>
 #include <vector>
 
 #include "circuit/technology.hpp"
+#include "core/graph_analyzer.hpp"
 #include "core/stage_model.hpp"
-#include "interconnect/sakurai.hpp"
-#include "sim/diagnostics.hpp"
-#include "mor/poleres.hpp"
-#include "mor/variational.hpp"
-#include "stats/analysis.hpp"
-#include "stats/pca.hpp"
 #include "stats/runner.hpp"
-#include "stats/descriptive.hpp"
-#include "teta/stage.hpp"
-#include "timing/cells.hpp"
 #include "timing/sta.hpp"
 #include "timing/waveform.hpp"
 
@@ -57,19 +50,20 @@ class PathAnalyzer {
 
   std::size_t num_stages() const { return spec_.cells.size(); }
   const PathSpec& spec() const { return spec_; }
+  /// The one-path graph this facade runs: gate k is stage k.
+  const GraphAnalyzer& graph() const { return *graph_; }
   /// The characterized driver cell + effective load of stage k.
   const StageModel& stage_model(std::size_t k) const {
-    return stages_[k];
+    return graph_->stage_model(k);
   }
 
   /// Reusable per-worker scratch covering the whole per-sample pipeline;
-  /// the definition lives in core/stage_model.hpp (shared with
-  /// core::GraphAnalyzer, which also keeps its per-sample stage memo in
-  /// it).
+  /// the definition lives in core/stage_model.hpp (the walk also keeps
+  /// its per-sample state in it).
   using SampleWorkspace = core::SampleWorkspace;
 
-  /// Stage-by-stage TETA evaluation at one parameter sample: the block
-  /// chain on a one-sample block. Throws sim::SimulationError (with
+  /// Stage-by-stage TETA evaluation at one parameter sample: the graph's
+  /// walk on a one-sample block. Throws sim::SimulationError (with
   /// classified diagnostics) when a stage does not converge within
   /// spec().recovery's retry budget or the window ladder.
   PathDelayResult framework_delay(const PathSample& sample) const;
@@ -91,17 +85,16 @@ class PathAnalyzer {
   /// path's stages.
   PathSample sample_from_sources(const PathVariationModel& model,
                                  const numeric::Vector& w) const {
-    return core::sample_from_sources(model, spec_.tech, stages_.size(), w);
+    return core::sample_from_sources(model, spec_.tech, num_stages(), w);
   }
   std::vector<stats::VariationSource> sources(
       const PathVariationModel& model) const {
-    return model.sources(stages_.size());
+    return model.sources(num_stages());
   }
 
   /// Monte-Carlo path statistics (Sec. 4.3.1) using the framework engine:
   /// stats::Runner::run_monte_carlo in opt.exec.batch sample blocks
-  /// through the block chain, under its determinism and fail-soft
-  /// contracts.
+  /// through the walk, under its determinism and fail-soft contracts.
   stats::MonteCarloResult monte_carlo(const PathVariationModel& model,
                                       const stats::RunOptions& opt) const;
 
@@ -155,35 +148,22 @@ class PathAnalyzer {
   /// Total linear-element count of the full path netlist (Fig. 5 x-axis).
   std::size_t total_linear_elements() const;
 
-  /// Resident heap footprint of the characterized artifacts (the stage
-  /// load ROMs) -- the cost a design cache pays to keep this analyzer
-  /// warm. See serve::DesignCache.
+  /// Resident heap footprint of the analyzer (its one-path graph: stage
+  /// load ROMs, chain netlist, timing graph) -- the cost a design cache
+  /// pays to keep this analyzer warm. See serve::DesignCache.
   std::size_t memory_bytes() const;
 
  private:
-  /// The stage chain over a block of samples: every sample marches down
-  /// the path one stage at a time through propagate_stage_batch. Lane l's
-  /// delay lands in out[l].value; a lane whose stage fails is recorded in
-  /// out[l] with its classified diagnostics and dropped from the
-  /// remaining stages. `out` must be sized to samples.size() (the stats
-  /// driver's BatchSlot contract). For samples[0], `output` (optional)
-  /// receives the path output ramp and `stage_inputs` (optional) the
-  /// input ramp of every stage it reached (gradient_analysis).
-  void run_chain_batch(std::span<const PathSample> samples,
-                       BatchWorkspace& bws, std::span<stats::BatchSlot> out,
-                       timing::RampParams* output = nullptr,
-                       std::vector<timing::RampParams>* stage_inputs =
-                           nullptr) const;
-
-  /// run_chain_batch on a one-sample block, throwing the sample's
-  /// classified failure (framework_delay and the one-sample statistical
-  /// evaluations).
+  /// The walk on a one-sample block, throwing the sample's classified
+  /// failure (framework_delay and the one-sample statistical
+  /// evaluations); `stage_inputs` (optional) receives the input ramp of
+  /// every stage (gradient_analysis).
   PathDelayResult chain_delay(
       const PathSample& sample, BatchWorkspace& bws,
       std::vector<timing::RampParams>* stage_inputs = nullptr) const;
 
-  /// Monte Carlo through the block chain: each variate vector (drawn
-  /// from `variates`) maps to a path sample by `to_sample`.
+  /// Monte Carlo through the walk: each variate vector (drawn from
+  /// `variates`) maps to a path sample by `to_sample`.
   stats::MonteCarloResult monte_carlo_over(
       const stats::RunOptions& opt,
       const std::vector<stats::VariationSource>& variates,
@@ -191,7 +171,7 @@ class PathAnalyzer {
       const;
 
   PathSpec spec_;
-  std::vector<StageModel> stages_;
+  std::unique_ptr<GraphAnalyzer> graph_;
 };
 
 }  // namespace lcsf::core

@@ -338,7 +338,7 @@ RampParams measure_stage_with_retry(
 void propagate_stage_batch(
     const StageModel& st, const circuit::Technology& tech,
     const StageSimOptions& opt, std::size_t label,
-    std::span<const StageWaveform> in,
+    std::span<const StageWaveform* const> in,
     std::span<const timing::DeviceVariation* const> devs,
     std::span<const interconnect::WireVariation* const> wires,
     std::vector<StageWaveform>& out, std::vector<StageMeasurement>& meas,
@@ -350,16 +350,16 @@ void propagate_stage_batch(
   for (std::size_t l = 0; l < nl; ++l) {
     // Localize time so the transition sits at ~1/4 of the stage window.
     const double shift =
-        std::max(0.0, in[l].params.m - 0.25 * opt.stage_window);
+        std::max(0.0, in[l]->params.m - 0.25 * opt.stage_window);
     bws.shifts[l] = shift;
-    bws.inputs[l] = &in[l].wave;
+    bws.inputs[l] = &in[l]->wave;
     if (shift > 0.0) {
       bws.local[l] = SourceWaveform::pwl(
-          shifted_samples(in[l].wave.points(), -shift));
+          shifted_samples(in[l]->wave.points(), -shift));
       bws.inputs[l] = &bws.local[l];
     }
   }
-  const bool out_rising = in[0].params.rising != st.cell->inverting;
+  const bool out_rising = in[0]->params.rising != st.cell->inverting;
   measure_stage_batch(st, tech, opt, label, bws.inputs, bws.shifts, devs,
                       wires, out_rising, &bws.souts, meas, bws);
   out.resize(nl);

@@ -112,12 +112,13 @@ struct SampleWorkspace {
   /// vectors) is recycled across samples.
   teta::TetaResult teta_result;
 
-  /// Per-sample state of the multi-path graph engine (GraphAnalyzer),
-  /// pooled here alongside the engine scratch: memoized stage outputs
-  /// keyed by (gate id, input-ramp bucket) -- so stages shared between
-  /// paths simulate once per sample -- and the per-net arrival front (the
-  /// statistical-max winner seen so far at each net). Cleared at the
-  /// start of every sample.
+  /// Per-sample state of the walk (GraphAnalyzer::evaluate) for the
+  /// sample in this lane, pooled here alongside the engine scratch: the
+  /// outputs of gates the walk visits again, keyed by (gate id,
+  /// input-ramp bucket) -- so stages shared between paths simulate once
+  /// per sample -- and the per-net arrival front (the statistical-max
+  /// winner seen so far at each net), each net dropped after its last use
+  /// except the endpoints. Cleared at the start of every walk.
   std::map<StageCacheKey, StageWaveform> stage_cache;
   std::map<std::size_t, StageWaveform> net_arrival;
 
@@ -208,7 +209,7 @@ struct StageMeasurement {
 /// slot (created on first touch, so the block width can grow; slot 0 may
 /// be borrowed, see SampleWorkspace::batch), the TETA lockstep SoA
 /// buffers, and the staging of measure_stage_batch, propagate_stage_batch
-/// and PathAnalyzer's chain. One BatchWorkspace per Monte-Carlo lane; see
+/// and GraphAnalyzer's walk. One BatchWorkspace per Monte-Carlo lane; see
 /// LanePool and docs/performance.md.
 struct BatchWorkspace {
   /// Ensure slot `k` exists and return its scalar workspace.
@@ -236,9 +237,9 @@ struct BatchWorkspace {
   std::vector<StageMeasurement> meas;
   std::vector<StageWaveform> next;        ///< propagated outputs
 
-  // Chain staging: the arrival front of the live lanes and their samples.
-  std::vector<StageWaveform> front;
-  std::vector<std::size_t> live;
+  // Walk staging: the lanes of one stage block, their inputs and samples.
+  std::vector<std::size_t> block;
+  std::vector<const StageWaveform*> ins;
   std::vector<const timing::DeviceVariation*> devs;
   std::vector<const interconnect::WireVariation*> wires;
 };
@@ -289,12 +290,12 @@ timing::RampParams measure_stage_with_retry(
 /// sits at 1/4 of the stage window, measured by measure_stage_batch, and
 /// on success its output PWL, adaptively compressed (tolerance 1e-4 vdd),
 /// is stored with the measured ramp in `out[l]`. All lanes switch in the
-/// direction of in[0]. `out` and `meas` are resized to the lane count; a
+/// direction of *in[0]. `out` and `meas` are resized to the lane count; a
 /// failed lane's `out` entry is unspecified.
 void propagate_stage_batch(
     const StageModel& st, const circuit::Technology& tech,
     const StageSimOptions& opt, std::size_t label,
-    std::span<const StageWaveform> in,
+    std::span<const StageWaveform* const> in,
     std::span<const timing::DeviceVariation* const> devs,
     std::span<const interconnect::WireVariation* const> wires,
     std::vector<StageWaveform>& out, std::vector<StageMeasurement>& meas,

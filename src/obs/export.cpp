@@ -7,33 +7,25 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/registry.hpp"
 
 namespace lcsf::obs {
 
-namespace {
-
 std::string json_escape(const std::string& s) {
   std::string out;
-  out.reserve(s.size() + 2);
+  out.reserve(s.size());
   for (const char c : s) {
     switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
                         static_cast<unsigned>(static_cast<unsigned char>(c)));
           out += buf;
         } else {
@@ -43,6 +35,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 std::string fmt_double(double v) {
   char buf[40];

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "obs/json.hpp"
 #include "sim/diagnostics.hpp"
 
 namespace lcsf::serve {
@@ -102,30 +103,6 @@ Json& Json::push(Json value) {
   return *this;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void Json::dump_to(std::string& out) const {
   switch (type_) {
     case Type::kNull:
@@ -154,7 +131,7 @@ void Json::dump_to(std::string& out) const {
     }
     case Type::kString:
       out += '"';
-      out += json_escape(str_);
+      out += obs::json_escape(str_);
       out += '"';
       break;
     case Type::kArray: {
@@ -175,7 +152,7 @@ void Json::dump_to(std::string& out) const {
         if (!first) out += ',';
         first = false;
         out += '"';
-        out += json_escape(m.first);
+        out += obs::json_escape(m.first);
         out += "\":";
         m.second.dump_to(out);
       }

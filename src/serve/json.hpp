@@ -85,7 +85,4 @@ class Json {
   std::vector<Member> members_;
 };
 
-/// Escape a string for inclusion in a JSON document (no quotes added).
-std::string json_escape(const std::string& s);
-
 }  // namespace lcsf::serve

@@ -52,6 +52,12 @@ class TimingGraph {
   /// contain that many. Endpoints are GateNetlist::latch_inputs.
   std::vector<TimingPath> k_most_critical_paths(std::size_t k) const;
 
+  /// Heap bytes held (cache accounting; see serve::DesignCache).
+  std::size_t memory_bytes() const {
+    return (topo_.capacity() + driver_.capacity() + arrival_.capacity()) *
+           sizeof(std::size_t);
+  }
+
  private:
   const GateNetlist* nl_;
   std::vector<std::size_t> topo_;

@@ -1,16 +1,22 @@
 #include "timing/sta.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "timing/graph.hpp"
 
 namespace lcsf::timing {
 
-namespace {
-constexpr std::size_t kUnreachable = std::numeric_limits<std::size_t>::max();
+std::size_t GateNetlist::memory_bytes() const {
+  std::size_t total = name.size() + gates.capacity() * sizeof(Gate);
+  for (const Gate& g : gates) {
+    total += g.inputs.capacity() * sizeof(std::size_t);
+  }
+  return total + (primary_inputs.capacity() + latch_outputs.capacity() +
+                  latch_inputs.capacity()) *
+                     sizeof(std::size_t);
 }
 
 std::vector<std::size_t> arrival_times(const GateNetlist& nl) {
@@ -27,52 +33,11 @@ TimingPath longest_path(const GateNetlist& nl) {
   if (nl.latch_inputs.empty()) {
     throw std::invalid_argument("longest_path: no latch inputs");
   }
-  const auto arrival = arrival_times(nl);
-
-  // Driver gate of each net.
-  std::vector<std::size_t> driver(nl.num_nets, kUnreachable);
-  for (std::size_t g = 0; g < nl.gates.size(); ++g) {
-    driver[nl.gates[g].output] = g;
-  }
-
-  // Worst latch-input endpoint.
-  std::size_t end_net = kUnreachable;
-  for (std::size_t n : nl.latch_inputs) {
-    if (arrival[n] == kUnreachable) continue;
-    if (end_net == kUnreachable || arrival[n] > arrival[end_net]) {
-      end_net = n;
-    }
-  }
-  if (end_net == kUnreachable || arrival[end_net] == 0) {
+  std::vector<TimingPath> paths = TimingGraph(nl).k_most_critical_paths(1);
+  if (paths.empty()) {
     throw std::runtime_error("longest_path: no combinational path found");
   }
-
-  // Backtrack through worst-arrival predecessors.
-  TimingPath path;
-  path.end_net = end_net;
-  std::size_t net = end_net;
-  while (driver[net] != kUnreachable) {
-    const std::size_t g = driver[net];
-    const Gate& gate = nl.gates[g];
-    std::size_t worst_pin = 0;
-    bool found = false;
-    for (std::size_t pin = 0; pin < gate.inputs.size(); ++pin) {
-      const std::size_t in = gate.inputs[pin];
-      if (arrival[in] == kUnreachable) continue;
-      if (!found || arrival[in] > arrival[gate.inputs[worst_pin]]) {
-        worst_pin = pin;
-        found = true;
-      }
-    }
-    if (!found) throw std::logic_error("longest_path: dangling gate input");
-    path.gates.push_back(g);
-    path.switching_pin.push_back(worst_pin);
-    net = gate.inputs[worst_pin];
-  }
-  path.start_net = net;
-  std::reverse(path.gates.begin(), path.gates.end());
-  std::reverse(path.switching_pin.begin(), path.switching_pin.end());
-  return path;
+  return std::move(paths[0]);
 }
 
 std::vector<BenchmarkSpec> iscas89_suite() {

@@ -31,6 +31,9 @@ struct GateNetlist {
   std::vector<std::size_t> primary_inputs;  ///< path start nets
   std::vector<std::size_t> latch_outputs;   ///< path start nets
   std::vector<std::size_t> latch_inputs;    ///< path end nets
+
+  /// Heap bytes held (cache accounting; see serve::DesignCache).
+  std::size_t memory_bytes() const;
 };
 
 /// A combinational path: ordered gate indices from a start net to a latch
@@ -45,8 +48,10 @@ struct TimingPath {
   std::size_t length() const { return gates.size(); }
 };
 
-/// Unit-delay STA: longest latch-to-latch (or PI-to-latch) path. Throws if
-/// the netlist has no latch inputs or the path would be empty.
+/// Unit-delay STA: longest latch-to-latch (or PI-to-latch) path, the most
+/// critical of TimingGraph::k_most_critical_paths. Throws
+/// std::invalid_argument if the netlist has no latch inputs and
+/// std::runtime_error if the path would be empty.
 TimingPath longest_path(const GateNetlist& nl);
 
 /// Arrival time of every net under unit gate delays (start nets at 0;

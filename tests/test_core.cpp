@@ -10,8 +10,10 @@
 
 #include "core/graph_analyzer.hpp"
 #include "core/path.hpp"
+#include "numeric/fp_compare.hpp"
 #include "obs/registry.hpp"
 #include "sim/diagnostics.hpp"
+#include "timing/graph.hpp"
 #include "timing/sta.hpp"
 
 namespace lcsf::core {
@@ -234,6 +236,92 @@ TEST(PathAnalyzer, LinearElementKnob) {
   nominal.device.resize(3);
   EXPECT_GT(many.framework_delay(nominal).delay,
             few.framework_delay(nominal).delay);
+}
+
+// A path is a one-path graph walked in sample blocks: after a block each
+// lane holds its endpoint arrival only, and no memo (no gate is visited
+// twice).
+TEST(PathAnalyzer, BlockWalkKeepsOnlyTheEndpointPerLane) {
+  const PathAnalyzer pa(small_path_spec());
+  PathVariationModel model;
+  model.std_dl = 0.33;
+  model.std_vt = 0.33;
+  std::vector<PathSample> samples;
+  for (std::size_t l = 0; l < 4; ++l) {
+    const Vector w(pa.sources(model).size(), 0.2 * static_cast<double>(l));
+    samples.push_back(pa.sample_from_sources(model, w));
+  }
+  BatchWorkspace bws;
+  std::vector<GraphAnalyzer::SampleResult> res(samples.size());
+  std::vector<stats::BatchSlot> out(samples.size());
+  pa.graph().evaluate(samples, bws, res, out);
+  for (std::size_t l = 0; l < samples.size(); ++l) {
+    ASSERT_FALSE(out[l].failed) << "lane " << l;
+    EXPECT_TRUE(bws.lane(l).stage_cache.empty()) << "lane " << l;
+    ASSERT_EQ(bws.lane(l).net_arrival.size(), 1u) << "lane " << l;
+    EXPECT_EQ(bws.lane(l).net_arrival.begin()->first,
+              pa.graph().endpoint_nets()[0]);
+    EXPECT_EQ(res[l].stages_simulated, pa.num_stages());
+    EXPECT_TRUE(numeric::exact_eq(res[l].endpoints[0].delay,
+                                  pa.framework_delay(samples[l]).delay));
+  }
+}
+
+#if LCSF_OBS_ENABLED
+TEST(PathAnalyzer, MonteCarloRecordsNoGraphCounters) {
+  const PathAnalyzer pa(small_path_spec());
+  PathVariationModel model;
+  model.std_vt = 0.33;
+  stats::RunOptions opt;
+  opt.samples = 5;  // one block of 4 and a one-sample remainder
+  opt.exec.threads = 1;
+  opt.exec.batch = 4;
+  obs::Registry reg;
+  {
+    obs::ScopedContext ctx(&reg, 0);
+    (void)pa.monte_carlo(model, opt);
+  }
+  const obs::Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("stats.mc.samples"), 5u);
+  for (const auto& [name, value] : snap.counters) {
+    EXPECT_NE(name.rfind("stats.graph.", 0), 0u) << name << " = " << value;
+  }
+}
+#endif  // LCSF_OBS_ENABLED
+
+// serve::DesignCache budgets with memory_bytes(): a graph analyzer must
+// count its stage models, its netlist copy and its timing graph.
+TEST(GraphAnalyzer, MemoryBytesCoverNetlistAndTimingGraph) {
+  GraphSpec spec;
+  spec.tech = circuit::technology_180nm();
+  spec.netlist = timing::generate_benchmark(timing::find_benchmark("s1423"));
+  spec.top_k = 16;
+  const GraphAnalyzer ga(std::move(spec));
+  std::size_t stage_bytes = 0;
+  for (std::size_t slot = 0; slot < ga.subgraph_gates().size(); ++slot) {
+    stage_bytes += ga.stage_model(slot).memory_bytes();
+  }
+  const timing::GateNetlist& nl = ga.spec().netlist;
+  std::size_t netlist_bytes =
+      nl.gates.capacity() * sizeof(timing::Gate) +
+      (nl.primary_inputs.capacity() + nl.latch_outputs.capacity() +
+       nl.latch_inputs.capacity()) *
+          sizeof(std::size_t);
+  for (const timing::Gate& g : nl.gates) {
+    netlist_bytes += g.inputs.capacity() * sizeof(std::size_t);
+  }
+  const timing::TimingGraph& graph = ga.graph();
+  const std::size_t graph_bytes =
+      (graph.topo_order().capacity() + graph.net_driver().capacity() +
+       graph.arrival().capacity()) *
+      sizeof(std::size_t);
+  EXPECT_GE(ga.memory_bytes(), stage_bytes + netlist_bytes + graph_bytes);
+
+  // The path facade counts its one-path graph, chain netlist included.
+  const PathAnalyzer pa(small_path_spec());
+  EXPECT_GE(pa.memory_bytes(), pa.graph().memory_bytes());
+  EXPECT_GE(pa.graph().memory_bytes(),
+            pa.graph().spec().netlist.memory_bytes());
 }
 
 bool same_bits(const numeric::Matrix& a, const numeric::Matrix& b) {

@@ -12,6 +12,7 @@
 // (and the quoted `#include` targets sit mid-line, so the raw-content
 // include parser's line-start anchor skips them too).
 #include "lint_engine.hpp"
+#include "obs/json.hpp"
 #include "project_analyzer.hpp"
 
 #include <string>
@@ -561,8 +562,11 @@ TEST(LintJson, CleanTreeEmitsEmptyFindingsArray) {
   EXPECT_NE(doc.find("\"suppression_count\": 0"), std::string::npos);
 }
 
+// findings_to_json writes through the shared escaper.
 TEST(LintJson, EscapesQuotesBackslashesAndControlChars) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
+  EXPECT_EQ(obs::json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
+  EXPECT_EQ(obs::json_escape("a\rb"), "a\\rb");
+  EXPECT_EQ(obs::json_escape("a\x01" "b"), "a\\u0001b");
 }
 
 TEST(LintMeta, RuleRegistryIsConsistent) {

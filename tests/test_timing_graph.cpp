@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/graph_analyzer.hpp"
@@ -345,6 +346,179 @@ TEST(GraphAnalyzer, MonteCarloIsThreadCountInvariant) {
     EXPECT_TRUE(numeric::exact_eq(t1.values[k], t2.values[k]));
     EXPECT_TRUE(numeric::exact_eq(t1.values[k], t8.values[k]));
   }
+}
+
+/// The walk on a block of samples (results into `res`) against one-lane
+/// evaluate calls: bitwise equal values, endpoints and counts, and the
+/// failing lane's diagnostics.
+void expect_block_matches_one_lane(
+    const core::GraphAnalyzer& graph,
+    const std::vector<core::GraphSample>& samples, std::size_t failing,
+    std::vector<core::GraphAnalyzer::SampleResult>& res) {
+  core::BatchWorkspace bws;
+  res.resize(samples.size());
+  std::vector<stats::BatchSlot> out(samples.size());
+  graph.evaluate(samples, bws, res, out);
+  core::GraphAnalyzer::Workspace ws;
+  for (std::size_t l = 0; l < samples.size(); ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    if (l == failing) {
+      try {
+        (void)graph.evaluate(samples[l], ws);
+        ADD_FAILURE() << "expected a failed stage";
+      } catch (const sim::SimulationError& e) {
+        ASSERT_TRUE(out[l].failed);
+        EXPECT_EQ(out[l].diag.kind, e.diagnostics().kind);
+        EXPECT_EQ(out[l].diag.message(), e.diagnostics().message());
+        EXPECT_NE(e.diagnostics().detail.find("non-positive"),
+                  std::string::npos)
+            << e.diagnostics().detail;
+      }
+      continue;
+    }
+    const auto one = graph.evaluate(samples[l], ws);
+    ASSERT_FALSE(out[l].failed) << out[l].diag.message();
+    EXPECT_TRUE(numeric::exact_eq(res[l].max_delay, one.max_delay));
+    ASSERT_EQ(res[l].endpoints.size(), one.endpoints.size());
+    for (std::size_t e = 0; e < one.endpoints.size(); ++e) {
+      EXPECT_EQ(res[l].endpoints[e].net, one.endpoints[e].net);
+      EXPECT_TRUE(numeric::exact_eq(res[l].endpoints[e].delay,
+                                    one.endpoints[e].delay));
+      EXPECT_TRUE(numeric::exact_eq(res[l].endpoints[e].slew,
+                                    one.endpoints[e].slew));
+    }
+    EXPECT_EQ(res[l].stages_simulated, one.stages_simulated);
+    EXPECT_EQ(res[l].stage_cache_hits, one.stage_cache_hits);
+    EXPECT_EQ(res[l].merges, one.merges);
+  }
+}
+
+core::PathVariationModel device_and_wire_model() {
+  core::PathVariationModel model;
+  model.std_dl = 0.33;
+  model.std_vt = 0.33;
+  model.std_wire_w = 0.33;
+  model.std_wire_h = 0.33;
+  return model;
+}
+
+/// A device the stage circuit cannot hold: non-positive effective length.
+void break_device(core::GraphSample& sample, std::size_t slot) {
+  sample.device[slot].delta_l = 2.0 * circuit::technology_180nm().lmin;
+}
+
+TEST(GraphAnalyzer, BlockWalkMatchesOneLaneCallsOnS208) {
+  core::GraphSpec gspec;
+  gspec.tech = circuit::technology_180nm();
+  gspec.netlist = timing::generate_benchmark(timing::find_benchmark("s208"));
+  gspec.top_k = 8;
+  const core::GraphAnalyzer graph(std::move(gspec));
+  const core::PathVariationModel model = device_and_wire_model();
+
+  std::vector<core::GraphSample> samples;
+  auto stream = stats::sample_stream(17, 0, 0);
+  for (std::size_t l = 0; l < 8; ++l) {
+    numeric::Vector w(graph.sources(model).size());
+    for (double& x : w) {
+      x = stats::to_normal(stream.uniform_open(), 0.0, 1.0 / 3.0);
+    }
+    samples.push_back(graph.sample_from_sources(model, w));
+  }
+  // Lane 5 fails at the last path's last gate, deep into the walk.
+  const std::size_t last_gate = graph.paths().back().gates.back();
+  const auto& sub = graph.subgraph_gates();
+  break_device(samples[5], static_cast<std::size_t>(
+      std::lower_bound(sub.begin(), sub.end(), last_gate) - sub.begin()));
+
+  std::vector<core::GraphAnalyzer::SampleResult> res;
+  expect_block_matches_one_lane(graph, samples, 5, res);
+  std::size_t hits = 0;
+  std::size_t merges = 0;
+  for (const auto& r : res) {
+    hits += r.stage_cache_hits;
+    merges += r.merges;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(merges, 0u);
+}
+
+/// Reconvergent branches of opposite inversion parity: G0 (INV) feeds a
+/// two-INV branch A (G1, G2) and a one-INV branch B (G3), which
+/// reconverge in a NAND2 (G4) at net 5, rising from A and falling from B.
+/// Net 5 drives a long suffix (G5, G6) and a short one (G7). The three
+/// most critical paths are A-long, B-long and A-short, so G7 is first
+/// visited after both branches merged at net 5: every lane misses the
+/// memo there, and its input rises where A wins the statistical max and
+/// falls where B wins. Extra INV loads on net 4 slow branch B: with 1 all
+/// lanes below rise, with 4 all fall.
+GateNetlist reconvergent_netlist(std::size_t extra_loads) {
+  GateNetlist nl;
+  nl.name = "reconvergent";
+  nl.num_nets = 9 + extra_loads;
+  nl.primary_inputs = {0};
+  const std::size_t inv = cell_index("INV");
+  nl.gates.push_back({inv, {0}, 1});                     // G0
+  nl.gates.push_back({inv, {1}, 2});                     // G1 branch A
+  nl.gates.push_back({inv, {2}, 3});                     // G2 branch A
+  nl.gates.push_back({inv, {1}, 4});                     // G3 branch B
+  nl.gates.push_back({cell_index("NAND2"), {3, 4}, 5});  // G4 merge
+  nl.gates.push_back({inv, {5}, 6});                     // G5 long
+  nl.gates.push_back({inv, {6}, 7});                     // G6 long
+  nl.gates.push_back({inv, {5}, 8});                     // G7 short
+  for (std::size_t k = 0; k < extra_loads; ++k) {
+    nl.gates.push_back({inv, {4}, 9 + k});
+  }
+  nl.latch_inputs = {7, 8};
+  return nl;
+}
+
+TEST(GraphAnalyzer, BlockWalkGroupsMissesByInputDirection) {
+  core::GraphSpec gspec;
+  gspec.tech = circuit::technology_180nm();
+  gspec.netlist = reconvergent_netlist(3);
+  gspec.top_k = 3;
+  const core::GraphAnalyzer graph(std::move(gspec));
+  ASSERT_EQ(graph.paths().size(), 3u);
+  EXPECT_EQ(graph.paths()[2].gates,
+            (std::vector<std::size_t>{0, 1, 2, 4, 7}));
+  const core::PathVariationModel model = device_and_wire_model();
+
+  // Even lanes slow branch B and speed up branch A, odd lanes the
+  // reverse; the stream adds a small jitter everywhere.
+  std::vector<core::GraphSample> samples;
+  auto stream = stats::sample_stream(23, 0, 0);
+  for (std::size_t l = 0; l < 8; ++l) {
+    numeric::Vector w(graph.sources(model).size());
+    for (double& x : w) {
+      x = stats::to_normal(stream.uniform_open(), 0.0, 0.1);
+    }
+    const double b_slow = l % 2 == 0 ? 1.0 : -1.0;
+    w[2 * 3 + 1] = b_slow;   // vt of G3
+    w[2 * 1 + 1] = -b_slow;  // vt of G1
+    w[2 * 2 + 1] = -b_slow;  // vt of G2
+    samples.push_back(graph.sample_from_sources(model, w));
+  }
+  break_device(samples[6], 5);  // lane 6 fails at G5, first path
+
+  std::vector<core::GraphAnalyzer::SampleResult> res;
+  expect_block_matches_one_lane(graph, samples, 6, res);
+  // G7's input direction per lane, from one-lane walks (the last
+  // position of the visit order): both directions occur.
+  std::size_t rising = 0;
+  std::size_t falling = 0;
+  for (std::size_t l = 0; l < samples.size(); ++l) {
+    if (l == 6) continue;
+    core::BatchWorkspace bws;
+    core::GraphAnalyzer::SampleResult r;
+    stats::BatchSlot slot;
+    std::vector<timing::RampParams> inputs;
+    graph.evaluate({&samples[l], 1}, bws, {&r, 1}, {&slot, 1}, &inputs);
+    ASSERT_FALSE(slot.failed);
+    ASSERT_EQ(inputs.size(), 16u);
+    ++(inputs.back().rising ? rising : falling);
+  }
+  EXPECT_GT(rising, 0u);
+  EXPECT_GT(falling, 0u);
 }
 
 TEST(GraphAnalyzer, BlockModelsAndAnalyticEndpoints) {

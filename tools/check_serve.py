@@ -11,7 +11,8 @@ Modes (combinable; all requests go over one connection, in order):
                      response (repeatable)
   --battery          run the built-in conformance battery against
                      --circuit: cold/warm byte-identity of `load`,
-                     thread-count invariance of `monte_carlo` payloads,
+                     thread-count invariance of `monte_carlo` payloads
+                     on a path and on a graph (top_k 4) session,
                      classified error responses, the per-request caps of
                      the schema's `limits` block, and a schema-valid
                      `metrics` response with populated cache counters
@@ -158,22 +159,26 @@ def run_battery(conn, schema, circuit):
         fail("cold and warm load responses differ:\n"
              f"  cold: {cold}\n  warm: {warm}")
 
-    mc_payloads = {}
-    for threads in (1, 2, 8):
-        req = json.dumps({
-            "id": f"b-mc-t{threads}", "type": "monte_carlo",
-            "circuit": circuit, "samples": 12, "seed": 3,
-            "threads": threads,
-        })
-        raw = conn.request(req)
-        validate_response(raw, schema, expect_type="monte_carlo",
-                          expect_ok=True)
-        mc_payloads[threads] = payload_after_design(raw)
-    for threads in (2, 8):
-        if mc_payloads[threads] != mc_payloads[1]:
-            fail(f"monte_carlo payload differs between threads=1 and "
-                 f"threads={threads}:\n  t1: {mc_payloads[1]}\n  "
-                 f"t{threads}: {mc_payloads[threads]}")
+    # Thread-count invariance on a path session and on a graph session
+    # (the graph's per-sample walk, through the server).
+    for label, session in (("mc", {}), ("graph-mc", {"graph": True,
+                                                     "top_k": 4})):
+        payloads = {}
+        for threads in (1, 2, 8):
+            req = json.dumps(dict({
+                "id": f"b-{label}-t{threads}", "type": "monte_carlo",
+                "circuit": circuit, "samples": 12, "seed": 3,
+                "threads": threads,
+            }, **session))
+            raw = conn.request(req)
+            validate_response(raw, schema, expect_type="monte_carlo",
+                              expect_ok=True)
+            payloads[threads] = payload_after_design(raw)
+        for threads in (2, 8):
+            if payloads[threads] != payloads[1]:
+                fail(f"{label} payload differs between threads=1 and "
+                     f"threads={threads}:\n  t1: {payloads[1]}\n  "
+                     f"t{threads}: {payloads[threads]}")
 
     for bad, kind in [
         ("this is not json", "invalid-input"),

@@ -6,6 +6,8 @@
 #include <regex>
 #include <set>
 
+#include "obs/json.hpp"
+
 namespace lcsf::lint {
 
 namespace {
@@ -724,40 +726,6 @@ std::vector<Finding> lint_source(const std::string& path,
 // lcsf-lint-v2 JSON document
 // ---------------------------------------------------------------------
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string findings_to_json(const std::vector<FileScan>& scans) {
   std::size_t suppression_count = 0;
   for (const FileScan& s : scans) suppression_count += s.suppressions.size();
@@ -774,19 +742,19 @@ std::string findings_to_json(const std::vector<FileScan>& scans) {
     for (const Finding& f : s.findings) {
       if (!first) out += ",";
       first = false;
-      out += "\n    {\"rule\": \"" + json_escape(f.rule) + "\", ";
-      out += "\"file\": \"" + json_escape(f.file) + "\", ";
+      out += "\n    {\"rule\": \"" + obs::json_escape(f.rule) + "\", ";
+      out += "\"file\": \"" + obs::json_escape(f.file) + "\", ";
       out += "\"line\": " + std::to_string(f.line) + ", ";
       out += "\"suppressed\": " + std::string(f.suppressed ? "true" : "false");
       if (!f.edge_path.empty()) {
         out += ", \"edge_path\": [";
         for (std::size_t k = 0; k < f.edge_path.size(); ++k) {
           if (k) out += ", ";
-          out += "\"" + json_escape(f.edge_path[k]) + "\"";
+          out += "\"" + obs::json_escape(f.edge_path[k]) + "\"";
         }
         out += "]";
       }
-      out += ", \"message\": \"" + json_escape(f.message) + "\"}";
+      out += ", \"message\": \"" + obs::json_escape(f.message) + "\"}";
     }
   }
   out += first ? "]\n" : "\n  ]\n";

@@ -129,7 +129,4 @@ std::vector<Finding> lint_source(const std::string& path,
 /// findings appear in scan order (the driver scans paths sorted).
 std::string findings_to_json(const std::vector<FileScan>& scans);
 
-/// JSON string escaping used by findings_to_json (exposed for tests).
-std::string json_escape(const std::string& s);
-
 }  // namespace lcsf::lint
