@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -83,8 +85,9 @@ GraphAnalyzer::GraphAnalyzer(GraphSpec spec)
 
   // The walk's visit order, and one backward pass for both last-use
   // tables: a gate's output is memoized only when the gate is visited
-  // again, and a net's arrival is dropped after its last read or write
-  // (endpoint arrivals stay).
+  // again (its entries go after its last visit), and a net's arrival is
+  // dropped after its last read or write (endpoint arrivals stay until
+  // the walk reads them).
   for (const timing::TimingPath& path : paths_) {
     for (std::size_t k = 0; k < path.gates.size(); ++k) {
       const timing::Gate& gate = nl.gates[path.gates[k]];
@@ -232,19 +235,29 @@ void GraphAnalyzer::evaluate(std::span<const GraphSample> samples,
       }
       first = last;
     }
-    if (!v.drop_in) continue;
+    constexpr auto lo = std::numeric_limits<std::int64_t>::min();
     for (std::size_t l = 0; l < samples.size(); ++l) {
-      bws.lane(l).net_arrival.erase(v.in_net);
+      SampleWorkspace& lane = bws.lane(l);
+      if (!v.memo) {
+        // The gate's last visit: no later lookup reads its entries.
+        auto& memo = lane.stage_cache;
+        memo.erase(memo.lower_bound({v.gate, lo, lo, false}),
+                   memo.lower_bound({v.gate + 1, lo, lo, false}));
+      }
+      if (v.drop_in) lane.net_arrival.erase(v.in_net);
     }
   }
 
   for (std::size_t l = 0; l < samples.size(); ++l) {
-    if (out[l].failed) continue;
-    for (std::size_t net : endpoints_) {
-      const RampParams& a = bws.lane(l).net_arrival.at(net).params;
-      res[l].endpoints.push_back({net, a.m - spec_.input.m, a.s});
-      res[l].max_delay = std::max(res[l].max_delay, a.m - spec_.input.m);
+    auto& fronts = bws.lane(l).net_arrival;
+    if (!out[l].failed) {
+      for (std::size_t net : endpoints_) {
+        const RampParams& a = fronts.at(net).params;
+        res[l].endpoints.push_back({net, a.m - spec_.input.m, a.s});
+        res[l].max_delay = std::max(res[l].max_delay, a.m - spec_.input.m);
+      }
     }
+    fronts.clear();
   }
 }
 

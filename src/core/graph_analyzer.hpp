@@ -102,6 +102,7 @@ class GraphAnalyzer {
   /// equals a one-lane call bitwise. `res` and `out` must be sized to
   /// samples.size(). For samples[0], `stage_inputs` (optional) receives
   /// the input ramp of every position it reached (gradient analysis).
+  /// Every lane's stage_cache and net_arrival are empty on return.
   void evaluate(std::span<const GraphSample> samples, BatchWorkspace& bws,
                 std::span<SampleResult> res, std::span<stats::BatchSlot> out,
                 std::vector<timing::RampParams>* stage_inputs = nullptr)
@@ -168,7 +169,8 @@ class GraphAnalyzer {
     std::size_t slot = 0;    ///< subgraph slot of `gate`
     std::size_t in_net = 0;  ///< the switching input
     std::size_t out_net = 0;
-    bool memo = false;       ///< `gate` is visited again later
+    bool memo = false;       ///< `gate` is visited again later; if not,
+                             ///< its memo entries go after this visit
     bool drop_in = false;    ///< last use of in_net, not an endpoint
   };
 

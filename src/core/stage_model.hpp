@@ -108,17 +108,18 @@ struct SampleWorkspace {
   mor::ReducedModel rom;
   mor::PoleResidueWorkspace poleres;
   teta::TetaWorkspace teta;
-  /// Reused TETA result: the waveform storage (time axis + per-step port
-  /// vectors) is recycled across samples.
+  /// Reused TETA result: the waveform storage (time axis + step-major
+  /// port voltages) is recycled across samples.
   teta::TetaResult teta_result;
 
   /// Per-sample state of the walk (GraphAnalyzer::evaluate) for the
   /// sample in this lane, pooled here alongside the engine scratch: the
   /// outputs of gates the walk visits again, keyed by (gate id,
   /// input-ramp bucket) -- so stages shared between paths simulate once
-  /// per sample -- and the per-net arrival front (the statistical-max
-  /// winner seen so far at each net), each net dropped after its last use
-  /// except the endpoints. Cleared at the start of every walk.
+  /// per sample -- each entry dropped after its gate's last visit, and
+  /// the per-net arrival front (the statistical-max winner seen so far at
+  /// each net), each net dropped after its last use. Both are empty
+  /// between walks.
   std::map<StageCacheKey, StageWaveform> stage_cache;
   std::map<std::size_t, StageWaveform> net_arrival;
 

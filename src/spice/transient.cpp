@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "circuit/mosfet.hpp"
 #include "numeric/fp_compare.hpp"
@@ -21,6 +22,21 @@ namespace {
 constexpr int kGroundMark = -1;
 // DC approximation of an inductor: a strong short [S].
 constexpr double kInductorDcShort = 1e3;
+
+// Index of node n in the stored node vectors; throws kInvalidInput when
+// none are stored or n lies outside them.
+std::size_t stored_node(const std::vector<Vector>& stored, NodeId n) {
+  if (stored.empty()) {
+    sim::throw_invalid_input("TransientResult: no stored waveforms");
+  }
+  const std::size_t nodes = stored.back().size();
+  if (n < 0 || static_cast<std::size_t>(n) >= nodes) {
+    sim::throw_invalid_input("TransientResult: node " + std::to_string(n) +
+                             " out of range (" + std::to_string(nodes) +
+                             " stored)");
+  }
+  return static_cast<std::size_t>(n);
+}
 }  // namespace
 
 std::vector<std::pair<double, double>> TransientResult::waveform(
@@ -30,19 +46,18 @@ std::vector<std::pair<double, double>> TransientResult::waveform(
   if (node_voltages.size() != time.size()) {
     sim::throw_invalid_input("TransientResult: no stored waveforms");
   }
+  const std::size_t node = stored_node(node_voltages, n);
   std::vector<std::pair<double, double>> w;
   w.reserve(time.size());
   for (std::size_t k = 0; k < time.size(); ++k) {
-    w.emplace_back(time[k], node_voltages[k][static_cast<std::size_t>(n)]);
+    w.emplace_back(time[k], node_voltages[k][node]);
   }
   return w;
 }
 
 double TransientResult::final_voltage(NodeId n) const {
-  if (node_voltages.empty()) {
-    sim::throw_invalid_input("TransientResult: no stored waveforms");
-  }
-  return node_voltages.back()[static_cast<std::size_t>(n)];
+  const std::size_t node = stored_node(node_voltages, n);
+  return node_voltages.back()[node];
 }
 
 TransientSimulator::TransientSimulator(const circuit::Netlist& nl) : nl_(nl) {

@@ -66,10 +66,11 @@ struct TransientResult {
   /// Human-readable failure reason ("converged" when none).
   std::string failure() const { return diag.message(); }
 
-  /// (t, v) samples of one node. Throws if the run did not store
-  /// waveforms (store_waveforms = false).
+  /// (t, v) samples of one node. Throws sim::SimulationError
+  /// (kInvalidInput) if the run did not store waveforms (store_waveforms =
+  /// false) or n is outside the stored node vector.
   std::vector<std::pair<double, double>> waveform(circuit::NodeId n) const;
-  /// Voltage of node n at the last stored timepoint.
+  /// Voltage of node n at the last stored timepoint; throws as waveform.
   double final_voltage(circuit::NodeId n) const;
 };
 

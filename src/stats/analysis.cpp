@@ -1,19 +1,10 @@
-// Batch-width resolution and the failure-summary report of the
-// statistical drivers (the drivers themselves live in runner.cpp).
+// Batch-width parsing and the failure-summary report of the statistical
+// drivers (the drivers themselves live in runner.cpp).
 #include "stats/analysis.hpp"
 
-#include <atomic>
 #include <cstdlib>
 
 namespace lcsf::stats {
-
-namespace {
-
-// Process-wide batch override; 0 = unset. Lives here (not in a header)
-// per the project's no-mutable-statics-in-headers rule.
-std::atomic<std::size_t> g_default_batch_override{0};
-
-}  // namespace
 
 std::size_t parse_batch(const std::string& text, const char* what) {
   char* end = nullptr;
@@ -26,16 +17,6 @@ std::size_t parse_batch(const std::string& text, const char* what) {
   }
   return static_cast<std::size_t>(v);
 }
-
-std::size_t default_batch() {
-  const std::size_t forced = g_default_batch_override.load();
-  if (forced != 0) return forced;
-  const char* env = std::getenv("LCSF_BATCH");
-  if (env == nullptr || *env == '\0') return kDefaultBatch;
-  return parse_batch(env, "LCSF_BATCH");
-}
-
-void set_default_batch(std::size_t k) { g_default_batch_override.store(k); }
 
 std::string FailureSummary::table() const {
   if (!any()) return {};

@@ -124,25 +124,16 @@ struct ExecutionOptions {
   /// evaluation" means (a sample, resp. a probe pair).
   FailurePolicy on_failure = FailurePolicy::kAbort;
   /// Lockstep sample-block width for drivers given a BatchPerformanceFn.
-  /// 0 = resolve the default (set_default_batch() override, then the
-  /// LCSF_BATCH environment variable, then kDefaultBatch); 1 = force the
-  /// scalar path; K >= 2 dispatches floor(samples / K) full blocks plus a
-  /// scalar remainder loop. Values never change results -- sample draws
-  /// and the thread-count determinism contract are batch-width invariant.
+  /// 0 = kDefaultBatch; 1 = force the scalar path; K >= 2 dispatches
+  /// floor(samples / K) full blocks plus a scalar remainder loop. Values
+  /// never change results -- sample draws and the thread-count
+  /// determinism contract are batch-width invariant.
   std::size_t batch = 0;
 };
 
-/// Resolve the ambient batch width: the set_default_batch() override if
-/// set, else the LCSF_BATCH environment variable (parsed strictly; an
-/// invalid value throws sim::SimulationError, kInvalidInput), else
-/// kDefaultBatch. Read per call, so environment changes take effect.
-std::size_t default_batch();
-/// Process-wide batch-width override (0 clears it). Mirrors
-/// runtime::ThreadPool::set_default_threads; used by `--batch`.
-void set_default_batch(std::size_t k);
-/// Parse a batch width from command-line/environment text: a positive
-/// decimal integer. Throws sim::SimulationError (kInvalidInput) naming
-/// `what` otherwise.
+/// Parse a batch width from command-line text: a positive decimal
+/// integer. Throws sim::SimulationError (kInvalidInput) naming `what`
+/// otherwise.
 std::size_t parse_batch(const std::string& text, const char* what);
 
 /// Result of Runner::run_monte_carlo.

@@ -163,8 +163,7 @@ MonteCarloResult Runner::run_monte_carlo(
 MonteCarloResult Runner::run_monte_carlo(
     const LanedPerformanceFn& f, const BatchPerformanceFn& fb,
     const std::vector<VariationSource>& sources) const {
-  const std::size_t k =
-      opt_.exec.batch == 0 ? default_batch() : opt_.exec.batch;
+  const std::size_t k = opt_.exec.batch == 0 ? kDefaultBatch : opt_.exec.batch;
   return sample_monte_carlo(opt_, f, k > 1 && fb ? &fb : nullptr, k,
                             sources);
 }

@@ -16,7 +16,6 @@ namespace lcsf::teta {
 
 using circuit::Mosfet;
 using numeric::Matrix;
-using numeric::Vector;
 
 namespace {
 
@@ -202,26 +201,15 @@ void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
       static_cast<std::size_t>(std::ceil(opt.tstop / opt.dt - 1e-9));
   auto store_lane = [&](std::size_t b, double t) {
     TetaResult& res = *lanes[live[b]].out;
-    const std::size_t k = res.time.size();
     res.time.push_back(t);
-    if (k == res.port_voltages.size()) {
-      std::vector<Vector>& spare = lanes[live[b]].ws->spare_ports;
-      if (spare.empty()) {
-        res.port_voltages.emplace_back(np);
-      } else {
-        res.port_voltages.push_back(std::move(spare.back()));
-        spare.pop_back();
-      }
+    for (std::size_t p = 0; p < np; ++p) {
+      res.port_voltages.push_back(bws.x[p * B + b]);
     }
-    Vector& pv = res.port_voltages[k];
-    pv.resize(np);
-    for (std::size_t p = 0; p < np; ++p) pv[p] = bws.x[p * B + b];
   };
   for (std::size_t b = 0; b < B; ++b) {
     TetaResult& res = *lanes[live[b]].out;
     res.time.reserve(nsteps + 1);
-    res.port_voltages.reserve(nsteps + 1);
-    lanes[live[b]].ws->spare_ports.reserve(nsteps + 1);
+    res.port_voltages.reserve((nsteps + 1) * np);
     store_lane(b, 0.0);
   }
   auto finish = [&](std::size_t b) {
@@ -246,7 +234,7 @@ void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
       const auto& pts = ln.stage->input_wave(node).points();
       if (!pts.empty() && t < pts.back().first) return false;
     }
-    const Vector& v0 = ln.out->port_voltages[0];
+    const double* v0 = ln.out->port_voltages.data();  // ports at t = 0
     for (std::size_t p = 0; p < np; ++p) {
       const double v = bws.x[p * B + b];
       if (!(std::abs(v - v0[p]) > swing)) return false;
@@ -591,8 +579,7 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
         bws.rerun[bws.live[b]] = 1;
         continue;
       }
-      TetaResult& res = *lanes[bws.live[b]].out;
-      detail::trim_result(*lanes[bws.live[b]].ws, res);
+      const TetaResult& res = *lanes[bws.live[b]].out;
       obs::add_counter("teta.transients");
       obs::add_counter("teta.chord_iterations",
                        static_cast<std::uint64_t>(res.total_sc_iterations));

@@ -156,10 +156,16 @@ std::size_t build_unknown_map(const StageCircuit& s,
 
 std::vector<std::pair<double, double>> TetaResult::waveform(
     std::size_t port) const {
+  const std::size_t np = time.empty() ? 0 : port_voltages.size() / time.size();
+  if (port >= np) {
+    sim::throw_invalid_input("TetaResult::waveform: port " +
+                             std::to_string(port) + " out of range (" +
+                             std::to_string(np) + " stored)");
+  }
   std::vector<std::pair<double, double>> w;
   w.reserve(time.size());
   for (std::size_t k = 0; k < time.size(); ++k) {
-    w.emplace_back(time[k], port_voltages[k][port]);
+    w.emplace_back(time[k], port_voltages[k * np + port]);
   }
   return w;
 }
@@ -173,6 +179,7 @@ bool setup_and_dc(const StageCircuit& stage,
   res.total_sc_iterations = 0;
   res.diag = sim::SimDiagnostics{};
   res.time.clear();
+  res.port_voltages.clear();
   const std::size_t n = build_unknown_map(stage, ws.node_to_unknown);
   const std::vector<int>& node_to_unknown = ws.node_to_unknown;
   const std::size_t np = stage.num_ports();
@@ -415,13 +422,6 @@ bool setup_and_dc(const StageCircuit& stage,
   return true;
 }
 
-void trim_result(TetaWorkspace& ws, TetaResult& out) {
-  while (out.port_voltages.size() > out.time.size()) {
-    ws.spare_ports.push_back(std::move(out.port_voltages.back()));
-    out.port_voltages.pop_back();
-  }
-}
-
 }  // namespace detail
 
 TetaResult simulate_stage(const StageCircuit& stage,
@@ -499,7 +499,6 @@ void simulate_stage(const StageCircuit& stage,
       } else {
         obs::add_counter("teta.failed_transients");
       }
-      detail::trim_result(ws, out);
       return;
     }
     attempt.dt *= 0.5;

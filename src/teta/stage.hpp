@@ -129,12 +129,16 @@ struct TetaResult {
   /// filled either way).
   sim::SimDiagnostics diag;
   std::vector<double> time;
-  std::vector<numeric::Vector> port_voltages;  ///< per step, size Np
+  /// Step-major port voltages: port p at time[k] is [k * Np + p], so
+  /// port_voltages.size() == time.size() * Np.
+  std::vector<double> port_voltages;
   long total_sc_iterations = 0;
 
   /// Human-readable failure reason ("converged" when none).
   std::string failure() const { return diag.message(); }
 
+  /// (t, v) samples of one port. A port at or past the stored port count
+  /// throws sim::SimulationError (kInvalidInput).
   std::vector<std::pair<double, double>> waveform(std::size_t port) const;
 };
 
@@ -209,9 +213,6 @@ struct TetaWorkspace {
   numeric::Vector x, xn, rhs, vnode, vp, i_load;
   numeric::Vector col_b, col_x;    // column scratch for matrix solves
   BatchTetaWorkspace one_lane;     // step-loop scratch of one-lane attempts
-  // Port vectors a result held past its last step, kept for the next
-  // run: with the settle stop, run lengths vary call to call.
-  std::vector<numeric::Vector> spare_ports;
 };
 
 /// Simulate a stage against a stable pole/residue load. The load's chord
@@ -233,10 +234,9 @@ TetaResult simulate_stage(const StageCircuit& stage,
                           const TetaOptions& opt, TetaWorkspace& ws);
 
 /// Fully pooled form: writes into a caller-owned result whose waveform
-/// storage (time axis and per-step port vectors) is reused across calls --
-/// the last allocation in the Monte-Carlo inner loop. `out` is reset first;
-/// on return out.port_voltages.size() == out.time.size(). Bitwise identical
-/// to the other overloads.
+/// storage (time axis and step-major port voltages) is reused across calls
+/// -- the last allocation in the Monte-Carlo inner loop. `out` is reset
+/// first. Bitwise identical to the other overloads.
 void simulate_stage(const StageCircuit& stage,
                     const mor::PoleResidueModel& load, const TetaOptions& opt,
                     TetaWorkspace& ws, TetaResult& out);

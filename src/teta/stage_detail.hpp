@@ -34,10 +34,6 @@ bool setup_and_dc(const StageCircuit& stage,
                   const mor::PoleResidueModel& load, const TetaOptions& opt,
                   TetaWorkspace& ws, TetaResult& res);
 
-/// Restores out.port_voltages.size() == out.time.size(), moving the port
-/// vectors past the last step into ws.spare_ports for the next run.
-void trim_result(TetaWorkspace& ws, TetaResult& out);
-
 /// Timestep phase for lanes[live[0]], lanes[live[1]], ...: one stage
 /// shape, each lane set up by setup_and_dc under `opt`. The width is
 /// kLanes, or live.size() when kLanes is 0. Each step starts its chord

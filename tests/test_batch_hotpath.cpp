@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <vector>
@@ -521,8 +520,9 @@ TEST(BatchHotpath, SettleStopNeedsACompletedSwing) {
   EXPECT_EQ(res[1].time.size(), 501u) << "pulse";
   ASSERT_LT(res[2].time.size(), 501u) << "ramp";
   EXPECT_GE(res[2].time.back(), 0.15e-9);
-  for (const double v : res[2].port_voltages.back()) {
-    EXPECT_LE(std::abs(v), 1e-4 * tech.vdd);  // settled at ground
+  for (const std::size_t port : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_LE(std::abs(res[2].waveform(port).back().second),
+              1e-4 * tech.vdd);  // settled at ground
   }
 
   teta::TetaOptions longer = opt;
@@ -549,11 +549,16 @@ std::size_t replay_mismatches(const mor::PoleResidueModel& load,
   teta::RecursiveConvolver ref(load, opt.dt);
   const std::size_t np = ref.num_ports();
   Vector il(np), yv(np), yhist(np);
-  numeric::mul_into(ws.y_dc, out.port_voltages[0], il);
+  const auto ports_at = [&](std::size_t n) {  // step n's port voltages
+    const auto first = out.port_voltages.begin() +
+                       static_cast<std::ptrdiff_t>(n * np);
+    return Vector(first, first + static_cast<std::ptrdiff_t>(np));
+  };
+  numeric::mul_into(ws.y_dc, ports_at(0), il);
   ref.initialize_dc(il);
-  for (std::size_t n = 1; n < out.port_voltages.size(); ++n) {
+  for (std::size_t n = 1; n < out.time.size(); ++n) {
     const Vector hist = ref.history();
-    numeric::mul_into(ws.y_h, out.port_voltages[n], yv);
+    numeric::mul_into(ws.y_h, ports_at(n), yv);
     numeric::mul_into(ws.y_h, hist, yhist);
     for (std::size_t p = 0; p < np; ++p) il[p] = yv[p] - yhist[p];
     ref.advance(il);
@@ -653,7 +658,7 @@ TEST(BatchHotpath, StepLoopReplaysThroughRecursiveConvolverBitwise) {
       teta::simulate_stage(in[0].stage, in[0].load, opt, ws, out);
       ASSERT_TRUE(out.converged) << out.failure();
       ASSERT_EQ(out.diag.retries_used, 0);
-      ASSERT_LT(out.port_voltages.size(), 601u) << "settled before tstop";
+      ASSERT_LT(out.time.size(), 601u) << "settled before tstop";
       EXPECT_EQ(replay_mismatches(in[0].load, opt, ws, out, ws.one_lane, 0),
                 0u)
           << "one lane, pair " << pair;
@@ -674,8 +679,8 @@ TEST(BatchHotpath, StepLoopReplaysThroughRecursiveConvolverBitwise) {
         ASSERT_TRUE(bws.alive[b]) << "K " << k << " slot " << b;
         const std::size_t l = bws.live[b];
         ASSERT_TRUE(out[l].converged) << out[l].failure();
-        first = std::min(first, out[l].port_voltages.size());
-        last = std::max(last, out[l].port_voltages.size());
+        first = std::min(first, out[l].time.size());
+        last = std::max(last, out[l].time.size());
         EXPECT_EQ(replay_mismatches(in[l].load, opt, ws[l], out[l], bws, b),
                   0u)
             << "K " << k << " slot " << b << ", pair " << pair;
@@ -821,8 +826,8 @@ TEST(BatchHotpath, NumericKernelsMatchScalarBitwise) {
   }
 }
 
-// --batch / LCSF_BATCH plumbing: strict parsing, classified errors, and
-// the override-then-env-then-default resolution order.
+// --batch plumbing: strict parsing and classified errors; an unset
+// exec.batch means kDefaultBatch.
 TEST(BatchHotpath, BatchParsingAndDefaultResolution) {
   EXPECT_EQ(stats::parse_batch("8", "--batch"), 8u);
   EXPECT_EQ(stats::parse_batch("1", "--batch"), 1u);
@@ -835,43 +840,25 @@ TEST(BatchHotpath, BatchParsingAndDefaultResolution) {
     }
   }
 
-  // Resolution order: set_default_batch override > LCSF_BATCH > compiled
-  // default. Restore process state on every exit path.
-  stats::set_default_batch(0);
-  ASSERT_EQ(setenv("LCSF_BATCH", "6", 1), 0);
-  EXPECT_EQ(stats::default_batch(), 6u);
-  stats::set_default_batch(3);
-  EXPECT_EQ(stats::default_batch(), 3u);
-  stats::set_default_batch(0);
-  ASSERT_EQ(setenv("LCSF_BATCH", "nope", 1), 0);
-  EXPECT_THROW(stats::default_batch(), sim::SimulationError);
-  // Only the batch overload resolves the width: the scalar overload never
-  // reads LCSF_BATCH, while the batch overload at exec.batch = 0 rejects
-  // the invalid value before it samples.
+  // 2K + 1 samples at exec.batch = 0: two blocks of K, one remainder.
   stats::RunOptions opt;
-  opt.samples = 4;
+  opt.samples = 2 * stats::kDefaultBatch + 1;
   opt.exec.threads = 1;
   const std::vector<stats::VariationSource> sources(2);
   const stats::LanedPerformanceFn f = [](const Vector& w, std::size_t) {
     return w[0] + w[1];
   };
+  std::vector<std::size_t> widths;
   const stats::BatchPerformanceFn fb =
-      [&f](const std::vector<Vector>& w, std::size_t lane,
-           std::vector<stats::BatchSlot>& out) {
+      [&](const std::vector<Vector>& w, std::size_t lane,
+          std::vector<stats::BatchSlot>& out) {
+        widths.push_back(w.size());
         for (std::size_t b = 0; b < w.size(); ++b) {
           out[b].value = f(w[b], lane);
         }
       };
-  EXPECT_NO_THROW((void)stats::Runner(opt).run_monte_carlo(f, sources));
-  sim::FailureKind batch_kind = sim::FailureKind::kNone;
-  try {
-    (void)stats::Runner(opt).run_monte_carlo(f, fb, sources);
-  } catch (const sim::SimulationError& e) {
-    batch_kind = e.kind();
-  }
-  EXPECT_EQ(batch_kind, sim::FailureKind::kInvalidInput);
-  ASSERT_EQ(unsetenv("LCSF_BATCH"), 0);
-  EXPECT_EQ(stats::default_batch(), stats::kDefaultBatch);
+  (void)stats::Runner(opt).run_monte_carlo(f, fb, sources);
+  EXPECT_EQ(widths, std::vector<std::size_t>(2, stats::kDefaultBatch));
 }
 
 }  // namespace

@@ -276,6 +276,44 @@ TEST(Transient, NewtonIterationsAreCounted) {
   EXPECT_GT(res.total_newton_iterations, 500);  // >= 1 per step
 }
 
+// A node outside the stored node vector is a classified error, not an
+// out-of-bounds read.
+TEST(Transient, StoredNodeIndexIsChecked) {
+  Technology t = technology_180nm();
+  InverterFixture f(t);
+  f.nl.add_vsource(f.in, kGround,
+                   SourceWaveform::ramp(0.0, t.vdd, 50e-12, 50e-12));
+  TransientSimulator sim(f.nl);
+  TransientOptions opt;
+  opt.tstop = 0.2e-9;
+  opt.dt = 2e-12;
+  const TransientResult res = sim.run(opt);
+  ASSERT_TRUE(res.converged) << res.failure();
+
+  const std::size_t last = f.nl.node_count() - 1;
+  const auto w = res.waveform(static_cast<NodeId>(last));
+  ASSERT_EQ(w.size(), res.time.size());
+  for (std::size_t k = 0; k < w.size(); ++k) {
+    EXPECT_EQ(w[k].first, res.time[k]);
+    EXPECT_EQ(w[k].second, res.node_voltages[k][last]);
+  }
+  EXPECT_EQ(res.final_voltage(static_cast<NodeId>(last)),
+            res.node_voltages.back()[last]);
+
+  const auto invalid_input = [](const auto& read) {
+    try {
+      read();
+    } catch (const sim::SimulationError& e) {
+      return e.kind() == sim::FailureKind::kInvalidInput;
+    }
+    return false;
+  };
+  for (const NodeId n : {static_cast<NodeId>(last + 1), NodeId{-1}}) {
+    EXPECT_TRUE(invalid_input([&] { (void)res.waveform(n); })) << n;
+    EXPECT_TRUE(invalid_input([&] { (void)res.final_voltage(n); })) << n;
+  }
+}
+
 // A NaN source value must fail the transient at the step it reaches:
 // the Newton step's dmax has to carry the NaN (std::max(m, NaN) == m) to
 // newton_loop's non-finite check.

@@ -259,17 +259,42 @@ TEST(StageEngine, InverterMatchesSpice) {
   // there on, so SPICE's remaining tail is compared against it too.
   auto sw_out = sres.waveform(2);  // "out" was second added node
   auto sw_far = sres.waveform(3);
+  const auto tw_out = tres.waveform(0);
+  const auto tw_far = tres.waveform(1);
   const std::size_t nt = tres.time.size();
   ASSERT_LT(nt, sw_out.size()) << "the settled stage stops early";
   double max_err_out = 0.0, max_err_far = 0.0;
   for (std::size_t k = 0; k < sw_out.size(); ++k) {
-    const numeric::Vector& v = tres.port_voltages[std::min(k, nt - 1)];
-    max_err_out = std::max(max_err_out, std::abs(sw_out[k].second - v[0]));
-    max_err_far = std::max(max_err_far, std::abs(sw_far[k].second - v[1]));
+    const std::size_t kt = std::min(k, nt - 1);
+    max_err_out = std::max(max_err_out,
+                           std::abs(sw_out[k].second - tw_out[kt].second));
+    max_err_far = std::max(max_err_far,
+                           std::abs(sw_far[k].second - tw_far[kt].second));
   }
   // Same device model, same timestep, both second-order integrators.
   EXPECT_LT(max_err_out, 0.02) << "driven port diverges from SPICE";
   EXPECT_LT(max_err_far, 0.02) << "far port diverges from SPICE";
+}
+
+// Port voltages are stored step-major, so a port past the stage's count
+// would read the next step's samples: waveform() rejects it instead.
+TEST(StageEngine, WaveformRejectsAPortPastTheStoredCount) {
+  const TetaResult res = InverterVsSpice{}.run_teta(0.5e-9, 1e-12);
+  ASSERT_TRUE(res.converged) << res.failure();
+  const std::size_t np = 2;  // out, far
+  ASSERT_EQ(res.port_voltages.size(), np * res.time.size());
+  const auto far = res.waveform(np - 1);
+  ASSERT_EQ(far.size(), res.time.size());
+  for (std::size_t k = 0; k < far.size(); ++k) {
+    EXPECT_EQ(far[k].first, res.time[k]);
+    EXPECT_EQ(far[k].second, res.port_voltages[k * np + np - 1]);
+  }
+  try {
+    (void)res.waveform(np);
+    ADD_FAILURE() << "port " << np << " accepted";
+  } catch (const sim::SimulationError& e) {
+    EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput);
+  }
 }
 
 TEST(StageEngine, NandStackWithInternalNodeMatchesSpice) {
@@ -338,10 +363,10 @@ TEST(StageEngine, NandStackWithInternalNodeMatchesSpice) {
   ASSERT_TRUE(tres.converged) << tres.failure();
 
   auto sw = sres.waveform(out);
+  const auto tw = tres.waveform(0);
   double max_err = 0.0;
-  for (std::size_t k = 0; k < tres.time.size(); ++k) {
-    max_err = std::max(max_err,
-                       std::abs(sw[k].second - tres.port_voltages[k][0]));
+  for (std::size_t k = 0; k < tw.size(); ++k) {
+    max_err = std::max(max_err, std::abs(sw[k].second - tw[k].second));
   }
   EXPECT_LT(max_err, 0.03);
 }
@@ -441,7 +466,8 @@ TEST(StageEngine, NanInputFailsAsBlowUp) {
   EXPECT_NEAR(res.diag.failure_time, 50e-12, 1.5e-12);
   ASSERT_FALSE(res.time.empty());
   EXPECT_LT(res.time.back(), res.diag.failure_time);
-  for (const Vector& v : res.port_voltages) EXPECT_TRUE(std::isfinite(v[0]));
+  ASSERT_EQ(res.port_voltages.size(), res.time.size());  // one port
+  for (const double v : res.port_voltages) EXPECT_TRUE(std::isfinite(v));
 }
 
 // A NaN device parameter reaches the DC Newton, whose dmax cannot see it
@@ -498,10 +524,7 @@ TEST(StageEngine, NanLaneLeavesItsBlockAlone) {
     EXPECT_EQ(block[l].diag.kind, one.diag.kind) << "lane " << l;
     EXPECT_EQ(block[l].total_sc_iterations, one.total_sc_iterations);
     ASSERT_EQ(block[l].time, one.time) << "lane " << l;
-    for (std::size_t k = 0; k < one.time.size(); ++k) {
-      ASSERT_EQ(block[l].port_voltages[k][0], one.port_voltages[k][0])
-          << "lane " << l << " step " << k;
-    }
+    ASSERT_EQ(block[l].port_voltages, one.port_voltages) << "lane " << l;
   }
   EXPECT_EQ(block[1].diag.kind, sim::FailureKind::kBlowUp);
 }

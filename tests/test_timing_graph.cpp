@@ -359,6 +359,12 @@ void expect_block_matches_one_lane(
   res.resize(samples.size());
   std::vector<stats::BatchSlot> out(samples.size());
   graph.evaluate(samples, bws, res, out);
+  // Memo entries end at their gate's last visit and arrivals at the walk's
+  // end, so no lane keeps state between walks.
+  for (std::size_t l = 0; l < samples.size(); ++l) {
+    EXPECT_TRUE(bws.lane(l).stage_cache.empty()) << "lane " << l;
+    EXPECT_TRUE(bws.lane(l).net_arrival.empty()) << "lane " << l;
+  }
   core::GraphAnalyzer::Workspace ws;
   for (std::size_t l = 0; l < samples.size(); ++l) {
     SCOPED_TRACE("lane " + std::to_string(l));
@@ -391,6 +397,8 @@ void expect_block_matches_one_lane(
     EXPECT_EQ(res[l].stage_cache_hits, one.stage_cache_hits);
     EXPECT_EQ(res[l].merges, one.merges);
   }
+  EXPECT_TRUE(ws.stage_cache.empty());
+  EXPECT_TRUE(ws.net_arrival.empty());
 }
 
 core::PathVariationModel device_and_wire_model() {

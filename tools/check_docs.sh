@@ -4,6 +4,9 @@
 #   2. the required docs/ guides exist and are linked from README.md;
 #   3. every `--flag` a doc mentions exists in the tools/ sources (so a
 #      renamed CLI flag cannot leave stale instructions behind);
+#   3b. every LCSF_* name (environment variable, CMake option, macro) a
+#      doc mentions appears as a whole word in code, so a removed
+#      variable cannot stay documented;
 #   4. every docs/*.md file is reachable from README.md by following
 #      relative markdown links (no orphaned guides);
 #   5. if doxygen is installed, the Doxyfile builds warning-free.
@@ -61,6 +64,17 @@ for flag in $doc_flags; do
   esac
   if ! grep -rqF -- "$flag" tools/; then
     echo "doc-lint: flag $flag mentioned in docs but absent from tools/"
+    fail=1
+  fi
+done
+
+# LCSF_* names: each must appear as a whole word in a non-Markdown file
+# of the source trees or in the top-level CMakeLists.txt.
+doc_names=$(grep -hoE 'LCSF_[A-Z0-9_]+' README.md docs/*.md | sort -u)
+for name in $doc_names; do
+  if ! grep -rqw --exclude='*.md' -- "$name" src tools bench lcsf_bench \
+       tests examples CMakeLists.txt; then
+    echo "doc-lint: $name mentioned in docs but absent from code"
     fail=1
   fi
 done

@@ -27,11 +27,8 @@
 // --threads (or LCSF_THREADS) sets the process-wide default worker count
 // for any parallel library section reached from this tool; the transient
 // engine itself is serial today, so the flag exists for CLI uniformity
-// with lcsf_sta and for library features that pick up the default.
-// --batch (or LCSF_BATCH) likewise sets the process-wide default
-// Monte-Carlo sample-block width for library features that batch (see
-// docs/performance.md); an invalid value is a classified error (exit 1),
-// and neither flag nor env changes any numerical result.
+// with lcsf_sta and for library features that pick up the default. It
+// changes no numerical result.
 //
 // An unknown option, a stray extra positional argument or a malformed
 // number (`--points abc`, `--tstop 2x`) is rejected with a diagnostic +
@@ -52,7 +49,6 @@
 #include "cli_number.hpp"
 #include "obs_cli.hpp"
 #include "runtime/thread_pool.hpp"
-#include "stats/analysis.hpp"
 
 using namespace lcsf;
 
@@ -62,7 +58,7 @@ void print_usage(std::FILE* to) {
   std::fprintf(to,
                "usage: lcsf_sim <deck.sp> --tstop <t> [--dt <t>] "
                "[--probe <node>]... [--tech 180nm|600nm] [--points n] "
-               "[--threads n] [--batch n] "
+               "[--threads n] "
                "[--on-failure abort|skip|retry] %s\n",
                tools::ObsCli::usage_line());
 }
@@ -143,12 +139,6 @@ int main(int argc, char** argv) {
       points = next_size(1);  // the output stride divides by it
     } else if (arg == "--threads") {
       runtime::ThreadPool::set_default_threads(next_size(0));
-    } else if (arg == "--batch") {
-      try {
-        stats::set_default_batch(stats::parse_batch(next(), "--batch"));
-      } catch (const sim::SimulationError& e) {
-        return classified_failure(e);
-      }
     } else if (arg == "--on-failure") {
       on_failure = next();
     } else if (arg.rfind("--on-failure=", 0) == 0) {

@@ -46,12 +46,11 @@
 // count for the Monte-Carlo sweep; results are bitwise identical for any
 // value (see docs/monte_carlo.md). 0 = auto-detect.
 //
-// --batch (or the LCSF_BATCH environment variable) sets the lockstep
-// sample-block width of the batched Monte-Carlo hot path
-// (docs/performance.md): full blocks of n samples run through the SoA
-// TETA engine, a scalar remainder loop covers the rest. Results are
-// bitwise identical for every value (1 = force the scalar path); an
-// invalid value is a classified error (exit 1).
+// --batch sets the lockstep sample-block width of the batched
+// Monte-Carlo hot path (docs/performance.md; default 8): full blocks of n
+// samples run through the SoA TETA engine, a scalar remainder loop covers
+// the rest. Results are bitwise identical for every value (1 = force the
+// scalar path); an invalid value is a classified error (exit 1).
 //
 // --on-failure picks the fail-soft policy (docs/robustness.md): abort
 // rethrows the first divergent sample (default), skip records and
@@ -131,7 +130,7 @@ int main(int argc, char** argv) {
   bool corner = false;
   double yield_target = 0.9987;
   std::size_t threads = 0;  // 0 = auto (LCSF_THREADS env / hardware)
-  std::size_t batch = 0;    // 0 = ambient default (LCSF_BATCH env / K=8)
+  std::size_t batch = 0;    // 0 = stats::kDefaultBatch
   std::string on_failure = "abort";
   std::string yield_estimator = "mc";
   double clock_period = 0.0;  // 0 = GA period for --yield-target
