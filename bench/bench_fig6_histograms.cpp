@@ -50,8 +50,10 @@ int main() {
   mco.seed = 1402;
   mco.latin_hypercube = true;
 
-  auto fw_fn = [&](const Vector& w) { return stage.framework_delay(rom, w); };
-  auto sp_fn = [&](const Vector& w) { return stage.spice_delay(w); };
+  const auto fw_fn = stats::per_sample(
+      [&](const Vector& w) { return stage.framework_delay(rom, w); });
+  const auto sp_fn =
+      stats::per_sample([&](const Vector& w) { return stage.spice_delay(w); });
 
   bench::Stopwatch fw_sw;
   mco.exec.threads = 0;  // auto

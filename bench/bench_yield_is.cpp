@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
   const std::size_t n_mc = quick ? 20000 : 400000;
   const std::size_t n_is = quick ? 1000 : 4000;
 
+  const auto delay = stats::per_sample(toy_delay);
   stats::RunOptions mc_opt;
   mc_opt.samples = n_mc;
   mc_opt.seed = 404;
@@ -77,8 +78,7 @@ int main(int argc, char** argv) {
 
   // ---- Brute-force reference.
   bench::Stopwatch mc_sw;
-  const auto mc = stats::Runner(mc_opt).run_monte_carlo(
-      [](const Vector& w) { return toy_delay(w); }, src);
+  const auto mc = stats::Runner(mc_opt).run_monte_carlo(delay, src);
   const double mc_time = mc_sw.seconds();
   std::size_t mc_fail = 0;
   for (const double v : mc.values) {
@@ -92,20 +92,18 @@ int main(int argc, char** argv) {
   stats::RunOptions is_opt = mc_opt;
   is_opt.samples = n_is;
   bench::Stopwatch is_sw;
-  const auto is = stats::Runner(is_opt).run_yield_is(
-      [](const Vector& w) { return toy_delay(w); }, src, T);
+  const auto is = stats::Runner(is_opt).run_yield_is(delay, src, T);
   const double is_time = is_sw.seconds();
 
   stats::RunOptions cv_opt = is_opt;
   cv_opt.importance.control_variate = true;
-  const auto cv = stats::Runner(cv_opt).run_yield_is(
-      [](const Vector& w) { return toy_delay(w); }, src, T);
+  const auto cv = stats::Runner(cv_opt).run_yield_is(delay, src, T);
 
   // Bitwise thread-invariance spot check (serial rerun of the IS leg).
   stats::RunOptions serial_opt = is_opt;
   serial_opt.exec.threads = 1;
-  const auto is_serial = stats::Runner(serial_opt).run_yield_is(
-      [](const Vector& w) { return toy_delay(w); }, src, T);
+  const auto is_serial =
+      stats::Runner(serial_opt).run_yield_is(delay, src, T);
   const bool identical = is.weights == is_serial.weights &&
                          is.values == is_serial.values &&
                          numeric::exact_eq(is.yield_loss,

@@ -22,6 +22,7 @@
 #include "mor/variational.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/runner.hpp"
+#include "stats/yield.hpp"
 #include "teta/stage.hpp"
 #include "timing/waveform.hpp"
 
@@ -133,8 +134,9 @@ int main() {
   // Yield framing: fraction of dies whose skew stays under a 40 ps
   // budget, straight from the parallel estimator.
   const double skew_budget = 40e-12;
-  const auto est =
-      stats::Runner(opt).run_yield(skew_fn, sources, skew_budget);
+  const stats::McYieldEstimate est(
+      stats::Runner(opt).run_monte_carlo(stats::per_sample(skew_fn), sources),
+      skew_budget);
   const auto& mc = est.samples();
   std::printf("clock skew over %zu samples (%zu threads):\n",
               mc.values.size(), runtime::ThreadPool::default_threads());

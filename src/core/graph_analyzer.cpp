@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -143,11 +145,15 @@ GraphAnalyzer::SampleResult GraphAnalyzer::evaluate(
   stats::BatchSlot slot;
   evaluate({&sample, 1}, ws.batch(), {&res, 1}, {&slot, 1});
   if (slot.failed) throw sim::SimulationError(std::move(slot.diag));
+  record_counters(res);
+  return res;
+}
+
+void GraphAnalyzer::record_counters(const SampleResult& res) const {
   obs::add_counter("stats.graph.paths", paths_.size());
   obs::add_counter("stats.graph.stages_simulated", res.stages_simulated);
   obs::add_counter("stats.graph.stage_cache_hits", res.stage_cache_hits);
   obs::add_counter("stats.graph.merges", res.merges);
-  return res;
 }
 
 void GraphAnalyzer::evaluate(std::span<const GraphSample> samples,
@@ -287,15 +293,39 @@ std::vector<double> GraphAnalyzer::per_path_delays(const GraphSample& sample,
   return delays;
 }
 
+stats::BatchPerformanceFn GraphAnalyzer::block_walk(
+    std::size_t threads, std::function<GraphSample(const Vector&)> to_sample,
+    std::function<double(const SampleResult&)> value) const {
+  auto pool = std::make_shared<LanePool<BatchWorkspace>>(threads);
+  return [this, pool, to_sample = std::move(to_sample),
+          value = std::move(value)](const std::vector<Vector>& w,
+                                    std::size_t lane,
+                                    std::vector<stats::BatchSlot>& out) {
+    std::vector<GraphSample> block;
+    block.reserve(w.size());
+    for (const Vector& wl : w) block.push_back(to_sample(wl));
+    std::vector<SampleResult> res(w.size());
+    evaluate(block, pool->lane(lane), res, out);
+    for (std::size_t l = 0; l < w.size(); ++l) {
+      if (!out[l].failed) out[l].value = value(res[l]);
+    }
+  };
+}
+
 stats::MonteCarloResult GraphAnalyzer::monte_carlo(
     const PathVariationModel& model, const stats::RunOptions& opt) const {
-  LanePool<SampleWorkspace> pool(opt.exec.threads);
-  stats::LanedPerformanceFn f = [this, &model, &pool](const Vector& w,
-                                                      std::size_t lane) {
-    return evaluate(sample_from_sources(model, w), pool.lane(lane))
-        .max_delay;
-  };
-  return stats::Runner(opt).run_monte_carlo(f, sources(model));
+  // Blocks of one keep one lane workspace per thread; a wider block
+  // keeps one per block lane.
+  stats::RunOptions one = opt;
+  one.exec.batch = 1;
+  return stats::Runner(one).run_monte_carlo(
+      block_walk(opt.exec.threads,
+                 [&](const Vector& w) { return sample_from_sources(model, w); },
+                 [this](const SampleResult& r) {
+                   record_counters(r);
+                   return r.max_delay;
+                 }),
+      sources(model));
 }
 
 std::vector<timing::ssta::BlockDelayModel> GraphAnalyzer::block_models(

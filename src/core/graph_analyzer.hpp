@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -126,8 +127,21 @@ class GraphAnalyzer {
     return model.sources(subgraph_.size());
   }
 
+  /// The walk as the statistical drivers' block function: each variate
+  /// vector maps to a sample by `to_sample`, a block runs on its lane's
+  /// workspace (one per lane of `threads`, owned by the returned
+  /// function) and a sample that evaluates gets value(its result). The
+  /// function must not outlive this analyzer or what `to_sample` and
+  /// `value` refer to.
+  stats::BatchPerformanceFn block_walk(
+      std::size_t threads,
+      std::function<GraphSample(const numeric::Vector&)> to_sample,
+      std::function<double(const SampleResult&)> value) const;
+
   /// Graph-level Monte Carlo; the per-sample metric is the worst endpoint
-  /// delay. Bitwise thread-count-invariant (counter-based streams).
+  /// delay. Bitwise thread-count-invariant (counter-based streams). The
+  /// walk runs in one-sample blocks whatever opt.exec.batch says, and
+  /// records the stats.graph.* counters of every sample that evaluates.
   stats::MonteCarloResult monte_carlo(const PathVariationModel& model,
                                       const stats::RunOptions& opt) const;
 
@@ -177,6 +191,8 @@ class GraphAnalyzer {
   std::size_t slot_of(std::size_t gate) const;
   StageCacheKey cache_key(std::size_t gate,
                           const timing::RampParams& in) const;
+  /// The stats.graph.* counters of one evaluated sample.
+  void record_counters(const SampleResult& res) const;
 
   GraphSpec spec_;
   timing::TimingGraph graph_;

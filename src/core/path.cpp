@@ -154,45 +154,33 @@ PathDelayResult PathAnalyzer::spice_delay(const PathSample& sample) const {
   return r;
 }
 
-stats::MonteCarloResult PathAnalyzer::monte_carlo_over(
-    const stats::RunOptions& opt,
-    const std::vector<stats::VariationSource>& variates,
-    const std::function<PathSample(const Vector&)>& to_sample) const {
-  LanePool<BatchWorkspace> pool(opt.exec.threads);
-  stats::LanedPerformanceFn f = [&](const Vector& v, std::size_t lane) {
-    return chain_delay(to_sample(v), pool.lane(lane)).delay;
-  };
-  stats::BatchPerformanceFn fb = [&](const std::vector<Vector>& v,
-                                     std::size_t lane,
-                                     std::vector<stats::BatchSlot>& out) {
-    std::vector<PathSample> block;
-    block.reserve(v.size());
-    for (const Vector& vi : v) block.push_back(to_sample(vi));
-    std::vector<GraphAnalyzer::SampleResult> res(v.size());
-    graph_->evaluate(block, pool.lane(lane), res, out);
-    for (std::size_t l = 0; l < v.size(); ++l) {
-      if (!out[l].failed) out[l].value = res[l].endpoints[0].delay;
-    }
-  };
-  return stats::Runner(opt).run_monte_carlo(f, fb, variates);
+stats::BatchPerformanceFn PathAnalyzer::block_walk(
+    std::size_t threads,
+    std::function<PathSample(const Vector&)> to_sample) const {
+  return graph_->block_walk(
+      threads, std::move(to_sample),
+      [](const GraphAnalyzer::SampleResult& r) {
+        return r.endpoints[0].delay;
+      });
 }
 
 stats::MonteCarloResult PathAnalyzer::monte_carlo(
     const PathVariationModel& model, const stats::RunOptions& opt) const {
-  return monte_carlo_over(opt, sources(model), [&](const Vector& w) {
+  const auto to_sample = [&](const Vector& w) {
     return sample_from_sources(model, w);
-  });
+  };
+  return stats::Runner(opt).run_monte_carlo(
+      block_walk(opt.exec.threads, to_sample), sources(model));
 }
 
 stats::IsYieldEstimate PathAnalyzer::yield_importance(
     const PathVariationModel& model, double clock_period,
     const stats::RunOptions& opt) const {
-  LanePool<BatchWorkspace> pool(opt.exec.threads);
-  stats::LanedPerformanceFn f = [this, &model, &pool](const Vector& w,
-                                                      std::size_t lane) {
-    return chain_delay(sample_from_sources(model, w), pool.lane(lane)).delay;
+  const auto to_sample = [&](const Vector& w) {
+    return sample_from_sources(model, w);
   };
-  return stats::Runner(opt).run_yield_is(f, sources(model), clock_period);
+  return stats::Runner(opt).run_yield_is(
+      block_walk(opt.exec.threads, to_sample), sources(model), clock_period);
 }
 
 PathAnalyzer::CorrelatedMcResult PathAnalyzer::monte_carlo_correlated(
@@ -229,11 +217,12 @@ PathAnalyzer::CorrelatedMcResult PathAnalyzer::monte_carlo_correlated(
   // Sample the leading independent factors; reverse-transform to the
   // physical sources (Sec. 4.1.1's "by-product reverse transformation").
   CorrelatedMcResult res;
-  res.mc = monte_carlo_over(
-      opt, std::vector<stats::VariationSource>(nfactors),
-      [&](const Vector& z) {
-        return sample_from_sources(model, pca.from_factors(z));
-      });
+  res.mc = stats::Runner(opt).run_monte_carlo(
+      block_walk(opt.exec.threads,
+                 [&](const Vector& z) {
+                   return sample_from_sources(model, pca.from_factors(z));
+                 }),
+      std::vector<stats::VariationSource>(nfactors));
   res.total_sources = nsrc;
   res.factors_used = nfactors;
   return res;

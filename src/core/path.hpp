@@ -117,7 +117,9 @@ class PathAnalyzer {
   /// failure boundary of the linear surrogate built from the framework's
   /// own gradient analysis, so rare timing failures are resolved with far
   /// fewer transient simulations than plain Monte Carlo (see
-  /// docs/yield_estimation.md). IS knobs ride in `opt.importance`.
+  /// docs/yield_estimation.md). The surrogate's probes and both sampling
+  /// phases run in opt.exec.batch sample blocks through the walk, like
+  /// monte_carlo(). IS knobs ride in `opt.importance`.
   stats::IsYieldEstimate yield_importance(const PathVariationModel& model,
                                           double clock_period,
                                           const stats::RunOptions& opt)
@@ -162,13 +164,12 @@ class PathAnalyzer {
       const PathSample& sample, BatchWorkspace& bws,
       std::vector<timing::RampParams>* stage_inputs = nullptr) const;
 
-  /// Monte Carlo through the walk: each variate vector (drawn from
-  /// `variates`) maps to a path sample by `to_sample`.
-  stats::MonteCarloResult monte_carlo_over(
-      const stats::RunOptions& opt,
-      const std::vector<stats::VariationSource>& variates,
-      const std::function<PathSample(const numeric::Vector&)>& to_sample)
-      const;
+  /// GraphAnalyzer::block_walk valued by the path delay: the block
+  /// function of monte_carlo(), monte_carlo_correlated() and
+  /// yield_importance().
+  stats::BatchPerformanceFn block_walk(
+      std::size_t threads,
+      std::function<PathSample(const numeric::Vector&)> to_sample) const;
 
   PathSpec spec_;
   std::unique_ptr<GraphAnalyzer> graph_;

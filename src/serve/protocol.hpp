@@ -26,6 +26,7 @@
 #include "obs/registry.hpp"
 #include "serve/cache.hpp"
 #include "sim/diagnostics.hpp"
+#include "stats/analysis.hpp"
 
 namespace lcsf::serve {
 
@@ -44,7 +45,8 @@ inline constexpr std::size_t kMaxRequestPilot = 100000;    ///< `is_pilot`
 inline constexpr std::size_t kMaxRequestTopK = 1024;       ///< `top_k`
 inline constexpr std::size_t kMaxRequestThreads = 256;     ///< `threads`
 inline constexpr std::size_t kMaxRequestElements = 2000;   ///< `elements`
-inline constexpr std::size_t kMaxRequestBatch = 64;        ///< `batch`
+/// `batch`: the CLI's --batch cap too.
+inline constexpr std::size_t kMaxRequestBatch = stats::kMaxBatch;
 
 /// Shared state a dispatcher operates on. One ServeContext per
 /// connection lane; `cache`, `registry` and `metrics_gate` are shared

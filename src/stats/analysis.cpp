@@ -1,21 +1,30 @@
-// Batch-width parsing and the failure-summary report of the statistical
-// drivers (the drivers themselves live in runner.cpp).
+// The one-sample adapter and the failure-summary report of the
+// statistical drivers (the drivers themselves live in runner.cpp).
 #include "stats/analysis.hpp"
 
-#include <cstdlib>
+#include <stdexcept>
+#include <utility>
 
 namespace lcsf::stats {
 
-std::size_t parse_batch(const std::string& text, const char* what) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-  if (text.empty() || end != text.c_str() + text.size() || v == 0 ||
-      text.front() == '-' || text.front() == '+') {
-    sim::throw_invalid_input(std::string(what) +
-                             ": batch must be a positive integer, got `" +
-                             text + "`");
-  }
-  return static_cast<std::size_t>(v);
+BatchPerformanceFn per_sample(PerformanceFn f) {
+  return [f = std::move(f)](const std::vector<numeric::Vector>& w,
+                            std::size_t, std::vector<BatchSlot>& out) {
+    for (std::size_t b = 0; b < w.size(); ++b) {
+      try {
+        out[b].value = f(w[b]);
+      } catch (const sim::SimulationError& e) {
+        out[b].failed = true;
+        out[b].diag = e.diagnostics();
+      } catch (const std::runtime_error& e) {
+        // A foreign engine that does not speak SimulationError: still a
+        // simulation outcome, classified as kOther.
+        out[b].failed = true;
+        out[b].diag.kind = sim::FailureKind::kOther;
+        out[b].diag.detail = e.what();
+      }
+    }
+  };
 }
 
 std::string FailureSummary::table() const {

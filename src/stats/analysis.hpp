@@ -23,28 +23,17 @@
 
 namespace lcsf::stats {
 
-/// Performance function under analysis: maps one realization of the
-/// normalized variation sources w to a scalar metric (a delay, a skew...).
-/// Must be safe to call concurrently from multiple threads.
-using PerformanceFn = std::function<double(const numeric::Vector&)>;
-
-/// Lane-aware performance function: the driver passes the executing
-/// thread's lane index (runtime::ThreadPool lane semantics: caller = 0,
-/// worker k = k + 1, lane < max(1, resolved thread count)). Within one
-/// driver call a lane is used by at most one thread at a time, so f may
-/// keep mutable per-lane workspaces -- the allocation-free Monte-Carlo
-/// hot path -- without locking. The value returned must not depend on the
-/// lane, or the thread-count determinism contract is forfeit.
-using LanedPerformanceFn =
-    std::function<double(const numeric::Vector&, std::size_t)>;
-
 /// Compiled-in default width of a lockstep sample block (see
 /// ExecutionOptions::batch and docs/performance.md).
 inline constexpr std::size_t kDefaultBatch = 8;
 
-/// Per-sample outcome of one batched evaluation. On failure `diag` carries
-/// the classified diagnostics (what the scalar path would have thrown as
-/// sim::SimulationError); foreign std::runtime_error failures are
+/// Widest sample block a command line or a server request may ask for.
+/// Each lane of a block keeps its own sample workspace, so memory grows
+/// with the width while throughput stops improving long before this.
+inline constexpr std::size_t kMaxBatch = 64;
+
+/// Per-sample outcome of one block evaluation. On failure `diag` carries
+/// the classified diagnostics; foreign std::runtime_error failures are
 /// classified kOther with the exception message as detail.
 struct BatchSlot {
   double value = 0.0;
@@ -52,17 +41,33 @@ struct BatchSlot {
   sim::SimDiagnostics diag;
 };
 
-/// Batched performance function: evaluate a block of variation-source
-/// samples in lockstep on one lane, filling one BatchSlot per input (the
-/// driver sizes `out` to match). Contract: out[b] must equal what the
-/// scalar PerformanceFn would produce for w[b] -- bitwise for values, same
-/// classified diagnostics for failures -- regardless of the surrounding
-/// block (fail-soft: one diverging sample must not perturb its
-/// neighbours). Must be safe to call concurrently from multiple threads
-/// with distinct lanes.
+/// The performance function every statistical driver evaluates: a block
+/// of realizations of the normalized variation sources w, evaluated on
+/// one lane, filling one BatchSlot per input (the driver sizes `out` to
+/// match and clears it). The driver passes the executing thread's lane
+/// index (runtime::ThreadPool lane semantics: caller = 0, worker k =
+/// k + 1, lane < max(1, resolved thread count)); within one driver call a
+/// lane is used by at most one thread at a time, so f may keep mutable
+/// per-lane workspaces without locking. Contract: out[b] depends on w[b]
+/// alone -- bitwise for values, same classified diagnostics for failures
+/// -- never on the lane or on the rest of the block (fail-soft: one
+/// diverging sample must not perturb its neighbours). An exception that
+/// escapes f aborts the run whatever the failure policy.
 using BatchPerformanceFn = std::function<void(
     const std::vector<numeric::Vector>& w, std::size_t lane,
     std::vector<BatchSlot>& out)>;
+
+/// One-sample performance function: maps one realization of w to a scalar
+/// metric (a delay, a skew...). Must be safe to call concurrently from
+/// multiple threads. The drivers take it through per_sample().
+using PerformanceFn = std::function<double(const numeric::Vector&)>;
+
+/// Adapt a one-sample f (an analytic function, a one-sample engine call)
+/// to the block shape: each sample of a block is evaluated in turn. A
+/// sim::SimulationError is recorded in its slot with its diagnostics, a
+/// foreign std::runtime_error as kOther with its message as detail;
+/// std::logic_error (misuse) and anything else propagate.
+BatchPerformanceFn per_sample(PerformanceFn f);
 
 /// Description of one independent variation source.
 struct VariationSource {
@@ -72,9 +77,9 @@ struct VariationSource {
 };
 
 /// What a statistical driver does when one sample's evaluation fails
-/// (throws sim::SimulationError or another std::runtime_error).
+/// (its BatchSlot comes back failed).
 enum class FailurePolicy {
-  kAbort,  ///< rethrow: one bad sample kills the whole run (legacy)
+  kAbort,  ///< rethrow: one bad sample kills the whole run
   kSkip,   ///< record + classify the failure, compute stats over survivors
 };
 
@@ -116,25 +121,21 @@ struct ExecutionOptions {
   /// runtime::ThreadPool::default_threads() (LCSF_THREADS env, then hardware
   /// concurrency); 1 = serial.
   std::size_t threads = 0;
-  /// Fail-soft switch. With kSkip, an evaluation that throws
-  /// sim::SimulationError (or std::runtime_error, classified kOther) is
-  /// skipped, counted and classified in the result's FailureSummary;
-  /// statistics cover the survivors. std::logic_error still propagates --
-  /// misuse is not a simulation outcome. See each driver for what "one
-  /// evaluation" means (a sample, resp. a probe pair).
+  /// Fail-soft switch. With kSkip, an evaluation whose slot comes back
+  /// failed is skipped, counted and classified in the result's
+  /// FailureSummary; statistics cover the survivors. An exception that
+  /// escapes the performance function (per_sample lets std::logic_error
+  /// through: misuse is not a simulation outcome) still propagates. See
+  /// each driver for what "one evaluation" means (a sample, resp. a
+  /// probe pair).
   FailurePolicy on_failure = FailurePolicy::kAbort;
-  /// Lockstep sample-block width for drivers given a BatchPerformanceFn.
-  /// 0 = kDefaultBatch; 1 = force the scalar path; K >= 2 dispatches
-  /// floor(samples / K) full blocks plus a scalar remainder loop. Values
+  /// Lockstep sample-block width K. 0 = kDefaultBatch. Every driver
+  /// evaluates its points in blocks of min(K, remaining), so n points run
+  /// as floor(n / K) full blocks and at most one partial block. Values
   /// never change results -- sample draws and the thread-count
   /// determinism contract are batch-width invariant.
   std::size_t batch = 0;
 };
-
-/// Parse a batch width from command-line text: a positive decimal
-/// integer. Throws sim::SimulationError (kInvalidInput) naming `what`
-/// otherwise.
-std::size_t parse_batch(const std::string& text, const char* what);
 
 /// Result of Runner::run_monte_carlo.
 struct MonteCarloResult {

@@ -3,10 +3,9 @@
 // lives in lcsf::stats::detail and may change without notice.
 #pragma once
 
+#include <functional>
 #include <optional>
-#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -16,37 +15,12 @@
 
 namespace lcsf::stats::detail {
 
-/// Evaluate one sample under the kSkip policy: returns true and fills
-/// `value` on success, false and fills `failure` on a classified failure.
-/// std::logic_error (misuse) propagates.
-inline bool eval_fail_soft(const LanedPerformanceFn& f,
-                           const numeric::Vector& w, std::size_t lane,
-                           std::size_t index, double& value,
-                           SampleFailure& failure) {
-  try {
-    value = f(w, lane);
-    return true;
-  } catch (const sim::SimulationError& e) {
-    failure = {index, e.kind(), e.diagnostics().message()};
-  } catch (const std::runtime_error& e) {
-    // A foreign engine that does not speak SimulationError: still a
-    // simulation outcome, classified as kOther.
-    failure = {index, sim::FailureKind::kOther, e.what()};
-  }
-  return false;
-}
-
-/// Adapt a lane-blind f to the laned core the drivers run on.
-inline LanedPerformanceFn ignore_lane(const PerformanceFn& f) {
-  return [&f](const numeric::Vector& w, std::size_t) { return f(w); };
-}
-
 /// The observability context of one driver call. The run records into
 /// `explicit_reg` (RunOptions::registry) or, when that is null, into the
 /// registry ambient on the calling thread. Installs (registry, lane 0) on
 /// the driver thread -- unless that exact registry is already ambient, in
 /// which case the existing context (and its span path, e.g. an enclosing
-/// run_yield span) is left in place.
+/// run_yield_is span) is left in place.
 class DriverContext {
  public:
   explicit DriverContext(obs::Registry* explicit_reg)
@@ -115,18 +89,41 @@ class LhsStrata {
   std::vector<std::vector<std::size_t>> perm_;
 };
 
-/// Serial index-order fold of per-evaluation failure slots into `out`:
-/// every index whose `died` flag is set contributes its SampleFailure.
-/// Run after the parallel loop joins, so the summary is identical for
-/// every thread count. attempted = died.size().
-inline void fold_failures(const std::vector<char>& died,
-                          std::vector<SampleFailure>& deaths,
+/// The resolved sample-block width K of exec.batch (0 = kDefaultBatch).
+inline std::size_t block_width(const ExecutionOptions& exec) {
+  return exec.batch == 0 ? kDefaultBatch : exec.batch;
+}
+
+/// The one evaluation loop of every driver: evaluates the n points
+/// draw(0) ... draw(n - 1) through `fb` in blocks of min(K, n - first)
+/// consecutive indices, K = exec.batch (0 = kDefaultBatch), so n points
+/// run as floor(n / K) full blocks and at most one partial block. Blocks
+/// are the work units of one exec.threads pool; slots[i] receives point
+/// i's outcome (sized n on return) and, when `points` is non-null,
+/// (*points)[i] the point itself. Each point is drawn and evaluated
+/// exactly once whatever the partition, so results are bitwise identical
+/// for every thread count and every K. Under kAbort the first failed
+/// slot of a block is rethrown as sim::SimulationError once the block
+/// returns; under kSkip the caller folds the failed slots. Records one
+/// `block_seconds` wall-clock value per block when metrics are enabled.
+void evaluate_blocks(const ExecutionOptions& exec, obs::Registry* reg,
+                     const BatchPerformanceFn& fb, std::size_t n,
+                     const std::function<numeric::Vector(std::size_t)>& draw,
+                     const char* block_seconds, std::vector<BatchSlot>& slots,
+                     std::vector<numeric::Vector>* points = nullptr);
+
+/// Serial index-order fold of per-evaluation slots into `out`: every
+/// failed slot contributes a SampleFailure carrying its index, kind and
+/// diagnostics message. Run after the parallel loop joins, so the
+/// summary is identical for every thread count. attempted = slots.size().
+inline void fold_failures(const std::vector<BatchSlot>& slots,
                           FailureSummary& out) {
-  out.attempted = died.size();
-  for (std::size_t s = 0; s < died.size(); ++s) {
-    if (!died[s]) continue;
-    ++out.counts[static_cast<std::size_t>(deaths[s].kind)];
-    out.failures.push_back(std::move(deaths[s]));
+  out.attempted = slots.size();
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    if (!slots[s].failed) continue;
+    const sim::SimDiagnostics& diag = slots[s].diag;
+    ++out.counts[static_cast<std::size_t>(diag.kind)];
+    out.failures.push_back({s, diag.kind, diag.message()});
   }
   out.survived = out.attempted - out.failures.size();
 }

@@ -2,8 +2,8 @@
 // importance.hpp for the estimator overview and docs/yield_estimation.md
 // for the full derivation).
 //
-// Structure mirrors the plain Monte-Carlo engine in runner.cpp: a
-// parallel evaluation over per-sample counter-based streams fills
+// Structure mirrors the plain Monte-Carlo engine in runner.cpp: the one
+// block loop evaluates per-sample counter-based draws into
 // index-addressed slots, and every statistic -- likelihood ratios, the
 // yield-loss mean, control-variate moments, ESS, failure summaries, obs
 // distributions -- is folded serially in sample order afterwards, so the
@@ -13,7 +13,6 @@
 #include <cmath>
 #include <utility>
 
-#include "runtime/thread_pool.hpp"
 #include "numeric/fp_compare.hpp"
 #include "obs/span.hpp"
 #include "stats/driver_detail.hpp"
@@ -23,20 +22,16 @@
 namespace lcsf::stats {
 
 using detail::DriverContext;
-using detail::eval_fail_soft;
-using detail::ignore_lane;
 using numeric::Vector;
 
 namespace {
 
 /// Index-addressed per-sample slots of one IS phase (pilot or main),
-/// filled by the parallel loop and folded serially afterwards.
+/// filled by the block loop and folded serially afterwards.
 struct PhaseSlots {
-  std::vector<double> value;      ///< f(w) per sample (where survived)
+  std::vector<BatchSlot> eval;    ///< f's outcome per sample
   std::vector<double> weight;     ///< likelihood ratio p/q per sample
   std::vector<double> surrogate;  ///< linear-surrogate delay per sample
-  std::vector<char> died;
-  std::vector<SampleFailure> deaths;
   /// Standardized variates per sample (only when keep_u: the pilot needs
   /// them for the cross-entropy shift refinement).
   std::vector<Vector> u;
@@ -48,7 +43,7 @@ struct PhaseSlots {
 /// counter-stream family (stream_tag::kIsPilot*/kIsMain*), keeping the
 /// pilot and main draws independent of each other and of plain MC.
 void run_is_phase(const RunOptions& opt, obs::Registry* reg,
-                  const LanedPerformanceFn& f,
+                  const BatchPerformanceFn& f,
                   const std::vector<VariationSource>& sources,
                   const IsSurrogate& sur, std::size_t n,
                   std::uint64_t phase_tag, std::uint64_t perm_tag,
@@ -69,88 +64,63 @@ void run_is_phase(const RunOptions& opt, obs::Registry* reg,
   const detail::LhsStrata strata(opt.latin_hypercube, opt.seed, nw, n,
                                  perm_tag);
 
-  out.value.assign(n, 0.0);
   out.weight.assign(n, 1.0);
   out.surrogate.assign(n, 0.0);
-  out.died.assign(n, 0);
-  out.deaths.assign(n, SampleFailure{});
   out.u.clear();
   if (keep_u) out.u.resize(n);
 
-  const bool fail_soft = opt.exec.on_failure == FailurePolicy::kSkip;
-
-  runtime::parallel_for_lanes(
-      opt.exec.threads, n,
-      [&](std::size_t begin, std::size_t end, std::size_t lane) {
-    obs::ScopedContext chunk_ctx(reg, lane);
-    const bool timed = obs::enabled();
-    for (std::size_t s = begin; s < end; ++s) {
-      SplitMix64 stream = sample_stream(opt.seed, s, phase_tag);
-      // Defensive mixture: with probability lambda this sample draws
-      // from the nominal distribution. The coin comes first in the
-      // stream so the per-dimension draws below stay aligned whether or
-      // not it lands on the nominal branch.
-      bool use_shift = shifted;
-      if (shifted && lambda > 0.0) {
-        use_shift = stream.uniform_open() >= lambda;
-      }
-      Vector w(nw);
-      double score = 0.0;       // theta . u over the normal dimensions
-      double sur_delta = 0.0;   // gradient . (w - mean)
-      Vector uvec;
-      if (keep_u) uvec.assign(nw, 0.0);
-      for (std::size_t d = 0; d < nw; ++d) {
-        const double uu = strata.variate(d, s, stream.uniform_open());
-        const VariationSource& src = sources[d];
-        if (src.kind == VariationSource::Kind::kUniform) {
-          // Uniform sources are never shifted (a mean shift would break
-          // the absolute continuity the likelihood ratio needs); they
-          // contribute a ratio factor of exactly 1.
-          w[d] = to_uniform(uu, src.mean - src.sigma, src.mean + src.sigma);
-        } else {
-          const double u_d = inverse_normal_cdf(uu) +
-                             (use_shift ? sur.shift[d] : 0.0);
-          w[d] = src.mean + src.sigma * u_d;
-          score += sur.shift[d] * u_d;
-          if (keep_u) uvec[d] = u_d;
-        }
-        sur_delta += sur.gradient[d] * (w[d] - src.mean);
-      }
-      // Likelihood ratio p(u)/q(u). The degenerate zero-shift proposal
-      // is the original distribution, so the ratio is pinned to exactly
-      // 1.0 rather than round-tripped through exp().
-      out.weight[s] =
-          shifted ? mixture_likelihood_ratio(score - 0.5 * theta_sq, lambda)
-                  : 1.0;
-      out.surrogate[s] = sur.nominal + sur_delta;
-      const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-      if (fail_soft) {
-        out.died[s] =
-            eval_fail_soft(f, w, lane, s, out.value[s], out.deaths[s]) ? 0
-                                                                       : 1;
-      } else {
-        out.value[s] = f(w, lane);
-      }
-      if (timed) {
-        obs::record_value(
-            "stats.yield_is.sample_seconds",
-            static_cast<double>(obs::now_ns() - t0) / 1e9);
-      }
-      if (keep_u) out.u[s] = std::move(uvec);
+  // Each index is drawn once, on the thread evaluating its block, so the
+  // per-index weight, surrogate and u writes never overlap.
+  const auto draw = [&](std::size_t s) {
+    SplitMix64 stream = sample_stream(opt.seed, s, phase_tag);
+    // Defensive mixture: with probability lambda this sample draws
+    // from the nominal distribution. The coin comes first in the
+    // stream so the per-dimension draws below stay aligned whether or
+    // not it lands on the nominal branch.
+    bool use_shift = shifted;
+    if (shifted && lambda > 0.0) {
+      use_shift = stream.uniform_open() >= lambda;
     }
-  });
+    Vector w(nw);
+    double score = 0.0;       // theta . u over the normal dimensions
+    double sur_delta = 0.0;   // gradient . (w - mean)
+    Vector uvec;
+    if (keep_u) uvec.assign(nw, 0.0);
+    for (std::size_t d = 0; d < nw; ++d) {
+      const double uu = strata.variate(d, s, stream.uniform_open());
+      const VariationSource& src = sources[d];
+      if (src.kind == VariationSource::Kind::kUniform) {
+        // Uniform sources are never shifted (a mean shift would break
+        // the absolute continuity the likelihood ratio needs); they
+        // contribute a ratio factor of exactly 1.
+        w[d] = to_uniform(uu, src.mean - src.sigma, src.mean + src.sigma);
+      } else {
+        const double u_d = inverse_normal_cdf(uu) +
+                           (use_shift ? sur.shift[d] : 0.0);
+        w[d] = src.mean + src.sigma * u_d;
+        score += sur.shift[d] * u_d;
+        if (keep_u) uvec[d] = u_d;
+      }
+      sur_delta += sur.gradient[d] * (w[d] - src.mean);
+    }
+    // Likelihood ratio p(u)/q(u). The degenerate zero-shift proposal
+    // is the original distribution, so the ratio is pinned to exactly
+    // 1.0 rather than round-tripped through exp().
+    out.weight[s] =
+        shifted ? mixture_likelihood_ratio(score - 0.5 * theta_sq, lambda)
+                : 1.0;
+    out.surrogate[s] = sur.nominal + sur_delta;
+    if (keep_u) out.u[s] = std::move(uvec);
+    return w;
+  };
+  detail::evaluate_blocks(opt.exec, reg, f, n, draw,
+                          "stats.yield_is.block_seconds", out.eval);
 }
 
 }  // namespace
 
 IsYieldEstimate Runner::run_yield_is(
-    const PerformanceFn& f, const std::vector<VariationSource>& sources,
-    double clock_period) const {
-  return run_yield_is(ignore_lane(f), sources, clock_period);
-}
-
-IsYieldEstimate Runner::run_yield_is(
-    const LanedPerformanceFn& f, const std::vector<VariationSource>& sources,
+    const BatchPerformanceFn& f, const std::vector<VariationSource>& sources,
     double clock_period) const {
   DriverContext obs_ctx(opt_.registry);
   obs::Registry* reg = obs_ctx.registry();
@@ -162,7 +132,7 @@ IsYieldEstimate Runner::run_yield_is(
         "run_yield_is: ImportanceOptions::shift_scale must be finite and "
         ">= 0");
   }
-  if (is_opt.mixture_nominal < 0.0 || is_opt.mixture_nominal >= 1.0) {
+  if (!(is_opt.mixture_nominal >= 0.0 && is_opt.mixture_nominal < 1.0)) {
     sim::throw_invalid_input(
         "run_yield_is: ImportanceOptions::mixture_nominal must be in [0, 1)");
   }
@@ -226,13 +196,14 @@ IsYieldEstimate Runner::run_yield_is(
     run_is_phase(opt_, reg, f, sources, res.surrogate,
                  is_opt.pilot_samples, stream_tag::kIsPilot,
                  stream_tag::kIsPilotPerm, /*keep_u=*/true, slots);
-    detail::fold_failures(slots.died, slots.deaths, res.pilot_failures);
+    detail::fold_failures(slots.eval, res.pilot_failures);
     res.pilot_used = is_opt.pilot_samples;
     double wsum = 0.0;
     Vector centroid(nw);
     centroid.assign(nw, 0.0);
     for (std::size_t s = 0; s < is_opt.pilot_samples; ++s) {
-      if (slots.died[s] || !(slots.value[s] > clock_period)) continue;
+      const BatchSlot& e = slots.eval[s];
+      if (e.failed || !(e.value > clock_period)) continue;
       wsum += slots.weight[s];
       for (std::size_t d = 0; d < nw; ++d) {
         centroid[d] += slots.weight[s] * slots.u[s][d];
@@ -258,7 +229,7 @@ IsYieldEstimate Runner::run_yield_is(
   // ---- Serial sample-order fold: failure summary, estimator moments,
   // ESS, obs distributions. This ordering discipline is what makes the
   // result (and the merged obs counters) thread-count invariant.
-  detail::fold_failures(slots.died, slots.deaths, res.failures);
+  detail::fold_failures(slots.eval, res.failures);
   const std::size_t n_surv = res.failures.survived;
   res.values.reserve(n_surv);
   res.weights.reserve(n_surv);
@@ -268,12 +239,13 @@ IsYieldEstimate Runner::run_yield_is(
   double syc = 0.0;
   double sw = 0.0, sww = 0.0;        // raw weights, for ESS
   for (std::size_t s = 0; s < opt_.samples; ++s) {
-    if (slots.died[s]) continue;
+    if (slots.eval[s].failed) continue;
+    const double v = slots.eval[s].value;
     const double lr = slots.weight[s];
-    const double y = slots.value[s] > clock_period ? lr : 0.0;
+    const double y = v > clock_period ? lr : 0.0;
     const double c = slots.surrogate[s] > clock_period ? lr : 0.0;
-    if (!(slots.value[s] > clock_period)) ++pass;
-    res.values.push_back(slots.value[s]);
+    if (!(v > clock_period)) ++pass;
+    res.values.push_back(v);
     res.weights.push_back(lr);
     obs::record_value("stats.yield_is.likelihood_ratio", lr);
     sy += y;

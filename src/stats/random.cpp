@@ -77,7 +77,7 @@ double inverse_normal_cdf(double p) {
 }
 
 double mixture_likelihood_ratio(double score, double lambda) {
-  if (lambda < 0.0 || lambda >= 1.0) {
+  if (!(lambda >= 0.0 && lambda < 1.0)) {
     sim::throw_invalid_input(
         "mixture_likelihood_ratio: mixture weight must be in [0, 1)");
   }

@@ -1,12 +1,12 @@
-// The engines behind stats::Runner: the one Monte-Carlo sampling loop
-// (shared by the scalar and batch-dispatched overloads), the gradient
-// probes and the Monte-Carlo yield. The observability hooks never touch
-// the numerics, so every determinism contract holds with or without a
-// registry.
+// The engines behind stats::Runner: the one block loop every driver
+// evaluates its points through, the Monte-Carlo sampling and the gradient
+// probes. The observability hooks never touch the numerics, so every
+// determinism contract holds with or without a registry.
 #include "stats/runner.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <stdexcept>
+#include <utility>
 
 #include "runtime/thread_pool.hpp"
 #include "obs/span.hpp"
@@ -15,33 +15,68 @@
 namespace lcsf::stats {
 
 using detail::DriverContext;
-using detail::eval_fail_soft;
-using detail::ignore_lane;
 using numeric::Vector;
 
-namespace {
+namespace detail {
 
-/// The Monte-Carlo sampling loop behind every run_monte_carlo overload.
-/// Work units are nb = floor(n / k) full k-blocks evaluated through `fb`,
-/// then the remainder samples one by one through `f`; with no batch
-/// function (`fb` null) there are zero blocks and every sample is a
-/// remainder unit. Sample s draws the same variate vector whichever
-/// evaluator consumes it.
-MonteCarloResult sample_monte_carlo(
-    const RunOptions& opt, const LanedPerformanceFn& f,
-    const BatchPerformanceFn* fb, std::size_t k,
-    const std::vector<VariationSource>& sources) {
-  DriverContext obs_ctx(opt.registry);
-  obs::Registry* reg = obs_ctx.registry();
+void evaluate_blocks(const ExecutionOptions& exec, obs::Registry* reg,
+                     const BatchPerformanceFn& fb, std::size_t n,
+                     const std::function<Vector(std::size_t)>& draw,
+                     const char* block_seconds, std::vector<BatchSlot>& slots,
+                     std::vector<Vector>* points) {
+  const std::size_t k = block_width(exec);
+  const bool fail_soft = exec.on_failure == FailurePolicy::kSkip;
+  slots.assign(n, BatchSlot{});
+  if (points != nullptr) points->assign(n, Vector{});
+  // Blocks are the work units of one queue and each point owns its
+  // index, so the thread partition can change neither a value nor the
+  // failed set.
+  runtime::parallel_for_lanes(
+      exec.threads, (n + k - 1) / k,
+      [&](std::size_t begin, std::size_t end, std::size_t lane) {
+    // Route engine metrics recorded inside fb to this chunk's lane sink.
+    obs::ScopedContext chunk_ctx(reg, lane);
+    const bool timed = obs::enabled();
+    std::vector<Vector> block;
+    std::vector<BatchSlot> out;
+    for (std::size_t u = begin; u < end; ++u) {
+      const std::size_t first = u * k;
+      const std::size_t width = std::min(k, n - first);
+      block.resize(width);
+      for (std::size_t b = 0; b < width; ++b) block[b] = draw(first + b);
+      out.assign(width, BatchSlot{});
+      const std::uint64_t t0 = timed ? obs::now_ns() : 0;
+      fb(block, lane, out);
+      if (timed) {
+        obs::record_value(block_seconds,
+                          static_cast<double>(obs::now_ns() - t0) / 1e9);
+      }
+      for (std::size_t b = 0; b < width; ++b) {
+        if (out[b].failed && !fail_soft) {
+          throw sim::SimulationError(std::move(out[b].diag));
+        }
+        slots[first + b] = std::move(out[b]);
+        if (points != nullptr) (*points)[first + b] = std::move(block[b]);
+      }
+    }
+  });
+}
+
+}  // namespace detail
+
+MonteCarloResult Runner::run_monte_carlo(
+    const BatchPerformanceFn& f, const std::vector<VariationSource>& sources)
+    const {
+  DriverContext obs_ctx(opt_.registry);
   obs::ScopedSpan span("stats.monte_carlo");
-  detail::check_sampling("monte_carlo", sources.size(), opt.samples);
+  detail::check_sampling("monte_carlo", sources.size(), opt_.samples);
   const std::size_t nw = sources.size();
-  const std::size_t n = opt.samples;
+  const std::size_t n = opt_.samples;
 
-  const detail::LhsStrata strata(opt.latin_hypercube, opt.seed, nw, n,
+  const detail::LhsStrata strata(opt_.latin_hypercube, opt_.seed, nw, n,
                                  stream_tag::kLhsPerm);
-  auto draw = [&](std::size_t s) {
-    SplitMix64 stream = sample_stream(opt.seed, s);
+  const auto draw = [&](std::size_t s) {
+    SplitMix64 stream = sample_stream(opt_.seed, s);
     Vector w(nw);
     for (std::size_t d = 0; d < nw; ++d) {
       const double uu = strata.variate(d, s, stream.uniform_open());
@@ -52,192 +87,114 @@ MonteCarloResult sample_monte_carlo(
     }
     return w;
   };
-
-  // Per-sample slots; compacted to survivors after the parallel loop.
-  std::vector<double> values(n);
-  std::vector<Vector> samples(n);
-  std::vector<char> died(n, 0);
-  std::vector<SampleFailure> deaths(n);
-  const bool fail_soft = opt.exec.on_failure == FailurePolicy::kSkip;
-
-  // All units share one queue and each sample its own stream, so the
-  // thread partition can change neither values nor the failed set.
-  const std::size_t nb = fb != nullptr ? n / k : 0;
-  const std::size_t rem = n - nb * k;
-  runtime::parallel_for_lanes(
-      opt.exec.threads, nb + rem,
-      [&](std::size_t begin, std::size_t end, std::size_t lane) {
-    // Route engine metrics recorded inside f to this chunk's lane sink.
-    obs::ScopedContext chunk_ctx(reg, lane);
-    const bool timed = obs::enabled();
-    std::vector<Vector> block;
-    std::vector<BatchSlot> slots;
-    for (std::size_t u = begin; u < end; ++u) {
-      if (u < nb) {
-        const std::size_t s0 = u * k;
-        block.resize(k);
-        for (std::size_t b = 0; b < k; ++b) block[b] = draw(s0 + b);
-        slots.assign(k, BatchSlot{});
-        const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-        (*fb)(block, lane, slots);
-        if (timed) {
-          obs::record_value(
-              "stats.mc.batch_seconds",
-              static_cast<double>(obs::now_ns() - t0) / 1e9);
-        }
-        for (std::size_t b = 0; b < k; ++b) {
-          const std::size_t s = s0 + b;
-          if (slots[b].failed) {
-            if (!fail_soft) throw sim::SimulationError(slots[b].diag);
-            died[s] = 1;
-            deaths[s] = {s, slots[b].diag.kind, slots[b].diag.message()};
-          } else {
-            values[s] = slots[b].value;
-          }
-          samples[s] = std::move(block[b]);
-        }
-      } else {
-        const std::size_t s = nb * k + (u - nb);
-        Vector w = draw(s);
-        const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-        if (fail_soft) {
-          died[s] =
-              eval_fail_soft(f, w, lane, s, values[s], deaths[s]) ? 0 : 1;
-        } else {
-          values[s] = f(w, lane);
-        }
-        if (timed) {
-          obs::record_value(
-              "stats.mc.sample_seconds",
-              static_cast<double>(obs::now_ns() - t0) / 1e9);
-        }
-        samples[s] = std::move(w);
-      }
-    }
-  });
+  std::vector<BatchSlot> slots;
+  std::vector<Vector> samples;
+  detail::evaluate_blocks(opt_.exec, obs_ctx.registry(), f, n, draw,
+                          "stats.mc.block_seconds", slots, &samples);
 
   // Compact + accumulate serially in sample order: identical to a serial
   // run (and to any other thread count) by construction.
   MonteCarloResult res;
-  detail::fold_failures(died, deaths, res.failures);
+  detail::fold_failures(slots, res.failures);
   res.values.reserve(res.failures.survived);
   res.samples.reserve(res.failures.survived);
   for (std::size_t s = 0; s < n; ++s) {
-    if (died[s]) continue;
-    res.stats.add(values[s]);
-    res.values.push_back(values[s]);
+    if (slots[s].failed) continue;
+    res.stats.add(slots[s].value);
+    res.values.push_back(slots[s].value);
     res.samples.push_back(std::move(samples[s]));
   }
   obs::add_counter("stats.mc.samples", static_cast<std::uint64_t>(n));
   obs::add_counter("stats.mc.skipped",
                    static_cast<std::uint64_t>(res.failures.failed()));
-  if (fb != nullptr) {
+  const std::size_t k = detail::block_width(opt_.exec);
+  if (k > 1) {
     // Serial so the distribution merges identically for any thread count.
-    obs::add_counter("stats.mc.batches", static_cast<std::uint64_t>(nb));
+    obs::add_counter("stats.mc.batches", static_cast<std::uint64_t>(n / k));
     obs::add_counter("stats.mc.batch_remainder_samples",
-                     static_cast<std::uint64_t>(rem));
-    for (std::size_t u = 0; u < nb; ++u) {
+                     static_cast<std::uint64_t>(n % k));
+    for (std::size_t u = 0; u < n / k; ++u) {
       obs::record_value("stats.mc.batch_fill", static_cast<double>(k));
     }
-    for (std::size_t r = 0; r < rem; ++r) {
-      obs::record_value("stats.mc.batch_fill", 1.0);
+    if (n % k != 0) {
+      obs::record_value("stats.mc.batch_fill", static_cast<double>(n % k));
     }
   }
   return res;
 }
 
-}  // namespace
-
-MonteCarloResult Runner::run_monte_carlo(
-    const PerformanceFn& f, const std::vector<VariationSource>& sources)
-    const {
-  return run_monte_carlo(ignore_lane(f), sources);
-}
-
-MonteCarloResult Runner::run_monte_carlo(
-    const LanedPerformanceFn& f, const std::vector<VariationSource>& sources)
-    const {
-  return sample_monte_carlo(opt_, f, nullptr, 1, sources);
-}
-
-MonteCarloResult Runner::run_monte_carlo(
-    const LanedPerformanceFn& f, const BatchPerformanceFn& fb,
-    const std::vector<VariationSource>& sources) const {
-  const std::size_t k = opt_.exec.batch == 0 ? kDefaultBatch : opt_.exec.batch;
-  return sample_monte_carlo(opt_, f, k > 1 && fb ? &fb : nullptr, k,
-                            sources);
-}
-
 GradientAnalysisResult Runner::run_gradients(
-    const PerformanceFn& f, const std::vector<VariationSource>& sources)
-    const {
-  return run_gradients(ignore_lane(f), sources);
-}
-
-GradientAnalysisResult Runner::run_gradients(
-    const LanedPerformanceFn& f, const std::vector<VariationSource>& sources)
+    const BatchPerformanceFn& f, const std::vector<VariationSource>& sources)
     const {
   DriverContext obs_ctx(opt_.registry);
-  obs::Registry* reg = obs_ctx.registry();
   obs::ScopedSpan span("stats.gradient_analysis");
   if (sources.empty()) {
     sim::throw_invalid_input("gradient_analysis: no sources");
   }
-  if (opt_.step_fraction <= 0.0) {
+  if (!(opt_.step_fraction > 0.0) || !std::isfinite(opt_.step_fraction)) {
     sim::throw_invalid_input("gradient_analysis: bad step");
   }
   const std::size_t nw = sources.size();
+  const auto step = [&](std::size_t d) {
+    return opt_.step_fraction * sources[d].sigma;
+  };
+  // A source without a positive step has no probes and no gradient.
+  const auto unprobed = [&](std::size_t d) { return step(d) <= 0.0; };
   GradientAnalysisResult res;
   res.gradient.assign(nw, 0.0);
 
   Vector w0(nw);
   for (std::size_t d = 0; d < nw; ++d) w0[d] = sources[d].mean;
   // A failed nominal always rethrows: there is no gradient about a point
-  // that does not evaluate. The nominal runs on the calling thread's lane.
-  res.nominal = f(w0, 0);
+  // that does not evaluate. The nominal runs alone, on the calling
+  // thread's lane.
+  std::vector<BatchSlot> nominal(1);
+  f({w0}, 0, nominal);
+  if (nominal[0].failed) {
+    throw sim::SimulationError(std::move(nominal[0].diag));
+  }
+  res.nominal = nominal[0].value;
   res.evaluations = 1;
 
-  const bool fail_soft = opt_.exec.on_failure == FailurePolicy::kSkip;
-  std::vector<char> died(nw, 0);
-  std::vector<SampleFailure> deaths(nw);
-
-  // The 2 * nw central-difference probes are independent; run them on the
-  // pool and fold the Eq. 24 sum serially in source order afterwards.
-  runtime::parallel_for_lanes(
-      opt_.exec.threads, nw,
-      [&](std::size_t begin, std::size_t end, std::size_t lane) {
-    obs::ScopedContext chunk_ctx(reg, lane);
-    const bool timed = obs::enabled();
-    for (std::size_t d = begin; d < end; ++d) {
-      const double h = opt_.step_fraction * sources[d].sigma;
-      if (h <= 0.0) continue;
-      Vector wp = w0, wm = w0;
-      wp[d] += h;
-      wm[d] -= h;
-      const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-      if (fail_soft) {
-        double fp = 0.0, fm = 0.0;
-        if (eval_fail_soft(f, wp, lane, d, fp, deaths[d]) &&
-            eval_fail_soft(f, wm, lane, d, fm, deaths[d])) {
-          res.gradient[d] = (fp - fm) / (2.0 * h);
-        } else {
-          died[d] = 1;  // gradient entry stays 0 and leaves the RSS sum
-        }
-      } else {
-        res.gradient[d] = (f(wp, lane) - f(wm, lane)) / (2.0 * h);
-      }
-      if (timed) {
-        obs::record_value(
-            "stats.ga.probe_seconds",
-            static_cast<double>(obs::now_ns() - t0) / 1e9);
-      }
+  // The central-difference probes, +h then -h per probed source in
+  // source order; independent, so they run in blocks on the pool and the
+  // Eq. 24 sum folds serially in source order.
+  std::vector<std::size_t> probed;
+  for (std::size_t d = 0; d < nw; ++d) {
+    if (!unprobed(d)) probed.push_back(d);
+  }
+  const auto probe = [&](std::size_t i) {
+    const std::size_t d = probed[i / 2];
+    Vector w = w0;
+    if (i % 2 == 0) {
+      w[d] += step(d);
+    } else {
+      w[d] -= step(d);
     }
-  });
+    return w;
+  };
+  std::vector<BatchSlot> slots;
+  detail::evaluate_blocks(opt_.exec, obs_ctx.registry(), f,
+                          2 * probed.size(), probe, "stats.ga.block_seconds",
+                          slots);
 
-  detail::fold_failures(died, deaths, res.failures);
+  // Under kSkip a source whose probe failed keeps a zero gradient entry,
+  // leaves the RSS sum and is recorded under its source index.
+  std::vector<BatchSlot> failed(nw);
+  for (std::size_t j = 0; j < probed.size(); ++j) {
+    const std::size_t d = probed[j];
+    BatchSlot& plus = slots[2 * j];
+    BatchSlot& minus = slots[2 * j + 1];
+    if (plus.failed || minus.failed) {
+      failed[d] = std::move(plus.failed ? plus : minus);
+      continue;
+    }
+    res.gradient[d] = (plus.value - minus.value) / (2.0 * step(d));
+  }
+  detail::fold_failures(failed, res.failures);
   double var = 0.0;
   for (std::size_t d = 0; d < nw; ++d) {
-    if (opt_.step_fraction * sources[d].sigma <= 0.0 || died[d]) continue;
+    if (unprobed(d) || failed[d].failed) continue;
     res.evaluations += 2;
     const double g = res.gradient[d];
     // Uniform(+-sigma) has variance sigma^2/3; normal has sigma^2.
@@ -253,26 +210,6 @@ GradientAnalysisResult Runner::run_gradients(
   obs::add_counter("stats.ga.skipped",
                    static_cast<std::uint64_t>(res.failures.failed()));
   return res;
-}
-
-McYieldEstimate Runner::run_yield(const PerformanceFn& f,
-                                  const std::vector<VariationSource>& sources,
-                                  double clock_period) const {
-  return run_yield(ignore_lane(f), sources, clock_period);
-}
-
-McYieldEstimate Runner::run_yield(const LanedPerformanceFn& f,
-                                  const std::vector<VariationSource>& sources,
-                                  double clock_period) const {
-  DriverContext obs_ctx(opt_.registry);
-  obs::ScopedSpan span("stats.yield");
-  McYieldEstimate est(run_monte_carlo(f, sources), clock_period);
-  std::uint64_t pass = 0;
-  for (const double v : est.samples().values) {
-    if (v <= clock_period) ++pass;
-  }
-  obs::add_counter("stats.yield.pass", pass);
-  return est;
 }
 
 }  // namespace lcsf::stats

@@ -20,9 +20,11 @@
 #include "numeric/matrix.hpp"
 #include "obs/registry.hpp"
 #include "stats/runner.hpp"
+#include "stats/yield.hpp"
 #include "teta/batch.hpp"
 #include "teta/convolution.hpp"
 #include "timing/cells.hpp"
+#include "timing/sta.hpp"
 
 namespace lcsf::core {
 namespace {
@@ -61,8 +63,8 @@ PathVariationModel small_model() {
 // Every batch width must reproduce the scalar (batch = 1) run bitwise:
 // same survivors, same per-sample delays, same draws, same failure
 // records. samples = 10 is deliberately not a multiple of any tested
-// width, so each run also covers the scalar remainder loop (K = 8: one
-// block + 2 singletons). The wide model's channel-length sigma makes
+// width, so each run also ends on a partial block (K = 8: a block of 8,
+// then one of 2). The wide model's channel-length sigma makes
 // some samples fail on a non-positive effective length while their
 // block is built and others on the SC iteration limit inside lockstep
 // blocks; under kSkip neither may disturb the rest of the block.
@@ -125,10 +127,9 @@ TEST(BatchHotpath, BatchWidthInvariantBitwise) {
   }
 }
 
-// At a fixed batch width the thread-count determinism contract of the
-// scalar driver carries over: full blocks and remainder singletons go
-// through one work queue, so any worker interleaving yields the same
-// per-sample values.
+// At a fixed batch width the thread-count determinism contract carries
+// over: full blocks and the partial block go through one work queue, so
+// any worker interleaving yields the same per-sample values.
 TEST(BatchHotpath, ThreadCountInvariantAtFixedBatch) {
   PathAnalyzer pa(small_path_spec());
   const PathVariationModel model = small_model();
@@ -150,9 +151,20 @@ TEST(BatchHotpath, ThreadCountInvariantAtFixedBatch) {
   }
 }
 
-// 11 samples at batch 4 dispatch as 2 full blocks + 3 singletons; the
-// counters and the batch_fill distribution pinned in
-// tools/metrics_schema.json must say exactly that.
+/// A synthetic block function that records the width of every block it
+/// sees (run with threads = 1, so in dispatch order) and values w[0].
+stats::BatchPerformanceFn width_recorder(std::vector<std::size_t>& widths) {
+  return [&widths](const std::vector<Vector>& w, std::size_t,
+                   std::vector<stats::BatchSlot>& out) {
+    widths.push_back(w.size());
+    for (std::size_t b = 0; b < w.size(); ++b) out[b].value = w[b][0];
+  };
+}
+
+// 11 samples at batch 4 dispatch as blocks of 4, 4 and 3; the counters
+// and the batch_fill distribution pinned in tools/metrics_schema.json
+// must say exactly that: two full blocks, three remainder samples, one
+// fill value per block.
 TEST(BatchHotpath, DispatchCountersAndFillDistribution) {
   PathAnalyzer pa(small_path_spec());
   const PathVariationModel model = small_model();
@@ -170,14 +182,35 @@ TEST(BatchHotpath, DispatchCountersAndFillDistribution) {
   EXPECT_EQ(snap.counters.at("stats.mc.batches"), 2u);
   EXPECT_EQ(snap.counters.at("stats.mc.batch_remainder_samples"), 3u);
   const auto& fill = snap.distributions.at("stats.mc.batch_fill");
-  EXPECT_EQ(fill.count, 5u);
-  EXPECT_EQ(fill.min, 1.0);
+  EXPECT_EQ(fill.count, 3u);
+  EXPECT_EQ(fill.min, 3.0);
   EXPECT_EQ(fill.max, 4.0);
-  EXPECT_NEAR(fill.mean, (2.0 * 4.0 + 3.0 * 1.0) / 5.0, 1e-12);
+  EXPECT_NEAR(fill.mean, 11.0 / 3.0, 1e-12);
 
-  // K = 1 is the same loop with zero blocks: it dispatches nothing, so
-  // it records none of the dispatch metrics.
+  const std::vector<stats::VariationSource> sources(2);
+  opt.registry = nullptr;
+  std::vector<std::size_t> widths;
+  (void)stats::Runner(opt).run_monte_carlo(width_recorder(widths), sources);
+  EXPECT_EQ(widths, (std::vector<std::size_t>{4, 4, 3}));
+
+  // Fewer samples than K: one partial block, and no full one.
+  obs::Registry short_reg;
+  opt.samples = 5;
+  opt.exec.batch = 8;
+  opt.registry = &short_reg;
+  widths.clear();
+  (void)stats::Runner(opt).run_monte_carlo(width_recorder(widths), sources);
+  EXPECT_EQ(widths, std::vector<std::size_t>{5});
+  const obs::Snapshot short_snap = short_reg.snapshot();
+  EXPECT_EQ(short_snap.counters.at("stats.mc.batches"), 0u);
+  EXPECT_EQ(short_snap.counters.at("stats.mc.batch_remainder_samples"), 5u);
+  EXPECT_EQ(short_snap.distributions.at("stats.mc.batch_fill").count, 1u);
+  EXPECT_EQ(short_snap.distributions.at("stats.mc.batch_fill").min, 5.0);
+
+  // K = 1 runs one-sample blocks: it dispatches nothing wider, so it
+  // records none of the dispatch metrics.
   obs::Registry scalar_reg;
+  opt.samples = 11;
   opt.exec.batch = 1;
   opt.registry = &scalar_reg;
   EXPECT_EQ(pa.monte_carlo(model, opt).values.size(), 11u);
@@ -186,6 +219,59 @@ TEST(BatchHotpath, DispatchCountersAndFillDistribution) {
   EXPECT_EQ(scalar.counters.count("stats.mc.batches"), 0u);
   EXPECT_EQ(scalar.counters.count("stats.mc.batch_remainder_samples"), 0u);
   EXPECT_EQ(scalar.distributions.count("stats.mc.batch_fill"), 0u);
+}
+
+// Gradient Analysis and both importance-sampling phases run through the
+// same block loop as Monte Carlo: the GA nominal alone, then its probes
+// (+h, -h per source with a nonzero sigma) in blocks of min(K,
+// remaining), then the IS pilot and main samples likewise. The blocks
+// change no result: every output equals the one-sample-block run.
+TEST(BatchHotpath, GradientAndImportancePhasesRunInBlocks) {
+  std::vector<stats::VariationSource> sources(5);
+  sources[2].sigma = 0.0;  // no step, so no probes
+  stats::RunOptions opt;
+  opt.samples = 11;
+  opt.exec.threads = 1;
+  opt.exec.batch = 4;
+  opt.importance.pilot_samples = 5;
+
+  std::vector<std::size_t> widths;
+  (void)stats::Runner(opt).run_gradients(width_recorder(widths), sources);
+  EXPECT_EQ(widths, (std::vector<std::size_t>{1, 4, 4}));
+
+  // f = w0 + sum_d w_d: the surrogate is exact, and T lies above the
+  // nominal so the proposal shifts and the pilot refines it.
+  const stats::PerformanceFn f = [](const Vector& w) {
+    double d = w[0];
+    for (const double x : w) d += x;
+    return d;
+  };
+  const stats::BatchPerformanceFn fb = stats::per_sample(f);
+  widths.clear();
+  const stats::BatchPerformanceFn recorded =
+      [&](const std::vector<Vector>& w, std::size_t lane,
+          std::vector<stats::BatchSlot>& out) {
+        widths.push_back(w.size());
+        fb(w, lane, out);
+      };
+  const auto got = stats::Runner(opt).run_yield_is(recorded, sources, 2.0);
+  // GA {1, 4, 4}, pilot 5 = {4, 1}, main 11 = {4, 4, 3}.
+  EXPECT_EQ(widths, (std::vector<std::size_t>{1, 4, 4, 4, 1, 4, 4, 3}));
+
+  opt.exec.batch = 1;
+  const auto ga1 = stats::Runner(opt).run_gradients(fb, sources);
+  const auto ref = stats::Runner(opt).run_yield_is(fb, sources, 2.0);
+  opt.exec.batch = 4;
+  const auto ga4 = stats::Runner(opt).run_gradients(fb, sources);
+  EXPECT_EQ(ga4.nominal, ga1.nominal);
+  EXPECT_EQ(ga4.gradient, ga1.gradient);
+  EXPECT_EQ(ga4.stddev, ga1.stddev);
+  EXPECT_EQ(ga4.evaluations, 9u);
+  EXPECT_EQ(got.surrogate.shift, ref.surrogate.shift);
+  EXPECT_EQ(got.values, ref.values);
+  EXPECT_EQ(got.weights, ref.weights);
+  EXPECT_EQ(got.yield_loss, ref.yield_loss);
+  EXPECT_EQ(got.pilot_used, 5u);
 }
 
 // The window ladder: lanes whose output transition does not complete in
@@ -691,16 +777,17 @@ TEST(BatchHotpath, StepLoopReplaysThroughRecursiveConvolverBitwise) {
   }
 }
 
-// Synthetic evaluators isolate the Runner's batch dispatcher from the
-// transient engine: the batched overload must reproduce the scalar
-// fail-soft behaviour exactly -- same survivor values, same classified
-// failure records -- and a failed slot must not perturb its neighbours.
+// Synthetic evaluators isolate the Runner's block loop from the
+// transient engine: a block function that classifies failures in its
+// slots must reproduce the one-sample function behind stats::per_sample
+// exactly -- same survivor values, same classified failure records --
+// and a failed slot must not perturb its neighbours.
 TEST(BatchHotpath, FailSoftSkipParity) {
   const std::vector<stats::VariationSource> sources(2);
   auto value_of = [](const Vector& w) { return 3.0 * w[0] - 0.5 * w[1]; };
   auto fails = [](const Vector& w) { return w[0] > 0.4; };
 
-  const stats::LanedPerformanceFn f = [&](const Vector& w, std::size_t) {
+  const stats::PerformanceFn f = [&](const Vector& w) {
     if (fails(w)) {
       throw sim::SimulationError(sim::FailureKind::kNewtonNonConvergence,
                                  "synthetic divergence");
@@ -728,12 +815,13 @@ TEST(BatchHotpath, FailSoftSkipParity) {
   opt.exec.on_failure = stats::FailurePolicy::kSkip;
 
   opt.exec.batch = 1;
-  const auto ref = stats::Runner(opt).run_monte_carlo(f, fb, sources);
+  const auto ref = stats::Runner(opt).run_monte_carlo(stats::per_sample(f),
+                                                      sources);
   ASSERT_GT(ref.failures.failed(), 0u);
   ASSERT_GT(ref.failures.survived, 0u);
 
   opt.exec.batch = 8;
-  const auto got = stats::Runner(opt).run_monte_carlo(f, fb, sources);
+  const auto got = stats::Runner(opt).run_monte_carlo(fb, sources);
   EXPECT_EQ(got.values, ref.values);
   EXPECT_EQ(got.failures.attempted, ref.failures.attempted);
   EXPECT_EQ(got.failures.survived, ref.failures.survived);
@@ -746,9 +834,12 @@ TEST(BatchHotpath, FailSoftSkipParity) {
   }
 
   // Under kAbort the first failed slot surfaces as the classified
-  // exception, exactly like the scalar path.
+  // exception, whichever function filled it.
   opt.exec.on_failure = stats::FailurePolicy::kAbort;
-  EXPECT_THROW(stats::Runner(opt).run_monte_carlo(f, fb, sources),
+  EXPECT_THROW(stats::Runner(opt).run_monte_carlo(fb, sources),
+               sim::SimulationError);
+  EXPECT_THROW(stats::Runner(opt).run_monte_carlo(stats::per_sample(f),
+                                                  sources),
                sim::SimulationError);
 }
 
@@ -826,39 +917,82 @@ TEST(BatchHotpath, NumericKernelsMatchScalarBitwise) {
   }
 }
 
-// --batch plumbing: strict parsing and classified errors; an unset
-// exec.batch means kDefaultBatch.
-TEST(BatchHotpath, BatchParsingAndDefaultResolution) {
-  EXPECT_EQ(stats::parse_batch("8", "--batch"), 8u);
-  EXPECT_EQ(stats::parse_batch("1", "--batch"), 1u);
-  for (const char* bad : {"0", "-3", "0x8", "4q", "", "+2", "3.5"}) {
-    try {
-      stats::parse_batch(bad, "--batch");
-      FAIL() << "parse_batch accepted `" << bad << "`";
-    } catch (const sim::SimulationError& e) {
-      EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput) << bad;
+// The path's importance-sampled yield runs its surrogate probes and both
+// phases in blocks through the walk. A channel-length sigma of 10 makes
+// samples of both phases fail on a non-positive effective length; under
+// kSkip every output -- values, weights, the estimate and both failure
+// summaries -- must be bitwise the same for every batch width and thread
+// count.
+TEST(BatchHotpath, YieldImportanceBatchAndThreadInvariant) {
+  const auto nl = timing::generate_benchmark(timing::find_benchmark("s27"));
+  const PathAnalyzer pa(PathSpec::from_benchmark(
+      circuit::technology_180nm(), nl, timing::longest_path(nl), 10));
+  PathVariationModel model = small_model();
+  model.std_wire_h = 0.33;
+  model.std_dl = 10.0;
+  const auto ga = pa.gradient_analysis(model);
+  const double t_clk =
+      stats::gaussian_period_for_yield(ga.nominal_delay, ga.stddev, 0.9987);
+
+  stats::RunOptions opt;
+  opt.samples = 16;
+  opt.seed = 3;
+  opt.exec.on_failure = stats::FailurePolicy::kSkip;
+  opt.importance.pilot_samples = 8;
+  const auto same_failures = [](const stats::FailureSummary& a,
+                                const stats::FailureSummary& b) {
+    if (a.attempted != b.attempted || a.survived != b.survived ||
+        a.counts != b.counts || a.failures.size() != b.failures.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < a.failures.size(); ++i) {
+      if (a.failures[i].index != b.failures[i].index ||
+          a.failures[i].kind != b.failures[i].kind ||
+          a.failures[i].detail != b.failures[i].detail) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  opt.exec.batch = 1;
+  opt.exec.threads = 1;
+  const auto ref = pa.yield_importance(model, t_clk, opt);
+  EXPECT_GT(ref.failures.failed(), 0u);
+  EXPECT_GT(ref.pilot_failures.failed(), 0u);
+  EXPECT_GT(ref.failures.survived, 0u);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3},
+                              std::size_t{8}}) {
+    for (const std::size_t t : {std::size_t{1}, std::size_t{4}}) {
+      opt.exec.batch = k;
+      opt.exec.threads = t;
+      const auto got = pa.yield_importance(model, t_clk, opt);
+      const std::string at =
+          "batch " + std::to_string(k) + " threads " + std::to_string(t);
+      EXPECT_EQ(got.values, ref.values) << at;
+      EXPECT_EQ(got.weights, ref.weights) << at;
+      EXPECT_EQ(got.surrogate.shift, ref.surrogate.shift) << at;
+      EXPECT_EQ(got.yield_loss, ref.yield_loss) << at;
+      EXPECT_EQ(got.std_error, ref.std_error) << at;
+      EXPECT_EQ(got.ess, ref.ess) << at;
+      EXPECT_TRUE(same_failures(got.failures, ref.failures)) << at;
+      EXPECT_TRUE(same_failures(got.pilot_failures, ref.pilot_failures))
+          << at;
     }
   }
+}
 
-  // 2K + 1 samples at exec.batch = 0: two blocks of K, one remainder.
+// An unset exec.batch means kDefaultBatch: 2K + 1 samples run as two
+// blocks of K and one partial block of 1.
+TEST(BatchHotpath, DefaultBatchResolution) {
   stats::RunOptions opt;
   opt.samples = 2 * stats::kDefaultBatch + 1;
   opt.exec.threads = 1;
   const std::vector<stats::VariationSource> sources(2);
-  const stats::LanedPerformanceFn f = [](const Vector& w, std::size_t) {
-    return w[0] + w[1];
-  };
   std::vector<std::size_t> widths;
-  const stats::BatchPerformanceFn fb =
-      [&](const std::vector<Vector>& w, std::size_t lane,
-          std::vector<stats::BatchSlot>& out) {
-        widths.push_back(w.size());
-        for (std::size_t b = 0; b < w.size(); ++b) {
-          out[b].value = f(w[b], lane);
-        }
-      };
-  (void)stats::Runner(opt).run_monte_carlo(f, fb, sources);
-  EXPECT_EQ(widths, std::vector<std::size_t>(2, stats::kDefaultBatch));
+  (void)stats::Runner(opt).run_monte_carlo(width_recorder(widths), sources);
+  EXPECT_EQ(widths, (std::vector<std::size_t>{stats::kDefaultBatch,
+                                              stats::kDefaultBatch, 1}));
 }
 
 }  // namespace

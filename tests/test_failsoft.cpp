@@ -308,7 +308,8 @@ TEST(FailSoft, MonteCarloAbortPolicyRethrows) {
   opt.samples = 200;
   opt.seed = 7;
   opt.exec.threads = 1;
-  EXPECT_THROW(stats::Runner(opt).run_monte_carlo(flaky_metric, {{}}),
+  EXPECT_THROW(stats::Runner(opt).run_monte_carlo(
+                   stats::per_sample(flaky_metric), {{}}),
                sim::SimulationError);
 }
 
@@ -318,7 +319,8 @@ TEST(FailSoft, MonteCarloSkipPolicyComputesSurvivorStats) {
   opt.seed = 7;
   opt.exec.threads = 1;
   opt.exec.on_failure = stats::FailurePolicy::kSkip;
-  const auto res = stats::Runner(opt).run_monte_carlo(flaky_metric, {{}});
+  const auto res = stats::Runner(opt).run_monte_carlo(
+      stats::per_sample(flaky_metric), {{}});
 
   EXPECT_EQ(res.failures.attempted, 200u);
   EXPECT_TRUE(res.failures.any());
@@ -351,7 +353,8 @@ TEST(FailSoft, MonteCarloFailureSummaryIsThreadCountInvariant) {
   auto run = [&](std::size_t threads) {
     auto o = base;
     o.exec.threads = threads;
-    return stats::Runner(o).run_monte_carlo(flaky_metric, {{}});
+    return stats::Runner(o).run_monte_carlo(stats::per_sample(flaky_metric),
+                                            {{}});
   };
   const auto serial = run(1);
   ASSERT_TRUE(serial.failures.any()) << "fixture stopped injecting failures";
@@ -387,7 +390,8 @@ TEST(FailSoft, MonteCarloSkipStillPropagatesLogicErrors) {
   const stats::PerformanceFn misuse = [](const Vector&) -> double {
     throw std::logic_error("bad call");
   };
-  EXPECT_THROW(stats::Runner(opt).run_monte_carlo(misuse, {{}}),
+  EXPECT_THROW(stats::Runner(opt).run_monte_carlo(stats::per_sample(misuse),
+                                                  {{}}),
                std::logic_error);
 }
 
@@ -401,7 +405,9 @@ TEST(FailSoft, YieldOfFullyFailedRunIsZeroNotAThrow) {
     d.kind = sim::FailureKind::kNewtonNonConvergence;
     throw sim::SimulationError(d);
   };
-  const auto est = stats::Runner(opt).run_yield(dead, {{}}, 1e-9);
+  const stats::McYieldEstimate est(
+      stats::Runner(opt).run_monte_carlo(stats::per_sample(dead), {{}}),
+      1e-9);
   EXPECT_EQ(est.yield, 0.0);
   EXPECT_EQ(est.std_error, 0.0);
   EXPECT_EQ(est.samples().failures.failed(), 16u);
@@ -425,7 +431,8 @@ TEST(FailSoft, GradientAnalysisSkipsFailedProbes) {
   stats::RunOptions opt;
   opt.exec.threads = 1;
   opt.exec.on_failure = stats::FailurePolicy::kSkip;
-  const auto res = stats::Runner(opt).run_gradients(f, sources);
+  const auto res =
+      stats::Runner(opt).run_gradients(stats::per_sample(f), sources);
   EXPECT_NEAR(res.gradient[0], 2.0, 1e-9);
   EXPECT_EQ(res.gradient[1], 0.0);  // dead probe excluded
   EXPECT_NEAR(res.stddev, 2.0, 1e-9);  // RSS over surviving sources only
@@ -443,7 +450,7 @@ TEST(FailSoft, GradientAnalysisFailedNominalAlwaysRethrows) {
   stats::RunOptions opt;
   opt.exec.threads = 1;
   opt.exec.on_failure = stats::FailurePolicy::kSkip;
-  EXPECT_THROW(stats::Runner(opt).run_gradients(dead, {{}}),
+  EXPECT_THROW(stats::Runner(opt).run_gradients(stats::per_sample(dead), {{}}),
                sim::SimulationError);
 }
 

@@ -174,7 +174,7 @@ TEST(ObsDriver, MonteCarloMetricsBitwiseInvariantAcrossThreads) {
     opt.exec.threads = threads;
     opt.registry = &reg;
     stats::Runner runner(opt);
-    const auto res = runner.run_monte_carlo(f, src);
+    const auto res = runner.run_monte_carlo(stats::per_sample(f), src);
     EXPECT_EQ(res.values.size(), 257u);
     return reg.to_json(false);
   };
@@ -196,7 +196,7 @@ TEST(ObsDriver, AmbientRegistryIsInheritedByRunner) {
   stats::RunOptions opt;
   opt.samples = 16;
   opt.exec.threads = 2;
-  stats::Runner(opt).run_monte_carlo(f, src);
+  stats::Runner(opt).run_monte_carlo(stats::per_sample(f), src);
   EXPECT_EQ(reg.snapshot().counters.at("stats.mc.samples"), 16u);
 }
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -166,7 +167,7 @@ TEST(MonteCarlo, LinearFunctionStatistics) {
   auto f = [](const Vector& w) { return 10.0 + 2 * w[0] + 3 * w[1]; };
   RunOptions opt;
   opt.samples = 2000;
-  auto res = Runner(opt).run_monte_carlo(f, src);
+  auto res = Runner(opt).run_monte_carlo(per_sample(f), src);
   EXPECT_EQ(res.values.size(), 2000u);
   EXPECT_NEAR(res.stats.mean(), 10.0, 0.1);
   EXPECT_NEAR(res.stats.stddev(), std::sqrt(13.0), 0.15);
@@ -180,8 +181,8 @@ TEST(MonteCarlo, UniformSourcesAndReproducibility) {
   RunOptions opt;
   opt.samples = 500;
   opt.seed = 99;
-  auto r1 = Runner(opt).run_monte_carlo(f, src);
-  auto r2 = Runner(opt).run_monte_carlo(f, src);
+  auto r1 = Runner(opt).run_monte_carlo(per_sample(f), src);
+  auto r2 = Runner(opt).run_monte_carlo(per_sample(f), src);
   EXPECT_EQ(r1.values, r2.values);
   EXPECT_NEAR(r1.stats.mean(), 0.0, 0.02);
   // Uniform(-a,a) sigma = a/sqrt(3).
@@ -237,10 +238,10 @@ TEST(MonteCarlo, BitwiseIdenticalAcrossThreadCounts) {
     opt.latin_hypercube = lhs;
 
     opt.exec.threads = 1;
-    const auto serial = Runner(opt).run_monte_carlo(f, src);
+    const auto serial = Runner(opt).run_monte_carlo(per_sample(f), src);
     for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
       opt.exec.threads = threads;
-      const auto par = Runner(opt).run_monte_carlo(f, src);
+      const auto par = Runner(opt).run_monte_carlo(per_sample(f), src);
       // Element-wise bitwise equality: values AND the sampled w vectors.
       EXPECT_EQ(serial.values, par.values) << "lhs=" << lhs;
       ASSERT_EQ(serial.samples.size(), par.samples.size());
@@ -269,7 +270,7 @@ TEST(MonteCarlo, LatinHypercubeStillStratifiesInParallel) {
   opt.seed = 17;
   opt.exec.threads = 8;
   auto id0 = [](const Vector& w) { return w[0]; };
-  const auto res = Runner(opt).run_monte_carlo(id0, src);
+  const auto res = Runner(opt).run_monte_carlo(per_sample(id0), src);
   for (std::size_t d = 0; d < 2; ++d) {
     std::vector<bool> stratum(opt.samples, false);
     for (const auto& w : res.samples) {
@@ -289,13 +290,13 @@ TEST(MonteCarlo, SingleSampleLatinHypercubeIsWellDefined) {
   opt.samples = 1;
   opt.latin_hypercube = true;
   auto f = [](const Vector& w) { return w[0] + w[1]; };
-  const auto res = Runner(opt).run_monte_carlo(f, src);
+  const auto res = Runner(opt).run_monte_carlo(per_sample(f), src);
   EXPECT_EQ(res.values.size(), 1u);
   EXPECT_TRUE(std::isfinite(res.values[0]));
 
   // ...and it equals the plain draw from the same per-sample stream.
   opt.latin_hypercube = false;
-  const auto plain = Runner(opt).run_monte_carlo(f, src);
+  const auto plain = Runner(opt).run_monte_carlo(per_sample(f), src);
   EXPECT_EQ(res.values, plain.values);
 }
 
@@ -303,7 +304,7 @@ TEST(MonteCarlo, ErrorsNameTheOffendingOption) {
   auto f = [](const Vector&) { return 0.0; };
   RunOptions opt;
   try {
-    Runner(opt).run_monte_carlo(f, {});
+    Runner(opt).run_monte_carlo(per_sample(f), {});
     FAIL() << "expected SimulationError(kInvalidInput)";
   } catch (const sim::SimulationError& e) {
     EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput);
@@ -313,7 +314,7 @@ TEST(MonteCarlo, ErrorsNameTheOffendingOption) {
   std::vector<VariationSource> src(1);
   opt.samples = 0;
   try {
-    Runner(opt).run_monte_carlo(f, src);
+    Runner(opt).run_monte_carlo(per_sample(f), src);
     FAIL() << "expected SimulationError(kInvalidInput)";
   } catch (const sim::SimulationError& e) {
     EXPECT_NE(std::string(e.what()).find("samples"), std::string::npos)
@@ -330,7 +331,8 @@ TEST(MonteCarlo, WorkerExceptionPropagates) {
     if (w[0] > -10.0) throw std::runtime_error("engine diverged");
     return 0.0;
   };
-  EXPECT_THROW(Runner(opt).run_monte_carlo(f, src), std::runtime_error);
+  EXPECT_THROW(Runner(opt).run_monte_carlo(per_sample(f), src),
+               std::runtime_error);
 }
 
 TEST(GradientAnalysis, ThreadCountInvariant) {
@@ -347,9 +349,9 @@ TEST(GradientAnalysis, ThreadCountInvariant) {
   };
   RunOptions opt;
   opt.exec.threads = 1;
-  const auto serial = Runner(opt).run_gradients(f, src);
+  const auto serial = Runner(opt).run_gradients(per_sample(f), src);
   opt.exec.threads = 8;
-  const auto par = Runner(opt).run_gradients(f, src);
+  const auto par = Runner(opt).run_gradients(per_sample(f), src);
   EXPECT_EQ(serial.nominal, par.nominal);
   EXPECT_EQ(serial.stddev, par.stddev);
   EXPECT_EQ(serial.evaluations, par.evaluations);
@@ -364,7 +366,7 @@ TEST(GradientAnalysis, ExactOnLinearFunctions) {
   src[1].sigma = 2.0;
   src[2].sigma = 0.5;
   auto f = [](const Vector& w) { return 5.0 + w[0] - 4 * w[1] + 2 * w[2]; };
-  auto res = Runner().run_gradients(f, src);
+  auto res = Runner().run_gradients(per_sample(f), src);
   EXPECT_DOUBLE_EQ(res.nominal, 5.0);
   EXPECT_NEAR(res.gradient[0], 1.0, 1e-9);
   EXPECT_NEAR(res.gradient[1], -4.0, 1e-9);
@@ -381,11 +383,33 @@ TEST(GradientAnalysis, AgreesWithMonteCarloOnMildNonlinearity) {
   auto f = [](const Vector& w) {
     return std::exp(0.5 * w[0]) + 2.0 * w[1] + 0.1 * w[0] * w[1];
   };
-  auto ga = Runner().run_gradients(f, src);
+  auto ga = Runner().run_gradients(per_sample(f), src);
   RunOptions opt;
   opt.samples = 4000;
-  auto mc = Runner(opt).run_monte_carlo(f, src);
+  auto mc = Runner(opt).run_monte_carlo(per_sample(f), src);
   EXPECT_NEAR(ga.stddev, mc.stats.stddev(), 0.01);
+}
+
+TEST(GradientAnalysis, InvalidStepThrows) {
+  std::vector<VariationSource> src(2);
+  std::size_t calls = 0;
+  const BatchPerformanceFn f = [&](const std::vector<Vector>& w,
+                                   std::size_t, std::vector<BatchSlot>& out) {
+    calls += w.size();
+    for (BatchSlot& slot : out) slot.value = 1.0;
+  };
+  for (const double step : {0.0, -1.0, std::nan(""),
+                            std::numeric_limits<double>::infinity()}) {
+    RunOptions opt;
+    opt.step_fraction = step;
+    try {
+      (void)Runner(opt).run_gradients(f, src);
+      ADD_FAILURE() << "step " << step << " accepted";
+    } catch (const sim::SimulationError& e) {
+      EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput) << step;
+    }
+  }
+  EXPECT_EQ(calls, 0u);  // rejected before any evaluation
 }
 
 TEST(GradientAnalysis, UniformSourceVariance) {
@@ -393,7 +417,7 @@ TEST(GradientAnalysis, UniformSourceVariance) {
   src[0].kind = VariationSource::Kind::kUniform;
   src[0].sigma = 0.3;
   auto f = [](const Vector& w) { return 7.0 * w[0]; };
-  auto res = Runner().run_gradients(f, src);
+  auto res = Runner().run_gradients(per_sample(f), src);
   EXPECT_NEAR(res.stddev, 7.0 * 0.3 / std::sqrt(3.0), 1e-9);
 }
 

@@ -95,13 +95,13 @@ TEST(TsanStress, ParallelMonteCarloMatchesSerialBitwise) {
   // the serial one even while TSan perturbs every interleaving.
   const std::vector<stats::VariationSource> sources(
       3, stats::VariationSource{});
-  auto metric = [](const numeric::Vector& w) {
+  const auto metric = stats::per_sample([](const numeric::Vector& w) {
     double acc = 0.0;
     for (std::size_t i = 0; i < w.size(); ++i) {
       acc += std::sin(w[i]) * static_cast<double>(i + 1);
     }
     return acc;
-  };
+  });
   stats::RunOptions serial;
   serial.samples = 500;
   serial.seed = 11;
@@ -124,12 +124,12 @@ TEST(TsanStress, FailSoftSkipUnderContention) {
   // invariant.
   const std::vector<stats::VariationSource> sources(
       2, stats::VariationSource{});
-  auto flaky = [](const numeric::Vector& w) {
+  const auto flaky = stats::per_sample([](const numeric::Vector& w) {
     if (w[0] > 0.0) {
       throw sim::SimulationError(sim::FailureKind::kBlowUp, "stress");
     }
     return w[1];
-  };
+  });
   stats::RunOptions serial;
   serial.samples = 400;
   serial.seed = 5;
@@ -150,11 +150,11 @@ TEST(TsanStress, FailSoftSkipUnderContention) {
 TEST(TsanStress, GradientAnalysisParallelProbes) {
   const std::vector<stats::VariationSource> sources(
       6, stats::VariationSource{});
-  auto metric = [](const numeric::Vector& w) {
+  const auto metric = stats::per_sample([](const numeric::Vector& w) {
     double acc = 1.0;
     for (std::size_t i = 0; i < w.size(); ++i) acc += w[i] * w[i];
     return acc;
-  };
+  });
   stats::RunOptions serial;
   serial.exec.threads = 1;
   const auto base = stats::Runner(serial).run_gradients(metric, sources);

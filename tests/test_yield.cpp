@@ -76,14 +76,16 @@ TEST(Yield, MonteCarloYieldEstimatorIsThreadCountInvariant) {
   opt.seed = 31;
 
   opt.exec.threads = 1;
-  const auto serial = Runner(opt).run_yield(f, src, 1.0);
+  const McYieldEstimate serial(Runner(opt).run_monte_carlo(per_sample(f), src),
+                               1.0);
   EXPECT_NEAR(serial.yield, 0.8413, 0.03);
   EXPECT_NEAR(serial.std_error,
               std::sqrt(serial.yield * (1.0 - serial.yield) / 2000.0),
               1e-12);
 
   opt.exec.threads = 8;
-  const auto par = Runner(opt).run_yield(f, src, 1.0);
+  const McYieldEstimate par(Runner(opt).run_monte_carlo(per_sample(f), src),
+                            1.0);
   EXPECT_EQ(serial.yield, par.yield);
   EXPECT_EQ(serial.samples().values, par.samples().values);
 }

@@ -56,7 +56,7 @@ TEST(YieldIs, BitwiseThreadInvariance) {
       opt.importance.pilot_samples = variant == 1 ? 100 : 0;
       opt.importance.mixture_nominal = variant == 1 ? 0.1 : 0.0;
       const auto est = Runner(opt).run_yield_is(
-          [](const Vector& w) { return linear_delay(w); }, src, T);
+          per_sample(linear_delay), src, T);
       if (threads == 1) {
         ref = est;
         continue;
@@ -85,7 +85,7 @@ TEST(YieldIs, ObsCountersMergeDeterministically) {
     opt.importance.pilot_samples = 60;
     opt.registry = &reg;
     (void)Runner(opt).run_yield_is(
-        [](const Vector& w) { return linear_delay(w); }, src, 106.0);
+        per_sample(linear_delay), src, 106.0);
     return reg.to_json(false);  // excludes wall-clock metrics
   };
   const std::string serial = run(1);
@@ -104,7 +104,7 @@ TEST(YieldIs, AgreesWithExactTailAndBeatsMcVariance) {
   const double exact = normal_cdf(-(T - 100.0) / std::sqrt(4.0));
   RunOptions opt = base_options(2000);
   const auto est = Runner(opt).run_yield_is(
-      [](const Vector& w) { return linear_delay(w); }, src, T);
+      per_sample(linear_delay), src, T);
   // Within 4 standard errors of the exact tail probability.
   EXPECT_GT(est.std_error, 0.0);
   EXPECT_NEAR(est.yield_loss, exact, 4.0 * est.std_error);
@@ -125,7 +125,7 @@ TEST(YieldIs, ZeroShiftScaleDegeneratesToPlainMcWeights) {
   RunOptions opt = base_options(500);
   opt.importance.shift_scale = 0.0;
   const auto est = Runner(opt).run_yield_is(
-      [](const Vector& w) { return linear_delay(w); }, src, 104.0);
+      per_sample(linear_delay), src, 104.0);
   ASSERT_FALSE(est.weights.empty());
   for (const double w : est.weights) {
     EXPECT_EQ(w, 1.0);  // exactly, not approximately
@@ -137,7 +137,7 @@ TEST(YieldIs, NegativeMarginDegeneratesToPlainMc) {
   // Nominal already fails the clock: margin <= 0, no shift is derived.
   const auto src = normal_sources(3);
   const auto est = Runner(base_options(300)).run_yield_is(
-      [](const Vector& w) { return linear_delay(w); }, src, 90.0);
+      per_sample(linear_delay), src, 90.0);
   for (const double w : est.weights) EXPECT_EQ(w, 1.0);
   EXPECT_NEAR(est.yield_loss, 1.0, 0.05);  // essentially always failing
 }
@@ -149,7 +149,7 @@ TEST(YieldIs, PilotRefinementStaysUnbiased) {
   RunOptions opt = base_options(2000);
   opt.importance.pilot_samples = 300;
   const auto est = Runner(opt).run_yield_is(
-      [](const Vector& w) { return linear_delay(w); }, src, T);
+      per_sample(linear_delay), src, T);
   EXPECT_EQ(est.pilot_used, 300u);
   EXPECT_NEAR(est.yield_loss, exact, 4.0 * est.std_error);
 }
@@ -165,9 +165,9 @@ TEST(YieldIs, ControlVariateReducesVarianceOnMildNonlinearity) {
     return d;
   };
   RunOptions opt = base_options(2000);
-  const auto plain = Runner(opt).run_yield_is(f, src, T);
+  const auto plain = Runner(opt).run_yield_is(per_sample(f), src, T);
   opt.importance.control_variate = true;
-  const auto cv = Runner(opt).run_yield_is(f, src, T);
+  const auto cv = Runner(opt).run_yield_is(per_sample(f), src, T);
   EXPECT_TRUE(cv.control_variate_used);
   EXPECT_NEAR(cv.control_expectation, normal_cdf(-cv.surrogate.beta),
               1e-12);
@@ -184,7 +184,7 @@ TEST(YieldIs, ControlVariateRejectsUniformSources) {
   opt.importance.control_variate = true;
   try {
     (void)Runner(opt).run_yield_is(
-        [](const Vector& w) { return linear_delay(w); }, src, 103.0);
+        per_sample(linear_delay), src, 103.0);
     FAIL() << "expected kInvalidInput";
   } catch (const sim::SimulationError& e) {
     EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput);
@@ -195,7 +195,7 @@ TEST(YieldIs, UniformSourcesAreNeverShifted) {
   auto src = normal_sources(3);
   src[2].kind = VariationSource::Kind::kUniform;
   const auto est = Runner(base_options(500)).run_yield_is(
-      [](const Vector& w) { return linear_delay(w); }, src, 104.0);
+      per_sample(linear_delay), src, 104.0);
   EXPECT_EQ(est.surrogate.shift[2], 0.0);
   EXPECT_GT(std::abs(est.surrogate.shift[0]), 0.0);
 }
@@ -213,8 +213,8 @@ TEST(YieldIs, FailSoftSkipsMatchMcDiscipline) {
   RunOptions opt = base_options(400, 4);
   opt.exec.on_failure = FailurePolicy::kSkip;
   opt.importance.shift_scale = 0.0;  // sample the nominal distribution
-  const auto is = Runner(opt).run_yield_is(f, src, 104.0);
-  const auto mc = Runner(opt).run_monte_carlo(f, src);
+  const auto is = Runner(opt).run_yield_is(per_sample(f), src, 104.0);
+  const auto mc = Runner(opt).run_monte_carlo(per_sample(f), src);
   // Identical zero-shift streams would diverge identically -- but the IS
   // engine draws from its own stream family, so compare the *policy*:
   // attempted bookkeeping, classified kinds, and survivor counts add up.
@@ -228,7 +228,7 @@ TEST(YieldIs, FailSoftSkipsMatchMcDiscipline) {
   EXPECT_EQ(is.values.size(), is.failures.survived);
   // Thread invariance holds for the failure set too.
   opt.exec.threads = 1;
-  const auto serial = Runner(opt).run_yield_is(f, src, 104.0);
+  const auto serial = Runner(opt).run_yield_is(per_sample(f), src, 104.0);
   ASSERT_EQ(serial.failures.failures.size(), is.failures.failures.size());
   for (std::size_t i = 0; i < serial.failures.failures.size(); ++i) {
     EXPECT_EQ(serial.failures.failures[i].index,
@@ -247,13 +247,13 @@ TEST(YieldIs, AllSamplesFailedConvention) {
   opt.importance.shift_scale = 0.0;
   // run_gradients' nominal is evaluated fail-soft per-probe; an
   // always-throwing f still rethrows out of the nominal evaluation.
-  EXPECT_THROW((void)Runner(opt).run_yield_is(f, src, 1.0),
+  EXPECT_THROW((void)Runner(opt).run_yield_is(per_sample(f), src, 1.0),
                sim::SimulationError);
 }
 
 TEST(YieldIs, InvalidInputsThrow) {
   const auto src = normal_sources(2);
-  auto f = [](const Vector& w) { return linear_delay(w); };
+  auto f = per_sample(linear_delay);
   {
     RunOptions opt = base_options(0);
     EXPECT_THROW((void)Runner(opt).run_yield_is(f, src, 1.0),
@@ -264,11 +264,12 @@ TEST(YieldIs, InvalidInputsThrow) {
     EXPECT_THROW((void)Runner(opt).run_yield_is(f, {}, 1.0),
                  sim::SimulationError);
   }
-  {
+  for (const double lambda : {1.0, -0.1, std::nan("")}) {
     RunOptions opt = base_options(10);
-    opt.importance.mixture_nominal = 1.0;
+    opt.importance.mixture_nominal = lambda;
     EXPECT_THROW((void)Runner(opt).run_yield_is(f, src, 1.0),
-                 sim::SimulationError);
+                 sim::SimulationError)
+        << lambda;
   }
   {
     RunOptions opt = base_options(10);
@@ -287,6 +288,8 @@ TEST(MixtureLikelihoodRatio, KnownValues) {
   EXPECT_NEAR(mixture_likelihood_ratio(-700.0, 0.25), 4.0, 1e-12);
   EXPECT_THROW(mixture_likelihood_ratio(0.0, 1.0), sim::SimulationError);
   EXPECT_THROW(mixture_likelihood_ratio(0.0, -0.1), sim::SimulationError);
+  EXPECT_THROW(mixture_likelihood_ratio(0.0, std::nan("")),
+               sim::SimulationError);
 }
 
 }  // namespace

@@ -139,9 +139,9 @@ echo "==== stage: obs ===="
 # engine counters populated, and the deterministic projection must be
 # bitwise identical across thread counts (docs/observability.md). The
 # batched Monte-Carlo runs use --samples 11 --batch 4 so the dispatch
-# has both full blocks and a scalar remainder (2 batches + 3 singleton
-# samples), and must stay deterministic across 1/2/8 worker threads at
-# that fixed batch width (docs/performance.md). The --rho runs put the
+# has both full blocks and a partial one (two blocks of 4, one of 3),
+# and must stay deterministic across 1/2/8 worker threads at that fixed
+# batch width (docs/performance.md). The --rho runs put the
 # spatially-correlated PCA sampler (PathAnalyzer::monte_carlo_correlated)
 # through the same batch dispatch at 1 and 8 threads. The s208 runs pin
 # the PACT characterization-reuse counters (one eigensolve per distinct

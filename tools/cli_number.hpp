@@ -1,7 +1,7 @@
-// Strict numeric flag values for the CLI tools, in the style of
-// stats::parse_batch: the whole string must be consumed, unsigned values
-// take no sign (so "-1" is an error, not a wrapped 2^64 - 1), and a value
-// outside the flag's range is rejected. A failed parse returns
+// Strict numeric flag values for the CLI tools: the whole string must be
+// consumed, unsigned values take no sign or leading space (so "-1" is an
+// error, not a wrapped 2^64 - 1), and a value outside the flag's range,
+// overflow included, is rejected. A failed parse returns
 // std::nullopt; each tool answers it with a diagnostic, usage and exit
 // status 1 instead of dying on an uncaught std::stoul exception.
 #pragma once

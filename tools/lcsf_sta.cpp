@@ -46,11 +46,11 @@
 // count for the Monte-Carlo sweep; results are bitwise identical for any
 // value (see docs/monte_carlo.md). 0 = auto-detect.
 //
-// --batch sets the lockstep sample-block width of the batched
-// Monte-Carlo hot path (docs/performance.md; default 8): full blocks of n
-// samples run through the SoA TETA engine, a scalar remainder loop covers
-// the rest. Results are bitwise identical for every value (1 = force the
-// scalar path); an invalid value is a classified error (exit 1).
+// --batch sets the lockstep sample-block width of the path's Monte-Carlo
+// and importance-sampling runs (docs/performance.md; default 8, at most
+// 64): samples run through the SoA TETA engine in blocks of n, the last
+// block holding the remainder. Results are bitwise identical for every
+// value; a value outside 1..64 exits 1 with usage.
 //
 // --on-failure picks the fail-soft policy (docs/robustness.md): abort
 // rethrows the first divergent sample (default), skip records and
@@ -145,10 +145,11 @@ int main(int argc, char** argv) {
       if (++i >= argc) usage();
       return argv[i];
     };
-    auto next_size = [&]() -> std::size_t {
+    auto next_size =
+        [&](std::size_t min = 0,
+            std::size_t max = std::numeric_limits<std::size_t>::max()) {
       const std::string text = next();
-      const auto v = tools::parse_unsigned(
-          text, 0, std::numeric_limits<std::size_t>::max());
+      const auto v = tools::parse_unsigned(text, min, max);
       if (!v) bad_value(arg, text);
       return static_cast<std::size_t>(*v);
     };
@@ -181,11 +182,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       threads = next_size();
     } else if (arg == "--batch") {
-      try {
-        batch = stats::parse_batch(next(), "--batch");
-      } catch (const sim::SimulationError& e) {
-        return classified_failure(e);
-      }
+      batch = next_size(1, stats::kMaxBatch);
     } else if (arg == "--yield-estimator") {
       yield_estimator = next();
     } else if (arg == "--clock-period") {
