@@ -221,36 +221,21 @@ int main(int argc, char** argv) {
               batched_speedup);
   std::printf("bitwise identical  : %s\n", identical ? "yes" : "NO");
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_hotpath: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"hotpath\",\n"
-               "  \"quick\": %s,\n"
-               "  \"config\": {\n"
-               "    \"wire_segments\": %zu,\n"
-               "    \"samples\": %zu,\n"
-               "    \"dt\": %g,\n"
-               "    \"transient_steps\": %zu,\n"
-               "    \"batch\": %zu\n"
-               "  },\n"
-               "  \"metrics\": {\n"
-               "    \"pooled_ms_per_sample\": %.6f,\n"
-               "    \"pooled_samples_per_sec\": %.6f,\n"
-               "    \"batched_ms_per_sample\": %.6f,\n"
-               "    \"batched_samples_per_sec\": %.6f,\n"
-               "    \"batched_speedup_vs_pooled\": %.6f\n"
-               "  },\n"
-               "  \"bitwise_identical\": %s\n"
-               "}\n",
-               quick ? "true" : "false", segments, nsamples, opt.dt, nsteps,
-               kbatch, 1e3 * t_pooled / n, rate_pooled, 1e3 * t_batched / n,
-               rate_batched, batched_speedup, identical ? "true" : "false");
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  const auto report = bench::json_object(
+      {{"bench", "hotpath"},
+       {"quick", quick},
+       {"config", bench::json_object({{"wire_segments", segments},
+                                      {"samples", nsamples},
+                                      {"dt", opt.dt},
+                                      {"transient_steps", nsteps},
+                                      {"batch", kbatch}})},
+       {"metrics",
+        bench::json_object({{"pooled_ms_per_sample", 1e3 * t_pooled / n},
+                            {"pooled_samples_per_sec", rate_pooled},
+                            {"batched_ms_per_sample", 1e3 * t_batched / n},
+                            {"batched_samples_per_sec", rate_batched},
+                            {"batched_speedup_vs_pooled", batched_speedup}})},
+       {"bitwise_identical", identical}});
+  if (!bench::write_json(out_path, report)) return 1;
   return identical ? 0 : 1;
 }

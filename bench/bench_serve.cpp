@@ -215,37 +215,22 @@ int main(int argc, char** argv) {
   std::printf("latency p50/p95  : %.3f / %.3f ms\n", p50, p95);
   std::printf("bitwise identical: %s\n", bitwise_identical ? "yes" : "NO");
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"serve\",\n"
-               "  \"quick\": %s,\n"
-               "  \"config\": {\n"
-               "    \"circuit\": \"%s\",\n"
-               "    \"clients\": %zu,\n"
-               "    \"requests_per_client\": %zu,\n"
-               "    \"mc_samples\": %zu,\n"
-               "    \"workers\": %zu\n"
-               "  },\n"
-               "  \"metrics\": {\n"
-               "    \"cold_load_ms\": %.6f,\n"
-               "    \"warm_load_ms\": %.6f,\n"
-               "    \"warm_speedup\": %.6f,\n"
-               "    \"requests_per_sec\": %.6f,\n"
-               "    \"latency_p50_ms\": %.6f,\n"
-               "    \"latency_p95_ms\": %.6f\n"
-               "  },\n"
-               "  \"bitwise_identical\": %s\n"
-               "}\n",
-               quick ? "true" : "false", circuit.c_str(), clients,
-               requests_per_client, mc_samples, sopt.workers, cold_load_ms,
-               warm_load_ms, warm_speedup, rps, p50, p95,
-               bitwise_identical ? "true" : "false");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path.c_str());
+  const auto report = bench::json_object(
+      {{"bench", "serve"},
+       {"quick", quick},
+       {"config", bench::json_object({{"circuit", circuit},
+                                      {"clients", clients},
+                                      {"requests_per_client",
+                                       requests_per_client},
+                                      {"mc_samples", mc_samples},
+                                      {"workers", sopt.workers}})},
+       {"metrics", bench::json_object({{"cold_load_ms", cold_load_ms},
+                                       {"warm_load_ms", warm_load_ms},
+                                       {"warm_speedup", warm_speedup},
+                                       {"requests_per_sec", rps},
+                                       {"latency_p50_ms", p50},
+                                       {"latency_p95_ms", p95}})},
+       {"bitwise_identical", bitwise_identical}});
+  if (!bench::write_json(out_path, report)) return 1;
   return bitwise_identical ? 0 : 1;
 }

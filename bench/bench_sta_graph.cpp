@@ -131,41 +131,26 @@ int main(int argc, char** argv) {
   std::printf("max endpoint diff    : %.3f%% of delay\n",
               100.0 * max_rel_diff);
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_sta_graph: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"sta_graph\",\n"
-               "  \"quick\": %s,\n"
-               "  \"config\": {\n"
-               "    \"circuit\": \"%s\",\n"
-               "    \"top_k\": %zu,\n"
-               "    \"samples\": %zu,\n"
-               "    \"paths\": %zu,\n"
-               "    \"path_stages\": %zu,\n"
-               "    \"subgraph_gates\": %zu,\n"
-               "    \"blocks\": %zu\n"
-               "  },\n"
-               "  \"metrics\": {\n"
-               "    \"baseline_ms_per_sample\": %.6f,\n"
-               "    \"graph_ms_per_sample\": %.6f,\n"
-               "    \"stages_simulated_per_sample\": %.6f,\n"
-               "    \"stage_cache_hits_per_sample\": %.6f,\n"
-               "    \"speedup\": %.6f,\n"
-               "    \"max_endpoint_rel_diff\": %.6e\n"
-               "  }\n"
-               "}\n",
-               quick ? "true" : "false", circuit.c_str(), top_k, nsamples,
-               analyzer.paths().size(), path_stages,
-               analyzer.subgraph_gates().size(), analyzer.num_blocks(),
-               1e3 * t_base / n, 1e3 * t_graph / n,
-               static_cast<double>(sims) / n, static_cast<double>(hits) / n,
-               speedup, max_rel_diff);
-  std::fclose(f);
-  std::printf("wrote %s\n", out_path.c_str());
+  const auto report = bench::json_object(
+      {{"bench", "sta_graph"},
+       {"quick", quick},
+       {"config",
+        bench::json_object(
+            {{"circuit", circuit},
+             {"top_k", top_k},
+             {"samples", nsamples},
+             {"paths", analyzer.paths().size()},
+             {"path_stages", path_stages},
+             {"subgraph_gates", analyzer.subgraph_gates().size()},
+             {"blocks", analyzer.num_blocks()}})},
+       {"metrics",
+        bench::json_object(
+            {{"baseline_ms_per_sample", 1e3 * t_base / n},
+             {"graph_ms_per_sample", 1e3 * t_graph / n},
+             {"stages_simulated_per_sample", static_cast<double>(sims) / n},
+             {"stage_cache_hits_per_sample", static_cast<double>(hits) / n},
+             {"speedup", speedup},
+             {"max_endpoint_rel_diff", max_rel_diff}})}});
+  if (!bench::write_json(out_path, report)) return 1;
   return 0;
 }

@@ -141,42 +141,26 @@ int main(int argc, char** argv) {
   std::printf("serial rerun %s\n",
               identical ? "bitwise identical" : "DIFFERS");
 
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "bench_yield_is: cannot write %s\n",
-                 out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"bench\": \"yield_is\",\n"
-               "  \"quick\": %s,\n"
-               "  \"config\": {\n"
-               "    \"dims\": %zu,\n"
-               "    \"clock_period\": %.6f,\n"
-               "    \"mc_samples\": %zu,\n"
-               "    \"is_samples\": %zu\n"
-               "  },\n"
-               "  \"metrics\": {\n"
-               "    \"mc_yield_loss\": %.8e,\n"
-               "    \"is_yield_loss\": %.8e,\n"
-               "    \"is_std_error\": %.8e,\n"
-               "    \"cv_yield_loss\": %.8e,\n"
-               "    \"cv_std_error\": %.8e,\n"
-               "    \"ess\": %.4f,\n"
-               "    \"ess_speedup\": %.4f,\n"
-               "    \"cv_ess_speedup\": %.4f,\n"
-               "    \"is_within_mc_ci\": %d,\n"
-               "    \"mc_seconds\": %.6f,\n"
-               "    \"is_seconds\": %.6f\n"
-               "  },\n"
-               "  \"bitwise_identical\": %s\n"
-               "}\n",
-               quick ? "true" : "false", kDims, T, n_mc, n_is, p_mc,
-               is.yield_loss, is.std_error, cv.yield_loss, cv.std_error,
-               is.ess, ess_speedup, cv_speedup, within ? 1 : 0, mc_time,
-               is_time, identical ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  const auto report = bench::json_object(
+      {{"bench", "yield_is"},
+       {"quick", quick},
+       {"config", bench::json_object({{"dims", kDims},
+                                      {"clock_period", T},
+                                      {"mc_samples", n_mc},
+                                      {"is_samples", n_is}})},
+       {"metrics",
+        bench::json_object({{"mc_yield_loss", p_mc},
+                            {"is_yield_loss", is.yield_loss},
+                            {"is_std_error", is.std_error},
+                            {"cv_yield_loss", cv.yield_loss},
+                            {"cv_std_error", cv.std_error},
+                            {"ess", is.ess},
+                            {"ess_speedup", ess_speedup},
+                            {"cv_ess_speedup", cv_speedup},
+                            {"is_within_mc_ci", std::size_t{within}},
+                            {"mc_seconds", mc_time},
+                            {"is_seconds", is_time}})},
+       {"bitwise_identical", identical}});
+  if (!bench::write_json(out_path, report)) return 1;
   return (identical && within) ? 0 : 1;
 }

@@ -3,10 +3,12 @@
 #include <stdexcept>
 
 namespace lcsf::circuit {
+namespace {
 
+/// Symmetric two-terminal stamp; row i is node i+1 (ground skipped).
 void stamp_two_terminal(numeric::Matrix& m, NodeId a, NodeId b, double value) {
-  const std::size_t ia = MnaSystem::node_index(a);
-  const std::size_t ib = MnaSystem::node_index(b);
+  const auto ia = static_cast<std::size_t>(a - 1);
+  const auto ib = static_cast<std::size_t>(b - 1);
   if (a != kGround) m(ia, ia) += value;
   if (b != kGround) m(ib, ib) += value;
   if (a != kGround && b != kGround) {
@@ -15,62 +17,7 @@ void stamp_two_terminal(numeric::Matrix& m, NodeId a, NodeId b, double value) {
   }
 }
 
-MnaSystem build_mna(const Netlist& nl) {
-  MnaSystem sys;
-  sys.num_nodes = nl.node_count() - 1;
-  sys.num_vsrc = nl.vsources().size();
-  sys.num_inductors = nl.inductors().size();
-  const std::size_t dim = sys.dimension();
-  sys.g = numeric::Matrix(dim, dim);
-  sys.c = numeric::Matrix(dim, dim);
-
-  for (const Resistor& r : nl.resistors()) {
-    stamp_two_terminal(sys.g, r.a, r.b, 1.0 / r.ohms);
-  }
-  for (const Capacitor& c : nl.capacitors()) {
-    stamp_two_terminal(sys.c, c.a, c.b, c.farads);
-  }
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const VoltageSource& v = nl.vsources()[k];
-    const std::size_t row = sys.vsource_index(k);
-    if (v.pos != kGround) {
-      sys.g(row, MnaSystem::node_index(v.pos)) += 1.0;
-      sys.g(MnaSystem::node_index(v.pos), row) += 1.0;
-    }
-    if (v.neg != kGround) {
-      sys.g(row, MnaSystem::node_index(v.neg)) -= 1.0;
-      sys.g(MnaSystem::node_index(v.neg), row) -= 1.0;
-    }
-  }
-  // Inductor branch rows: v_a - v_b - s L i = 0 and KCL gets +/- i.
-  for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-    const Inductor& l = nl.inductors()[k];
-    const std::size_t row = sys.inductor_index(k);
-    if (l.a != kGround) {
-      sys.g(row, MnaSystem::node_index(l.a)) += 1.0;
-      sys.g(MnaSystem::node_index(l.a), row) += 1.0;
-    }
-    if (l.b != kGround) {
-      sys.g(row, MnaSystem::node_index(l.b)) -= 1.0;
-      sys.g(MnaSystem::node_index(l.b), row) -= 1.0;
-    }
-    sys.c(row, row) -= l.henries;
-  }
-  return sys;
-}
-
-numeric::Vector source_vector(const Netlist& nl, const MnaSystem& sys,
-                              double t) {
-  numeric::Vector b(sys.dimension(), 0.0);
-  for (const CurrentSource& i : nl.isources()) {
-    if (i.into != kGround) b[MnaSystem::node_index(i.into)] += i.wave.value(t);
-    if (i.from != kGround) b[MnaSystem::node_index(i.from)] -= i.wave.value(t);
-  }
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    b[sys.vsource_index(k)] = nl.vsources()[k].wave.value(t);
-  }
-  return b;
-}
+}  // namespace
 
 NodePencil build_node_pencil(const Netlist& nl) {
   if (!nl.vsources().empty() || !nl.mosfets().empty() ||

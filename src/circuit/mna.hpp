@@ -1,51 +1,16 @@
-// Modified Nodal Analysis assembly.
+// Nodal assembly of the interconnect pencil.
 //
-// Builds the (G, C) matrix pencil of paper Eq. (1) from a netlist. Ground is
-// eliminated; ideal voltage sources contribute branch-current unknowns. The
-// MOSFETs are *not* stamped here -- they are the nonlinear part that the
-// simulators (spice::TransientSimulator, teta::StageEngine) linearize
-// themselves, each in its own way. That split is the core of the
-// linear-centric methodology.
+// Builds the (G, C) matrix pencil of paper Eq. (1) from an R/C netlist.
+// Ground is eliminated. The MOSFETs are *not* stamped here -- they are
+// the nonlinear part that the simulators (spice::TransientSimulator,
+// teta::StageEngine) linearize themselves, each in its own way. That
+// split is the core of the linear-centric methodology.
 #pragma once
-
-#include <cstddef>
 
 #include "circuit/netlist.hpp"
 #include "numeric/matrix.hpp"
 
 namespace lcsf::circuit {
-
-/// Assembled MNA pencil: (G + sC) x = b(t). Unknowns are the non-ground
-/// node voltages followed by one branch current per voltage source.
-struct MnaSystem {
-  numeric::Matrix g;
-  numeric::Matrix c;
-  std::size_t num_nodes = 0;  ///< non-ground nodes
-  std::size_t num_vsrc = 0;
-  std::size_t num_inductors = 0;
-
-  std::size_t dimension() const {
-    return num_nodes + num_vsrc + num_inductors;
-  }
-
-  /// MNA row/column of a node; ground has no row (returns SIZE_MAX).
-  static std::size_t node_index(NodeId n) {
-    return n == kGround ? static_cast<std::size_t>(-1)
-                        : static_cast<std::size_t>(n - 1);
-  }
-  std::size_t vsource_index(std::size_t k) const { return num_nodes + k; }
-  std::size_t inductor_index(std::size_t k) const {
-    return num_nodes + num_vsrc + k;
-  }
-};
-
-/// Assemble the linear part (R, C, source topology) of a netlist.
-MnaSystem build_mna(const Netlist& nl);
-
-/// Evaluate the source vector b(t) (I sources into node rows, V source
-/// values into branch rows).
-numeric::Vector source_vector(const Netlist& nl, const MnaSystem& sys,
-                              double t);
 
 /// Node-only (G, C) pencil for interconnect macromodeling: requires the
 /// netlist to contain only R and C elements. Row i corresponds to node i+1.
@@ -54,9 +19,5 @@ struct NodePencil {
   numeric::Matrix c;
 };
 NodePencil build_node_pencil(const Netlist& nl);
-
-/// Symmetric two-terminal conductance stamp into any square matrix indexed
-/// like MnaSystem (ground rows skipped).
-void stamp_two_terminal(numeric::Matrix& m, NodeId a, NodeId b, double value);
 
 }  // namespace lcsf::circuit

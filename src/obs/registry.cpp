@@ -139,8 +139,6 @@ bool is_wall_clock_metric(std::string_view name) {
   return false;
 }
 
-#if LCSF_OBS_ENABLED
-
 // ---------------------------------------------------------------------
 // Thread-local context + recording entry points
 // ---------------------------------------------------------------------
@@ -208,7 +206,5 @@ ScopedSpan::~ScopedSpan() {
   sink_->record_span(ctx.path, start_ns_, end_ns - start_ns_, ctx.depth);
   ctx.path.resize(parent_path_len_);
 }
-
-#endif  // LCSF_OBS_ENABLED
 
 }  // namespace lcsf::obs

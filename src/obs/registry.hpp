@@ -18,8 +18,7 @@
 //    excluded from the deterministic export (to_json(false)).
 //  * The disabled path is near-zero cost. With no registry installed on
 //    the current thread every recording call is one thread-local load and
-//    a branch; with LCSF_OBS_ENABLED=0 (cmake -DLCSF_OBS=OFF) the calls
-//    compile away entirely.
+//    a branch.
 #pragma once
 
 #include <chrono>
@@ -31,12 +30,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-// Compile-time gate; the build defines it via the LCSF_OBS cmake option
-// (default ON). The default here keeps standalone includes working.
-#ifndef LCSF_OBS_ENABLED
-#define LCSF_OBS_ENABLED 1
-#endif
 
 namespace lcsf::obs {
 
@@ -167,8 +160,6 @@ struct Context {
   std::string path;  ///< '/'-joined active span names
 };
 
-#if LCSF_OBS_ENABLED
-
 /// The calling thread's context (disabled when no registry installed).
 Context& context();
 
@@ -206,23 +197,5 @@ class ScopedContext {
  private:
   Context saved_;
 };
-
-#else  // LCSF_OBS_ENABLED == 0: everything compiles away.
-
-inline bool enabled() { return false; }
-inline Registry* ambient_registry() { return nullptr; }
-inline void add_counter(std::string_view, std::uint64_t = 1) {}
-inline void record_value(std::string_view, double) {}
-inline void merge_metrics(const Registry&) {}
-inline std::uint64_t now_ns() { return 0; }
-
-class ScopedContext {
- public:
-  ScopedContext(Registry*, std::size_t) {}
-  ScopedContext(const ScopedContext&) = delete;
-  ScopedContext& operator=(const ScopedContext&) = delete;
-};
-
-#endif  // LCSF_OBS_ENABLED
 
 }  // namespace lcsf::obs

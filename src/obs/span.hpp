@@ -16,8 +16,6 @@
 
 namespace lcsf::obs {
 
-#if LCSF_OBS_ENABLED
-
 /// Records one SpanEvent (and feeds the path's phase timer) covering the
 /// object's lifetime. Inactive -- two loads and a branch -- when no
 /// registry is installed on the constructing thread. Spans nest: the
@@ -34,16 +32,5 @@ class ScopedSpan {
   std::uint64_t start_ns_ = 0;
   std::size_t parent_path_len_ = 0;
 };
-
-#else
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string_view) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-#endif  // LCSF_OBS_ENABLED
 
 }  // namespace lcsf::obs

@@ -17,8 +17,6 @@ namespace {
 // degrade to inline execution instead of deadlocking on their own pool.
 thread_local bool t_in_pool_task = false;
 
-std::atomic<std::size_t> g_default_threads_override{0};
-
 std::size_t env_threads() {
   const char* env = std::getenv("LCSF_THREADS");
   if (env == nullptr || *env == '\0') return 0;
@@ -181,16 +179,10 @@ TaskRootScope::TaskRootScope() : saved_(t_in_pool_task) {
 TaskRootScope::~TaskRootScope() { t_in_pool_task = saved_; }
 
 std::size_t ThreadPool::default_threads() {
-  const std::size_t forced = g_default_threads_override.load();
-  if (forced != 0) return forced;
   const std::size_t env = env_threads();
   if (env != 0) return env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-void ThreadPool::set_default_threads(std::size_t n) {
-  g_default_threads_override.store(n);
 }
 
 void parallel_for(std::size_t threads, std::size_t n,

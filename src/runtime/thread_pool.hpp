@@ -58,13 +58,10 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
       std::size_t grain = 0);
 
-  /// Thread-count resolution used by every `threads = 0` knob:
-  /// set_default_threads() override, else the LCSF_THREADS environment
-  /// variable, else std::thread::hardware_concurrency().
+  /// Thread-count resolution used by every `threads = 0` knob: the
+  /// LCSF_THREADS environment variable, else
+  /// std::thread::hardware_concurrency().
   static std::size_t default_threads();
-  /// Process-wide override for default_threads(); 0 restores the
-  /// environment/hardware resolution. Used by the CLI `--threads` flags.
-  static void set_default_threads(std::size_t n);
 
  private:
   struct Batch;

@@ -144,15 +144,6 @@ inline double to_uniform(double u, double lo, double hi) {
 inline double to_normal(double u, double mean, double sigma) {
   return mean + sigma * inverse_normal_cdf(u);
 }
-/// Map a U(0,1) value to the mean-shifted proposal N(mean + sigma*shift,
-/// sigma): the standardized variate is offset by `shift` *before* the
-/// affine map, so the importance-sampling engine can form likelihood
-/// ratios in standardized units. shift == 0.0 reproduces to_normal()
-/// bit for bit.
-inline double to_normal_shifted(double u, double mean, double sigma,
-                                double shift) {
-  return mean + sigma * (inverse_normal_cdf(u) + shift);
-}
 
 /// Likelihood ratio p(u) / q(u) of one standardized sample under the
 /// defensive-mixture proposal q = lambda p + (1 - lambda) p_shifted,

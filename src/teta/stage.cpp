@@ -449,9 +449,7 @@ void simulate_stage(const StageCircuit& stage,
   }
   // An unstable pole/residue load can never be convolved (the recursive
   // convolver requires stabilize() first), so classify it up front
-  // instead of leaking the convolver's exception. The
-  // reject_unstable_load flag only makes the rejection an explicit policy
-  // choice in the diagnostics.
+  // instead of leaking the convolver's exception.
   if (load.count_unstable() > 0) {
     out.converged = false;
     out.total_sc_iterations = 0;
@@ -462,8 +460,7 @@ void simulate_stage(const StageCircuit& stage,
     out.diag.detail = std::to_string(load.count_unstable()) +
                       " right-half-plane pole(s), max Re = " +
                       std::to_string(load.max_unstable_real()) +
-                      (opt.reject_unstable_load ? " (rejected by policy)"
-                                                : "; stabilize() the load");
+                      "; stabilize() the load";
     obs::add_counter("teta.failed_transients");
     return;
   }

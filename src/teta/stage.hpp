@@ -103,13 +103,6 @@ struct TetaOptions {
   /// never blow up on a *stabilized* load; this catches raw unstable ones
   /// handed in deliberately).
   double vblowup = 1e4;
-  /// An unstable pole/residue load is always classified
-  /// sim::FailureKind::kUnstableMacromodel (the recursive convolver
-  /// cannot integrate right-half-plane poles; stabilize() first). This
-  /// flag marks the rejection as an explicit policy choice in the
-  /// diagnostics detail. Non-passivity of the *original* circuit is fine
-  /// either way -- the chord engine consumes its stabilized ROM.
-  bool reject_unstable_load = false;
   /// Whole-transient recovery: on failure, rerun with halved dt and
   /// tightened damping up to `recovery.max_dt_retries` times. The SC
   /// system matrix is constant per transient (one LU), so TETA retries the

@@ -347,7 +347,6 @@ TEST(BatchHotpath, WindowLadderMatchesOneLaneCallsBitwise) {
     }
   }
 
-#if LCSF_OBS_ENABLED
   const auto batch = batch_reg.snapshot().counters;
   const auto scalar = scalar_reg.snapshot().counters;
   // One transient per rung tried: 1 + 2 + 3 + 3.
@@ -356,7 +355,6 @@ TEST(BatchHotpath, WindowLadderMatchesOneLaneCallsBitwise) {
   EXPECT_EQ(batch.at("teta.chord_iterations"),
             scalar.at("teta.chord_iterations"));
   EXPECT_EQ(batch.at("teta.steps"), scalar.at("teta.steps"));
-#endif
 }
 
 // Only lanes whose output transition did not complete climb the window
@@ -412,7 +410,6 @@ TEST(BatchHotpath, FailedTransientSkipsTheWindowLadder) {
     EXPECT_EQ(e.diagnostics().message(), meas[1].diag.message());
   }
 
-#if LCSF_OBS_ENABLED
   const auto batch = batch_reg.snapshot().counters;
   const auto one = one_reg.snapshot().counters;
   EXPECT_EQ(batch.at("teta.failed_transients"), 1u);
@@ -420,7 +417,6 @@ TEST(BatchHotpath, FailedTransientSkipsTheWindowLadder) {
   // One transient per lane: no lane repeats the 1x window.
   EXPECT_EQ(batch.at("teta.transients"), kLanes);
   EXPECT_EQ(one.at("teta.transients"), 1u);
-#endif
 }
 
 // One hand-built TETA lane: a stage model's cell driven by `input` with
@@ -487,7 +483,6 @@ std::vector<teta::TetaResult> expect_block_matches_one_lane_calls(
     EXPECT_EQ(g.diag.retries_used, w.diag.retries_used) << "lane " << l;
     EXPECT_EQ(g.diag.max_abs_v, w.diag.max_abs_v) << "lane " << l;
   }
-#if LCSF_OBS_ENABLED
   const auto teta_counters = [](const obs::Registry& reg) {
     std::map<std::string, std::uint64_t> c;
     for (const auto& [name, v] : reg.snapshot().counters) {
@@ -496,7 +491,6 @@ std::vector<teta::TetaResult> expect_block_matches_one_lane_calls(
     return c;
   };
   EXPECT_EQ(teta_counters(batch_reg), teta_counters(one_reg));
-#endif
   return want;
 }
 

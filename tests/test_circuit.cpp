@@ -8,7 +8,6 @@
 #include "circuit/netlist.hpp"
 #include "circuit/source_waveform.hpp"
 #include "circuit/technology.hpp"
-#include "numeric/lu.hpp"
 
 namespace lcsf::circuit {
 namespace {
@@ -191,36 +190,6 @@ TEST(Netlist, FreezeDeviceCapacitances) {
   EXPECT_THROW(nl.add_mosfet(t.make_nmos(out, in, kGround)),
                std::logic_error);
   nl.freeze_device_capacitances();  // idempotent
-}
-
-TEST(Mna, VoltageDividerDc) {
-  // v1 --R1-- v2 --R2-- gnd with 1V source at v1: v2 = R2/(R1+R2).
-  Netlist nl;
-  NodeId v1 = nl.add_node("v1");
-  NodeId v2 = nl.add_node("v2");
-  nl.add_resistor(v1, v2, 1000.0);
-  nl.add_resistor(v2, kGround, 3000.0);
-  nl.add_vsource(v1, kGround, SourceWaveform::dc(1.0));
-
-  MnaSystem sys = build_mna(nl);
-  EXPECT_EQ(sys.dimension(), 3u);
-  numeric::Vector b = source_vector(nl, sys, 0.0);
-  numeric::Vector x = numeric::solve(sys.g, b);
-  EXPECT_NEAR(x[MnaSystem::node_index(v1)], 1.0, 1e-12);
-  EXPECT_NEAR(x[MnaSystem::node_index(v2)], 0.75, 1e-12);
-  // Source current: -(1V / 4k).
-  EXPECT_NEAR(x[sys.vsource_index(0)], -1.0 / 4000.0, 1e-15);
-}
-
-TEST(Mna, CurrentSourceRhs) {
-  Netlist nl;
-  NodeId a = nl.add_node();
-  nl.add_resistor(a, kGround, 50.0);
-  nl.add_isource(kGround, a, SourceWaveform::dc(1e-3));
-  MnaSystem sys = build_mna(nl);
-  numeric::Vector b = source_vector(nl, sys, 0.0);
-  numeric::Vector x = numeric::solve(sys.g, b);
-  EXPECT_NEAR(x[0], 50.0 * 1e-3, 1e-12);
 }
 
 TEST(Mna, NodePencilSymmetryAndRejection) {

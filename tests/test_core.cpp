@@ -264,7 +264,6 @@ TEST(PathAnalyzer, BlockWalkLeavesNoLaneState) {
   }
 }
 
-#if LCSF_OBS_ENABLED
 TEST(PathAnalyzer, MonteCarloRecordsNoGraphCounters) {
   const PathAnalyzer pa(small_path_spec());
   PathVariationModel model;
@@ -284,7 +283,6 @@ TEST(PathAnalyzer, MonteCarloRecordsNoGraphCounters) {
     EXPECT_NE(name.rfind("stats.graph.", 0), 0u) << name << " = " << value;
   }
 }
-#endif  // LCSF_OBS_ENABLED
 
 // serve::DesignCache budgets with memory_bytes(): a graph analyzer must
 // count its stage models, its netlist copy and its timing graph.
@@ -386,7 +384,6 @@ TEST(CharacterizationReuse, GraphStageRomsMatchStandaloneCharacterization) {
   }
 }
 
-#if LCSF_OBS_ENABLED
 // One wire geometry per analyzer: the nominal pencil and the four
 // (W, H) +/- finite-difference pencils are the only distinct internal
 // eigenproblems, whatever the number of (cell, load) blocks.
@@ -418,7 +415,6 @@ TEST(CharacterizationReuse, FiveEigensolvesPerSingleGeometryAnalyzer) {
   EXPECT_EQ(gs.counters.at("mor.pact.memo_hits"),
             5 * (ga->num_blocks() - 1));
 }
-#endif  // LCSF_OBS_ENABLED
 
 }  // namespace
 }  // namespace lcsf::core

@@ -169,12 +169,10 @@ TEST(Differential, PipelineBitsMatchTheRecordedParent) {
                 {0x1.8c3c904cd2f1dp-33, 0x1.6078770d30b13p-35,
                  0x1.7d46819ca649dp-33, 0x1.72ce1e3dd8f06p-35});
   }
-#if LCSF_OBS_ENABLED
   const obs::Snapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("teta.chord_iterations"), 269274u);
   EXPECT_EQ(snap.counters.at("teta.steps"), 58107u);
   EXPECT_EQ(snap.counters.at("spice.newton_iterations"), 6984u);
-#endif
 }
 
 }  // namespace

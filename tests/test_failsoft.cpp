@@ -236,7 +236,6 @@ TEST(FailSoft, TetaRejectsUnstableLoadWhenAsked) {
   opt.tstop = 0.5e-9;
   opt.dt = 1e-12;
   opt.vdd = t.vdd;
-  opt.reject_unstable_load = true;
   const auto res = teta::simulate_stage(stage, load, opt);
   ASSERT_FALSE(res.converged);
   EXPECT_EQ(res.diag.kind, sim::FailureKind::kUnstableMacromodel)
@@ -246,8 +245,8 @@ TEST(FailSoft, TetaRejectsUnstableLoadWhenAsked) {
 }
 
 TEST(FailSoft, TetaClassifiesUnstableLoadInsteadOfThrowing) {
-  // Without the policy flag an unstable load must still come back as a
-  // classified diagnostic, never as the convolver's invalid_argument.
+  // A mildly unstable load must come back as a classified diagnostic
+  // too, never as the convolver's invalid_argument.
   Technology t = technology_180nm();
   const auto stage = make_inverter_stage(t);
   const auto load = one_port_load(+2e7);  // mildly unstable

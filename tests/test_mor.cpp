@@ -459,7 +459,6 @@ TEST(PactMemo, InternalOrOptionChangesMiss) {
   EXPECT_EQ(memo.size(), 5u);
 }
 
-#if LCSF_OBS_ENABLED
 TEST(PactMemo, CountsEigensolvesAndHits) {
   obs::Registry reg;
   {
@@ -474,7 +473,6 @@ TEST(PactMemo, CountsEigensolvesAndHits) {
   EXPECT_EQ(snap.counters.at("mor.pact.eigensolves"), 2u);
   EXPECT_EQ(snap.counters.at("mor.pact.memo_hits"), 2u);
 }
-#endif  // LCSF_OBS_ENABLED
 
 }  // namespace
 }  // namespace lcsf::mor

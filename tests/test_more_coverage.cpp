@@ -6,7 +6,6 @@
 #include <cmath>
 #include <random>
 
-#include "circuit/mna.hpp"
 #include "circuit/technology.hpp"
 #include "interconnect/coupled_lines.hpp"
 #include "mor/pact.hpp"
@@ -191,18 +190,6 @@ TEST(SourceWaveformMore, PiecewiseLinearityProperty) {
     const double mid = w.value(0.5 * (t0 + t1));
     EXPECT_NEAR(mid, 0.5 * (w.value(t0) + w.value(t1)), 1e-12);
   }
-}
-
-TEST(MnaMore, SourceVectorTracksWaveforms) {
-  Netlist nl;
-  const auto a = nl.add_node();
-  nl.add_resistor(a, kGround, 100.0);
-  nl.add_vsource(a, kGround, SourceWaveform::ramp(0.0, 2.0, 0.0, 1.0));
-  const auto sys = circuit::build_mna(nl);
-  const auto b0 = circuit::source_vector(nl, sys, 0.0);
-  const auto b1 = circuit::source_vector(nl, sys, 0.5);
-  EXPECT_DOUBLE_EQ(b0[sys.vsource_index(0)], 0.0);
-  EXPECT_DOUBLE_EQ(b1[sys.vsource_index(0)], 1.0);
 }
 
 }  // namespace

@@ -86,10 +86,7 @@ TEST(ObsMerge, WallClockMetricsExcludedFromDeterministicExport) {
 }
 
 // Everything below exercises live recording through the thread-local
-// context, which compiles to no-ops under cmake -DLCSF_OBS=OFF; the
-// merge/export tests above use the Registry directly and hold in both
-// configurations.
-#if LCSF_OBS_ENABLED
+// context; the merge/export tests above use the Registry directly.
 
 TEST(ObsContext, NullRegistryIsANoOp) {
   // Nothing installed: every recording entry point must be safe.
@@ -216,8 +213,6 @@ TEST(ObsExport, TimingReportAndChromeTraceSmoke) {
   EXPECT_NE(trace.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(trace.find("\"alpha/beta\""), std::string::npos);
 }
-
-#endif  // LCSF_OBS_ENABLED
 
 }  // namespace
 }  // namespace lcsf::obs

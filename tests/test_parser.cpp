@@ -333,20 +333,5 @@ TEST(Inductor, NodePencilRejectsInductors) {
   EXPECT_THROW(nl.add_inductor(a, kGround, -1e-9), std::invalid_argument);
 }
 
-TEST(Inductor, MnaBranchFormulation) {
-  Netlist nl;
-  const auto a = nl.add_node();
-  const auto b = nl.add_node();
-  nl.add_inductor(a, b, 2e-9);
-  nl.add_resistor(b, kGround, 10.0);
-  const MnaSystem sys = build_mna(nl);
-  EXPECT_EQ(sys.num_inductors, 1u);
-  EXPECT_EQ(sys.dimension(), 3u);
-  const std::size_t row = sys.inductor_index(0);
-  EXPECT_DOUBLE_EQ(sys.g(row, MnaSystem::node_index(a)), 1.0);
-  EXPECT_DOUBLE_EQ(sys.g(row, MnaSystem::node_index(b)), -1.0);
-  EXPECT_DOUBLE_EQ(sys.c(row, row), -2e-9);
-}
-
 }  // namespace
 }  // namespace lcsf::circuit

@@ -472,7 +472,6 @@ TEST(Dispatch, RejectsNumbersThatOverflowADouble) {
   EXPECT_TRUE(ok.find("ok")->as_bool());
 }
 
-#if LCSF_OBS_ENABLED
 TEST(Dispatch, EmbeddedMetricsCoverTheWholeAnalysis) {
   // The embedded projection of a response is the analysis run in-process
   // under one registry (the CLI's --metrics setup), design load excluded:
@@ -531,7 +530,6 @@ TEST(Dispatch, EmbeddedMetricsCoverTheWholeAnalysis) {
   ASSERT_NE(yield.find("metrics"), nullptr) << yield.dump();
   EXPECT_EQ(yield.find("metrics")->dump(), yield_ref.dump());
 }
-#endif  // LCSF_OBS_ENABLED
 
 TEST(Dispatch, MetricsReportsServeCounters) {
   DispatchFixture f;
@@ -553,7 +551,6 @@ TEST(Dispatch, MetricsReportsServeCounters) {
   EXPECT_GT(counters->find("stats.mc.samples")->as_int(), 0);
 }
 
-#if LCSF_OBS_ENABLED
 // A cold load characterizes under a registry of its own, folded into the
 // server-wide one without its span events: cold loads leave the server's
 // span log as it was, while its counters and timers count every load.
@@ -574,7 +571,6 @@ TEST(Dispatch, ColdLoadsAddNoServerSpanEvents) {
   EXPECT_EQ(snap.counters.at("serve.cache.misses"), kLoads);
   EXPECT_GT(snap.counters.at("mor.pact.eigensolves"), 0u);
 }
-#endif  // LCSF_OBS_ENABLED
 
 TEST(Dispatch, ShutdownSetsTheFlag) {
   DispatchFixture f;

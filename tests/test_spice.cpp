@@ -106,6 +106,36 @@ TEST(Dc, InverterRails) {
   }
 }
 
+// The MNA solution of two linear netlists at the DC operating point;
+// they solve exactly once the gmin floor is off.
+TEST(Mna, VoltageDividerDc) {
+  // v1 --R1-- v2 --R2-- gnd with 1V source at v1: v2 = R2/(R1+R2).
+  Netlist nl;
+  NodeId v1 = nl.add_node("v1");
+  NodeId v2 = nl.add_node("v2");
+  nl.add_resistor(v1, v2, 1000.0);
+  nl.add_resistor(v2, kGround, 3000.0);
+  nl.add_vsource(v1, kGround, SourceWaveform::dc(1.0));
+  TransientSimulator sim(nl);
+  TransientOptions opt;
+  opt.gmin = 0.0;
+  const auto v = sim.dc_operating_point(opt);
+  EXPECT_NEAR(v[static_cast<std::size_t>(v1)], 1.0, 1e-12);
+  EXPECT_NEAR(v[static_cast<std::size_t>(v2)], 0.75, 1e-12);
+}
+
+TEST(Mna, CurrentSourceRhs) {
+  Netlist nl;
+  NodeId a = nl.add_node();
+  nl.add_resistor(a, kGround, 50.0);
+  nl.add_isource(kGround, a, SourceWaveform::dc(1e-3));
+  TransientSimulator sim(nl);
+  TransientOptions opt;
+  opt.gmin = 0.0;
+  const auto v = sim.dc_operating_point(opt);
+  EXPECT_NEAR(v[static_cast<std::size_t>(a)], 50.0 * 1e-3, 1e-12);
+}
+
 TEST(Dc, InverterMidpointIsMetastablePoint) {
   // With input at the switching threshold the output sits between rails.
   Technology t = technology_180nm();

@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """Validate lcsf-metrics-v1 JSON (obs::Registry::to_json output).
 
-Stdlib-only: implements the small JSON-Schema subset used by
-tools/metrics_schema.json (type, required, properties,
-additionalProperties-as-schema, enum, minimum) rather than depending on
-an external jsonschema package. On top of the structural schema it
-checks the semantic invariants of the format: distribution order
-statistics are ordered (min <= p50 <= p95 <= max, mean inside
+Stdlib-only: the structural schema (tools/metrics_schema.json) goes
+through the shared subset validator in tools/json_schema.py. On top of
+it this tool checks the semantic invariants of the format: distribution
+order statistics are ordered (min <= p50 <= p95 <= max, mean inside
 [min, max]) and the deterministic flag matches the content (a
 deterministic export carries no timers section and no wall-clock
 distribution).
@@ -29,6 +27,8 @@ import argparse
 import json
 import sys
 
+import json_schema
+
 WALL_CLOCK_SUFFIXES = ("_seconds", "_ms", "_us", "_ns")
 
 
@@ -42,44 +42,6 @@ def load(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         sys.exit(f"check_metrics: cannot read {path}: {err}")
-
-
-def type_ok(value, name):
-    return {
-        "object": lambda v: isinstance(v, dict),
-        "string": lambda v: isinstance(v, str),
-        "boolean": lambda v: isinstance(v, bool),
-        # bool is an int subclass in Python; exclude it explicitly.
-        "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "number": lambda v: isinstance(v, (int, float))
-        and not isinstance(v, bool),
-    }[name](value)
-
-
-def validate(doc, schema, where, errors):
-    """Check `doc` against the supported schema subset; append messages."""
-    stype = schema.get("type")
-    if stype and not type_ok(doc, stype):
-        errors.append(f"{where}: expected {stype}, "
-                      f"got {type(doc).__name__}")
-        return
-    if "enum" in schema and doc not in schema["enum"]:
-        errors.append(f"{where}: {doc!r} not in {schema['enum']}")
-    if "minimum" in schema and isinstance(doc, (int, float)) \
-            and not isinstance(doc, bool) and doc < schema["minimum"]:
-        errors.append(f"{where}: {doc} < minimum {schema['minimum']}")
-    if not isinstance(doc, dict):
-        return
-    for key in schema.get("required", []):
-        if key not in doc:
-            errors.append(f"{where}: missing required key '{key}'")
-    props = schema.get("properties", {})
-    extra = schema.get("additionalProperties")
-    for key, value in doc.items():
-        if key in props:
-            validate(value, props[key], f"{where}.{key}", errors)
-        elif isinstance(extra, dict):
-            validate(value, extra, f"{where}.{key}", errors)
 
 
 def semantic_checks(doc, errors):
@@ -103,6 +65,18 @@ def semantic_checks(doc, errors):
             if is_wall_clock(name):
                 errors.append(f"deterministic export contains wall-clock "
                               f"distribution '{name}'")
+
+
+def check(doc, schema, require=()):
+    """Every schema, semantic and --require violation of one export."""
+    errors = json_schema.validate(doc, schema)
+    if not isinstance(doc, dict):
+        return errors
+    semantic_checks(doc, errors)
+    for name in require:
+        if name not in doc.get("counters", {}):
+            errors.append(f"required counter '{name}' missing")
+    return errors
 
 
 def deterministic_view(doc):
@@ -156,13 +130,7 @@ def main(argv):
     status = 0
     for path in args.files:
         doc = load(path)
-        errors = []
-        validate(doc, schema, "$", errors)
-        semantic_checks(doc, errors)
-        counters = doc.get("counters", {})
-        for name in args.require:
-            if name not in counters:
-                errors.append(f"required counter '{name}' missing")
+        errors = check(doc, schema, args.require)
         if errors:
             status = 1
             print(f"check_metrics: {path}: INVALID", file=sys.stderr)
@@ -170,7 +138,7 @@ def main(argv):
                 print(f"  {e}", file=sys.stderr)
         else:
             print(f"check_metrics: {path}: ok "
-                  f"({len(counters)} counters, "
+                  f"({len(doc.get('counters', {}))} counters, "
                   f"{len(doc.get('distributions', {}))} distributions, "
                   f"{len(doc.get('timers', {}))} timers)")
     return status

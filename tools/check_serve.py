@@ -3,7 +3,8 @@
 
 Stdlib-only. Connects to a running lcsf_serve instance, sends NDJSON
 requests, and validates every response line against the machine-readable
-contract in tools/serve_schema.json (docs/serving.md).
+contract in tools/serve_schema.json (docs/serving.md) through the shared
+subset validator, tools/json_schema.py.
 
 Modes (combinable; all requests go over one connection, in order):
 
@@ -32,6 +33,8 @@ import os
 import socket
 import sys
 
+import json_schema
+
 FAILED = False
 
 
@@ -59,36 +62,16 @@ class Connection:
         return resp.decode()
 
 
-def type_ok(value, kind):
-    if kind == "scalar":
-        return isinstance(value, (str, int)) and not isinstance(value, bool)
-    if kind == "string":
-        return isinstance(value, str)
-    if kind == "boolean":
-        return isinstance(value, bool)
-    if kind == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if kind == "number":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind == "object":
-        return isinstance(value, dict)
-    if kind == "array":
-        return isinstance(value, list)
-    return False
+def check(instance, schema, where):
+    for problem in json_schema.validate(instance, schema):
+        fail(f"{where}: {problem}")
 
 
-def check_fields(obj, spec, where):
-    """Validate one object against a {required, optional} field spec."""
-    for name, kind in spec.get("required", {}).items():
-        if name not in obj:
-            fail(f"{where}: missing required field '{name}'")
-        elif not type_ok(obj[name], kind):
-            fail(f"{where}: field '{name}' is not a {kind}: {obj[name]!r}")
-    allowed = set(spec.get("required", {})) | set(spec.get("optional", {}))
-    for name, kind in spec.get("optional", {}).items():
-        if name in obj and not type_ok(obj[name], kind):
-            fail(f"{where}: field '{name}' is not a {kind}: {obj[name]!r}")
-    return allowed
+def closed_response(base, spec):
+    """One response type's closed object schema widened by `base`."""
+    return dict(spec, required=base["required"] + spec.get("required", []),
+                properties=dict(base["properties"],
+                                **spec.get("properties", {})))
 
 
 def validate_response(raw, schema, expect_type=None, expect_ok=None):
@@ -104,7 +87,12 @@ def validate_response(raw, schema, expect_type=None, expect_ok=None):
 
     rtype = resp.get("type", "?")
     where = f"{rtype} response"
-    base_allowed = check_fields(resp, schema["base"], where)
+    spec = (schema["responses"].get(rtype) if isinstance(rtype, str)
+            else None)
+    if resp.get("ok") is False or spec is None:
+        check(resp, schema["base"], where)
+    else:
+        check(resp, closed_response(schema["base"], spec), where)
     if resp.get("protocol") != schema["protocol"]:
         fail(f"{where}: protocol is {resp.get('protocol')!r}, "
              f"expected {schema['protocol']!r}")
@@ -117,26 +105,10 @@ def validate_response(raw, schema, expect_type=None, expect_ok=None):
         err = resp.get("error")
         if not isinstance(err, dict):
             fail(f"{where}: ok:false without an error object")
-            return resp
-        check_fields(err, schema["error"], f"{where} error")
-        if err.get("kind") not in schema["error"]["kinds"]:
-            fail(f"{where}: unclassified error kind {err.get('kind')!r}")
-        return resp
-
-    spec = schema["responses"].get(rtype)
-    if spec is None:
+        else:
+            check(err, schema["error"], f"{where} error")
+    elif spec is None:
         fail(f"{where}: unknown response type {rtype!r}")
-        return resp
-    allowed = base_allowed | check_fields(resp, spec, where)
-    for name in resp:
-        if name not in allowed:
-            fail(f"{where}: unexpected field '{name}'")
-    for field in ("monte_carlo",):
-        if isinstance(resp.get(field), dict):
-            check_fields(resp[field], schema["monte_carlo_object"],
-                         f"{where}.{field}")
-    if rtype == "metrics" and isinstance(resp.get("cache"), dict):
-        check_fields(resp["cache"], schema["cache_object"], f"{where}.cache")
     return resp
 
 

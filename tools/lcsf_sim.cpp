@@ -1,7 +1,7 @@
 // lcsf_sim: transient simulation of a SPICE-format deck.
 //
 //   lcsf_sim <deck.sp> --tstop 2n [--dt 1p] [--probe node]...
-//            [--tech 180nm|600nm] [--points 40] [--threads n]
+//            [--tech 180nm|600nm] [--points 40]
 //            [--on-failure abort|skip|retry]
 //            [--metrics out.json] [--trace out.trace.json]
 //            [--report-timing]
@@ -24,12 +24,6 @@
 // 3-deep per-step dt-halving budget, then behaves like skip if the run
 // still diverges.
 //
-// --threads (or LCSF_THREADS) sets the process-wide default worker count
-// for any parallel library section reached from this tool; the transient
-// engine itself is serial today, so the flag exists for CLI uniformity
-// with lcsf_sta and for library features that pick up the default. It
-// changes no numerical result.
-//
 // An unknown option, a stray extra positional argument or a malformed
 // number (`--points abc`, `--tstop 2x`) is rejected with a diagnostic +
 // usage and exit status 1; a malformed invocation (missing deck or
@@ -48,7 +42,6 @@
 #include "circuit/parser.hpp"
 #include "cli_number.hpp"
 #include "obs_cli.hpp"
-#include "runtime/thread_pool.hpp"
 
 using namespace lcsf;
 
@@ -58,7 +51,6 @@ void print_usage(std::FILE* to) {
   std::fprintf(to,
                "usage: lcsf_sim <deck.sp> --tstop <t> [--dt <t>] "
                "[--probe <node>]... [--tech 180nm|600nm] [--points n] "
-               "[--threads n] "
                "[--on-failure abort|skip|retry] %s\n",
                tools::ObsCli::usage_line());
 }
@@ -137,8 +129,6 @@ int main(int argc, char** argv) {
       tech_name = next();
     } else if (arg == "--points") {
       points = next_size(1);  // the output stride divides by it
-    } else if (arg == "--threads") {
-      runtime::ThreadPool::set_default_threads(next_size(0));
     } else if (arg == "--on-failure") {
       on_failure = next();
     } else if (arg.rfind("--on-failure=", 0) == 0) {

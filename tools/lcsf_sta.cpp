@@ -24,7 +24,8 @@
 // worst endpoint delay. The report adds per-endpoint delays, the stage
 // reuse counters (also exported as stats.graph.* metrics), and the
 // analytic SSTA endpoint forms composed from the compact per-block
-// variational delay models.
+// variational delay models: one api::Session::run_graph call, the one
+// the server's graph request makes.
 //
 // --yield-estimator selects how the timing yield at --clock-period is
 // estimated (docs/yield_estimation.md): mc reuses the Monte-Carlo sweep
@@ -265,13 +266,14 @@ int main(int argc, char** argv) {
                 analyzer.subgraph_gates().size(), analyzer.num_blocks(),
                 analyzer.endpoint_nets().size());
 
-    stats::MonteCarloResult mc;
+    api::GraphResult run;
     try {
-      mc = session->run_monte_carlo(model, run_opt);
+      run = session->run_graph(model, run_opt);
     } catch (const sim::SimulationError& e) {
       obs_cli.finish("lcsf_sta");
       return classified_failure(e);
     }
+    const stats::MonteCarloResult& mc = run.mc;
     if (mc.failures.any()) {
       std::printf("sample failures: %zu of %zu attempted\n%s\n",
                   mc.failures.failed(), mc.failures.attempted,
@@ -292,15 +294,11 @@ int main(int argc, char** argv) {
 
     // Nominal-sample endpoint report + the stage-reuse counters (the same
     // numbers accumulate into stats.graph.* for --metrics).
-    core::GraphAnalyzer::Workspace ws;
-    const numeric::Vector w0(analyzer.sources(model).size(), 0.0);
-    const auto nominal =
-        analyzer.evaluate(analyzer.sample_from_sources(model, w0), ws);
-    const auto analytic = analyzer.analytic_endpoints(model);
+    const auto& nominal = run.nominal;
     std::printf("endpoints (nominal sample | analytic SSTA):\n");
     for (std::size_t k = 0; k < nominal.endpoints.size(); ++k) {
       const auto& e = nominal.endpoints[k];
-      const auto& a = analytic[k].arrival;
+      const auto& a = run.analytic[k].arrival;
       std::printf("  net %4zu: %.2f ps slew %.2f ps | mean %.2f ps "
                   "std %.2f ps\n",
                   e.net, e.delay * 1e12, e.slew * 1e12, a.mean * 1e12,

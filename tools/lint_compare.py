@@ -5,7 +5,7 @@
 gates, all of which must hold:
 
   1. Schema: the document must validate against tools/lint_schema.json
-     (a stdlib validator covering the subset the schema uses -- no
+     (through the shared stdlib validator, tools/json_schema.py -- no
      third-party jsonschema dependency).
   2. Baseline diff: findings are counted per (rule, file) key and
      compared against the checked-in tools/lint_baseline.json. A key
@@ -29,6 +29,8 @@ Exit status: 0 = clean, 1 = gate violated, 2 = usage / malformed input.
 import argparse
 import json
 import sys
+
+import json_schema
 
 BASELINE_SCHEMA = "lcsf-lint-baseline-v1"
 
@@ -55,58 +57,6 @@ def load_json(path, what):
         )
     except (OSError, json.JSONDecodeError) as err:
         fail_usage(f"cannot read {what} {path}: {err}")
-
-
-# ----------------------------------------------------------------------
-# Minimal JSON Schema validator: exactly the subset lint_schema.json
-# uses (type, const, required, properties, additionalProperties, items,
-# minimum). Returns a list of "path: problem" strings.
-# ----------------------------------------------------------------------
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "boolean": bool,
-    "integer": int,
-    "number": (int, float),
-}
-
-
-def validate(instance, schema, path="$"):
-    errors = []
-    if "const" in schema and instance != schema["const"]:
-        errors.append(f"{path}: expected {schema['const']!r}, "
-                      f"got {instance!r}")
-        return errors
-    expected = schema.get("type")
-    if expected is not None:
-        py = _TYPES[expected]
-        ok = isinstance(instance, py)
-        # bool is an int subclass in Python; keep integer strict.
-        if expected in ("integer", "number") and isinstance(instance, bool):
-            ok = False
-        if not ok:
-            errors.append(f"{path}: expected {expected}, "
-                          f"got {type(instance).__name__}")
-            return errors
-    if "minimum" in schema and isinstance(instance, (int, float)):
-        if instance < schema["minimum"]:
-            errors.append(f"{path}: {instance} < minimum "
-                          f"{schema['minimum']}")
-    if isinstance(instance, dict):
-        for key in schema.get("required", []):
-            if key not in instance:
-                errors.append(f"{path}: missing required key {key!r}")
-        props = schema.get("properties", {})
-        for key, value in instance.items():
-            if key in props:
-                errors.extend(validate(value, props[key], f"{path}.{key}"))
-            elif schema.get("additionalProperties") is False:
-                errors.append(f"{path}: unexpected key {key!r}")
-    if isinstance(instance, list) and "items" in schema:
-        for i, item in enumerate(instance):
-            errors.extend(validate(item, schema["items"], f"{path}[{i}]"))
-    return errors
 
 
 def finding_counts(doc):
@@ -200,7 +150,7 @@ def main(argv):
         doc = load_json(args.candidate, "candidate")
     schema = load_json(args.schema, "schema")
 
-    errors = validate(doc, schema)
+    errors = json_schema.validate(doc, schema)
     if errors:
         for e in errors:
             print(f"  SCHEMA  {e}")
