@@ -14,7 +14,6 @@ LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
 
 void LuFactorization::refactor(const Matrix& a) {
   lu_ = a;  // copy-assign reuses lu_'s heap block when shapes match
-  pivot_sign_ = 1;
   factorize();
 }
 
@@ -43,7 +42,6 @@ void LuFactorization::factorize() {
     if (p != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(lu_(p, j), lu_(k, j));
       std::swap(piv_[p], piv_[k]);
-      pivot_sign_ = -pivot_sign_;
     }
     const double ukk = lu_(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
@@ -92,32 +90,6 @@ void LuFactorization::solve_into(const Matrix& b, Matrix& x, Vector& col_b,
   }
 }
 
-Vector LuFactorization::solve_transposed(const Vector& b) const {
-  // A^T = (P^T L U)^T = U^T L^T P. Solve U^T y = b, L^T z = y, x = P^T z.
-  const std::size_t n = size();
-  if (b.size() != n) throw std::invalid_argument("LU solve_T: size mismatch");
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t j = 0; j < i; ++j) s -= lu_(j, i) * y[j];
-    y[i] = s / lu_(i, i);
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(j, ii) * y[j];
-    y[ii] = s;
-  }
-  Vector x(n);
-  for (std::size_t i = 0; i < n; ++i) x[piv_[i]] = y[i];
-  return x;
-}
-
-double LuFactorization::determinant() const {
-  double d = pivot_sign_;
-  for (std::size_t i = 0; i < size(); ++i) d *= lu_(i, i);
-  return d;
-}
-
 double LuFactorization::rcond_estimate() const {
   double umin = std::abs(lu_(0, 0));
   double umax = umin;
@@ -131,11 +103,6 @@ double LuFactorization::rcond_estimate() const {
 
 Vector solve(Matrix a, const Vector& b) {
   return LuFactorization(std::move(a)).solve(b);
-}
-
-Matrix inverse(const Matrix& a) {
-  LuFactorization lu(a);
-  return lu.solve(Matrix::identity(a.rows()));
 }
 
 }  // namespace lcsf::numeric

@@ -41,8 +41,6 @@ class LuFactorization {
   /// identical to solve(Matrix), allocation-free once warm.
   void solve_into(const Matrix& b, Matrix& x, Vector& col_b,
                   Vector& col_x) const;
-  /// Solve A^T x = b (needed for adjoint sensitivity computations).
-  Vector solve_transposed(const Vector& b) const;
   /// Strided solve for SoA lane storage: element i of the RHS lives at
   /// b[i*stride] and the solution goes to x[i*stride] (b and x must not
   /// alias; both hold size() strided entries). Forward and back
@@ -68,9 +66,6 @@ class LuFactorization {
     }
   }
 
-  /// det(A), with pivoting sign folded in.
-  double determinant() const;
-
   /// Crude reciprocal-condition estimate: min|U_ii| / max|U_ii|. Good enough
   /// to flag the near-singular variational macromodels the paper discusses.
   double rcond_estimate() const;
@@ -80,12 +75,9 @@ class LuFactorization {
 
   Matrix lu_;                     // combined L (unit lower) and U
   std::vector<std::size_t> piv_;  // row permutation
-  int pivot_sign_ = 1;
 };
 
 /// Convenience: solve A x = b with a one-shot factorization.
 Vector solve(Matrix a, const Vector& b);
-/// Convenience: full inverse (used only on small reduced-order blocks).
-Matrix inverse(const Matrix& a);
 
 }  // namespace lcsf::numeric

@@ -43,14 +43,6 @@ std::size_t SparseMatrix::nonzeros() const {
   return n;
 }
 
-Matrix SparseMatrix::to_dense() const {
-  Matrix d(size(), size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    for (const auto& [j, v] : rows_[i]) d(i, j) = v;
-  }
-  return d;
-}
-
 SparseLu::SparseLu(const SparseMatrix& a, double pivot_floor) {
   factorize(a, pivot_floor);
 }
@@ -212,13 +204,6 @@ void SparseLu::solve_into(const Vector& b, Vector& x) const {
     }
     x[ii] = s / urow.front().second;
   }
-}
-
-std::size_t SparseLu::factor_nonzeros() const {
-  std::size_t nnz = 0;
-  for (const auto& r : lrows_) nnz += r.size();
-  for (const auto& r : urows_) nnz += r.size();
-  return nnz;
 }
 
 }  // namespace lcsf::numeric

@@ -39,9 +39,6 @@ class SparseMatrix {
 
   std::size_t nonzeros() const;
 
-  /// Dense copy (tests / tiny systems only).
-  Matrix to_dense() const;
-
  private:
   // rows_[i] kept sorted by column index.
   std::vector<std::vector<std::pair<std::size_t, double>>> rows_;
@@ -75,9 +72,6 @@ class SparseLu {
   Vector solve(const Vector& b) const;
   /// solve() into caller-owned x (may alias b; the loops are in-place).
   void solve_into(const Vector& b, Vector& x) const;
-
-  /// Fill-in statistics (for tests and the micro benches).
-  std::size_t factor_nonzeros() const;
 
  private:
   void factorize(const SparseMatrix& a, double pivot_floor);

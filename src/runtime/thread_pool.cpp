@@ -13,7 +13,7 @@ namespace lcsf::runtime {
 
 namespace {
 
-// Set while a thread is executing pool work, so nested parallel_for calls
+// Set while a thread is executing pool work, so nested parallel loops
 // degrade to inline execution instead of deadlocking on their own pool.
 thread_local bool t_in_pool_task = false;
 
@@ -28,15 +28,14 @@ std::size_t env_threads() {
 
 }  // namespace
 
-// One parallel_for invocation: a shared cursor the participants claim
-// grains from, plus completion accounting and first-exception capture.
-// Exactly one of body / lane_body is set.
+// One parallel_for_lanes invocation: a shared cursor the participants
+// claim grains from, plus completion accounting and first-exception
+// capture.
 struct ThreadPool::Batch {
   std::size_t n = 0;
   std::size_t grain = 1;
-  const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-  const std::function<void(std::size_t, std::size_t, std::size_t)>*
-      lane_body = nullptr;
+  const std::function<void(std::size_t, std::size_t, std::size_t)>* body =
+      nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr error;
@@ -48,11 +47,7 @@ struct ThreadPool::Batch {
       if (begin >= n) break;
       const std::size_t end = std::min(n, begin + grain);
       try {
-        if (lane_body != nullptr) {
-          (*lane_body)(begin, end, lane);
-        } else {
-          (*body)(begin, end);
-        }
+        (*body)(begin, end, lane);
       } catch (...) {
         std::lock_guard<std::mutex> lock(error_mu);
         if (!error) error = std::current_exception();
@@ -137,24 +132,6 @@ void ThreadPool::run_batch(Batch& batch) {
   if (batch.error) std::rethrow_exception(batch.error);
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t grain) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1 || t_in_pool_task) {
-    // Serial path: inline, in index order.
-    body(0, n);
-    return;
-  }
-  Batch batch;
-  batch.n = n;
-  // Several grains per thread so slow samples do not leave threads idle.
-  batch.grain = grain != 0 ? grain
-                           : std::max<std::size_t>(1, n / (8 * size()));
-  batch.body = &body;
-  run_batch(batch);
-}
-
 void ThreadPool::parallel_for_lanes(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
@@ -166,9 +143,10 @@ void ThreadPool::parallel_for_lanes(
   }
   Batch batch;
   batch.n = n;
+  // Several grains per thread so slow samples do not leave threads idle.
   batch.grain = grain != 0 ? grain
                            : std::max<std::size_t>(1, n / (8 * size()));
-  batch.lane_body = &body;
+  batch.body = &body;
   run_batch(batch);
 }
 
@@ -183,20 +161,6 @@ std::size_t ThreadPool::default_threads() {
   if (env != 0) return env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-void parallel_for(std::size_t threads, std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& body,
-                  std::size_t grain) {
-  if (n == 0) return;
-  const std::size_t resolved =
-      threads == 0 ? ThreadPool::default_threads() : threads;
-  if (resolved <= 1 || n == 1) {
-    body(0, n);
-    return;
-  }
-  ThreadPool pool(std::min(resolved, n));
-  pool.parallel_for(n, body, grain);
 }
 
 void parallel_for_lanes(

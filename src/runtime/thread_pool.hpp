@@ -18,14 +18,14 @@
 namespace lcsf::runtime {
 
 /// A persistent pool of worker threads with a dynamically-chunked
-/// parallel_for. Work is claimed from a shared atomic cursor in grains, so
-/// load imbalance between samples (e.g. SPICE retries on hard samples)
-/// does not serialize the run -- the cheap equivalent of work stealing for
-/// index ranges.
+/// parallel loop, parallel_for_lanes. Work is claimed from a shared atomic
+/// cursor in grains, so load imbalance between samples (e.g. SPICE
+/// retries on hard samples) does not serialize the run -- the cheap
+/// equivalent of work stealing for index ranges.
 ///
-/// Thread-safety: parallel_for may be called from one thread at a time.
-/// Calling parallel_for from *inside* a pool task runs the nested loop
-/// inline on the calling worker (no deadlock, no oversubscription).
+/// Thread-safety: parallel_for_lanes may be called from one thread at a
+/// time. Calling it from *inside* a pool task runs the nested loop inline
+/// on the calling worker (no deadlock, no oversubscription).
 class ThreadPool {
  public:
   /// `num_threads == 0` resolves via default_threads(). A pool of size 1
@@ -39,20 +39,15 @@ class ThreadPool {
   /// Number of threads that execute work (workers + the calling thread).
   std::size_t size() const { return workers_.size() + 1; }
 
-  /// Runs body(begin, end) over disjoint chunks covering [0, n).
+  /// Runs body(begin, end, lane) over disjoint chunks covering [0, n).
+  /// `lane` identifies the executing thread (caller = 0, worker k = k + 1,
+  /// so lane < size()). Within one call a lane is only ever used by one
+  /// thread, which lets callers keep per-lane mutable workspaces without
+  /// locking. The serial and nested fallback paths run on lane 0.
   /// `grain == 0` picks a chunk size that gives each thread several chunks
   /// for load balancing. The calling thread participates. The first
   /// exception thrown by any chunk is rethrown here after all in-flight
   /// chunks finish; remaining unclaimed chunks are abandoned.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t grain = 0);
-
-  /// parallel_for with a lane index: body(begin, end, lane) where `lane`
-  /// identifies the executing thread (caller = 0, worker k = k + 1, so
-  /// lane < size()). Within one call a lane is only ever used by one
-  /// thread, which lets callers keep per-lane mutable workspaces without
-  /// locking. The serial and nested fallback paths run on lane 0.
   void parallel_for_lanes(
       std::size_t n,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
@@ -76,7 +71,7 @@ class ThreadPool {
 };
 
 /// RAII escape hatch for long-running pool tasks that act as independent
-/// execution roots. A body running inside parallel_for normally degrades
+/// execution roots. A body running inside the pool normally degrades
 /// nested parallel sections to inline execution (the anti-deadlock /
 /// anti-oversubscription default). A connection handler of a server,
 /// however, occupies its pool lane for the whole session and *wants* the
@@ -98,16 +93,11 @@ class TaskRootScope {
 };
 
 /// One-shot convenience: run body over [0, n) on `threads` threads
-/// (0 = default_threads(), <= 1 = inline serial). Constructs a transient
-/// pool; prefer a long-lived ThreadPool when calling in a loop.
-void parallel_for(std::size_t threads, std::size_t n,
-                  const std::function<void(std::size_t, std::size_t)>& body,
-                  std::size_t grain = 0);
-
-/// One-shot lane-passing variant: lanes are < max(1, resolved threads),
-/// with the `threads = 0` resolution of parallel_for. Serial runs use
-/// lane 0. Callers sizing per-lane workspaces should use the same
-/// resolution (ThreadPool::default_threads() when threads == 0).
+/// (0 = default_threads(), <= 1 = inline serial on lane 0), so lanes are
+/// < max(1, resolved threads). Constructs a transient pool; prefer a
+/// long-lived ThreadPool when calling in a loop. Callers sizing per-lane
+/// workspaces should use the same resolution
+/// (ThreadPool::default_threads() when threads == 0).
 void parallel_for_lanes(
     std::size_t threads, std::size_t n,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body,

@@ -179,22 +179,8 @@ Vector TransientSimulator::isource_rhs(double t, double scale) const {
   return b;
 }
 
-Vector TransientSimulator::assemble_node_voltages(const Vector& x,
-                                                  const Vector& vk) const {
-  Vector v(nl_.node_count(), 0.0);
-  for (std::size_t n = 0; n < nl_.node_count(); ++n) {
-    const int code = node_to_unknown_[n];
-    if (code >= 0) {
-      v[n] = x[static_cast<std::size_t>(code)];
-    } else if (code <= -2) {
-      v[n] = vk[static_cast<std::size_t>(-2 - code)];
-    }
-  }
-  return v;
-}
-
-const Vector& TransientSimulator::scratch_node_voltages(const Vector& x,
-                                                        const Vector& vk) {
+const Vector& TransientSimulator::assemble_node_voltages(const Vector& x,
+                                                         const Vector& vk) {
   Vector& v = vnode_scratch_;
   v.assign(nl_.node_count(), 0.0);
   for (std::size_t n = 0; n < nl_.node_count(); ++n) {
@@ -210,7 +196,6 @@ const Vector& TransientSimulator::scratch_node_voltages(const Vector& x,
 
 double TransientSimulator::newton_iteration(double ceff, const Vector& vk,
                                             const Vector& rhs_const,
-                                            double src_scale,
                                             const TransientOptions& opt,
                                             Vector& x) {
   SparseMatrix& a = a_scratch_;
@@ -258,7 +243,7 @@ double TransientSimulator::newton_iteration(double ceff, const Vector& vk,
 
   // Nonlinear device stamps, re-linearized at the current iterate -- the
   // conventional Newton approach the paper contrasts with chord models.
-  const Vector& vnode = scratch_node_voltages(x, vk);
+  const Vector& vnode = assemble_node_voltages(x, vk);
   for (const auto& m : nl_.mosfets()) {
     const double vg = vnode[static_cast<std::size_t>(m.gate)];
     const double vd = vnode[static_cast<std::size_t>(m.drain)];
@@ -292,10 +277,6 @@ double TransientSimulator::newton_iteration(double ceff, const Vector& vk,
     }
   }
 
-  // Linear coupling to known nodes (assembled fresh because vk is fixed
-  // inside a timestep but the stamps above also write into b).
-  (void)src_scale;
-
   obs::add_counter("spice.newton_iterations");
   if (lu_scratch_.refactor(a)) {
     obs::add_counter("spice.lu_refactors");
@@ -319,12 +300,10 @@ double TransientSimulator::newton_iteration(double ceff, const Vector& vk,
 
 bool TransientSimulator::newton_loop(double ceff, const Vector& vk,
                                      const Vector& rhs_const,
-                                     double src_scale,
                                      const TransientOptions& opt, Vector& x,
                                      long* iter_accum) {
   for (int it = 0; it < opt.max_newton; ++it) {
-    const double dmax = newton_iteration(ceff, vk, rhs_const, src_scale, opt,
-                                         x);
+    const double dmax = newton_iteration(ceff, vk, rhs_const, opt, x);
     if (iter_accum != nullptr) ++(*iter_accum);
     if (!std::isfinite(dmax)) return false;
     if (dmax < opt.vtol) return true;
@@ -344,7 +323,7 @@ Vector TransientSimulator::dc_operating_point(const TransientOptions& opt) {
     for (const auto& e : g_uk_) {
       rhs[e.row] -= e.val * vk[e.vsrc];
     }
-    return newton_loop(0.0, vk, rhs, scale, opt, xv, nullptr);
+    return newton_loop(0.0, vk, rhs, opt, xv, nullptr);
   };
 
   if (try_solve(1.0, x)) {
@@ -367,7 +346,7 @@ Vector TransientSimulator::dc_operating_point(const TransientOptions& opt) {
       const Vector vk = known_voltages(0.0, 1.0);
       Vector rhs = isource_rhs(0.0, 1.0);
       for (const auto& e : g_uk_) rhs[e.row] -= e.val * vk[e.vsrc];
-      ok = newton_loop(0.0, vk, rhs, 1.0, gopt, x, nullptr);
+      ok = newton_loop(0.0, vk, rhs, gopt, x, nullptr);
       if (!ok) break;
     }
   }
@@ -418,7 +397,7 @@ TransientResult TransientSimulator::run(const TransientOptions& opt) {
   st.ul.assign(inductors_.size(), 0.0);
   {
     // Inductor branch states from the DC short approximation.
-    const Vector v0 = assemble_node_voltages(st.x, st.vk_prev);
+    const Vector& v0 = assemble_node_voltages(st.x, st.vk_prev);
     for (std::size_t k = 0; k < inductors_.size(); ++k) {
       st.ul[k] = v0[static_cast<std::size_t>(inductors_[k].a)] -
                  v0[static_cast<std::size_t>(inductors_[k].b)];
@@ -456,8 +435,7 @@ TransientResult TransientSimulator::run(const TransientOptions& opt) {
     TransientOptions sopt = opt;
     sopt.damping = damping;
     Vector xn = s.x;
-    if (!newton_loop(ceff, vk, rhs, 1.0, sopt, xn,
-                     &res.total_newton_iterations)) {
+    if (!newton_loop(ceff, vk, rhs, sopt, xn, &res.total_newton_iterations)) {
       d.kind = sim::FailureKind::kNewtonNonConvergence;
       d.failure_time = t1;
       d.detail = "iteration limit " + std::to_string(opt.max_newton) +
@@ -491,7 +469,7 @@ TransientResult TransientSimulator::run(const TransientOptions& opt) {
     s.ic = std::move(ic_new);
     s.x = xn;
     {
-      const Vector vn = assemble_node_voltages(s.x, vk);
+      const Vector& vn = assemble_node_voltages(s.x, vk);
       for (std::size_t k = 0; k < inductors_.size(); ++k) {
         const double geq = 1.0 / (ceff * inductors_[k].henries);
         const double u_new = vn[static_cast<std::size_t>(inductors_[k].a)] -

@@ -98,24 +98,23 @@ class TransientSimulator {
   /// Assemble Jacobian + RHS at unknown-vector x and solve one Newton
   /// update. Returns the max voltage change.
   double newton_iteration(double ceff, const numeric::Vector& vk,
-                          const numeric::Vector& rhs_const, double src_scale,
+                          const numeric::Vector& rhs_const,
                           const TransientOptions& opt, numeric::Vector& x);
 
   /// Newton loop; returns true on convergence.
   bool newton_loop(double ceff, const numeric::Vector& vk,
-                   const numeric::Vector& rhs_const, double src_scale,
+                   const numeric::Vector& rhs_const,
                    const TransientOptions& opt, numeric::Vector& x,
                    long* iter_accum);
 
   numeric::Vector known_voltages(double t, double scale) const;
   numeric::Vector isource_rhs(double t, double scale) const;
 
-  /// Full node-space voltage vector from unknowns + knowns at time t.
-  numeric::Vector assemble_node_voltages(const numeric::Vector& x,
-                                         const numeric::Vector& vk) const;
-  /// assemble_node_voltages into the reusable vnode_scratch_ buffer.
-  const numeric::Vector& scratch_node_voltages(const numeric::Vector& x,
-                                               const numeric::Vector& vk);
+  /// Full node-space voltage vector from unknowns + knowns at time t,
+  /// written into the reusable vnode_scratch_ buffer (valid until the
+  /// next call).
+  const numeric::Vector& assemble_node_voltages(const numeric::Vector& x,
+                                                const numeric::Vector& vk);
 
   const circuit::Netlist& nl_;
   std::vector<MacromodelStamp> macromodels_;

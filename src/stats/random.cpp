@@ -30,13 +30,6 @@ std::vector<std::size_t> stream_permutation(std::size_t n,
   return p;
 }
 
-std::vector<std::size_t> Rng::permutation(std::size_t n) {
-  std::vector<std::size_t> p(n);
-  std::iota(p.begin(), p.end(), std::size_t{0});
-  std::shuffle(p.begin(), p.end(), engine_);
-  return p;
-}
-
 double inverse_normal_cdf(double p) {
   if (p <= 0.0 || p >= 1.0) {
     sim::throw_invalid_input("inverse_normal_cdf: p must be in (0,1)");
@@ -87,23 +80,6 @@ double mixture_likelihood_ratio(double score, double lambda) {
   // mixture floor lambda, which is exactly the 1/lambda weight bound the
   // defensive mixture exists to provide.
   return 1.0 / (lambda + (1.0 - lambda) * std::exp(score));
-}
-
-numeric::Matrix latin_hypercube(std::size_t n_samples, std::size_t n_dims,
-                                Rng& rng) {
-  if (n_samples == 0 || n_dims == 0) {
-    sim::throw_invalid_input("latin_hypercube: empty design");
-  }
-  numeric::Matrix u(n_samples, n_dims);
-  for (std::size_t d = 0; d < n_dims; ++d) {
-    const auto perm = rng.permutation(n_samples);
-    for (std::size_t s = 0; s < n_samples; ++s) {
-      // Stratum perm[s] with jitter inside it.
-      u(s, d) = (static_cast<double>(perm[s]) + rng.uniform()) /
-                static_cast<double>(n_samples);
-    }
-  }
-  return u;
 }
 
 }  // namespace lcsf::stats

@@ -1,21 +1,17 @@
 // Reproducible random sampling utilities: every statistical experiment in
 // the benches is seeded, so tables regenerate bit-identically.
 //
-// Two generator families live here:
-//  * Rng -- a stateful mt19937_64 wrapper for inherently serial uses
-//    (ad-hoc experiments, the legacy latin_hypercube() entry point).
-//  * SplitMix64 + sample_stream() -- counter-based streams for the
-//    parallel Monte-Carlo engine: every sample index owns an independent
-//    stream derived from (seed, index), so a run partitioned across any
-//    number of threads draws bitwise-identical variates. This is the
-//    determinism contract documented in docs/monte_carlo.md.
+// One generator family lives here: SplitMix64 + sample_stream(), the
+// counter-based streams of the parallel Monte-Carlo engine. Every sample
+// index owns an independent stream derived from (seed, index), so a run
+// partitioned across any number of threads draws bitwise-identical
+// variates. This is the determinism contract documented in
+// docs/monte_carlo.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <vector>
-
-#include "numeric/matrix.hpp"
 
 namespace lcsf::stats {
 
@@ -93,48 +89,14 @@ inline constexpr std::uint64_t kIsMainPerm = 0x15a4;
 }  // namespace stream_tag
 
 /// Deterministic Fisher-Yates permutation of 0..n-1 driven by a
-/// counter-based stream (the thread-count-independent analogue of
-/// Rng::permutation).
+/// counter-based stream.
 std::vector<std::size_t> stream_permutation(std::size_t n,
                                             SplitMix64& stream);
-
-// lcsf-lint: allow(nondeterministic-rng) -- Rng's mt19937_64 member
-// below is always constructed from the explicit ctor seed; the textual
-// rule cannot see through the member-initializer list. SplitMix64
-// streams above remain the only sanctioned parallel path.
-class Rng {
- public:
-  explicit Rng(std::uint64_t seed) : engine_(seed) {}
-
-  double uniform() { return unit_(engine_); }
-  double uniform(double lo, double hi) {
-    return lo + (hi - lo) * uniform();
-  }
-  double normal(double mean = 0.0, double sigma = 1.0) {
-    return mean + sigma * normal_(engine_);
-  }
-  /// Random permutation of 0..n-1 (used by Latin Hypercube Sampling).
-  std::vector<std::size_t> permutation(std::size_t n);
-
-  std::mt19937_64& engine() { return engine_; }
-
- private:
-  std::mt19937_64 engine_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
-  std::normal_distribution<double> normal_{0.0, 1.0};
-};
 
 /// Inverse standard-normal CDF (Acklam's rational approximation, relative
 /// error < 1.15e-9). Needed to map Latin Hypercube strata onto normal
 /// variates.
 double inverse_normal_cdf(double p);
-
-/// Latin Hypercube Sampling: returns an n_samples x n_dims matrix of
-/// stratified U(0,1) variates -- each column is a random permutation of the
-/// n_samples strata with a uniform jitter inside each stratum (the paper
-/// draws its 100 Example-2 samples this way).
-numeric::Matrix latin_hypercube(std::size_t n_samples, std::size_t n_dims,
-                                Rng& rng);
 
 /// Map a U(0,1) value to uniform(lo, hi).
 inline double to_uniform(double u, double lo, double hi) {

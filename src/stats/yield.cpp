@@ -30,12 +30,13 @@ std::vector<double> empirical_yield_curve(const std::vector<double>& delays,
     sim::throw_invalid_input("empirical_yield_curve: empty sample");
   }
   std::vector<double> out(periods.size());
-  runtime::parallel_for(threads, periods.size(),
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t k = begin; k < end; ++k) {
-                         out[k] = empirical_yield(delays, periods[k]);
-                       }
-                     });
+  runtime::parallel_for_lanes(
+      threads, periods.size(),
+      [&](std::size_t begin, std::size_t end, std::size_t /*lane*/) {
+        for (std::size_t k = begin; k < end; ++k) {
+          out[k] = empirical_yield(delays, periods[k]);
+        }
+      });
   return out;
 }
 

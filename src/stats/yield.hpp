@@ -35,7 +35,7 @@ std::vector<double> empirical_yield_curve(const std::vector<double>& delays,
                                           std::size_t threads = 0);
 
 /// A Monte-Carlo yield estimate plus the sample it was computed from
-/// (Runner::run_yield).
+/// (a Runner::run_monte_carlo result).
 class McYieldEstimate {
  public:
   McYieldEstimate() = default;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 
 #include "circuit/mosfet.hpp"
@@ -532,70 +534,107 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
                           const TetaOptions& opt, BatchTetaWorkspace& bws) {
   const std::size_t nl = lanes.size();
   if (nl == 0) return;
-  if (nl == 1) {
-    simulate_stage(*lanes[0].stage, *lanes[0].load, opt, *lanes[0].ws,
-                   *lanes[0].out);
-    return;
+  obs::ScopedSpan span(nl == 1 ? "teta.stage" : "teta.stage_batch");
+  for (const BatchLane& ln : lanes) {
+    if (ln.load->num_ports() != ln.stage->num_ports()) {
+      sim::throw_invalid_input("simulate_stage: port count mismatch");
+    }
   }
-  obs::ScopedSpan span("teta.stage_batch");
 
-  // ---- Preflight -----------------------------------------------------
-  // Lanes the lockstep block cannot carry go straight to simulate_stage
-  // so their diagnostics, counters and exceptions match a one-lane call
-  // exactly: invalid/unstable inputs now, shape mismatches at the end.
-  bws.rerun.assign(nl, 0);
+  // An unstable pole/residue load can never be convolved (the recursive
+  // convolver requires stabilize() first), so classify it up front
+  // instead of leaking the convolver's exception. Every other lane
+  // enters the ladder.
   bws.live.clear();
-  std::size_t ref = nl;  // first lockstep-eligible lane
   for (std::size_t l = 0; l < nl; ++l) {
-    const BatchLane& ln = lanes[l];
-    if (ln.load->num_ports() != ln.stage->num_ports() ||
-        ln.load->count_unstable() > 0) {
-      simulate_stage(*ln.stage, *ln.load, opt, *ln.ws, *ln.out);
-      continue;
-    }
-    if (ref == nl) {
-      ref = l;
-    } else if (!same_shape(*lanes[ref].stage, *ln.stage, *lanes[ref].load,
-                           *ln.load)) {
-      bws.rerun[l] = 1;
-      continue;
-    }
-    // A lane that fails setup would fail simulate_stage's first attempt
-    // identically; hand it the whole run (setup_and_dc resets the
-    // result, so nothing leaks).
-    if (detail::setup_and_dc(*ln.stage, *ln.load, opt, *ln.ws, *ln.out)) {
+    obs::add_counter("teta.transients");
+    TetaResult& out = *lanes[l].out;
+    out.total_sc_iterations = 0;
+    const mor::PoleResidueModel& load = *lanes[l].load;
+    if (load.count_unstable() == 0) {
       bws.live.push_back(l);
-    } else {
-      bws.rerun[l] = 1;
+      continue;
     }
+    out.converged = false;
+    out.time.clear();
+    out.port_voltages.clear();
+    out.diag = sim::SimDiagnostics{};
+    out.diag.kind = sim::FailureKind::kUnstableMacromodel;
+    out.diag.detail = std::to_string(load.count_unstable()) +
+                      " right-half-plane pole(s), max Re = " +
+                      std::to_string(load.max_unstable_real()) +
+                      "; stabilize() the load";
+    obs::add_counter("teta.failed_transients");
   }
 
-  if (!bws.live.empty()) {
-    detail::step_loop<0>(lanes.data(), bws.live, opt, bws);
-    // Converged lanes get the ladder's bookkeeping for a first-attempt
-    // success; lanes that failed in the block rerun on the ladder.
-    for (std::size_t b = 0; b < bws.live.size(); ++b) {
-      if (!bws.alive[b]) {
-        bws.rerun[bws.live[b]] = 1;
-        continue;
+  // The recovery ladder. The SC system matrix is constant across a whole
+  // transient (one LU per run), so a failed lane reruns its transient at
+  // halved dt and tightened damping rather than retrying one step. Rung r
+  // runs the lanes still pending, bws.live[0, pending), one same_shape
+  // class at a time: setup + DC per lane, then the step loop over the
+  // class's set-up lanes, in lockstep when there are two or more. A lane
+  // leaves once it converged, hit a singular system or used its last
+  // rung; the rest gather at the front of bws.live for rung r + 1.
+  TetaOptions attempt = opt;
+  std::size_t pending = bws.live.size();
+  for (int rung = 0; pending > 0; ++rung) {
+    std::size_t next = 0;
+    for (std::size_t first = 0; first < pending;) {
+      // The class of bws.live[first] moves to [first, end), and its lanes
+      // that set up to [first, ready).
+      const BatchLane& ref = lanes[bws.live[first]];
+      std::size_t end = first + 1;
+      for (std::size_t i = end; i < pending; ++i) {
+        const BatchLane& ln = lanes[bws.live[i]];
+        if (same_shape(*ref.stage, *ln.stage, *ref.load, *ln.load)) {
+          std::swap(bws.live[i], bws.live[end++]);
+        }
       }
-      const TetaResult& res = *lanes[bws.live[b]].out;
-      obs::add_counter("teta.transients");
-      obs::add_counter("teta.chord_iterations",
-                       static_cast<std::uint64_t>(res.total_sc_iterations));
-      obs::add_counter("teta.steps", res.time.size() - 1);
-      obs::add_counter("teta.dt_halvings", 0);
-    }
-  }
+      std::size_t ready = first;
+      for (std::size_t i = first; i < end; ++i) {
+        const BatchLane& ln = lanes[bws.live[i]];
+        if (detail::setup_and_dc(*ln.stage, *ln.load, attempt, *ln.ws,
+                                 *ln.out)) {
+          std::swap(bws.live[i], bws.live[ready++]);
+        }
+      }
+      const std::span<std::size_t> cls(&bws.live[first], ready - first);
+      if (cls.size() == 1) {
+        // A class of one keeps the compile-time one-lane instance, timed
+        // as a one-lane transient inside a block.
+        std::optional<obs::ScopedSpan> one;
+        if (nl > 1) one.emplace("teta.stage");
+        detail::step_loop<1>(lanes.data(), cls, attempt, bws);
+      } else if (!cls.empty()) {
+        detail::step_loop<0>(lanes.data(), cls, attempt, bws);
+      }
 
-  // Lanes the block dropped repeat their first attempt bitwise under
-  // simulate_stage (same setup, same failure) and continue with its retry
-  // ladder, so per-sample results and counters match one-lane calls.
-  for (std::size_t l = 0; l < nl; ++l) {
-    if (bws.rerun[l]) {
-      simulate_stage(*lanes[l].stage, *lanes[l].load, opt, *lanes[l].ws,
-                     *lanes[l].out);
+      for (std::size_t i = first; i < end; ++i) {
+        TetaResult& out = *lanes[bws.live[i]].out;
+        obs::add_counter("teta.steps",
+                         out.time.empty() ? 0 : out.time.size() - 1);
+        if (!out.converged &&
+            out.diag.kind != sim::FailureKind::kSingularSystem &&
+            rung < opt.recovery.max_dt_retries) {
+          std::swap(bws.live[i], bws.live[next++]);
+          continue;
+        }
+        out.diag.iterations = out.total_sc_iterations;
+        out.diag.retries_used = rung;
+        obs::add_counter("teta.chord_iterations",
+                         static_cast<std::uint64_t>(out.total_sc_iterations));
+        obs::add_counter("teta.dt_halvings", static_cast<std::uint64_t>(rung));
+        if (!out.converged) {
+          obs::add_counter("teta.failed_transients");
+        } else if (rung > 0) {
+          obs::add_counter("teta.recovered_transients");
+        }
+      }
+      first = end;
     }
+    pending = next;
+    attempt.dt *= 0.5;
+    attempt.damping_frac *= opt.recovery.damping_factor;
   }
 }
 

@@ -1,4 +1,5 @@
-// Lockstep SoA execution of a block of TETA transients.
+// TETA's transient driver: the recovery ladder over a block of lanes,
+// with lockstep SoA execution of same-shape lanes.
 //
 // A Monte-Carlo batch runs K samples of the *same stage topology* whose
 // device parameters differ. Setup + DC run per lane
@@ -6,8 +7,8 @@
 // lockstep with every per-step kernel (recursive-convolution history,
 // state advance, RHS assembly, capacitor companions) expressed over
 // lane-inner structure-of-arrays buffers, so the compiler vectorizes
-// across samples (numeric/simd.hpp). That loop is the engine's only one:
-// simulate_stage runs its one-lane instance.
+// across samples (numeric/simd.hpp). simulate_stage is this driver's
+// one-lane call.
 //
 // Contract: results are bitwise identical to running teta::simulate_stage
 // on each lane separately. This holds because
@@ -18,10 +19,11 @@
 //   * a lane's settle stop reads only its own state, so it leaves the
 //     block at the step a one-lane run would stop at, and the block runs
 //     on without it;
-//   * any lane that cannot stay in lockstep (shape mismatch, setup or
-//     convergence failure, blow-up) is rerun from scratch by
-//     simulate_stage, whose first attempt repeats the failed lockstep
-//     attempt bitwise and then continues with the usual retry ladder.
+//   * the dt-halving ladder is per lane: rung r runs every lane still
+//     pending at the same halved dt and damping, grouped into same-shape
+//     classes (in lockstep when a class holds two or more), so a lane
+//     climbs exactly the rungs a one-lane call climbs, and its counters
+//     and diagnostics are recorded when it leaves, as one lane's are.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +37,7 @@ namespace lcsf::teta {
 /// One sample of a lockstep block: caller-owned circuit, load, scratch and
 /// result. Stages may differ in device parameters but must share topology
 /// (node kinds, device terminals, capacitor endpoints, pole count) to run
-/// in lockstep; lanes that do not are run one lane at a time.
+/// in lockstep; lanes that do not run in their own same-shape class.
 struct BatchLane {
   const StageCircuit* stage = nullptr;
   const mor::PoleResidueModel* load = nullptr;
@@ -44,11 +46,15 @@ struct BatchLane {
 };
 
 /// Simulate every lane, in lockstep where possible (see file comment for
-/// the bitwise contract). Each lane's `out` carries the same result,
-/// diagnostics and iteration counts as a one-lane simulate_stage call;
-/// invalid inputs (port-count mismatch) throw exactly as simulate_stage
-/// does. `bws` is the block's SoA scratch (BatchTetaWorkspace lives in
-/// teta/stage.hpp).
+/// the bitwise contract). A port-count mismatch on any lane throws
+/// sim::SimulationError (kInvalidInput) before anything runs; a lane with
+/// an unstable load fails at once as kUnstableMacromodel. Every other
+/// lane climbs the ladder of TetaOptions::recovery and leaves it
+/// converged, on a singular system or with its retries spent; its `out`
+/// carries the same result, diagnostics and iteration counts as a
+/// one-lane simulate_stage call, and the teta.* counters sum those of
+/// one-lane calls. `bws` is the block's SoA scratch (BatchTetaWorkspace
+/// lives in teta/stage.hpp).
 void simulate_stage_batch(const std::vector<BatchLane>& lanes,
                           const TetaOptions& opt, BatchTetaWorkspace& bws);
 

@@ -6,8 +6,6 @@
 
 #include "numeric/fp_compare.hpp"
 #include "numeric/lu.hpp"
-#include "obs/registry.hpp"
-#include "obs/span.hpp"
 #include "teta/convolution.hpp"
 #include "teta/stage_detail.hpp"
 
@@ -176,7 +174,6 @@ bool setup_and_dc(const StageCircuit& stage,
                   const mor::PoleResidueModel& load, const TetaOptions& opt,
                   TetaWorkspace& ws, TetaResult& res) {
   res.converged = false;
-  res.total_sc_iterations = 0;
   res.diag = sim::SimDiagnostics{};
   res.time.clear();
   res.port_voltages.clear();
@@ -442,65 +439,7 @@ TetaResult simulate_stage(const StageCircuit& stage,
 void simulate_stage(const StageCircuit& stage,
                     const mor::PoleResidueModel& load, const TetaOptions& opt,
                     TetaWorkspace& ws, TetaResult& out) {
-  obs::ScopedSpan span("teta.stage");
-  obs::add_counter("teta.transients");
-  if (load.num_ports() != stage.num_ports()) {
-    sim::throw_invalid_input("simulate_stage: port count mismatch");
-  }
-  // An unstable pole/residue load can never be convolved (the recursive
-  // convolver requires stabilize() first), so classify it up front
-  // instead of leaking the convolver's exception.
-  if (load.count_unstable() > 0) {
-    out.converged = false;
-    out.total_sc_iterations = 0;
-    out.time.clear();
-    out.port_voltages.clear();
-    out.diag = sim::SimDiagnostics{};
-    out.diag.kind = sim::FailureKind::kUnstableMacromodel;
-    out.diag.detail = std::to_string(load.count_unstable()) +
-                      " right-half-plane pole(s), max Re = " +
-                      std::to_string(load.max_unstable_real()) +
-                      "; stabilize() the load";
-    obs::add_counter("teta.failed_transients");
-    return;
-  }
-
-  // The SC system matrix is constant across the whole transient (one LU
-  // per run), so recovery reruns the transient at halved dt / tightened
-  // damping instead of retrying a single step. Each attempt is setup + DC
-  // and then the one-lane instance of the step loop, whose SoA scratch
-  // the workspace owns; `out` keeps its waveform storage between calls,
-  // so back-to-back runs allocate nothing once warm.
-  std::size_t only_lane[] = {0};
-  const BatchLane lane{&stage, &load, &ws, &out};
-  TetaOptions attempt = opt;
-  long iterations = 0;
-  std::size_t steps = 0;
-  for (int retry = 0;; ++retry) {
-    if (detail::setup_and_dc(stage, load, attempt, ws, out)) {
-      detail::step_loop<1>(&lane, only_lane, attempt, ws.one_lane);
-    }
-    iterations += out.total_sc_iterations;
-    if (!out.time.empty()) steps += out.time.size() - 1;
-    out.total_sc_iterations = iterations;
-    out.diag.iterations = iterations;
-    out.diag.retries_used = retry;
-    if (out.converged || retry >= opt.recovery.max_dt_retries ||
-        out.diag.kind == sim::FailureKind::kSingularSystem) {
-      obs::add_counter("teta.chord_iterations",
-                       static_cast<std::uint64_t>(iterations));
-      obs::add_counter("teta.steps", steps);
-      obs::add_counter("teta.dt_halvings", static_cast<std::uint64_t>(retry));
-      if (out.converged) {
-        if (retry > 0) obs::add_counter("teta.recovered_transients");
-      } else {
-        obs::add_counter("teta.failed_transients");
-      }
-      return;
-    }
-    attempt.dt *= 0.5;
-    attempt.damping_frac *= opt.recovery.damping_factor;
-  }
+  simulate_stage_batch({{&stage, &load, &ws, &out}}, opt, ws.one_lane);
 }
 
 std::vector<std::pair<double, double>> compress_pwl(

@@ -138,9 +138,9 @@ struct TetaResult {
 /// Reusable SoA scratch of the TETA step loop. All buffers are lane-inner
 /// (index [... * B + b] for slot b of a B-lane block) and sized on entry,
 /// so back-to-back transients allocate nothing once warm.
-/// simulate_stage_batch takes one for its lockstep blocks; every
-/// TetaWorkspace owns one for its one-lane attempts. Engine internals;
-/// treat as opaque storage.
+/// simulate_stage_batch takes one for its blocks; every TetaWorkspace
+/// owns one for simulate_stage's one-lane calls. Engine internals; treat
+/// as opaque storage.
 struct BatchTetaWorkspace {
   // Unknowns / RHS / per-step vectors, [i * B + b]; xprev is the
   // previous committed solution, the chord predictor's second point.
@@ -164,9 +164,8 @@ struct BatchTetaWorkspace {
   std::vector<Terminals> terminals;
   std::vector<const numeric::Matrix*> y_h;    // per slot
   std::vector<std::size_t> known_nodes;       // nodes with known voltage
-  std::vector<std::size_t> live;              // lane index per slot
+  std::vector<std::size_t> live;              // ladder lanes, one per slot
   std::vector<unsigned char> alive, sc_done;  // per slot
-  std::vector<unsigned char> rerun;           // per lane
 };
 
 /// Reusable per-worker scratch for simulate_stage: every factorization,
@@ -205,7 +204,7 @@ struct TetaWorkspace {
   numeric::LuFactorization lu_newton;  // per-iteration DC Newton factor
   numeric::Vector x, xn, rhs, vnode, vp, i_load;
   numeric::Vector col_b, col_x;    // column scratch for matrix solves
-  BatchTetaWorkspace one_lane;     // step-loop scratch of one-lane attempts
+  BatchTetaWorkspace one_lane;     // simulate_stage's block scratch
 };
 
 /// Simulate a stage against a stable pole/residue load. The load's chord

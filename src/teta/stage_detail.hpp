@@ -1,18 +1,16 @@
-// Internal seam between the TETA retry ladder (stage.cpp) and the step
-// loop (batch.cpp).
-//
-// One transient attempt splits into two phases:
+// Internal seam between the TETA recovery ladder (simulate_stage_batch in
+// batch.cpp) and the two phases of one transient attempt:
 //   1. setup + DC: build the unknown map, stamp the constant SC system,
 //      factorize it, find the DC operating point with damped Newton, and
 //      initialize the convolver history and capacitor states;
 //   2. the timestep loop, step_loop<kLanes>.
 // Phase 1 runs per lane. Phase 2 marches the lanes of one stage shape
 // through the same per-step kernels over lane-inner SoA buffers. It has
-// two instances: kLanes = 1, which simulate_stage's retry ladder runs,
-// and kLanes = 0 (width read at run time), which simulate_stage_batch
-// runs for its lockstep blocks. A compile-time width folds the lane
-// strides and one-trip lane loops away. The loop lives in batch.cpp,
-// whose translation unit gets the dynamic vectorizer cost model.
+// two instances: kLanes = 1 for a class of one lane, and kLanes = 0
+// (width read at run time) for a lockstep block. A compile-time width
+// folds the lane strides and one-trip lane loops away. The loop lives in
+// batch.cpp, whose translation unit gets the dynamic vectorizer cost
+// model.
 //
 // This header is engine-internal: only stage.cpp and batch.cpp include it.
 #pragma once
@@ -26,9 +24,10 @@
 namespace lcsf::teta::detail {
 
 /// Setup + DC phase of one transient attempt (see file comment). Resets
-/// `res` and fills `ws` (unknown map, chords, chord_known, caps, factored
-/// lu_tr, y_h/y_dc, DC solution in ws.x, initialized convolver). Returns
-/// false with res.diag classified when the attempt cannot proceed
+/// `res` but for total_sc_iterations, which counts on across the ladder's
+/// attempts, and fills `ws` (unknown map, chords, chord_known, caps,
+/// factored lu_tr, y_h/y_dc, DC solution in ws.x, initialized convolver).
+/// Returns false with res.diag classified when the attempt cannot proceed
 /// (singular system, DC Newton failure).
 bool setup_and_dc(const StageCircuit& stage,
                   const mor::PoleResidueModel& load, const TetaOptions& opt,

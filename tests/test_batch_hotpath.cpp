@@ -1,14 +1,15 @@
 // Batched (SoA) Monte-Carlo hot path: bitwise equivalence against
 // one-lane runs across batch widths and thread counts, lanes that leave
-// a lockstep block, the step loop's SoA state against a
-// RecursiveConvolver replay, the dispatch counters, fail-soft parity of
-// the batch dispatcher, and the strided-batch numeric kernels. See
-// docs/performance.md.
+// a lockstep block and climb the retry ladder, the step loop's SoA state
+// against a RecursiveConvolver replay, the dispatch counters, fail-soft
+// parity of the batch dispatcher, and the strided-batch numeric kernels.
+// See docs/performance.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -446,9 +447,11 @@ TetaLaneInputs teta_lane(const StageModel& st, const circuit::Technology& tech,
 // simulate_stage calls; every lane's result and the teta.* counters must
 // match bitwise. Returns the one-lane results.
 std::vector<teta::TetaResult> expect_block_matches_one_lane_calls(
-    const std::vector<TetaLaneInputs>& in, const teta::TetaOptions& opt) {
+    const std::vector<TetaLaneInputs>& in, const teta::TetaOptions& opt,
+    obs::Registry* block_registry = nullptr) {
   const std::size_t nl = in.size();
-  obs::Registry batch_reg;
+  obs::Registry own_reg;
+  obs::Registry& batch_reg = block_registry ? *block_registry : own_reg;
   std::vector<teta::TetaWorkspace> bws_lanes(nl);
   std::vector<teta::TetaResult> got(nl);
   {
@@ -478,6 +481,7 @@ std::vector<teta::TetaResult> expect_block_matches_one_lane_calls(
     EXPECT_EQ(g.total_sc_iterations, w.total_sc_iterations) << "lane " << l;
     EXPECT_EQ(g.diag.kind, w.diag.kind) << "lane " << l;
     EXPECT_EQ(g.diag.detail, w.diag.detail) << "lane " << l;
+    EXPECT_EQ(g.diag.message(), w.diag.message()) << "lane " << l;
     EXPECT_EQ(g.diag.failure_time, w.diag.failure_time) << "lane " << l;
     EXPECT_EQ(g.diag.iterations, w.diag.iterations) << "lane " << l;
     EXPECT_EQ(g.diag.retries_used, w.diag.retries_used) << "lane " << l;
@@ -569,6 +573,75 @@ TEST(BatchHotpath, LanesLeavingALockstepBlockMatchOneLaneCalls) {
     EXPECT_TRUE(res[3].converged);
     EXPECT_EQ(res[3].diag.retries_used, 0);
   }
+}
+
+// The ladder runs every rung as one block: rung r holds the lanes still
+// pending, each same-shape class in lockstep (or as a class of one), at
+// dt / 2^r. Lanes that fail rung 0 and recover at rung 1 climb together,
+// a lane whose input turns NaN blows up on every rung, and a lane whose
+// load has one pole fewer runs alone in its own class; each ends as its
+// one-lane call ends, and the block's teta.* counters are their sums.
+TEST(BatchHotpath, RetryLadderRunsEachRungAsABlock) {
+  const PathAnalyzer pa(small_path_spec());
+  const circuit::Technology& tech = pa.spec().tech;
+  const StageModel& inv = pa.stage_model(0);
+  teta::TetaOptions opt;
+  opt.tstop = 0.4e-9;
+  opt.dt = 8e-12;
+  opt.max_sc_iters = 14;
+  opt.vdd = tech.vdd;
+  opt.recovery.max_dt_retries = 2;
+  opt.recovery.damping_factor = 1.0;  // keep DC within the tight budget
+
+  using circuit::SourceWaveform;
+  const auto edge = [&](double start, double rise) {
+    return SourceWaveform::ramp(0.0, tech.vdd, start, rise);
+  };
+  std::vector<TetaLaneInputs> in;
+  in.push_back(teta_lane(inv, tech, edge(1e-9, 100e-12), {}));  // idle
+  timing::DeviceVariation slow;
+  slow.delta_vt = 0.01;
+  in.push_back(teta_lane(inv, tech, edge(0.05e-9, 60e-12), {}));
+  in.push_back(teta_lane(inv, tech, edge(0.05e-9, 100e-12), slow));
+  in.push_back(teta_lane(
+      inv, tech,
+      SourceWaveform::pwl({{0.0, 0.0},
+                           {50e-12, 0.0},
+                           {100e-12, std::numeric_limits<double>::quiet_NaN()},
+                           {200e-12, tech.vdd}}),
+      {}));
+  TetaLaneInputs fewer = teta_lane(inv, tech, edge(0.05e-9, 100e-12), {});
+  {
+    std::vector<numeric::Complex> poles = fewer.load.poles();
+    std::vector<numeric::ComplexMatrix> res;
+    for (std::size_t q = 0; q + 1 < poles.size(); ++q) {
+      res.push_back(fewer.load.residue(q));
+    }
+    poles.pop_back();
+    fewer.load = mor::PoleResidueModel(fewer.load.num_ports(),
+                                       fewer.load.direct(), poles, res);
+  }
+  ASSERT_EQ(fewer.load.num_poles() + 1, in[0].load.num_poles());
+  in.push_back(std::move(fewer));
+
+  obs::Registry block_reg;
+  const auto res = expect_block_matches_one_lane_calls(in, opt, &block_reg);
+  EXPECT_TRUE(res[0].converged);
+  EXPECT_EQ(res[0].diag.retries_used, 0);
+  for (const std::size_t l : {1, 2, 4}) {
+    EXPECT_TRUE(res[l].converged) << "lane " << l;
+    EXPECT_EQ(res[l].diag.retries_used, 1) << "lane " << l;
+  }
+  EXPECT_FALSE(res[3].converged);
+  EXPECT_EQ(res[3].diag.kind, sim::FailureKind::kBlowUp);
+  EXPECT_EQ(res[3].diag.retries_used, 2);
+  // Classes of one inside the block are timed as nested one-lane
+  // transients: the short-load lane on rungs 0 and 1, the NaN lane alone
+  // on rung 2.
+  const auto timers = block_reg.snapshot().timers;
+  const auto nested = timers.find("teta.stage_batch/teta.stage");
+  ASSERT_NE(nested, timers.end());
+  EXPECT_EQ(nested->second.count, 3u);
 }
 
 // The settle stop ends a lane at the first committed step where its

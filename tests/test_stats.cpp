@@ -1,4 +1,4 @@
-// Tests for the statistics layer: RNG, LHS, PCA, MC, GA.
+// Tests for the statistics layer: sample streams, LHS, PCA, MC, GA.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,23 +21,6 @@ namespace {
 using numeric::Matrix;
 using numeric::Vector;
 
-TEST(Rng, Reproducible) {
-  Rng a(42), b(42);
-  for (int k = 0; k < 10; ++k) {
-    EXPECT_DOUBLE_EQ(a.uniform(), b.uniform());
-  }
-  Rng c(43);
-  EXPECT_NE(Rng(42).uniform(), c.uniform());
-}
-
-TEST(Rng, PermutationIsBijective) {
-  Rng rng(7);
-  auto p = rng.permutation(20);
-  std::set<std::size_t> seen(p.begin(), p.end());
-  EXPECT_EQ(seen.size(), 20u);
-  EXPECT_EQ(*seen.rbegin(), 19u);
-}
-
 TEST(InverseNormalCdf, MatchesKnownQuantiles) {
   EXPECT_NEAR(inverse_normal_cdf(0.5), 0.0, 1e-9);
   EXPECT_NEAR(inverse_normal_cdf(0.8413447460685429), 1.0, 1e-6);
@@ -56,39 +39,19 @@ TEST(InverseNormalCdf, RoundTripsCdf) {
   }
 }
 
-TEST(LatinHypercube, StratifiesEveryDimension) {
-  Rng rng(11);
-  const std::size_t n = 50;
-  Matrix u = latin_hypercube(n, 3, rng);
-  for (std::size_t d = 0; d < 3; ++d) {
-    std::vector<bool> stratum(n, false);
-    for (std::size_t s = 0; s < n; ++s) {
-      EXPECT_GE(u(s, d), 0.0);
-      EXPECT_LT(u(s, d), 1.0);
-      stratum[static_cast<std::size_t>(u(s, d) * n)] = true;
-    }
-    // LHS guarantee: exactly one sample per stratum.
-    for (std::size_t k = 0; k < n; ++k) EXPECT_TRUE(stratum[k]) << k;
-  }
-}
-
 TEST(LatinHypercube, VarianceReductionVsPlainSampling) {
   // The mean of a monotone function is estimated with lower spread by LHS.
+  const std::vector<VariationSource> unit{
+      {VariationSource::Kind::kUniform, 0.5, 0.5}};  // U(0, 1)
+  const auto square = per_sample([](const Vector& w) { return w[0] * w[0]; });
   auto spread_of = [&](bool lhs) {
     std::vector<double> means;
     for (unsigned seed = 0; seed < 30; ++seed) {
-      Rng rng(seed);
-      double acc = 0.0;
-      if (lhs) {
-        Matrix u = latin_hypercube(20, 1, rng);
-        for (std::size_t s = 0; s < 20; ++s) acc += u(s, 0) * u(s, 0);
-      } else {
-        for (std::size_t s = 0; s < 20; ++s) {
-          const double x = rng.uniform();
-          acc += x * x;
-        }
-      }
-      means.push_back(acc / 20.0);
+      RunOptions opt;
+      opt.samples = 20;
+      opt.seed = seed;
+      opt.latin_hypercube = lhs;
+      means.push_back(Runner(opt).run_monte_carlo(square, unit).stats.mean());
     }
     return summarize(means).stddev();
   };
@@ -147,10 +110,11 @@ TEST(Pca, ReverseTransformReproducesCovariance) {
   Vector sigmas{2.0, 1.0};
   Matrix cov = equicorrelated_covariance(sigmas, 0.5);
   Pca pca(cov, Vector(2, 0.0));
-  Rng rng(5);
   OnlineStats s00, s01, s11;
   for (int k = 0; k < 20000; ++k) {
-    Vector z{rng.normal(), rng.normal()};
+    SplitMix64 draw = sample_stream(5, static_cast<std::uint64_t>(k));
+    Vector z{inverse_normal_cdf(draw.uniform_open()),
+             inverse_normal_cdf(draw.uniform_open())};
     Vector x = pca.from_factors(z);
     s00.add(x[0] * x[0]);
     s01.add(x[0] * x[1]);

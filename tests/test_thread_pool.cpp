@@ -24,9 +24,11 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
     EXPECT_EQ(pool.size(), threads);
     const std::size_t n = 1000;
     std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) hits[k].fetch_add(1);
-    });
+    pool.parallel_for_lanes(
+        n, [&](std::size_t begin, std::size_t end, std::size_t lane) {
+          EXPECT_LT(lane, threads);
+          for (std::size_t k = begin; k < end; ++k) hits[k].fetch_add(1);
+        });
     for (std::size_t k = 0; k < n; ++k) {
       EXPECT_EQ(hits[k].load(), 1) << "index " << k << " with " << threads
                                    << " threads";
@@ -38,9 +40,9 @@ TEST(ThreadPool, ChunkGrainRespected) {
   ThreadPool pool(4);
   std::mutex mu;
   std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_for(
+  pool.parallel_for_lanes(
       100,
-      [&](std::size_t begin, std::size_t end) {
+      [&](std::size_t begin, std::size_t end, std::size_t) {
         std::lock_guard<std::mutex> lock(mu);
         chunks.emplace_back(begin, end);
       },
@@ -56,31 +58,35 @@ TEST(ThreadPool, ChunkGrainRespected) {
 TEST(ThreadPool, EmptyAndSingletonRanges) {
   ThreadPool pool(3);
   bool called = false;
-  pool.parallel_for(0, [&](std::size_t, std::size_t) { called = true; });
+  pool.parallel_for_lanes(
+      0, [&](std::size_t, std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
   std::size_t count = 0;
-  pool.parallel_for(1, [&](std::size_t begin, std::size_t end) {
-    count += end - begin;
-  });
+  pool.parallel_for_lanes(
+      1, [&](std::size_t begin, std::size_t end, std::size_t lane) {
+        EXPECT_EQ(lane, 0u);
+        count += end - begin;
+      });
   EXPECT_EQ(count, 1u);
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(256,
-                        [&](std::size_t begin, std::size_t) {
-                          if (begin >= 128) {
-                            throw std::runtime_error("sample failed");
-                          }
-                        }),
-      std::runtime_error);
+  EXPECT_THROW(pool.parallel_for_lanes(
+                   256,
+                   [&](std::size_t begin, std::size_t, std::size_t) {
+                     if (begin >= 128) {
+                       throw std::runtime_error("sample failed");
+                     }
+                   }),
+               std::runtime_error);
 
   // The pool survives a failed batch and runs the next one fully.
   std::atomic<std::size_t> done{0};
-  pool.parallel_for(64, [&](std::size_t begin, std::size_t end) {
-    done.fetch_add(end - begin);
-  });
+  pool.parallel_for_lanes(
+      64, [&](std::size_t begin, std::size_t end, std::size_t) {
+        done.fetch_add(end - begin);
+      });
   EXPECT_EQ(done.load(), 64u);
 }
 
@@ -88,9 +94,9 @@ TEST(ThreadPool, ExceptionAbandonsRemainingChunks) {
   ThreadPool pool(2);
   std::atomic<std::size_t> executed{0};
   try {
-    pool.parallel_for(
+    pool.parallel_for_lanes(
         10000,
-        [&](std::size_t begin, std::size_t end) {
+        [&](std::size_t begin, std::size_t end, std::size_t) {
           executed.fetch_add(end - begin);
           if (begin == 0) throw std::logic_error("early");
         },
@@ -105,16 +111,18 @@ TEST(ThreadPool, ExceptionAbandonsRemainingChunks) {
 TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64 * 8);
-  pool.parallel_for(64, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t outer = begin; outer < end; ++outer) {
-      // Nested call on the same pool: must complete inline, no deadlock.
-      pool.parallel_for(8, [&](std::size_t b2, std::size_t e2) {
-        for (std::size_t inner = b2; inner < e2; ++inner) {
-          hits[outer * 8 + inner].fetch_add(1);
+  pool.parallel_for_lanes(
+      64, [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t outer = begin; outer < end; ++outer) {
+          // Nested call on the same pool: must complete inline, no deadlock.
+          pool.parallel_for_lanes(
+              8, [&](std::size_t b2, std::size_t e2, std::size_t) {
+                for (std::size_t inner = b2; inner < e2; ++inner) {
+                  hits[outer * 8 + inner].fetch_add(1);
+                }
+              });
         }
       });
-    }
-  });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -123,11 +131,12 @@ TEST(ThreadPool, FreeFunctionSerialAndParallelAgree) {
   const std::size_t n = 512;
   auto run = [&](std::size_t threads) {
     std::vector<double> out(n);
-    parallel_for(threads, n, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t k = begin; k < end; ++k) {
-        out[k] = static_cast<double>(k * k % 97);
-      }
-    });
+    parallel_for_lanes(
+        threads, n, [&](std::size_t begin, std::size_t end, std::size_t) {
+          for (std::size_t k = begin; k < end; ++k) {
+            out[k] = static_cast<double>(k * k % 97);
+          }
+        });
     return out;
   };
   const auto serial = run(1);

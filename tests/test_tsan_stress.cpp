@@ -32,14 +32,14 @@ namespace lcsf {
 namespace {
 
 TEST(TsanStress, RepeatedParallelForBursts) {
-  // Many short parallel_for rounds maximize startup/teardown races
+  // Many short parallel_for_lanes rounds maximize startup/teardown races
   // between the cursor, the batch state and the worker wakeups.
   runtime::ThreadPool pool(4);
   std::atomic<std::uint64_t> sum{0};
   for (int round = 0; round < 200; ++round) {
-    pool.parallel_for(
+    pool.parallel_for_lanes(
         257,
-        [&](std::size_t b, std::size_t e) {
+        [&](std::size_t b, std::size_t e, std::size_t) {
           std::uint64_t local = 0;
           for (std::size_t i = b; i < e; ++i) local += i;
           sum.fetch_add(local, std::memory_order_relaxed);
@@ -56,13 +56,14 @@ TEST(TsanStress, ConcurrentPoolsDoNotShareMutableState) {
     runtime::ThreadPool pool(3);
     std::atomic<std::uint64_t> acc{0};
     for (int round = 0; round < 50; ++round) {
-      pool.parallel_for(1000, [&](std::size_t b, std::size_t e) {
-        std::uint64_t local = 0;
-        for (std::size_t i = b; i < e; ++i) {
-          local += stats::mix64(i + 1);
-        }
-        acc.fetch_add(local, std::memory_order_relaxed);
-      });
+      pool.parallel_for_lanes(
+          1000, [&](std::size_t b, std::size_t e, std::size_t) {
+            std::uint64_t local = 0;
+            for (std::size_t i = b; i < e; ++i) {
+              local += stats::mix64(i + 1);
+            }
+            acc.fetch_add(local, std::memory_order_relaxed);
+          });
     }
     *out = acc.load();
   };
@@ -82,9 +83,10 @@ TEST(TsanStress, PoolOutlivesManyConstructionCycles) {
   for (int cycle = 0; cycle < 100; ++cycle) {
     runtime::ThreadPool pool(4);
     std::atomic<int> hits{0};
-    pool.parallel_for(16, [&](std::size_t b, std::size_t e) {
-      hits.fetch_add(static_cast<int>(e - b), std::memory_order_relaxed);
-    });
+    pool.parallel_for_lanes(
+        16, [&](std::size_t b, std::size_t e, std::size_t) {
+          hits.fetch_add(static_cast<int>(e - b), std::memory_order_relaxed);
+        });
     ASSERT_EQ(hits.load(), 16);
   }
 }

@@ -42,9 +42,10 @@ TEST(Yield, GaussianYieldAndInverse) {
 }
 
 TEST(Yield, PeriodForYieldMatchesGaussianOnLargeSample) {
-  Rng rng(3);
   std::vector<double> delays;
-  for (int k = 0; k < 50000; ++k) delays.push_back(rng.normal(1.0, 0.1));
+  for (std::uint64_t k = 0; k < 50000; ++k) {
+    delays.push_back(to_normal(sample_stream(3, k).uniform_open(), 1.0, 0.1));
+  }
   for (double y : {0.5, 0.9, 0.99}) {
     const double emp = period_for_yield(delays, y);
     const double gauss = gaussian_period_for_yield(1.0, 0.1, y);

@@ -37,11 +37,13 @@ def is_wall_clock(name):
 
 
 def load(path):
+    """The parsed JSON at `path`; unreadable input exits 2 (usage)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        sys.exit(f"check_metrics: cannot read {path}: {err}")
+        print(f"check_metrics: cannot read {path}: {err}", file=sys.stderr)
+        sys.exit(2)
 
 
 def semantic_checks(doc, errors):
