@@ -121,7 +121,7 @@ VariationalRom build_variational_rom(const PencilFamily& family,
     throw std::invalid_argument("build_variational_rom: fd_step must be > 0");
   }
   const Vector w0(num_params, 0.0);
-  const interconnect::PortedPencil p0 = family(w0);
+  interconnect::PortedPencil p0 = family(w0);
 
   ReducedModel nominal;
   // Reduction applied to each perturbed pencil sample.
@@ -154,6 +154,9 @@ VariationalRom build_variational_rom(const PencilFamily& family,
       };
     }
   }
+  // Release the nominal pencil, so at most one dense pencil is held while
+  // the sensitivity samples reduce.
+  p0 = {};
 
   std::vector<ReducedModel> sens;
   sens.reserve(num_params);

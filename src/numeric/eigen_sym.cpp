@@ -14,6 +14,8 @@ namespace {
 // Sort eigenpairs ascending by value and fix the sign of each vector so the
 // entry of largest magnitude is positive. Deterministic ordering/sign is
 // essential: the variational MOR library differentiates decompositions.
+// It works in `vectors` itself, so the result costs no second n x n
+// matrix: the columns move along the permutation's cycles.
 SymmetricEigen sorted_with_sign_convention(Vector values, Matrix vectors) {
   const std::size_t n = values.size();
   std::vector<std::size_t> order(n);
@@ -23,22 +25,34 @@ SymmetricEigen sorted_with_sign_convention(Vector values, Matrix vectors) {
     return values[a] < values[b];
   });
 
-  SymmetricEigen out;
-  out.values.resize(n);
-  out.vectors = Matrix(n, n);
   for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t src = order[k];
-    out.values[k] = values[src];
-    Vector v = vectors.col(src);
     std::size_t imax = 0;
     for (std::size_t i = 1; i < n; ++i) {
-      if (std::abs(v[i]) > std::abs(v[imax])) imax = i;
+      if (std::abs(vectors(i, k)) > std::abs(vectors(imax, k))) imax = i;
     }
-    if (v[imax] < 0.0) {
-      for (double& x : v) x = -x;
+    if (vectors(imax, k) < 0.0) {
+      for (std::size_t i = 0; i < n; ++i) vectors(i, k) = -vectors(i, k);
     }
-    out.vectors.set_col(k, v);
   }
+
+  SymmetricEigen out;
+  out.values.resize(n);
+  for (std::size_t k = 0; k < n; ++k) out.values[k] = values[order[k]];
+  // Column k takes column order[k]: walk each cycle k -> order[k] -> ...
+  std::vector<bool> placed(n, false);
+  for (std::size_t start = 0; start < n; ++start) {
+    if (placed[start]) continue;
+    const Vector first = vectors.col(start);
+    std::size_t k = start;
+    while (order[k] != start) {
+      vectors.set_col(k, vectors.col(order[k]));
+      placed[k] = true;
+      k = order[k];
+    }
+    vectors.set_col(k, first);
+    placed[k] = true;
+  }
+  out.vectors = std::move(vectors);
   return out;
 }
 
@@ -117,7 +131,7 @@ SymmetricEigen eigen_symmetric_tridiagonal(Matrix a) {
   // tred2: Householder reduction to tridiagonal form with accumulated
   // transformations (EISPACK/JAMA port). v holds the transformations; d/e
   // the diagonal and subdiagonal.
-  Matrix v = a;
+  Matrix v = std::move(a);
   Vector d(n), e(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) d[j] = v(n - 1, j);
 
@@ -267,31 +281,27 @@ SymmetricEigen eigen_symmetric_generalized(const Matrix& a, const Matrix& b,
     throw std::invalid_argument("generalized eigen: dimension mismatch");
   }
   CholeskyFactorization chol(b);
-  // Form M = L^{-1} A L^{-T}; eigenvectors of the original problem are
-  // x = L^{-T} y.
+  // Form M = L^{-1} A L^{-T} in one n x n matrix; eigenvectors of the
+  // original problem are x = L^{-T} y.
   const std::size_t n = a.rows();
   Matrix m(n, n);
   for (std::size_t j = 0; j < n; ++j) {
-    // Column j of A L^{-T}: solve L^T z = e_j, then A z — equivalently, take
-    // column j of L^{-1} A then apply L^{-T} on the right via transposes.
     m.set_col(j, chol.solve_lower(a.col(j)));
   }
-  // m now holds L^{-1} A; apply L^{-T} from the right: (L^{-1} A) L^{-T} =
-  // (L^{-1} (L^{-1} A)^T)^T because A is symmetric.
-  Matrix mt = m.transposed();
+  // m now holds L^{-1} A. Because A is symmetric, row j of
+  // (L^{-1} A) L^{-T} is L^{-1} applied to row j of L^{-1} A, so each row
+  // is replaced by its own solve.
   for (std::size_t j = 0; j < n; ++j) {
-    mt.set_col(j, chol.solve_lower(mt.col(j)));
+    const Vector r = chol.solve_lower(m.row(j));
+    std::copy(r.begin(), r.end(), &m(j, 0));
   }
-  m = mt.transposed();
 
-  SymmetricEigen std_eig = eigen_symmetric(std::move(m), max_sweeps);
-  // Back-transform vectors.
-  Matrix x(n, n);
+  SymmetricEigen eig = eigen_symmetric(std::move(m), max_sweeps);
+  // Back-transform each vector in place.
   for (std::size_t k = 0; k < n; ++k) {
-    x.set_col(k, chol.solve_lower_transposed(std_eig.vectors.col(k)));
+    eig.vectors.set_col(k, chol.solve_lower_transposed(eig.vectors.col(k)));
   }
-  std_eig.vectors = std::move(x);
-  return std_eig;
+  return eig;
 }
 
 }  // namespace lcsf::numeric

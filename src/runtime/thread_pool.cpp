@@ -121,8 +121,12 @@ void ThreadPool::run_batch(Batch& batch) {
   }
   state_->work_cv.notify_all();
 
-  // The calling thread claims chunks too, as lane 0.
+  // The calling thread claims chunks too, as lane 0, flagged as a pool
+  // task so a nested loop in its chunks runs inline, as on a worker.
+  const bool saved = t_in_pool_task;
+  t_in_pool_task = true;
   batch.run_chunks(0);
+  t_in_pool_task = saved;
 
   {
     std::unique_lock<std::mutex> lock(state_->mu);

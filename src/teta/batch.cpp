@@ -21,6 +21,13 @@ using numeric::Matrix;
 
 namespace {
 
+/// Counts one failed transient, in total and under its failure kind
+/// (teta.failed.<failure_kind_name>).
+void count_failure(sim::FailureKind kind) {
+  obs::add_counter("teta.failed_transients");
+  obs::add_counter(std::string("teta.failed.") + sim::failure_kind_name(kind));
+}
+
 /// Lanes run in lockstep only when every per-step loop has identical trip
 /// counts and index maps: same node kinds (hence the same unknown map),
 /// same device terminals, same capacitor endpoints, same pole count.
@@ -62,9 +69,9 @@ bool same_shape(const StageCircuit& a, const StageCircuit& b,
 void swap_slots(BatchTetaWorkspace& bws, std::span<std::size_t> live,
                 std::size_t a, std::size_t c, std::size_t B) {
   for (std::vector<double>* v :
-       {&bws.x, &bws.xprev, &bws.d_re, &bws.d_im, &bws.ca_re, &bws.ca_im,
-        &bws.cb_re, &bws.cb_im, &bws.w_re, &bws.w_im, &bws.r_re, &bws.r_im,
-        &bws.st_re, &bws.st_im, &bws.ip, &bws.ck_g, &bws.cap_geq,
+       {&bws.x, &bws.xprev, &bws.xprev2, &bws.d_re, &bws.d_im, &bws.ca_re,
+        &bws.ca_im, &bws.cb_re, &bws.cb_im, &bws.w_re, &bws.w_im, &bws.r_re,
+        &bws.r_im, &bws.st_re, &bws.st_im, &bws.ip, &bws.ck_g, &bws.cap_geq,
         &bws.cap_u, &bws.cap_i}) {
     for (std::size_t r = 0; r < v->size(); r += B) {
       std::swap((*v)[r + a], (*v)[r + c]);
@@ -98,6 +105,9 @@ void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
   // ---- Pack: AoS lane state -> lane-inner SoA ------------------------
   bws.x.resize(n * B);
   bws.xprev.resize(n * B);
+  bws.xprev2.resize(n * B);
+  bws.xa.resize(n * B);
+  bws.fa.resize(n * B);
   bws.xn.resize(n * B);
   bws.rhs.resize(n * B);
   bws.rhs_const.resize(n * B);
@@ -153,6 +163,7 @@ void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
     for (std::size_t i = 0; i < n; ++i) {
       bws.x[i * B + b] = w.x[i];
       bws.xprev[i * B + b] = w.x[i];  // no slope before the first step
+      bws.xprev2[i * B + b] = w.x[i];
     }
     // Coefficients are *copied* from the lane's initialized convolver;
     // recomputing them here would redo complex divisions whose bit
@@ -354,15 +365,21 @@ void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
       for (std::size_t b = 0; b < nb; ++b) rc[b] += yh[b];
     }
 
-    // Predicted chord start: the linear extrapolation 2 x[n] - x[n-1] of
-    // the committed solutions (x[n] itself on the first step).
+    // Predicted chord start from the committed solutions: the quadratic
+    // extrapolation 3 x[n] - 3 x[n-1] + x[n-2] from step 3 on, the linear
+    // 2 x[n] - x[n-1] on step 2, and x[0] itself on step 1 (where
+    // x[n-1] = x[n]). Every lane of a class starts at step 1, so the
+    // block's step index is each lane's.
+    const bool quadratic = step >= 3;
     for (std::size_t i = 0; i < n; ++i) {
       double* xi = &bws.x[i * B];
       double* pi = &bws.xprev[i * B];
+      double* qi = &bws.xprev2[i * B];
       LCSF_SIMD_LOOP
       for (std::size_t b = 0; b < nb; ++b) {
         const double xc = xi[b];
-        xi[b] = 2.0 * xc - pi[b];
+        xi[b] = quadratic ? 3.0 * xc - 3.0 * pi[b] + qi[b] : 2.0 * xc - pi[b];
+        qi[b] = pi[b];
         pi[b] = xc;
       }
     }
@@ -396,14 +413,37 @@ void step_loop(const BatchLane* lanes, std::span<std::size_t> live,
           if (tm.rs) tm.rs[b] += j;
         }
         w.lu_tr.solve_into_strided(&bws.rhs[b], &bws.xn[b], B);
+        // Anderson(1) mixing (Walker & Ni 2011) of the chord residual
+        // f = xn - x: the lane moves by f - gamma (dx + df), with dx and
+        // df the changes of x and f since the last iteration and
+        // gamma = (df.f) / (df.df). A step's first iteration, a converged
+        // one and one with no usable df (zero or NaN) move by f itself.
         double dmax = 0.0;
+        double dff = 0.0;
+        double dfk = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-          const double d = bws.xn[i * B + b] - bws.x[i * B + b];
-          dmax = std::max(dmax, std::abs(d));
-          bws.x[i * B + b] += std::clamp(d, -clamp, clamp);
+          const double f = bws.xn[i * B + b] - bws.x[i * B + b];
+          const double df = f - bws.fa[i * B + b];
+          dmax = std::max(dmax, std::abs(f));
+          dff += df * df;
+          dfk += df * f;
+        }
+        const bool converged = dmax < opt.vtol;
+        const bool mix = it > 0 && !converged && dff > 0.0;
+        const double gamma = mix ? dfk / dff : 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          const double xi = bws.x[i * B + b];
+          const double f = bws.xn[i * B + b] - xi;
+          const double d =
+              mix ? f - gamma * ((xi - bws.xa[i * B + b]) +
+                                 (f - bws.fa[i * B + b]))
+                  : f;
+          bws.xa[i * B + b] = xi;
+          bws.fa[i * B + b] = f;
+          bws.x[i * B + b] = xi + std::clamp(d, -clamp, clamp);
         }
         ++lanes[live[b]].out->total_sc_iterations;
-        if (dmax < opt.vtol) bws.sc_done[b] = 1;
+        if (converged) bws.sc_done[b] = 1;
       }
     }
 
@@ -564,7 +604,7 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
                       " right-half-plane pole(s), max Re = " +
                       std::to_string(load.max_unstable_real()) +
                       "; stabilize() the load";
-    obs::add_counter("teta.failed_transients");
+    count_failure(out.diag.kind);
   }
 
   // The recovery ladder. The SC system matrix is constant across a whole
@@ -625,7 +665,7 @@ void simulate_stage_batch(const std::vector<BatchLane>& lanes,
                          static_cast<std::uint64_t>(out.total_sc_iterations));
         obs::add_counter("teta.dt_halvings", static_cast<std::uint64_t>(rung));
         if (!out.converged) {
-          obs::add_counter("teta.failed_transients");
+          count_failure(out.diag.kind);
         } else if (rung > 0) {
           obs::add_counter("teta.recovered_transients");
         }

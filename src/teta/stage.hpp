@@ -142,10 +142,12 @@ struct TetaResult {
 /// owns one for simulate_stage's one-lane calls. Engine internals; treat
 /// as opaque storage.
 struct BatchTetaWorkspace {
-  // Unknowns / RHS / per-step vectors, [i * B + b]; xprev is the
-  // previous committed solution, the chord predictor's second point.
-  std::vector<double> x, xprev, xn, rhs, rhs_const, vknown, hist, yhist, vp,
-      il;
+  // Unknowns / RHS / per-step vectors, [i * B + b]; xprev and xprev2 are
+  // the two previous committed solutions, the chord predictor's second
+  // and third points; xa and fa are the last chord iterate and residual
+  // of the step in progress, Anderson mixing's history.
+  std::vector<double> x, xprev, xprev2, xa, fa, xn, rhs, rhs_const, vknown,
+      hist, yhist, vp, il;
   std::vector<double> acc;  // history accumulator, [b]
   // Recursive-convolution coefficients, [k * B + b].
   std::vector<double> d_re, d_im, ca_re, ca_im, cb_re, cb_im, w_re, w_im;
@@ -211,9 +213,11 @@ struct TetaWorkspace {
 /// conductances must already be folded in (construct the effective load
 /// with mor::with_port_conductance(pencil, stage.port_chord_conductances())
 /// before reduction -- Table 1 step 2). Each step's chord iteration starts
-/// from the linear extrapolation of the last two committed solutions. A
-/// converged run ends at tstop or at its settle step, whichever comes
-/// first, and its last sample holds (see TetaResult).
+/// from the quadratic extrapolation of the last three committed solutions
+/// (linear on step 2) and accelerates its fixed point by Anderson(1)
+/// mixing, leaving the chord matrix untouched. A converged run ends at
+/// tstop or at its settle step, whichever comes first, and its last
+/// sample holds (see TetaResult).
 TetaResult simulate_stage(const StageCircuit& stage,
                           const mor::PoleResidueModel& load,
                           const TetaOptions& opt);

@@ -36,8 +36,10 @@ bool setup_and_dc(const StageCircuit& stage,
 /// Timestep phase for lanes[live[0]], lanes[live[1]], ...: one stage
 /// shape, each lane set up by setup_and_dc under `opt`. The width is
 /// kLanes, or live.size() when kLanes is 0. Each step starts its chord
-/// iteration from the predicted 2 x[n] - x[n-1], and a lane runs until it
-/// fails, settles (see the settle stop in batch.cpp) or reaches tstop.
+/// iteration from the predicted 3 x[n] - 3 x[n-1] + x[n-2] (2 x[n] - x[n-1]
+/// on step 2) and mixes its chord updates by Anderson(1); a lane runs
+/// until it fails, settles (see the settle stop in batch.cpp) or reaches
+/// tstop.
 /// Lanes that leave move to the back of the block, so the loop permutes
 /// `live` with its slots: on return slot b holds lane live[b], and
 /// bws.alive[b] says whether it converged (out->converged set). A lane

@@ -4,8 +4,11 @@
 // This binary replaces the global operator new/delete to count the
 // allocations inside a window, which pins the policy exactly and without
 // timing noise: an allocation added to the step loop, or to any per-step
-// path it calls, makes the longer transient allocate more.
+// path it calls, makes the longer transient allocate more. It also
+// tracks the bytes held, which pins the peak of a stage-load
+// characterization.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -21,12 +24,29 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_allocations{0};
+// Bytes held by every block this binary allocated, always tracked, and
+// their running maximum.
+std::atomic<std::size_t> g_live_bytes{0};
+std::atomic<std::size_t> g_peak_bytes{0};
 
 void* counted_malloc(std::size_t n) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
-  return std::malloc(n == 0 ? 1 : n);
+  void* p = std::malloc(n == 0 ? 1 : n);
+  if (p != nullptr) {
+    const std::size_t size = malloc_usable_size(p);
+    const std::size_t live = g_live_bytes.fetch_add(size) + size;
+    std::size_t peak = g_peak_bytes.load();
+    while (live > peak && !g_peak_bytes.compare_exchange_weak(peak, live)) {
+    }
+  }
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_live_bytes.fetch_sub(malloc_usable_size(p));
+  std::free(p);
 }
 
 }  // namespace
@@ -51,21 +71,21 @@ void* counted_malloc(std::size_t n) noexcept {
                                        const std::nothrow_t&) noexcept {
   return counted_malloc(n);
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { counted_free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { counted_free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 [[gnu::noinline]] void operator delete(void* p,
                                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 [[gnu::noinline]] void operator delete[](void* p,
                                          const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace lcsf::core {
@@ -83,6 +103,16 @@ std::size_t allocations_of(F&& f) {
   return g_allocations.load();
 }
 
+/// Most bytes held at once while `f()` runs, above those held when it
+/// started.
+template <typename F>
+std::size_t peak_bytes_of(F&& f) {
+  const std::size_t before = g_live_bytes.load();
+  g_peak_bytes.store(before);
+  f();
+  return g_peak_bytes.load() - before;
+}
+
 // The replaced operator new sees the heap allocations of the code under
 // test (a vector that escapes the window cannot be elided).
 TEST(AllocationPolicy, CounterSeesHeapAllocations) {
@@ -93,6 +123,24 @@ TEST(AllocationPolicy, CounterSeesHeapAllocations) {
               keep.emplace_back(16);
             }),
             3u);
+}
+
+// A stage-load characterization holds at most six dense matrices of the
+// internal-block size at once: the pencil's two, the internal G and C
+// blocks, the Cholesky factor of G and the one matrix the symmetric
+// eigensolver transforms in place. The nominal pencil goes before the
+// sensitivity samples reduce, so it is never a seventh.
+TEST(AllocationPolicy, StageLoadCharacterizationHoldsSixDenseBlocks) {
+  const circuit::Technology tech = circuit::technology_180nm();
+  const timing::CellTemplate& inv = timing::find_cell("INV");
+  const std::size_t segments = 169;  // 170 nodes, 2 ports, 168 internal
+  const std::size_t block = 168 * 168 * sizeof(double);
+  const std::size_t peak = peak_bytes_of([&] {
+    (void)characterize_stage_load(inv, tech, segments,
+                                  input_pin_cap(inv, tech), 6);
+  });
+  EXPECT_GT(peak, 5 * block);  // the counter sees the dense blocks
+  EXPECT_LT(peak, 7 * block);
 }
 
 // The input switches early but has a last breakpoint past both windows

@@ -81,7 +81,7 @@ TEST(BatchHotpath, BatchWidthInvariantBitwise) {
     const PathVariationModel& model = *m;
     stats::RunOptions opt;
     opt.samples = 10;
-    opt.seed = 17;
+    opt.seed = 4;
     opt.exec.threads = 1;
     opt.exec.on_failure = stats::FailurePolicy::kSkip;
     opt.exec.batch = 1;
@@ -370,11 +370,17 @@ TEST(BatchHotpath, FailedTransientSkipsTheWindowLadder) {
   opt.stage_window = 1e-9;
   const circuit::SourceWaveform wave =
       timing::RampParams{0.25e-9, 0.1e-9, true}.to_source(tech.vdd);
+  // An input that turns NaN: the lane's transient blows up.
+  const circuit::SourceWaveform nan_wave = circuit::SourceWaveform::pwl(
+      {{0.0, 0.0},
+       {50e-12, 0.0},
+       {100e-12, std::numeric_limits<double>::quiet_NaN()},
+       {200e-12, tech.vdd}});
   constexpr std::size_t kLanes = 3;
-  std::vector<timing::DeviceVariation> devs(kLanes);
-  devs[1].delta_l = 0.95 * tech.lmin;  // hits the SC iteration limit
+  const std::vector<timing::DeviceVariation> devs(kLanes);
   const interconnect::WireVariation wire;
-  const std::vector<const circuit::SourceWaveform*> inputs(kLanes, &wave);
+  std::vector<const circuit::SourceWaveform*> inputs(kLanes, &wave);
+  inputs[1] = &nan_wave;
   const std::vector<double> shifts(kLanes, 0.0);
   const std::vector<const interconnect::WireVariation*> wirep(kLanes,
                                                               &wire);
@@ -393,13 +399,13 @@ TEST(BatchHotpath, FailedTransientSkipsTheWindowLadder) {
   EXPECT_FALSE(meas[0].failed);
   EXPECT_FALSE(meas[2].failed);
   ASSERT_TRUE(meas[1].failed);
-  EXPECT_EQ(meas[1].diag.kind, sim::FailureKind::kNewtonNonConvergence);
+  EXPECT_EQ(meas[1].diag.kind, sim::FailureKind::kBlowUp);
 
   obs::Registry one_reg;
   try {
     obs::ScopedContext ctx(&one_reg, 0);
     SampleWorkspace ws;
-    (void)measure_stage_with_retry(st, tech, opt, 3, wave, 0.0, devs[1],
+    (void)measure_stage_with_retry(st, tech, opt, 3, nan_wave, 0.0, devs[1],
                                    wire, /*out_rising=*/false, nullptr,
                                    &ws);
     ADD_FAILURE() << "the one-lane call converged";
@@ -498,6 +504,24 @@ std::vector<teta::TetaResult> expect_block_matches_one_lane_calls(
   return want;
 }
 
+// The teta.failed.<kind> counters of `reg`, which must sum to
+// teta.failed_transients.
+std::map<std::string, std::uint64_t> failures_by_kind(
+    const obs::Registry& reg) {
+  const auto counters = reg.snapshot().counters;
+  std::map<std::string, std::uint64_t> by_kind;
+  std::uint64_t sum = 0;
+  for (const auto& [name, v] : counters) {
+    if (name.rfind("teta.failed.", 0) == 0) {
+      by_kind[name.substr(12)] = v;
+      sum += v;
+    }
+  }
+  const auto total = counters.find("teta.failed_transients");
+  EXPECT_EQ(sum, total == counters.end() ? 0u : total->second);
+  return by_kind;
+}
+
 // Lanes leave a lockstep block on the SC iteration limit or on blow-up.
 // Each must end exactly as a one-lane call would -- converged in
 // lockstep, recovered on the dt-halving ladder, or with the ladder
@@ -513,17 +537,17 @@ TEST(BatchHotpath, LanesLeavingALockstepBlockMatchOneLaneCalls) {
   opt.recovery.max_dt_retries = 2;
   opt.recovery.damping_factor = 1.0;  // keep DC within the tight budget
 
-  // SC limit: a coarse step and a 10-iteration budget (the predicted
-  // chord start converges the 30 ps edge and the NAND2 lane within 12).
-  // The faster the input edge, the more chord iterations a step needs:
-  // the idle lane converges in lockstep, the 100 ps edge recovers at
-  // dt/4, the faster ones exhaust the ladder, and so does the NAND2 lane.
+  // SC limit: a coarse step and a 6-iteration budget (the accelerated
+  // chords need 8 to converge a 30 ps edge at this step). The faster the
+  // input edge, the more chord iterations a step needs: the idle lane
+  // converges in lockstep, the 10 ps edge recovers at dt/4, the faster
+  // ones exhaust the ladder, and so does the NAND2 lane.
   {
     teta::TetaOptions sc = opt;
-    sc.dt = 12e-12;
-    sc.max_sc_iters = 10;
+    sc.dt = 20e-12;
+    sc.max_sc_iters = 6;
     const std::vector<double> start{1e-9, 0.05e-9, 0.05e-9, 0.05e-9};
-    const std::vector<double> rise{200e-12, 100e-12, 30e-12, 1e-12};
+    const std::vector<double> rise{200e-12, 10e-12, 2e-12, 1e-12};
     std::vector<TetaLaneInputs> in;
     for (std::size_t l = 0; l < rise.size(); ++l) {
       timing::DeviceVariation dev;
@@ -536,7 +560,8 @@ TEST(BatchHotpath, LanesLeavingALockstepBlockMatchOneLaneCalls) {
     in.push_back(teta_lane(
         nand, tech,
         circuit::SourceWaveform::ramp(0.0, tech.vdd, 0.05e-9, 100e-12), {}));
-    const auto res = expect_block_matches_one_lane_calls(in, sc);
+    obs::Registry reg;
+    const auto res = expect_block_matches_one_lane_calls(in, sc, &reg);
     EXPECT_TRUE(res[0].converged);
     EXPECT_EQ(res[0].diag.retries_used, 0);
     EXPECT_TRUE(res[1].converged);
@@ -547,6 +572,9 @@ TEST(BatchHotpath, LanesLeavingALockstepBlockMatchOneLaneCalls) {
           << "lane " << l;
       EXPECT_EQ(res[l].diag.retries_used, 2) << "lane " << l;
     }
+    EXPECT_EQ(failures_by_kind(reg),
+              (std::map<std::string, std::uint64_t>{
+                  {"newton-nonconvergence", 3}}));
   }
 
   // Blow-up: a 1 V ceiling on a rising output. Lanes whose input falls
@@ -563,7 +591,10 @@ TEST(BatchHotpath, LanesLeavingALockstepBlockMatchOneLaneCalls) {
           inv, tech, circuit::SourceWaveform::ramp(tech.vdd, 0.0, t0, 50e-12),
           {}));
     }
-    const auto res = expect_block_matches_one_lane_calls(in, bu);
+    obs::Registry reg;
+    const auto res = expect_block_matches_one_lane_calls(in, bu, &reg);
+    EXPECT_EQ(failures_by_kind(reg),
+              (std::map<std::string, std::uint64_t>{{"blow-up", 3}}));
     for (const std::size_t l : {0, 1, 2}) {
       EXPECT_EQ(res[l].diag.kind, sim::FailureKind::kBlowUp) << "lane " << l;
       EXPECT_EQ(res[l].diag.retries_used, 2) << "lane " << l;
@@ -587,8 +618,8 @@ TEST(BatchHotpath, RetryLadderRunsEachRungAsABlock) {
   const StageModel& inv = pa.stage_model(0);
   teta::TetaOptions opt;
   opt.tstop = 0.4e-9;
-  opt.dt = 8e-12;
-  opt.max_sc_iters = 14;
+  opt.dt = 32e-12;
+  opt.max_sc_iters = 7;
   opt.vdd = tech.vdd;
   opt.recovery.max_dt_retries = 2;
   opt.recovery.damping_factor = 1.0;  // keep DC within the tight budget
@@ -1003,7 +1034,7 @@ TEST(BatchHotpath, YieldImportanceBatchAndThreadInvariant) {
 
   stats::RunOptions opt;
   opt.samples = 16;
-  opt.seed = 3;
+  opt.seed = 2;
   opt.exec.on_failure = stats::FailurePolicy::kSkip;
   opt.importance.pilot_samples = 8;
   const auto same_failures = [](const stats::FailureSummary& a,

@@ -132,14 +132,14 @@ TEST(Differential, PipelineBitsMatchTheRecordedParent) {
   opt.exec.batch = 8;
   opt.exec.threads = 2;
   expect_bits("path MC", pa.monte_carlo(model, opt).values,
-              {0x1.c465a60048691p-33, 0x1.c0341445efe59p-33,
-               0x1.e43971192d83bp-33, 0x1.b494972611f61p-33,
-               0x1.b2ecf84df20a3p-33, 0x1.bcae9779a9605p-33,
-               0x1.d509cb24c1311p-33, 0x1.c2e792c410bdfp-33,
-               0x1.c187b7c9007b7p-33, 0x1.afacc1dcce3ffp-33,
-               0x1.bb4af29c0cffdp-33, 0x1.b040ea387a299p-33,
-               0x1.d589df0d1a7bfp-33, 0x1.ce0cc08d2f27fp-33,
-               0x1.cc3f728f6a4e9p-33, 0x1.cc1dfe90e59a5p-33});
+              {0x1.c465b128180ddp-33, 0x1.c0340ddf28899p-33,
+               0x1.e43980752cb0bp-33, 0x1.b4949beb5dcd5p-33,
+               0x1.b2ecec05e22f3p-33, 0x1.bcae989587971p-33,
+               0x1.d509da2a16e47p-33, 0x1.c2e78d4f7fbffp-33,
+               0x1.c187cabf9f6f9p-33, 0x1.afacdde426ad5p-33,
+               0x1.bb4af9179008fp-33, 0x1.b040f155bf401p-33,
+               0x1.d589ed22eca23p-33, 0x1.ce0cc2bed4377p-33,
+               0x1.cc3f7538e060fp-33, 0x1.cc1e1474fc5e7p-33});
 
   GraphSpec gspec;
   gspec.tech = circuit::technology_180nm();
@@ -149,16 +149,16 @@ TEST(Differential, PipelineBitsMatchTheRecordedParent) {
   const GraphAnalyzer graph(std::move(gspec));
   opt.samples = 8;
   expect_bits("graph MC", graph.monte_carlo(model, opt).values,
-              {0x1.130d948d8daap-32, 0x1.2041444489d24p-32,
-               0x1.1e8173843ee62p-32, 0x1.159ba2e1e7418p-32,
-               0x1.22152a77128p-32, 0x1.1cbb943179a8p-32,
-               0x1.0a63c404de8aap-32, 0x1.1801e8667d03p-32});
+              {0x1.130d7ea4d7a2p-32, 0x1.20413880dcb8ap-32,
+               0x1.1e8164212ac0ep-32, 0x1.159b9be1d456ap-32,
+               0x1.22151e46143fap-32, 0x1.1cbb88990996cp-32,
+               0x1.0a63b215367f8p-32, 0x1.1801dc56119f6p-32});
 
   {
     obs::ScopedContext ctx(&reg, 0);
     const PathAnalyzer::GaResult ga = pa.gradient_analysis(model);
     expect_bits("GA", {ga.nominal_delay, ga.stddev},
-                {0x1.c39d1a206b7ddp-33, 0x1.555b35236e49p-38});
+                {0x1.c39d1da26ca09p-33, 0x1.555a2f4513558p-38});
     numeric::Vector w(pa.sources(model).size());
     for (std::size_t i = 0; i < w.size(); ++i) w[i] = i % 2 ? -0.4 : 0.7;
     const PathSample sample = pa.sample_from_sources(model, w);
@@ -166,12 +166,12 @@ TEST(Differential, PipelineBitsMatchTheRecordedParent) {
     const PathDelayResult sp = pa.spice_delay(sample);
     expect_bits("framework/SPICE",
                 {fw.delay, fw.output_slew, sp.delay, sp.output_slew},
-                {0x1.8c3c904cd2f1dp-33, 0x1.6078770d30b13p-35,
+                {0x1.8c3c9beb4ba81p-33, 0x1.607860cc0bf63p-35,
                  0x1.7d46819ca649dp-33, 0x1.72ce1e3dd8f06p-35});
   }
   const obs::Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counters.at("teta.chord_iterations"), 269274u);
-  EXPECT_EQ(snap.counters.at("teta.steps"), 58107u);
+  EXPECT_EQ(snap.counters.at("teta.chord_iterations"), 151180u);
+  EXPECT_EQ(snap.counters.at("teta.steps"), 58135u);
   EXPECT_EQ(snap.counters.at("spice.newton_iterations"), 6984u);
 }
 

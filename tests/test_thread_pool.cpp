@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -116,7 +118,8 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
         for (std::size_t outer = begin; outer < end; ++outer) {
           // Nested call on the same pool: must complete inline, no deadlock.
           pool.parallel_for_lanes(
-              8, [&](std::size_t b2, std::size_t e2, std::size_t) {
+              8, [&](std::size_t b2, std::size_t e2, std::size_t lane) {
+                EXPECT_EQ(lane, 0u);
                 for (std::size_t inner = b2; inner < e2; ++inner) {
                   hits[outer * 8 + inner].fetch_add(1);
                 }
@@ -124,6 +127,61 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
         }
       });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Set on the thread that calls the pool in
+// NestedCallFromTheCallersLaneRunsInline.
+thread_local bool t_is_caller = false;
+
+TEST(ThreadPool, NestedCallFromTheCallersLaneRunsInline) {
+  // The calling thread runs lane 0 of the outer loop. The worker lanes'
+  // indices wait for lane 0 to start one, so the caller claims an index;
+  // its body then waits for the other seven to finish, so the workers sit
+  // idle when it nests. Every nested chunk must still run inline on the
+  // caller. Each wait polls every 1 ms for at most 1 s.
+  ThreadPool pool(4);
+  t_is_caller = true;
+  std::atomic<bool> caller_started{false};
+  std::atomic<std::size_t> outer_done{0};
+  const auto wait_for = [](const auto& ready) {
+    for (int poll = 0; poll < 1000 && !ready(); ++poll) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, bool>> nested;
+  pool.parallel_for_lanes(
+      8,
+      [&](std::size_t begin, std::size_t end, std::size_t lane) {
+        for (std::size_t k = begin; k < end; ++k) {
+          if (lane != 0) {
+            wait_for([&] { return caller_started.load(); });
+          } else {
+            caller_started.store(true);
+            wait_for([&] { return outer_done.load() >= 7; });
+            pool.parallel_for_lanes(
+                16,
+                [&](std::size_t b2, std::size_t e2, std::size_t inner_lane) {
+                  for (std::size_t c = b2; c < e2; ++c) {
+                    std::this_thread::sleep_for(std::chrono::microseconds(200));
+                    std::lock_guard<std::mutex> lock(mu);
+                    nested.emplace_back(inner_lane, t_is_caller);
+                  }
+                },
+                1);
+          }
+          outer_done.fetch_add(1);
+        }
+      },
+      1);
+  t_is_caller = false;
+  EXPECT_EQ(outer_done.load(), 8u);
+  ASSERT_FALSE(nested.empty());
+  EXPECT_EQ(nested.size() % 16, 0u);
+  for (const auto& [lane, on_caller] : nested) {
+    EXPECT_EQ(lane, 0u);
+    EXPECT_TRUE(on_caller);
+  }
 }
 
 TEST(ThreadPool, FreeFunctionSerialAndParallelAgree) {
