@@ -1,5 +1,4 @@
 #include "circuit/parser.hpp"
-#include "numeric/fp_compare.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 
@@ -288,73 +287,6 @@ Netlist parse_netlist(std::istream& in, const Technology& tech) {
 Netlist parse_netlist(const std::string& text, const Technology& tech) {
   std::istringstream in(text);
   return parse_netlist(in, tech);
-}
-
-namespace {
-
-void append_source(std::ostringstream& os, const SourceWaveform& w) {
-  if (w.is_dc()) {
-    os << " DC " << w.value(0.0);
-    return;
-  }
-  os << " PWL(";
-  bool first = true;
-  for (const auto& [t, v] : w.points()) {
-    if (!first) os << " ";
-    first = false;
-    os << t << " " << v;
-  }
-  os << ")";
-}
-
-}  // namespace
-
-std::string to_spice_deck(const Netlist& nl, const std::string& title) {
-  std::ostringstream os;
-  os.precision(12);
-  os << "* " << title << "\n";
-  const auto name = [&nl](NodeId n) -> std::string {
-    return n == kGround ? "0" : nl.node_name(n);
-  };
-  std::size_t k = 0;
-  for (const auto& r : nl.resistors()) {
-    os << "R" << k++ << " " << name(r.a) << " " << name(r.b) << " "
-       << r.ohms << "\n";
-  }
-  k = 0;
-  for (const auto& c : nl.capacitors()) {
-    os << "C" << k++ << " " << name(c.a) << " " << name(c.b) << " "
-       << c.farads << "\n";
-  }
-  k = 0;
-  for (const auto& l : nl.inductors()) {
-    os << "L" << k++ << " " << name(l.a) << " " << name(l.b) << " "
-       << l.henries << "\n";
-  }
-  k = 0;
-  for (const auto& v : nl.vsources()) {
-    os << "V" << k++ << " " << name(v.pos) << " " << name(v.neg);
-    append_source(os, v.wave);
-    os << "\n";
-  }
-  k = 0;
-  for (const auto& i : nl.isources()) {
-    os << "I" << k++ << " " << name(i.from) << " " << name(i.into);
-    append_source(os, i.wave);
-    os << "\n";
-  }
-  k = 0;
-  for (const auto& m : nl.mosfets()) {
-    os << "M" << k++ << " " << name(m.drain) << " " << name(m.gate) << " "
-       << name(m.source) << " "
-       << (m.type == MosType::kNmos ? "NMOS" : "PMOS") << " W=" << m.w
-       << " L=" << m.l;
-    if (!numeric::exact_zero(m.delta_vt)) os << " DVT=" << m.delta_vt;
-    if (!numeric::exact_zero(m.delta_l)) os << " DL=" << m.delta_l;
-    os << "\n";
-  }
-  os << ".end\n";
-  return os.str();
 }
 
 }  // namespace lcsf::circuit

@@ -52,10 +52,4 @@ Netlist parse_netlist(const std::string& text, const Technology& tech);
 /// Throws ParseError (line 0) on garbage.
 double parse_value(const std::string& token);
 
-/// Serialize a netlist as a deck the parser round-trips. Sources emit as
-/// PWL cards (or DC when constant); MOSFETs carry W/L/DVT/DL explicitly.
-/// `title` becomes the leading comment line.
-std::string to_spice_deck(const Netlist& nl,
-                          const std::string& title = "lcsf netlist");
-
 }  // namespace lcsf::circuit

@@ -308,11 +308,6 @@ PathAnalyzer::CornerResult PathAnalyzer::worst_case_corner(
   return res;
 }
 
-std::size_t PathAnalyzer::total_linear_elements() const {
-  // Per stage: wire R (segments) + wire C (segments + 1) + receiver cap.
-  return num_stages() * (2 * spec_.wire_segments() + 2);
-}
-
 std::size_t PathAnalyzer::memory_bytes() const {
   return sizeof(*this) + spec_.cells.capacity() * sizeof(std::size_t) +
          graph_->memory_bytes();

@@ -147,9 +147,6 @@ class PathAnalyzer {
   CornerResult worst_case_corner(const PathVariationModel& model,
                                  double k_sigma) const;
 
-  /// Total linear-element count of the full path netlist (Fig. 5 x-axis).
-  std::size_t total_linear_elements() const;
-
   /// Resident heap footprint of the analyzer (its one-path graph: stage
   /// load ROMs, chain netlist, timing graph) -- the cost a design cache
   /// pays to keep this analyzer warm. See serve::DesignCache.

@@ -98,32 +98,19 @@ struct Modes {
   Vector lam;  // q eigenvalues (time constants)
 };
 
-Modes select_modes(const Partition& p, const FirstCongruence& f,
-                   const PactOptions& opt, std::size_t q) {
+Modes select_modes(const Partition& p, std::size_t q) {
   // Internal dynamics: Cii u = lambda Gii u; vectors Gii-orthonormal.
   obs::add_counter("mor.pact.eigensolves");
   const auto eig = numeric::eigen_symmetric_generalized(p.cii, p.gii);
 
-  // Rank modes. lambda_k is the time constant of internal pole -1/lambda.
+  // Slowest first: lambda_k is the time constant of internal pole
+  // -1/lambda.
   std::vector<std::size_t> order(p.ni);
   std::iota(order.begin(), order.end(), std::size_t{0});
-  if (opt.selection == PactModeSelection::kSlowestPoles) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a2, std::size_t b2) {
-                       return eig.values[a2] > eig.values[b2];
-                     });
-  } else {
-    // Residue weight: |lambda_k| * ||C'_pi u_k||^2.
-    Vector weight(p.ni, 0.0);
-    for (std::size_t k = 0; k < p.ni; ++k) {
-      const Vector ck = f.cpi_t * eig.vectors.col(k);
-      weight[k] = std::abs(eig.values[k]) * numeric::dot(ck, ck);
-    }
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a2, std::size_t b2) {
-                       return weight[a2] > weight[b2];
-                     });
-  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a2, std::size_t b2) {
+                     return eig.values[a2] > eig.values[b2];
+                   });
 
   Modes m{Matrix(p.ni, q), Vector(q)};
   for (std::size_t k = 0; k < q; ++k) {
@@ -175,9 +162,8 @@ ReducedModel assemble(const Matrix& a, const Matrix& cpp_t, const Matrix& r,
 }  // namespace
 
 bool PactMemo::Key::operator==(const Key& o) const {
-  return internal_modes == o.internal_modes && selection == o.selection &&
-         np == o.np && ni == o.ni && same_bits(index, o.index) &&
-         same_bits(value, o.value);
+  return internal_modes == o.internal_modes && np == o.np && ni == o.ni &&
+         same_bits(index, o.index) && same_bits(value, o.value);
 }
 
 PactResult pact_reduce(const interconnect::PortedPencil& pencil,
@@ -201,7 +187,6 @@ PactResult pact_reduce(const interconnect::PortedPencil& pencil,
   const PactMemo::Entry* hit = nullptr;
   if (memo != nullptr) {
     key.internal_modes = opt.internal_modes;
-    key.selection = opt.selection;
     key.np = p.np;
     key.ni = p.ni;
     std::size_t offset = 0;
@@ -225,7 +210,7 @@ PactResult pact_reduce(const interconnect::PortedPencil& pencil,
     modes = {hit->u, hit->lam};
   } else {
     f = first_congruence(p, solve_x(p));
-    modes = select_modes(p, f, opt, q);
+    modes = select_modes(p, q);
     if (memo != nullptr) {
       memo->entries_.push_back({std::move(key), f.x, modes.u, modes.lam});
     }

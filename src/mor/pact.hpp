@@ -20,15 +20,9 @@
 
 namespace lcsf::mor {
 
-/// How internal modes are ranked for truncation.
-enum class PactModeSelection {
-  kSlowestPoles,     ///< largest time constants lambda_k
-  kResidueWeighted,  ///< lambda_k scaled by port-coupling strength
-};
-
+/// PACT keeps the q slowest internal modes (largest time constants).
 struct PactOptions {
   std::size_t internal_modes = 4;  ///< q, the reduced internal order
-  PactModeSelection selection = PactModeSelection::kSlowestPoles;
 };
 
 /// The reusable part of a nominal reduction: the projection that maps the
@@ -79,7 +73,6 @@ class PactMemo {
 
   struct Key {
     std::size_t internal_modes = 0;
-    PactModeSelection selection = PactModeSelection::kSlowestPoles;
     std::size_t np = 0, ni = 0;
     std::vector<std::size_t> index;  ///< flat offsets into Gii|Cii|Gpi|Cpi
     std::vector<double> value;       ///< the entries at those offsets

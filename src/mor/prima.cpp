@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "numeric/fp_compare.hpp"
 #include "numeric/lu.hpp"
 #include "numeric/orthonormal.hpp"
 #include "obs/span.hpp"
@@ -31,16 +30,12 @@ PrimaResult prima_reduce(const interconnect::PortedPencil& pencil,
     throw std::invalid_argument("prima: need >= 1 block moment");
   }
 
-  // Factor (G + s0 C) once; each Krylov block is one back-substitution.
-  Matrix m = pencil.g;
-  if (!numeric::exact_zero(opt.expansion_point)) {
-    m += opt.expansion_point * pencil.c;
-  }
-  numeric::LuFactorization lu(m);
+  // Factor G once; each Krylov block is one back-substitution.
+  const numeric::LuFactorization lu(pencil.g);
 
   const Matrix b = port_injection(n, np);
   Matrix basis(n, 0);
-  Matrix block = lu.solve(b);  // R = M^{-1} B
+  Matrix block = lu.solve(b);  // R = G^{-1} B
   for (std::size_t it = 0; it < opt.block_moments; ++it) {
     auto res = numeric::orthonormalize(block, basis.cols() ? &basis : nullptr);
     if (res.rank == 0) break;  // Krylov space exhausted
@@ -51,7 +46,7 @@ PrimaResult prima_reduce(const interconnect::PortedPencil& pencil,
     basis = std::move(grown);
     if (it + 1 < opt.block_moments) {
       block = lu.solve(pencil.c * res.q);
-      block *= -1.0;  // A = -(G + s0 C)^{-1} C
+      block *= -1.0;  // A = -G^{-1} C
     }
   }
   if (basis.cols() == 0) {

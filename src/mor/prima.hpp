@@ -16,7 +16,6 @@ namespace lcsf::mor {
 
 struct PrimaOptions {
   std::size_t block_moments = 2;  ///< Krylov block iterations (q = Np * this)
-  double expansion_point = 0.0;   ///< s0; use > 0 if G alone is singular
 };
 
 struct PrimaResult {
@@ -24,7 +23,8 @@ struct PrimaResult {
   numeric::Matrix projection;  ///< n x q orthonormal basis X
 };
 
-/// Reduce a ports-first pencil with block Arnoldi at s0.
+/// Reduce a ports-first pencil with block Arnoldi about s = 0 (the
+/// moments of G^{-1} C; G must be nonsingular).
 PrimaResult prima_reduce(const interconnect::PortedPencil& pencil,
                          const PrimaOptions& opt);
 

@@ -1,7 +1,6 @@
 #include "mor/variational.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -184,39 +183,6 @@ PencilFamily scalar_family(
       throw std::invalid_argument("scalar_family: expected 1 parameter");
     }
     return f(w[0]);
-  };
-}
-
-PencilFamily linear_matrix_family(const PencilFamily& base,
-                                  const Vector& anchors) {
-  const std::size_t nw = anchors.size();
-  auto p0 = std::make_shared<interconnect::PortedPencil>(
-      base(Vector(nw, 0.0)));
-  auto dg = std::make_shared<std::vector<Matrix>>();
-  auto dc = std::make_shared<std::vector<Matrix>>();
-  for (std::size_t i = 0; i < nw; ++i) {
-    if (numeric::exact_zero(anchors[i])) {
-      throw std::invalid_argument("linear_matrix_family: zero anchor");
-    }
-    Vector w(nw, 0.0);
-    w[i] = anchors[i];
-    const interconnect::PortedPencil pi = base(w);
-    dg->push_back((pi.g - p0->g) * (1.0 / anchors[i]));
-    dc->push_back((pi.c - p0->c) * (1.0 / anchors[i]));
-  }
-  return [p0, dg, dc, nw](const Vector& w) {
-    if (w.size() != nw) {
-      throw std::invalid_argument("linear_matrix_family: wrong w size");
-    }
-    // Nominal-sample fast path (pre-characterization evaluates w = 0 often).
-    if (all_zero(w)) return *p0;
-    interconnect::PortedPencil out = *p0;
-    for (std::size_t i = 0; i < nw; ++i) {
-      if (numeric::exact_zero(w[i])) continue;
-      out.g += w[i] * (*dg)[i];
-      out.c += w[i] * (*dc)[i];
-    }
-    return out;
   };
 }
 

@@ -118,14 +118,6 @@ VariationalRom build_variational_rom(const PencilFamily& family,
 PencilFamily scalar_family(
     std::function<interconnect::PortedPencil(double)> f);
 
-/// Materialize the literal variational form of paper Eq. (3)-(4): the
-/// returned family evaluates G(w) = G0 + sum_i dGi w_i (same for C) where
-/// dGi is the secant between w = 0 and w = anchors[i] * e_i. Use when the
-/// raw element values (not the matrix entries) are linear in w, so that the
-/// matrix family itself becomes exactly linear, as the paper assumes.
-PencilFamily linear_matrix_family(const PencilFamily& base,
-                                  const numeric::Vector& anchors);
-
 /// Fold driver output conductances into the port diagonal of a pencil:
 /// G_lin = G + G_sc (paper Table 1, step 2). `gout[k]` attaches to port k.
 interconnect::PortedPencil with_port_conductance(

@@ -1,8 +1,8 @@
 #include "numeric/lu.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "numeric/fp_compare.hpp"
 
@@ -88,17 +88,6 @@ void LuFactorization::solve_into(const Matrix& b, Matrix& x, Vector& col_b,
     solve_into(col_b, col_x);
     for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = col_x[i];
   }
-}
-
-double LuFactorization::rcond_estimate() const {
-  double umin = std::abs(lu_(0, 0));
-  double umax = umin;
-  for (std::size_t i = 1; i < size(); ++i) {
-    const double u = std::abs(lu_(i, i));
-    umin = std::min(umin, u);
-    umax = std::max(umax, u);
-  }
-  return umax > 0.0 ? umin / umax : 0.0;
 }
 
 Vector solve(Matrix a, const Vector& b) {

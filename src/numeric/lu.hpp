@@ -20,7 +20,7 @@ class LuFactorization {
   LuFactorization() = default;
 
   /// Factorizes a (must be square). Throws std::runtime_error on exact
-  /// singularity; near-singularity is reported via condition_estimate().
+  /// singularity (a zero pivot column).
   explicit LuFactorization(Matrix a);
 
   /// Re-run the factorization on a new matrix, reusing the pivot vector and
@@ -65,10 +65,6 @@ class LuFactorization {
       x[ii * stride] = s / lu_(ii, ii);
     }
   }
-
-  /// Crude reciprocal-condition estimate: min|U_ii| / max|U_ii|. Good enough
-  /// to flag the near-singular variational macromodels the paper discusses.
-  double rcond_estimate() const;
 
  private:
   void factorize();

@@ -38,10 +38,10 @@ struct PhaseSlots {
 };
 
 /// One importance-sampled phase: draw n samples from the mean-shifted
-/// (optionally mixture) proposal, evaluate f, and record value + weight +
-/// surrogate delay per sample index. `phase_tag`/`perm_tag` select the
-/// counter-stream family (stream_tag::kIsPilot*/kIsMain*), keeping the
-/// pilot and main draws independent of each other and of plain MC.
+/// proposal, evaluate f, and record value + weight + surrogate delay per
+/// sample index. `phase_tag`/`perm_tag` select the counter-stream family
+/// (stream_tag::kIsPilot*/kIsMain*), keeping the pilot and main draws
+/// independent of each other and of plain MC.
 void run_is_phase(const RunOptions& opt, obs::Registry* reg,
                   const BatchPerformanceFn& f,
                   const std::vector<VariationSource>& sources,
@@ -49,7 +49,6 @@ void run_is_phase(const RunOptions& opt, obs::Registry* reg,
                   std::uint64_t phase_tag, std::uint64_t perm_tag,
                   bool keep_u, PhaseSlots& out) {
   const std::size_t nw = sources.size();
-  const double lambda = opt.importance.mixture_nominal;
 
   // |theta|^2 of the proposal shift; exact_zero() detects the degenerate
   // plain-MC case where every likelihood ratio must be exactly 1.0.
@@ -73,14 +72,6 @@ void run_is_phase(const RunOptions& opt, obs::Registry* reg,
   // per-index weight, surrogate and u writes never overlap.
   const auto draw = [&](std::size_t s) {
     SplitMix64 stream = sample_stream(opt.seed, s, phase_tag);
-    // Defensive mixture: with probability lambda this sample draws
-    // from the nominal distribution. The coin comes first in the
-    // stream so the per-dimension draws below stay aligned whether or
-    // not it lands on the nominal branch.
-    bool use_shift = shifted;
-    if (shifted && lambda > 0.0) {
-      use_shift = stream.uniform_open() >= lambda;
-    }
     Vector w(nw);
     double score = 0.0;       // theta . u over the normal dimensions
     double sur_delta = 0.0;   // gradient . (w - mean)
@@ -96,19 +87,20 @@ void run_is_phase(const RunOptions& opt, obs::Registry* reg,
         w[d] = to_uniform(uu, src.mean - src.sigma, src.mean + src.sigma);
       } else {
         const double u_d = inverse_normal_cdf(uu) +
-                           (use_shift ? sur.shift[d] : 0.0);
+                           (shifted ? sur.shift[d] : 0.0);
         w[d] = src.mean + src.sigma * u_d;
         score += sur.shift[d] * u_d;
         if (keep_u) uvec[d] = u_d;
       }
       sur_delta += sur.gradient[d] * (w[d] - src.mean);
     }
-    // Likelihood ratio p(u)/q(u). The degenerate zero-shift proposal
-    // is the original distribution, so the ratio is pinned to exactly
-    // 1.0 rather than round-tripped through exp().
-    out.weight[s] =
-        shifted ? mixture_likelihood_ratio(score - 0.5 * theta_sq, lambda)
-                : 1.0;
+    // Likelihood ratio p(u)/q(u) = exp(|theta|^2/2 - theta . u), taken as
+    // the reciprocal of exp(theta . u - |theta|^2/2): exp() of the negated
+    // argument can differ in the last bit, and recorded results pin this
+    // form. The degenerate zero-shift proposal is the original
+    // distribution, so the ratio is pinned to exactly 1.0 rather than
+    // round-tripped through exp().
+    out.weight[s] = shifted ? 1.0 / std::exp(score - 0.5 * theta_sq) : 1.0;
     out.surrogate[s] = sur.nominal + sur_delta;
     if (keep_u) out.u[s] = std::move(uvec);
     return w;
@@ -127,15 +119,6 @@ IsYieldEstimate Runner::run_yield_is(
   obs::ScopedSpan span("stats.yield_is");
   detail::check_sampling("run_yield_is", sources.size(), opt_.samples);
   const ImportanceOptions& is_opt = opt_.importance;
-  if (!(is_opt.shift_scale >= 0.0) || !std::isfinite(is_opt.shift_scale)) {
-    sim::throw_invalid_input(
-        "run_yield_is: ImportanceOptions::shift_scale must be finite and "
-        ">= 0");
-  }
-  if (!(is_opt.mixture_nominal >= 0.0 && is_opt.mixture_nominal < 1.0)) {
-    sim::throw_invalid_input(
-        "run_yield_is: ImportanceOptions::mixture_nominal must be in [0, 1)");
-  }
   const std::size_t nw = sources.size();
   if (is_opt.control_variate) {
     for (const VariationSource& src : sources) {
@@ -181,8 +164,7 @@ IsYieldEstimate Runner::run_yield_is(
     for (std::size_t d = 0; d < nw; ++d) {
       if (sources[d].kind != VariationSource::Kind::kNormal) continue;
       const double a_d = ga.gradient[d] * sources[d].sigma;
-      res.surrogate.shift[d] =
-          is_opt.shift_scale * a_d * margin / a_norm_sq;
+      res.surrogate.shift[d] = a_d * margin / a_norm_sq;
     }
   }
 

@@ -5,13 +5,15 @@
 // 10% relative error needs ~10^5-10^6 samples. Following Bayrakci, Demir
 // and Tasiran ("Fast Monte Carlo Estimation of Timing Yield: Importance
 // Sampling with Stochastic Logical Effort", see PAPERS.md), this engine
-// instead samples from a *shifted* proposal distribution centered on the
+// instead samples from the original distribution mean-shifted onto the
 // failure boundary of a cheap linear surrogate of the path delay -- built
-// from the Eq. 24/30-31 gradient sensitivities already computed by
+// from the Eq. 24 central-difference gradients of
 // stats::Runner::run_gradients -- and unbiases every sample with its
-// likelihood ratio. Orders of magnitude fewer samples land the same
-// estimator variance; bench_yield_is records the effective-sample-size
-// speedup in BENCH_yield_is.json.
+// exponential-tilt likelihood ratio. An optional pilot run re-centers the
+// shift on observed failures, and the surrogate's failure indicator can
+// serve as a control variate. Orders of magnitude fewer samples land the
+// same estimator variance; bench_yield_is records the MC-equivalent
+// budget speedup in BENCH_yield_is.json.
 //
 // The estimator preserves the bitwise thread-count-invariance contract of
 // the plain Monte-Carlo engine: every sample draws from its own
@@ -36,20 +38,6 @@ namespace lcsf::stats {
 /// Knobs of the importance-sampled yield estimator
 /// (Runner::run_yield_is; carried by stats::RunOptions::importance).
 struct ImportanceOptions {
-  /// Scale on the analytic boundary shift. 1.0 centers the proposal on
-  /// the most-probable failure point of the linear surrogate; 0.0
-  /// degenerates to plain Monte Carlo with every likelihood ratio
-  /// exactly 1.0 (the identity the tests pin).
-  double shift_scale = 1.0;
-
-  /// Defensive-mixture weight lambda in [0, 1): with probability lambda a
-  /// sample is drawn from the *nominal* distribution instead of the
-  /// shifted one, and the likelihood ratio uses the mixture density
-  /// q = lambda p + (1 - lambda) p_shifted. A small lambda (e.g. 0.1)
-  /// bounds the worst-case weight at 1/lambda, guarding against the
-  /// heavy-weight hazard when the true delay is strongly nonlinear in w.
-  double mixture_nominal = 0.0;
-
   /// Two-phase adaptive allocation: when > 0, a pilot run of this many
   /// samples (independent streams; the main run's seeds are untouched)
   /// refines the analytic shift with the cross-entropy update -- the

@@ -69,17 +69,4 @@ double inverse_normal_cdf(double p) {
   return x;
 }
 
-double mixture_likelihood_ratio(double score, double lambda) {
-  if (!(lambda >= 0.0 && lambda < 1.0)) {
-    sim::throw_invalid_input(
-        "mixture_likelihood_ratio: mixture weight must be in [0, 1)");
-  }
-  // q/p = lambda + (1 - lambda) * exp(score). exp() overflow to +inf is
-  // benign (the ratio underflows to 0: a sample deep inside the proposal
-  // bulk carries negligible weight); exp() underflow to 0 leaves the
-  // mixture floor lambda, which is exactly the 1/lambda weight bound the
-  // defensive mixture exists to provide.
-  return 1.0 / (lambda + (1.0 - lambda) * std::exp(score));
-}
-
 }  // namespace lcsf::stats

@@ -107,14 +107,4 @@ inline double to_normal(double u, double mean, double sigma) {
   return mean + sigma * inverse_normal_cdf(u);
 }
 
-/// Likelihood ratio p(u) / q(u) of one standardized sample under the
-/// defensive-mixture proposal q = lambda p + (1 - lambda) p_shifted,
-/// where p is standard normal and p_shifted is p mean-shifted by theta.
-/// `score` is theta . u - |theta|^2 / 2 (the log density ratio
-/// p_shifted / p at the realized u). With lambda == 0 this is the plain
-/// exponential-tilt ratio; the mixture bounds it above by 1 / lambda.
-/// A zero shift gives exactly 1.0 (score == 0) for any lambda -- the
-/// degenerate-to-plain-MC identity the tests pin.
-double mixture_likelihood_ratio(double score, double lambda);
-
 }  // namespace lcsf::stats

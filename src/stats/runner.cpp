@@ -131,13 +131,9 @@ GradientAnalysisResult Runner::run_gradients(
   if (sources.empty()) {
     sim::throw_invalid_input("gradient_analysis: no sources");
   }
-  if (!(opt_.step_fraction > 0.0) || !std::isfinite(opt_.step_fraction)) {
-    sim::throw_invalid_input("gradient_analysis: bad step");
-  }
   const std::size_t nw = sources.size();
-  const auto step = [&](std::size_t d) {
-    return opt_.step_fraction * sources[d].sigma;
-  };
+  // The central-difference step is a tenth of each source's sigma.
+  const auto step = [&](std::size_t d) { return 0.1 * sources[d].sigma; };
   // A source without a positive step has no probes and no gradient.
   const auto unprobed = [&](std::size_t d) { return step(d) <= 0.0; };
   GradientAnalysisResult res;

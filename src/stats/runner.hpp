@@ -20,8 +20,8 @@
 namespace lcsf::stats {
 
 /// Shared configuration for all Runner analyses: the sampling fields, the
-/// gradient step, the execution knobs in `exec` (one ExecutionOptions for
-/// every analysis), the importance-sampling knobs and the metrics sink.
+/// execution knobs in `exec` (one ExecutionOptions for every analysis),
+/// the importance-sampling knobs and the metrics sink.
 struct RunOptions {
   std::size_t samples = 100;    ///< MC/IS sample count; must be >= 1
   /// Base seed. Sample s draws from stream (seed, s) regardless of how
@@ -30,17 +30,11 @@ struct RunOptions {
   /// exec.threads is.
   std::uint64_t seed = 1;
   bool latin_hypercube = true;  ///< stratified (paper Example 2) vs plain
-  /// Relative finite-difference step of run_gradients, as a fraction of
-  /// each source's sigma. The paper evaluates "five simulations per
-  /// variation source"; central differences use two plus the shared
-  /// nominal run.
-  double step_fraction = 0.1;
   ExecutionOptions exec;        ///< threads + failure policy + batch
 
-  /// Importance-sampled yield knobs (run_yield_is only): proposal shift
-  /// scale, defensive-mixture weight, adaptive pilot budget and the
-  /// control-variate switch. See stats/importance.hpp and
-  /// docs/yield_estimation.md.
+  /// Importance-sampled yield knobs (run_yield_is only): the adaptive
+  /// pilot budget and the control-variate switch. See
+  /// stats/importance.hpp and docs/yield_estimation.md.
   ImportanceOptions importance;
 
   /// Metrics/trace destination. Null = inherit the calling thread's
@@ -85,18 +79,20 @@ class Runner {
 
   /// First-order (RSS) estimate of the performance spread, paper Eq. 24:
   ///   sigma_D = sqrt( sum_l sigma_l^2 (dD/dw_l)^2 ),
-  /// from central differences of step options().step_fraction * sigma_l
-  /// about the source means. f sees the nominal point alone, then the
-  /// 2 x #sources probes (+h, -h per source, in source order) in blocks
-  /// of min(K, remaining) spread over exec.threads; the result stays
-  /// thread-count and batch-width invariant (probes are independent and
-  /// the Eq. 24 sum is accumulated in source order).
+  /// from central differences of step 0.1 * sigma_l about the source
+  /// means (the paper evaluates "five simulations per variation source";
+  /// central differences use two plus the shared nominal run). f sees
+  /// the nominal point alone, then the 2 x #sources probes (+h, -h per
+  /// source, in source order) in blocks of min(K, remaining) spread over
+  /// exec.threads; the result stays thread-count and batch-width
+  /// invariant (probes are independent and the Eq. 24 sum is accumulated
+  /// in source order).
   /// Under kSkip a failed probe zeroes that source's gradient entry,
   /// drops it from the Eq. 24 sum and is recorded
   /// (SampleFailure::index = source index, the + probe's failure first).
   /// A failed *nominal* evaluation always rethrows -- there is no
   /// gradient about a point that does not evaluate. Throws kInvalidInput
-  /// for empty `sources` or a step_fraction that is not finite and > 0.
+  /// for empty `sources`.
   GradientAnalysisResult run_gradients(
       const BatchPerformanceFn& f,
       const std::vector<VariationSource>& sources) const;
@@ -105,13 +101,12 @@ class Runner {
   /// builds a linear surrogate from run_gradients, shifts the sampling
   /// distribution onto the surrogate's failure boundary, and unbiases
   /// each sample with its likelihood ratio. Configured by
-  /// options().importance (shift scale, defensive mixture, adaptive
-  /// pilot, control variate). Both phases run in blocks like
-  /// run_monte_carlo and share its determinism contract: the estimate,
-  /// weights and failure summaries are bitwise identical for every
-  /// exec.threads and exec.batch value. See docs/yield_estimation.md.
-  /// Monte-Carlo yield is McYieldEstimate (stats/yield.hpp) over
-  /// run_monte_carlo.
+  /// options().importance (adaptive pilot, control variate). Both phases
+  /// run in blocks like run_monte_carlo and share its determinism
+  /// contract: the estimate, weights and failure summaries are bitwise
+  /// identical for every exec.threads and exec.batch value. See
+  /// docs/yield_estimation.md. Monte-Carlo yield is McYieldEstimate
+  /// (stats/yield.hpp) over run_monte_carlo.
   IsYieldEstimate run_yield_is(const BatchPerformanceFn& f,
                                const std::vector<VariationSource>& sources,
                                double clock_period) const;

@@ -19,16 +19,6 @@ std::size_t GateNetlist::memory_bytes() const {
                      sizeof(std::size_t);
 }
 
-std::vector<std::size_t> arrival_times(const GateNetlist& nl) {
-  // Delegates to the timing graph, which levelizes internally: a single
-  // forward pass over nl.gates used to silently assume topological
-  // storage order and returned garbage arrivals for gates stored before
-  // their drivers. TimingGraph also rejects cyclic netlists with a
-  // classified sim::SimulationError (kInvalidInput) instead of returning
-  // wrong answers.
-  return TimingGraph(nl).arrival();
-}
-
 TimingPath longest_path(const GateNetlist& nl) {
   if (nl.latch_inputs.empty()) {
     throw std::invalid_argument("longest_path: no latch inputs");

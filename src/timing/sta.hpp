@@ -54,10 +54,6 @@ struct TimingPath {
 /// std::runtime_error if the path would be empty.
 TimingPath longest_path(const GateNetlist& nl);
 
-/// Arrival time of every net under unit gate delays (start nets at 0;
-/// SIZE_MAX for unreachable nets).
-std::vector<std::size_t> arrival_times(const GateNetlist& nl);
-
 struct BenchmarkSpec {
   std::string name;
   std::size_t longest_path_stages = 5;  ///< published stage count

@@ -52,8 +52,4 @@ RampParams measure_ramp(const Samples& w, double vdd, bool rising) {
   return p;
 }
 
-double stage_delay(const RampParams& in, const RampParams& out) {
-  return out.m - in.m;
-}
-
 }  // namespace lcsf::timing

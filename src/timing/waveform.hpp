@@ -41,7 +41,4 @@ std::optional<double> crossing_time(const Samples& w, double level,
 /// transition.
 RampParams measure_ramp(const Samples& w, double vdd, bool rising);
 
-/// Stage delay: 50% input crossing to 50% output crossing.
-double stage_delay(const RampParams& in, const RampParams& out) ;
-
 }  // namespace lcsf::timing

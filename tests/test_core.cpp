@@ -182,7 +182,9 @@ TEST(PathAnalyzer, FromBenchmarkBuildsConsistentSpec) {
   nominal.device.resize(pa.num_stages());
   const auto fw = pa.framework_delay(nominal);
   EXPECT_GT(fw.delay, 0.0);
-  EXPECT_GT(pa.total_linear_elements(), 5u * 5u);
+  // The element knob becomes (10 - 2) / 2 RC segments per stage wire.
+  EXPECT_EQ(spec.linear_elements_per_stage, 10u);
+  EXPECT_EQ(spec.wire_segments(), 4u);
 }
 
 TEST(PathAnalyzer, GradientAnalysisWithGlobalWireSources) {
@@ -230,7 +232,8 @@ TEST(PathAnalyzer, WorstCaseCornerExceedsNominalAndQuantile) {
 TEST(PathAnalyzer, LinearElementKnob) {
   PathAnalyzer few(small_path_spec(10));
   PathAnalyzer many(small_path_spec(500));
-  EXPECT_GT(many.total_linear_elements(), 10 * few.total_linear_elements());
+  EXPECT_GT(small_path_spec(500).wire_segments(),
+            10 * small_path_spec(10).wire_segments());
   // Longer wires -> longer delays.
   PathSample nominal;
   nominal.device.resize(3);

@@ -11,6 +11,7 @@
 #include "sim/diagnostics.hpp"
 #include "spice/transient.hpp"
 #include "stats/descriptive.hpp"
+#include "timing/graph.hpp"
 #include "timing/sta.hpp"
 #include "timing/waveform.hpp"
 
@@ -122,7 +123,7 @@ TEST(StaEdge, UnreachableAndMissingEndpoints) {
     if (timing::cell_library()[k].name == "INV") inv = k;
   }
   nl.gates.push_back({inv, {2}, 1});
-  const auto arrival = timing::arrival_times(nl);
+  const auto arrival = timing::TimingGraph(nl).arrival();
   EXPECT_EQ(arrival[0], 0u);
   EXPECT_EQ(arrival[1], std::numeric_limits<std::size_t>::max());
 

@@ -101,17 +101,6 @@ TEST(Pact, NominalReductionIsPassive) {
   EXPECT_EQ(pr.count_unstable(), 0u);
 }
 
-TEST(Pact, ResidueWeightedSelectionAlsoExactAtDc) {
-  PortedPencil pen = effective_example1(0.0);
-  PactOptions opt;
-  opt.internal_modes = 3;
-  opt.selection = PactModeSelection::kResidueWeighted;
-  PactResult r = pact_reduce(pen, opt);
-  const Matrix m0_full = pencil_moment(pen.g, pen.c, 1, 0);
-  EXPECT_NEAR(r.model.moment(0)(0, 0), m0_full(0, 0),
-              1e-9 * std::abs(m0_full(0, 0)));
-}
-
 TEST(Prima, MomentMatching) {
   PortedPencil pen = effective_example1(0.0);
   PrimaOptions opt;
@@ -276,29 +265,6 @@ TEST(Variational, FrozenProjectionIsMoreRobust) {
   }
 }
 
-TEST(Variational, LinearMatrixFamilyInterpolatesAnchors) {
-  auto base = scalar_family(
-      [](double p) { return effective_example1(p); });
-  PencilFamily lin = linear_matrix_family(base, Vector{0.1});
-  // Exact at the anchors by construction.
-  const auto exact0 = base(Vector{0.0});
-  const auto exact1 = base(Vector{0.1});
-  EXPECT_NEAR(numeric::relative_difference(lin(Vector{0.0}).g, exact0.g), 0,
-              1e-14);
-  EXPECT_NEAR(numeric::relative_difference(lin(Vector{0.1}).g, exact1.g), 0,
-              1e-12);
-  EXPECT_NEAR(numeric::relative_difference(lin(Vector{0.1}).c, exact1.c), 0,
-              1e-12);
-  // Capacitances are linear in p, so C matches everywhere; G differs in
-  // between (1/R is convex in p).
-  const auto mid_exact = base(Vector{0.05});
-  const auto mid_lin = lin(Vector{0.05});
-  EXPECT_NEAR(numeric::relative_difference(mid_lin.c, mid_exact.c), 0, 1e-12);
-  EXPECT_GT(numeric::relative_difference(mid_lin.g, mid_exact.g), 1e-5);
-  EXPECT_THROW(linear_matrix_family(base, Vector{0.0}),
-               std::invalid_argument);
-}
-
 TEST(Stabilize, DropsUnstablePolesAndPreservesDc) {
   // Construct a synthetic model: two stable poles, one unstable.
   Matrix direct(1, 1);
@@ -400,19 +366,16 @@ void expect_bitwise_equal(const PactResult& a, const PactResult& b) {
 }
 
 TEST(PactMemo, HitIsBitwiseEqualToUnmemoizedReduction) {
-  for (PactModeSelection sel : {PactModeSelection::kSlowestPoles,
-                                PactModeSelection::kResidueWeighted}) {
-    PactOptions opt{4, sel};
-    PactMemo memo;
-    const PortedPencil a = two_port_line(1e-3, 5e-15);
-    expect_bitwise_equal(pact_reduce(a, opt, &memo), pact_reduce(a, opt));
-    ASSERT_EQ(memo.size(), 1u);
-    // Different driver and receiver: same internal blocks, so a hit.
-    const PortedPencil b = two_port_line(3e-3, 9e-15);
-    const PactResult hit = pact_reduce(b, opt, &memo);
-    EXPECT_EQ(memo.size(), 1u);
-    expect_bitwise_equal(hit, pact_reduce(b, opt));
-  }
+  const PactOptions opt{4};
+  PactMemo memo;
+  const PortedPencil a = two_port_line(1e-3, 5e-15);
+  expect_bitwise_equal(pact_reduce(a, opt, &memo), pact_reduce(a, opt));
+  ASSERT_EQ(memo.size(), 1u);
+  // Different driver and receiver: same internal blocks, so a hit.
+  const PortedPencil b = two_port_line(3e-3, 9e-15);
+  const PactResult hit = pact_reduce(b, opt, &memo);
+  EXPECT_EQ(memo.size(), 1u);
+  expect_bitwise_equal(hit, pact_reduce(b, opt));
 }
 
 TEST(PactMemo, PortEntryChangesHit) {
@@ -441,22 +404,18 @@ TEST(PactMemo, InternalOrOptionChangesMiss) {
   (void)pact_reduce(base, PactOptions{3}, &memo);
   EXPECT_EQ(memo.size(), 3u);
 
-  (void)pact_reduce(
-      base, PactOptions{4, PactModeSelection::kResidueWeighted}, &memo);
-  EXPECT_EQ(memo.size(), 4u);
-
   // The key compares bits, so a -0.0 in place of a stored zero misses.
   PortedPencil neg_zero = base;
   const std::size_t n = neg_zero.g.rows();
   ASSERT_EQ(neg_zero.g(2, n - 1), 0.0);
   neg_zero.g(2, n - 1) = -0.0;
   (void)pact_reduce(neg_zero, PactOptions{4}, &memo);
-  EXPECT_EQ(memo.size(), 5u);
+  EXPECT_EQ(memo.size(), 4u);
 
   // Every key above is still an exact hit.
   (void)pact_reduce(gii, PactOptions{4}, &memo);
   (void)pact_reduce(base, PactOptions{3}, &memo);
-  EXPECT_EQ(memo.size(), 5u);
+  EXPECT_EQ(memo.size(), 4u);
 }
 
 TEST(PactMemo, CountsEigensolvesAndHits) {

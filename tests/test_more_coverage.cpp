@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <random>
+#include <stdexcept>
 
 #include "circuit/technology.hpp"
 #include "interconnect/coupled_lines.hpp"
@@ -165,11 +166,16 @@ TEST(StageEngine, SimultaneousOpposingSwitchingMatchesSpice) {
 }
 
 TEST(NumericMore, LuRcondFlagsNearSingular) {
-  Matrix good = Matrix::identity(4);
-  EXPECT_NEAR(numeric::LuFactorization(good).rcond_estimate(), 1.0, 1e-12);
+  // LU flags only an exactly singular matrix (a zero pivot column); a
+  // 1e-14 pivot factors, and its solve carries the 1e14 amplification.
   Matrix bad = Matrix::identity(4);
   bad(3, 3) = 1e-14;
-  EXPECT_LT(numeric::LuFactorization(bad).rcond_estimate(), 1e-12);
+  const Vector x =
+      numeric::LuFactorization(bad).solve(Vector{0.0, 0.0, 0.0, 1.0});
+  EXPECT_NEAR(x[3] * 1e-14, 1.0, 1e-12);
+  Matrix singular = Matrix::identity(4);
+  singular(3, 3) = 0.0;
+  EXPECT_THROW(numeric::LuFactorization{singular}, std::runtime_error);
 }
 
 TEST(NumericMore, OrthonormalizeEmptyAndSingleColumn) {

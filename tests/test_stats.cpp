@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -352,28 +351,6 @@ TEST(GradientAnalysis, AgreesWithMonteCarloOnMildNonlinearity) {
   opt.samples = 4000;
   auto mc = Runner(opt).run_monte_carlo(per_sample(f), src);
   EXPECT_NEAR(ga.stddev, mc.stats.stddev(), 0.01);
-}
-
-TEST(GradientAnalysis, InvalidStepThrows) {
-  std::vector<VariationSource> src(2);
-  std::size_t calls = 0;
-  const BatchPerformanceFn f = [&](const std::vector<Vector>& w,
-                                   std::size_t, std::vector<BatchSlot>& out) {
-    calls += w.size();
-    for (BatchSlot& slot : out) slot.value = 1.0;
-  };
-  for (const double step : {0.0, -1.0, std::nan(""),
-                            std::numeric_limits<double>::infinity()}) {
-    RunOptions opt;
-    opt.step_fraction = step;
-    try {
-      (void)Runner(opt).run_gradients(f, src);
-      ADD_FAILURE() << "step " << step << " accepted";
-    } catch (const sim::SimulationError& e) {
-      EXPECT_EQ(e.kind(), sim::FailureKind::kInvalidInput) << step;
-    }
-  }
-  EXPECT_EQ(calls, 0u);  // rejected before any evaluation
 }
 
 TEST(GradientAnalysis, UniformSourceVariance) {

@@ -7,6 +7,7 @@
 #include "circuit/technology.hpp"
 #include "spice/transient.hpp"
 #include "timing/cells.hpp"
+#include "timing/graph.hpp"
 #include "timing/sta.hpp"
 #include "timing/waveform.hpp"
 
@@ -51,9 +52,6 @@ TEST(Waveform, CrossingAndFailureModes) {
   Samples flat{{0.0, 0.0}, {1e-9, 0.0}};
   EXPECT_FALSE(crossing_time(flat, 0.9, true).has_value());
   EXPECT_THROW(measure_ramp(flat, 1.8, true), std::runtime_error);
-  EXPECT_NEAR(stage_delay(RampParams{1e-9, 0, true},
-                          RampParams{1.5e-9, 0, false}),
-              0.5e-9, 1e-18);
 }
 
 TEST(Waveform, ExactThresholdSampleIsACrossing) {
@@ -202,7 +200,7 @@ TEST(Sta, ArrivalAndLongestPathOnHandBuiltCircuit) {
   nl.gates.push_back({inv, {1}, 4});
   nl.latch_inputs = {3, 4};
 
-  auto arrival = arrival_times(nl);
+  const auto arrival = TimingGraph(nl).arrival();
   EXPECT_EQ(arrival[2], 1u);
   EXPECT_EQ(arrival[3], 2u);
   EXPECT_EQ(arrival[4], 1u);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "numeric/fp_compare.hpp"
 #include "obs/registry.hpp"
 #include "sim/diagnostics.hpp"
 #include "stats/importance.hpp"
@@ -54,7 +55,7 @@ TEST(YieldIs, BitwiseThreadInvariance) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
       RunOptions opt = base_options(400, threads);
       opt.importance.pilot_samples = variant == 1 ? 100 : 0;
-      opt.importance.mixture_nominal = variant == 1 ? 0.1 : 0.0;
+      opt.importance.control_variate = variant == 1;
       const auto est = Runner(opt).run_yield_is(
           per_sample(linear_delay), src, T);
       if (threads == 1) {
@@ -65,6 +66,7 @@ TEST(YieldIs, BitwiseThreadInvariance) {
       EXPECT_EQ(ref.yield_loss, est.yield_loss) << threads;
       EXPECT_EQ(ref.std_error, est.std_error) << threads;
       EXPECT_EQ(ref.ess, est.ess) << threads;
+      EXPECT_EQ(ref.control_coefficient, est.control_coefficient) << threads;
       ASSERT_EQ(ref.values.size(), est.values.size());
       for (std::size_t i = 0; i < ref.values.size(); ++i) {
         EXPECT_EQ(ref.values[i], est.values[i]) << i;
@@ -118,27 +120,29 @@ TEST(YieldIs, AgreesWithExactTailAndBeatsMcVariance) {
   EXPECT_LE(est.ess, 2000.0);
   // The surrogate of a linear f is exact: beta matches the true margin.
   EXPECT_NEAR(est.surrogate.beta, 3.0, 1e-6);
+  // Every weight is the exponential tilt exp(|theta|^2/2 - theta . u):
+  // the shift is equal in every dimension, and sum_d u_d = D - 100.
+  const double th = est.surrogate.shift[0];
+  for (std::size_t d = 1; d < n; ++d) EXPECT_EQ(est.surrogate.shift[d], th);
+  ASSERT_EQ(est.weights.size(), est.values.size());
+  for (std::size_t i = 0; i < est.values.size(); ++i) {
+    const double tilt = std::exp(0.5 * static_cast<double>(n) * th * th -
+                                 th * (est.values[i] - 100.0));
+    EXPECT_NEAR(est.weights[i] / tilt, 1.0, 1e-9) << i;
+  }
 }
 
-TEST(YieldIs, ZeroShiftScaleDegeneratesToPlainMcWeights) {
+TEST(YieldIs, NegativeMarginDegeneratesToPlainMc) {
+  // Nominal already fails the clock: margin <= 0, no shift is derived,
+  // and the proposal is the original distribution.
   const auto src = normal_sources(3);
-  RunOptions opt = base_options(500);
-  opt.importance.shift_scale = 0.0;
-  const auto est = Runner(opt).run_yield_is(
-      per_sample(linear_delay), src, 104.0);
-  ASSERT_FALSE(est.weights.empty());
+  const auto est = Runner(base_options(300)).run_yield_is(
+      per_sample(linear_delay), src, 90.0);
+  ASSERT_EQ(est.weights.size(), 300u);
   for (const double w : est.weights) {
     EXPECT_EQ(w, 1.0);  // exactly, not approximately
   }
   EXPECT_EQ(est.ess, static_cast<double>(est.values.size()));
-}
-
-TEST(YieldIs, NegativeMarginDegeneratesToPlainMc) {
-  // Nominal already fails the clock: margin <= 0, no shift is derived.
-  const auto src = normal_sources(3);
-  const auto est = Runner(base_options(300)).run_yield_is(
-      per_sample(linear_delay), src, 90.0);
-  for (const double w : est.weights) EXPECT_EQ(w, 1.0);
   EXPECT_NEAR(est.yield_loss, 1.0, 0.05);  // essentially always failing
 }
 
@@ -212,8 +216,10 @@ TEST(YieldIs, FailSoftSkipsMatchMcDiscipline) {
   };
   RunOptions opt = base_options(400, 4);
   opt.exec.on_failure = FailurePolicy::kSkip;
-  opt.importance.shift_scale = 0.0;  // sample the nominal distribution
-  const auto is = Runner(opt).run_yield_is(per_sample(f), src, 104.0);
+  // A clock below the nominal delay degenerates the shift, so IS samples
+  // the nominal distribution.
+  const double T = 90.0;
+  const auto is = Runner(opt).run_yield_is(per_sample(f), src, T);
   const auto mc = Runner(opt).run_monte_carlo(per_sample(f), src);
   // Identical zero-shift streams would diverge identically -- but the IS
   // engine draws from its own stream family, so compare the *policy*:
@@ -228,7 +234,7 @@ TEST(YieldIs, FailSoftSkipsMatchMcDiscipline) {
   EXPECT_EQ(is.values.size(), is.failures.survived);
   // Thread invariance holds for the failure set too.
   opt.exec.threads = 1;
-  const auto serial = Runner(opt).run_yield_is(per_sample(f), src, 104.0);
+  const auto serial = Runner(opt).run_yield_is(per_sample(f), src, T);
   ASSERT_EQ(serial.failures.failures.size(), is.failures.failures.size());
   for (std::size_t i = 0; i < serial.failures.failures.size(); ++i) {
     EXPECT_EQ(serial.failures.failures[i].index,
@@ -244,11 +250,29 @@ TEST(YieldIs, AllSamplesFailedConvention) {
   };
   RunOptions opt = base_options(50);
   opt.exec.on_failure = FailurePolicy::kSkip;
-  opt.importance.shift_scale = 0.0;
-  // run_gradients' nominal is evaluated fail-soft per-probe; an
-  // always-throwing f still rethrows out of the nominal evaluation.
+  // run_gradients' probes are fail-soft under kSkip; an always-throwing
+  // f still rethrows out of the nominal evaluation.
   EXPECT_THROW((void)Runner(opt).run_yield_is(per_sample(f), src, 1.0),
                sim::SimulationError);
+
+  // An f that evaluates only at the origin: the nominal succeeds, every
+  // probe fails (so the shift degenerates), and every main sample fails.
+  // A sample that diverges cannot meet timing, as in McYieldEstimate.
+  auto origin_only = [](const Vector& w) -> double {
+    if (numeric::exact_zero(w[0]) && numeric::exact_zero(w[1])) {
+      return 100.0;
+    }
+    throw sim::SimulationError(sim::FailureKind::kBlowUp, "off origin");
+  };
+  const auto est =
+      Runner(opt).run_yield_is(per_sample(origin_only), src, 104.0);
+  EXPECT_EQ(est.yield, 0.0);
+  EXPECT_EQ(est.yield_loss, 1.0);
+  EXPECT_EQ(est.std_error, 0.0);
+  EXPECT_TRUE(est.values.empty());
+  EXPECT_TRUE(est.weights.empty());
+  EXPECT_EQ(est.failures.failed(), opt.samples);
+  EXPECT_EQ(est.failures.survived, 0u);
 }
 
 TEST(YieldIs, InvalidInputsThrow) {
@@ -264,32 +288,6 @@ TEST(YieldIs, InvalidInputsThrow) {
     EXPECT_THROW((void)Runner(opt).run_yield_is(f, {}, 1.0),
                  sim::SimulationError);
   }
-  for (const double lambda : {1.0, -0.1, std::nan("")}) {
-    RunOptions opt = base_options(10);
-    opt.importance.mixture_nominal = lambda;
-    EXPECT_THROW((void)Runner(opt).run_yield_is(f, src, 1.0),
-                 sim::SimulationError)
-        << lambda;
-  }
-  {
-    RunOptions opt = base_options(10);
-    opt.importance.shift_scale = -1.0;
-    EXPECT_THROW((void)Runner(opt).run_yield_is(f, src, 1.0),
-                 sim::SimulationError);
-  }
-}
-
-TEST(MixtureLikelihoodRatio, KnownValues) {
-  // lambda = 0: plain exponential tilt, LR = exp(-score).
-  EXPECT_NEAR(mixture_likelihood_ratio(1.0, 0.0), std::exp(-1.0), 1e-15);
-  // score = 0 (zero shift): exactly 1 for lambda = 0.
-  EXPECT_EQ(mixture_likelihood_ratio(0.0, 0.0), 1.0);
-  // Deep in the proposal bulk the mixture bounds the weight at 1/lambda.
-  EXPECT_NEAR(mixture_likelihood_ratio(-700.0, 0.25), 4.0, 1e-12);
-  EXPECT_THROW(mixture_likelihood_ratio(0.0, 1.0), sim::SimulationError);
-  EXPECT_THROW(mixture_likelihood_ratio(0.0, -0.1), sim::SimulationError);
-  EXPECT_THROW(mixture_likelihood_ratio(0.0, std::nan("")),
-               sim::SimulationError);
 }
 
 }  // namespace

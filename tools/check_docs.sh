@@ -7,6 +7,9 @@
 #   3b. every LCSF_* name (environment variable, CMake option, macro) a
 #      doc mentions appears as a whole word in code, so a removed
 #      variable cannot stay documented;
+#   3c. the member of every backticked `Scope::member` a doc mentions
+#      appears as a whole word in the program sources, so a removed
+#      option or function cannot stay documented;
 #   4. every docs/*.md file is reachable from README.md by following
 #      relative markdown links (no orphaned guides);
 #   5. if doxygen is installed, the Doxyfile builds warning-free.
@@ -75,6 +78,19 @@ for name in $doc_names; do
   if ! grep -rqw --exclude='*.md' -- "$name" src tools bench lcsf_bench \
        tests examples CMakeLists.txt; then
     echo "doc-lint: $name mentioned in docs but absent from code"
+    fail=1
+  fi
+done
+
+# Qualified names: a backtick span that opens with `Scope::member` (any
+# depth of scopes) names a member that must appear as a whole word in a
+# non-Markdown file under src/, tools/, bench/ or examples/.
+doc_qualified=$(grep -hoE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' \
+                  README.md docs/*.md | tr -d '`' | sort -u)
+for qname in $doc_qualified; do
+  if ! grep -rqw --exclude='*.md' -- "${qname##*::}" src tools bench \
+       examples; then
+    echo "doc-lint: $qname mentioned in docs but absent from code"
     fail=1
   fi
 done

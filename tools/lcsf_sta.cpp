@@ -60,8 +60,9 @@
 // classified failure table is printed after the statistics.
 //
 // An unknown option or a malformed number (`--samples abc`,
-// `--samples -1`) is rejected with a diagnostic + usage and exit status
-// 1; a malformed invocation (missing required values) exits 2.
+// `--samples -1`, a --yield-target outside (0, 1)) is rejected with a
+// diagnostic + usage and exit status 1; a malformed invocation (missing
+// required values) exits 2.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -179,7 +180,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--corner") {
       corner = true;
     } else if (arg == "--yield-target") {
+      // A yield is a probability strictly inside (0, 1); reject anything
+      // else here, before any analysis runs.
       yield_target = next_double();
+      if (!(yield_target > 0.0 && yield_target < 1.0)) bad_value(arg, argv[i]);
     } else if (arg == "--threads") {
       threads = next_size();
     } else if (arg == "--batch") {
