@@ -76,7 +76,7 @@ int main() {
 
   const double q3s = stats::gaussian_period_for_yield(
       ga.nominal_delay, ga.stddev, 0.99865);
-  const auto corner = analyzer.worst_case_corner(model, 3.0);
+  const auto corner = analyzer.worst_case_corner(model, ga, 3.0);
   std::printf("\n3-sigma statistical quantile: %.2f ps\n", q3s * 1e12);
   std::printf("+/-3-sigma worst-case corner: %.2f ps\n",
               corner.delay * 1e12);

@@ -237,6 +237,21 @@ core::PathAnalyzer::GaResult Session::run_gradients(
   return path_an_->gradient_analysis(model);
 }
 
+void check_yield_inputs(const std::string& estimator, double clock_period,
+                        double yield_target) {
+  if (estimator != "mc" && estimator != "is" && estimator != "is-cv") {
+    sim::throw_invalid_input("field 'estimator' must be mc, is or is-cv, "
+                             "not '" + estimator + "'");
+  }
+  if (!(yield_target > 0.0 && yield_target < 1.0)) {
+    sim::throw_invalid_input("field 'yield_target' must lie in (0, 1)");
+  }
+  if (!(clock_period >= 0.0)) {
+    sim::throw_invalid_input(
+        "field 'clock_period' must be >= 0 (0 derives the GA period)");
+  }
+}
+
 YieldResult Session::run_yield(const core::PathVariationModel& model,
                                double clock_period,
                                const std::string& estimator,
@@ -245,10 +260,7 @@ YieldResult Session::run_yield(const core::PathVariationModel& model,
   if (path_an_ == nullptr && graph_an_ == nullptr) {
     sim::throw_invalid_input("yield requires a circuit session");
   }
-  if (estimator != "mc" && estimator != "is" && estimator != "is-cv") {
-    sim::throw_invalid_input("unknown yield estimator '" + estimator +
-                             "' (expected mc, is or is-cv)");
-  }
+  check_yield_inputs(estimator, clock_period, yield_target);
   YieldResult res;
   res.estimator = estimator;
   double t_clk = clock_period;

@@ -77,6 +77,15 @@ struct YieldResult {
   std::optional<stats::IsYieldEstimate> is;  ///< is / is-cv detail
 };
 
+/// Reject yield inputs no estimate can use, naming the input
+/// (sim::SimulationError, kInvalidInput): an estimator other than "mc",
+/// "is" or "is-cv", a yield_target outside (0, 1), or a clock_period
+/// below 0 (0 derives the Gradient-Analysis period). Session::run_yield
+/// runs it first; the server runs it while parsing a request, before the
+/// design loads.
+void check_yield_inputs(const std::string& estimator, double clock_period,
+                        double yield_target);
+
 /// Outcome of a multi-path graph analysis (Session::run_graph).
 struct GraphResult {
   stats::MonteCarloResult mc;  ///< worst-endpoint-delay Monte Carlo
@@ -143,10 +152,11 @@ class Session {
       const core::PathVariationModel& model) const;
 
   /// Timing yield at `clock_period` by the chosen estimator ("mc",
-  /// "is", "is-cv"; docs/yield_estimation.md). clock_period <= 0
-  /// derives the Gradient-Analysis period for `yield_target` first
-  /// (single-path sessions only -- a graph session needs an explicit
-  /// period). The IS estimators are single-path only.
+  /// "is", "is-cv"; docs/yield_estimation.md), after
+  /// check_yield_inputs. clock_period 0 derives the Gradient-Analysis
+  /// period for `yield_target` first (single-path sessions only -- a
+  /// graph session needs an explicit period). The IS estimators are
+  /// single-path only.
   YieldResult run_yield(const core::PathVariationModel& model,
                         double clock_period, const std::string& estimator,
                         double yield_target,

@@ -294,9 +294,12 @@ PathAnalyzer::GaResult PathAnalyzer::gradient_analysis(
 }
 
 PathAnalyzer::CornerResult PathAnalyzer::worst_case_corner(
-    const PathVariationModel& model, double k_sigma) const {
-  const auto ga = gradient_analysis(model);
+    const PathVariationModel& model, const GaResult& ga,
+    double k_sigma) const {
   const auto src = sources(model);
+  if (ga.gradient.size() != src.size()) {
+    throw std::invalid_argument("worst_case_corner: GA of another model");
+  }
   CornerResult res;
   res.corner.resize(src.size());
   for (std::size_t l = 0; l < src.size(); ++l) {

@@ -141,11 +141,12 @@ class PathAnalyzer {
     numeric::Vector corner;  ///< the normalized source vector used
   };
   /// Classic worst-case corner: every source at +/- k_sigma, oriented in
-  /// its delay-increasing direction by the GA gradient (the "true worst
-  /// case" of the paper's ref [3]). The introduction argues this is overly
-  /// pessimistic; bench_yield quantifies by how much.
+  /// its delay-increasing direction by the gradient of `ga`, this model's
+  /// gradient_analysis (the "true worst case" of the paper's ref [3]). The
+  /// introduction argues this is overly pessimistic; bench_yield
+  /// quantifies by how much.
   CornerResult worst_case_corner(const PathVariationModel& model,
-                                 double k_sigma) const;
+                                 const GaResult& ga, double k_sigma) const;
 
   /// Resident heap footprint of the analyzer (its one-path graph: stage
   /// load ROMs, chain netlist, timing graph) -- the cost a design cache

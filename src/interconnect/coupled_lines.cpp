@@ -74,42 +74,60 @@ CoupledLineBundle build_coupled_lines(const CoupledLineSpec& spec) {
 
 PortedPencil build_ported_pencil(const circuit::Netlist& nl,
                                  const std::vector<NodeId>& ports) {
-  const circuit::NodePencil raw = circuit::build_node_pencil(nl);
-  const std::size_t n = raw.g.rows();
+  if (!nl.vsources().empty() || !nl.mosfets().empty() ||
+      !nl.inductors().empty()) {
+    throw std::invalid_argument(
+        "build_ported_pencil: netlist must contain only R/C (and I sources)");
+  }
+  const std::size_t n = nl.node_count() - 1;  // ground is eliminated
   if (ports.empty() || ports.size() > n) {
     throw std::invalid_argument("build_ported_pencil: bad port list");
   }
 
-  // Permutation: ports first (in the given order), then remaining nodes in
-  // id order.
-  std::vector<bool> is_port(n + 1, false);
+  // Rows: ports first (in the given order), then the remaining nodes in id
+  // order. row_of[id] is node id's row; n marks a node not yet placed.
+  std::vector<std::size_t> row_of(n + 1, n);
   PortedPencil out;
   out.num_ports = ports.size();
   out.row_to_node.reserve(n);
+  const auto place = [&](std::size_t id) {
+    row_of[id] = out.row_to_node.size();
+    out.row_to_node.push_back(static_cast<NodeId>(id));
+  };
   for (NodeId p : ports) {
     if (p <= 0 || static_cast<std::size_t>(p) > n) {
       throw std::invalid_argument("build_ported_pencil: port not a node");
     }
-    if (is_port[static_cast<std::size_t>(p)]) {
+    if (row_of[static_cast<std::size_t>(p)] != n) {
       throw std::invalid_argument("build_ported_pencil: duplicate port");
     }
-    is_port[static_cast<std::size_t>(p)] = true;
-    out.row_to_node.push_back(p);
+    place(static_cast<std::size_t>(p));
   }
   for (std::size_t id = 1; id <= n; ++id) {
-    if (!is_port[id]) out.row_to_node.push_back(static_cast<NodeId>(id));
+    if (row_of[id] == n) place(id);
   }
 
+  // Symmetric two-terminal stamps straight into those rows, element by
+  // element in netlist order (paper Eq. 1; MOSFETs are the simulators'
+  // nonlinear part and never stamped here).
+  const auto stamp = [&](numeric::Matrix& m, NodeId a, NodeId b,
+                         double value) {
+    const std::size_t ia = row_of[static_cast<std::size_t>(a)];
+    const std::size_t ib = row_of[static_cast<std::size_t>(b)];
+    if (a != kGround) m(ia, ia) += value;
+    if (b != kGround) m(ib, ib) += value;
+    if (a != kGround && b != kGround) {
+      m(ia, ib) -= value;
+      m(ib, ia) -= value;
+    }
+  };
   out.g = numeric::Matrix(n, n);
   out.c = numeric::Matrix(n, n);
-  // row_to_node maps pencil row -> node id; raw row of node id is id-1.
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto ri = static_cast<std::size_t>(out.row_to_node[i] - 1);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto rj = static_cast<std::size_t>(out.row_to_node[j] - 1);
-      out.g(i, j) = raw.g(ri, rj);
-      out.c(i, j) = raw.c(ri, rj);
-    }
+  for (const circuit::Resistor& r : nl.resistors()) {
+    stamp(out.g, r.a, r.b, 1.0 / r.ohms);
+  }
+  for (const circuit::Capacitor& c : nl.capacitors()) {
+    stamp(out.c, c.a, c.b, c.farads);
   }
   return out;
 }

@@ -9,10 +9,10 @@
 #include <cstddef>
 #include <vector>
 
-#include "circuit/mna.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/technology.hpp"
 #include "interconnect/sakurai.hpp"
+#include "numeric/matrix.hpp"
 
 namespace lcsf::interconnect {
 
@@ -40,8 +40,9 @@ struct CoupledLineBundle {
 /// neighbouring lines.
 CoupledLineBundle build_coupled_lines(const CoupledLineSpec& spec);
 
-/// Node-pencil (G, C) of a bundle with ports permuted to the first rows,
-/// which is the ordering PACT and the effective-load construction expect.
+/// The interconnect (G, C) pencil of paper Eq. (1) with ports in the first
+/// rows, which is the ordering PACT and the effective-load construction
+/// expect. Ground is eliminated.
 struct PortedPencil {
   numeric::Matrix g;
   numeric::Matrix c;
@@ -50,6 +51,8 @@ struct PortedPencil {
   std::vector<circuit::NodeId> row_to_node;
 };
 
+/// Stamp a netlist of R and C elements (current sources are ignored;
+/// anything else throws std::invalid_argument) into its ports-first pencil.
 PortedPencil build_ported_pencil(const circuit::Netlist& nl,
                                  const std::vector<circuit::NodeId>& ports);
 

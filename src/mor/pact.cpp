@@ -28,7 +28,10 @@ struct Partition {
   Matrix cpp, cpi, cii;
 };
 
-Partition partition(const interconnect::PortedPencil& pencil) {
+/// Copy the pencil's blocks out, freeing the full G once its blocks are
+/// out and the full C on return, so at most three dense n x n matrices
+/// live here.
+Partition partition(interconnect::PortedPencil pencil) {
   const std::size_t n = pencil.g.rows();
   const std::size_t np = pencil.num_ports;
   if (np == 0 || np > n) {
@@ -41,6 +44,7 @@ Partition partition(const interconnect::PortedPencil& pencil) {
   p.gpp = pencil.g.block(0, 0, np, np);
   p.gpi = pencil.g.block(0, np, np, ni);
   p.gii = pencil.g.block(np, np, ni, ni);
+  pencil.g = Matrix();
   p.cpp = pencil.c.block(0, 0, np, np);
   p.cpi = pencil.c.block(0, np, np, ni);
   p.cii = pencil.c.block(np, np, ni, ni);
@@ -166,10 +170,10 @@ bool PactMemo::Key::operator==(const Key& o) const {
          same_bits(index, o.index) && same_bits(value, o.value);
 }
 
-PactResult pact_reduce(const interconnect::PortedPencil& pencil,
+PactResult pact_reduce(interconnect::PortedPencil pencil,
                        const PactOptions& opt, PactMemo* memo) {
   obs::ScopedSpan span("mor.pact");
-  const Partition p = partition(pencil);
+  const Partition p = partition(std::move(pencil));
   const std::size_t q = std::min(opt.internal_modes, p.ni);
 
   if (p.ni == 0 || q == 0) {
@@ -226,9 +230,9 @@ PactResult pact_reduce(const interconnect::PortedPencil& pencil,
   return res;
 }
 
-ReducedModel pact_reduce_with_basis(const interconnect::PortedPencil& pencil,
+ReducedModel pact_reduce_with_basis(interconnect::PortedPencil pencil,
                                     const PactBasis& basis) {
-  const Partition p = partition(pencil);
+  const Partition p = partition(std::move(pencil));
   if (p.np != basis.num_ports || p.ni != basis.u.rows()) {
     throw std::invalid_argument("pact_reduce_with_basis: basis mismatch");
   }

@@ -46,10 +46,13 @@ class PactMemo;
 /// ground) -- true for the effective loads of the framework because driver
 /// output conductances are folded in first (Table 1, step 2).
 ///
+/// The pencil is consumed: its full G and C are freed as soon as their
+/// blocks are partitioned, so move it in.
+///
 /// With a `memo`, an exact repeat of the pencil's internal half reuses the
 /// stored X, eigenvectors and mode order; the result is bitwise identical
 /// to an unmemoized call.
-PactResult pact_reduce(const interconnect::PortedPencil& pencil,
+PactResult pact_reduce(interconnect::PortedPencil pencil,
                        const PactOptions& opt, PactMemo* memo = nullptr);
 
 /// Exact-match memo of the pencil-internal half of pact_reduce.
@@ -68,7 +71,7 @@ class PactMemo {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  friend PactResult pact_reduce(const interconnect::PortedPencil&,
+  friend PactResult pact_reduce(interconnect::PortedPencil,
                                 const PactOptions&, PactMemo*);
 
   struct Key {
@@ -90,8 +93,8 @@ class PactMemo {
 /// Reduce a (perturbed) pencil re-using a nominal basis. The port/internal
 /// congruence X(w) = -Gii^{-1} Gip is recomputed exactly for this pencil;
 /// only the internal eigenbasis is frozen. The result is still an exact
-/// congruence of the given pencil.
-ReducedModel pact_reduce_with_basis(const interconnect::PortedPencil& pencil,
+/// congruence of the given pencil, which is consumed like pact_reduce's.
+ReducedModel pact_reduce_with_basis(interconnect::PortedPencil pencil,
                                     const PactBasis& basis);
 
 }  // namespace lcsf::mor

@@ -12,23 +12,21 @@ using numeric::ComplexMatrix;
 using numeric::LuFactorization;
 using numeric::Matrix;
 
-ComplexMatrix ReducedModel::port_impedance(Complex s) const {
-  ComplexLu lu(numeric::complex_pencil(g, c, s));
-  const ComplexMatrix rhs{b};
-  const ComplexMatrix x = lu.solve(rhs);  // (G+sC)^{-1} B
-  // Z = B^T X.
-  ComplexMatrix z(num_ports, num_ports);
+namespace {
+
+/// Z = B^T X over the first num_ports columns of B, real or complex X.
+template <typename M>
+M port_rows(const Matrix& b, const M& x, std::size_t num_ports) {
+  M z(num_ports, num_ports);
   for (std::size_t i = 0; i < num_ports; ++i) {
     for (std::size_t j = 0; j < num_ports; ++j) {
-      Complex sum = 0.0;
+      decltype(x(0, 0)) sum{};
       for (std::size_t r = 0; r < b.rows(); ++r) sum += b(r, i) * x(r, j);
       z(i, j) = sum;
     }
   }
   return z;
 }
-
-namespace {
 
 Matrix moments_impl(const Matrix& g, const Matrix& c, const Matrix& b,
                     std::size_t num_ports, std::size_t k) {
@@ -38,15 +36,7 @@ Matrix moments_impl(const Matrix& g, const Matrix& c, const Matrix& b,
     x = lu.solve(c * x);
     x *= -1.0;  // (-G^{-1} C)^i applied
   }
-  Matrix z(num_ports, num_ports);
-  for (std::size_t i = 0; i < num_ports; ++i) {
-    for (std::size_t j = 0; j < num_ports; ++j) {
-      double sum = 0.0;
-      for (std::size_t r = 0; r < b.rows(); ++r) sum += b(r, i) * x(r, j);
-      z(i, j) = sum;
-    }
-  }
-  return z;
+  return port_rows(b, x, num_ports);
 }
 
 Matrix ports_first_b(std::size_t n, std::size_t num_ports) {
@@ -56,6 +46,12 @@ Matrix ports_first_b(std::size_t n, std::size_t num_ports) {
 }
 
 }  // namespace
+
+ComplexMatrix ReducedModel::port_impedance(Complex s) const {
+  ComplexLu lu(numeric::complex_pencil(g, c, s));
+  const ComplexMatrix rhs{b};
+  return port_rows(b, lu.solve(rhs), num_ports);  // B^T (G+sC)^{-1} B
+}
 
 Matrix ReducedModel::moment(std::size_t k) const {
   return moments_impl(g, c, b, num_ports, k);

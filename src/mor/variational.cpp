@@ -24,58 +24,21 @@ VariationalRom::VariationalRom(ReducedModel nominal,
   }
 }
 
-namespace {
-
-bool all_zero(const Vector& w) {
-  for (double x : w) {
-    if (!numeric::exact_zero(x)) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 ReducedModel VariationalRom::evaluate(const Vector& w) const {
-  if (w.size() != sensitivity_.size()) {
-    throw std::invalid_argument("VariationalRom::evaluate: wrong w size");
-  }
-  obs::add_counter("mor.rom_evaluations");
-  // Nominal-sample fast path: no perturbation terms to accumulate.
-  if (all_zero(w)) return nominal_;
-  ReducedModel m = nominal_;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    if (numeric::exact_zero(w[i])) continue;
-    const ReducedModel& d = sensitivity_[i];
-    m.g += w[i] * d.g;
-    m.c += w[i] * d.c;
-    m.b += w[i] * d.b;
-  }
+  ReducedModel m;
+  evaluate_into(w, m);
   return m;
 }
 
 void VariationalRom::evaluate_into(const Vector& w, ReducedModel& out) const {
-  if (w.size() != sensitivity_.size()) {
-    throw std::invalid_argument("VariationalRom::evaluate: wrong w size");
-  }
-  obs::add_counter("mor.rom_evaluations");
-  out.num_ports = nominal_.num_ports;
-  // Copy-assignment reuses out's heap blocks when shapes already match.
-  out.g = nominal_.g;
-  out.c = nominal_.c;
-  out.b = nominal_.b;
-  if (all_zero(w)) return;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    if (numeric::exact_zero(w[i])) continue;
-    const ReducedModel& d = sensitivity_[i];
-    out.g.axpy(w[i], d.g);
-    out.c.axpy(w[i], d.c);
-    out.b.axpy(w[i], d.b);
-  }
+  const Vector* const wp = &w;
+  ReducedModel* const mp = &out;
+  evaluate_into_batch({&wp, 1}, {&mp, 1});
 }
 
 void VariationalRom::evaluate_into_batch(
-    const std::vector<const Vector*>& w,
-    const std::vector<ReducedModel*>& out) const {
+    std::span<const Vector* const> w,
+    std::span<ReducedModel* const> out) const {
   if (w.size() != out.size()) {
     throw std::invalid_argument(
         "VariationalRom::evaluate_into_batch: lane count mismatch");
@@ -89,13 +52,14 @@ void VariationalRom::evaluate_into_batch(
                    static_cast<std::uint64_t>(w.size()));
   for (ReducedModel* m : out) {
     m->num_ports = nominal_.num_ports;
+    // Copy-assignment reuses m's heap blocks when shapes already match.
     m->g = nominal_.g;
     m->c = nominal_.c;
     m->b = nominal_.b;
   }
   // Direction-outer: each sensitivity block is streamed through the cache
-  // once per batch. Per lane this performs the same ascending-i axpy
-  // sequence (with the same exact-zero skips) as evaluate_into.
+  // once per batch. Per lane this is the ascending-i sequence
+  // m += w[i] * d_i, skipping exact-zero w[i].
   const std::size_t ng = nominal_.g.rows() * nominal_.g.cols();
   const std::size_t nc = nominal_.c.rows() * nominal_.c.cols();
   const std::size_t nb = nominal_.b.rows() * nominal_.b.cols();
@@ -120,42 +84,38 @@ VariationalRom build_variational_rom(const PencilFamily& family,
     throw std::invalid_argument("build_variational_rom: fd_step must be > 0");
   }
   const Vector w0(num_params, 0.0);
-  interconnect::PortedPencil p0 = family(w0);
 
   ReducedModel nominal;
-  // Reduction applied to each perturbed pencil sample.
-  std::function<ReducedModel(const interconnect::PortedPencil&)> project;
+  // Reduction applied to each perturbed pencil sample. Every pencil is
+  // handed over and dies inside its reduction, so at most one dense
+  // pencil is held at a time.
+  std::function<ReducedModel(interconnect::PortedPencil)> project;
 
   if (opt.method == ReductionMethod::kPact) {
-    PactResult r = pact_reduce(p0, opt.pact, memo);
+    PactResult r = pact_reduce(family(w0), opt.pact, memo);
     nominal = std::move(r.model);
     if (opt.library == LibraryMode::kFullReduction) {
-      project = [pact = opt.pact, memo](const interconnect::PortedPencil& p) {
-        return pact_reduce(p, pact, memo).model;
+      project = [pact = opt.pact, memo](interconnect::PortedPencil p) {
+        return pact_reduce(std::move(p), pact, memo).model;
       };
     } else {
-      project = [basis = std::move(r.basis)](
-                    const interconnect::PortedPencil& p) {
-        return pact_reduce_with_basis(p, basis);
+      project = [basis = std::move(r.basis)](interconnect::PortedPencil p) {
+        return pact_reduce_with_basis(std::move(p), basis);
       };
     }
   } else {
-    PrimaResult r = prima_reduce(p0, opt.prima);
+    PrimaResult r = prima_reduce(family(w0), opt.prima);
     nominal = std::move(r.model);
     if (opt.library == LibraryMode::kFullReduction) {
-      project = [prima = opt.prima](const interconnect::PortedPencil& p) {
+      project = [prima = opt.prima](interconnect::PortedPencil p) {
         return prima_reduce(p, prima).model;
       };
     } else {
-      project = [x = std::move(r.projection)](
-                    const interconnect::PortedPencil& p) {
+      project = [x = std::move(r.projection)](interconnect::PortedPencil p) {
         return prima_project(p, x);
       };
     }
   }
-  // Release the nominal pencil, so at most one dense pencil is held while
-  // the sensitivity samples reduce.
-  p0 = {};
 
   std::vector<ReducedModel> sens;
   sens.reserve(num_params);

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "interconnect/coupled_lines.hpp"
@@ -79,17 +80,16 @@ class VariationalRom {
 
   /// evaluate() into a caller-owned model, reusing its matrix storage so a
   /// Monte-Carlo worker evaluates thousands of samples with zero heap
-  /// traffic. Bitwise identical to evaluate(); an all-zero w short-circuits
-  /// to a plain copy of the nominal model.
+  /// traffic: a one-lane evaluate_into_batch.
   void evaluate_into(const numeric::Vector& w, ReducedModel& out) const;
 
-  /// Batched evaluate_into over a block of samples, direction-outer so
-  /// each sensitivity matrix is streamed once per block instead of once
-  /// per sample. Per lane it performs the same accumulations in the same
-  /// order as evaluate_into (including the all-zero and exact-zero skip
-  /// paths), so every out[b] is bitwise identical to a scalar call.
-  void evaluate_into_batch(const std::vector<const numeric::Vector*>& w,
-                           const std::vector<ReducedModel*>& out) const;
+  /// The one evaluation body, over a block of samples: out[l] is the
+  /// model at *w[l]. Direction-outer, so each sensitivity matrix is
+  /// streamed once per block instead of once per sample; per lane the
+  /// accumulation order is fixed (ascending parameter, exact-zero terms
+  /// skipped), so every out[l] is bitwise identical to a one-lane call.
+  void evaluate_into_batch(std::span<const numeric::Vector* const> w,
+                           std::span<ReducedModel* const> out) const;
 
   /// Resident heap footprint of the nominal model plus every sensitivity
   /// direction -- the dominant cost of a characterized design, and the

@@ -55,15 +55,6 @@ Vector CholeskyFactorization::solve(const Vector& b) const {
   return solve_lower_transposed(solve_lower(b));
 }
 
-Matrix CholeskyFactorization::solve_lower(const Matrix& b) const {
-  if (b.rows() != size()) throw std::invalid_argument("Cholesky: size");
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    x.set_col(j, solve_lower(b.col(j)));
-  }
-  return x;
-}
-
 bool is_symmetric(const Matrix& a, double tol) {
   if (!a.square()) return false;
   const double scale = std::max(a.max_abs(), 1e-300);

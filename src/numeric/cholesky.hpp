@@ -24,8 +24,6 @@ class CholeskyFactorization {
   Vector solve_lower(const Vector& b) const;
   /// Solve L^T y = b (backward substitution only).
   Vector solve_lower_transposed(const Vector& b) const;
-  /// Compute L^{-1} B.
-  Matrix solve_lower(const Matrix& b) const;
 
  private:
   Matrix l_;

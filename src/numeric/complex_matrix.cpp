@@ -1,10 +1,6 @@
 #include "numeric/complex_matrix.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
-
-#include "numeric/fp_compare.hpp"
 
 namespace lcsf::numeric {
 
@@ -21,48 +17,6 @@ void ComplexMatrix::assign(std::size_t rows, std::size_t cols) {
   data_.assign(rows * cols, Complex{});
 }
 
-ComplexMatrix& ComplexMatrix::operator+=(const ComplexMatrix& rhs) {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("ComplexMatrix +=: dimension mismatch");
-  }
-  for (std::size_t k = 0; k < data_.size(); ++k) data_[k] += rhs.data_[k];
-  return *this;
-}
-
-ComplexMatrix operator*(const ComplexMatrix& a, const ComplexMatrix& b) {
-  if (a.cols() != b.rows()) {
-    throw std::invalid_argument("ComplexMatrix *: dimension mismatch");
-  }
-  ComplexMatrix c(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const Complex aik = a(i, k);
-      if (aik == Complex{}) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) c(i, j) += aik * b(k, j);
-    }
-  }
-  return c;
-}
-
-CVector ComplexMatrix::operator*(const CVector& x) const {
-  if (cols_ != x.size()) {
-    throw std::invalid_argument("ComplexMatrix * vector: size mismatch");
-  }
-  CVector y(rows_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    Complex s = 0.0;
-    for (std::size_t j = 0; j < cols_; ++j) s += (*this)(i, j) * x[j];
-    y[i] = s;
-  }
-  return y;
-}
-
-double ComplexMatrix::max_abs() const {
-  double m = 0.0;
-  for (const Complex& v : data_) m = std::max(m, std::abs(v));
-  return m;
-}
-
 ComplexMatrix complex_pencil(const Matrix& g, const Matrix& c, Complex s) {
   if (g.rows() != c.rows() || g.cols() != c.cols()) {
     throw std::invalid_argument("complex_pencil: dimension mismatch");
@@ -74,90 +28,6 @@ ComplexMatrix complex_pencil(const Matrix& g, const Matrix& c, Complex s) {
     }
   }
   return m;
-}
-
-ComplexLu::ComplexLu(ComplexMatrix a) : lu_(std::move(a)) { factorize(); }
-
-void ComplexLu::refactor(const ComplexMatrix& a) {
-  lu_ = a;  // copy-assign reuses lu_'s heap block when shapes match
-  factorize();
-}
-
-void ComplexLu::factorize() {
-  if (lu_.rows() != lu_.cols()) {
-    throw std::invalid_argument("ComplexLu: matrix must be square");
-  }
-  const std::size_t n = lu_.rows();
-  piv_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) piv_[i] = i;
-
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t p = k;
-    double pmax = std::abs(lu_(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::abs(lu_(i, k));
-      if (v > pmax) {
-        pmax = v;
-        p = i;
-      }
-    }
-    if (exact_zero(pmax)) throw std::runtime_error("ComplexLu: singular matrix");
-    if (p != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(lu_(p, j), lu_(k, j));
-      std::swap(piv_[p], piv_[k]);
-    }
-    const Complex ukk = lu_(k, k);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const Complex lik = lu_(i, k) / ukk;
-      lu_(i, k) = lik;
-      if (lik == Complex{}) continue;
-      for (std::size_t j = k + 1; j < n; ++j) lu_(i, j) -= lik * lu_(k, j);
-    }
-  }
-}
-
-CVector ComplexLu::solve(const CVector& b) const {
-  CVector x;
-  solve_into(b, x);
-  return x;
-}
-
-void ComplexLu::solve_into(const CVector& b, CVector& x) const {
-  const std::size_t n = lu_.rows();
-  if (b.size() != n) throw std::invalid_argument("ComplexLu::solve: size");
-  x.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Complex s = b[piv_[i]];
-    for (std::size_t j = 0; j < i; ++j) s -= lu_(i, j) * x[j];
-    x[i] = s;
-  }
-  for (std::size_t ii = n; ii-- > 0;) {
-    Complex s = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= lu_(ii, j) * x[j];
-    x[ii] = s / lu_(ii, ii);
-  }
-}
-
-ComplexMatrix ComplexLu::solve(const ComplexMatrix& b) const {
-  ComplexMatrix x;
-  CVector col_b;
-  CVector col_x;
-  solve_into(b, x, col_b, col_x);
-  return x;
-}
-
-void ComplexLu::solve_into(const ComplexMatrix& b, ComplexMatrix& x,
-                           CVector& col_b, CVector& col_x) const {
-  if (b.rows() != lu_.rows()) {
-    throw std::invalid_argument("ComplexLu::solve: dimension mismatch");
-  }
-  x.assign(b.rows(), b.cols());
-  col_b.resize(b.rows());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    for (std::size_t i = 0; i < b.rows(); ++i) col_b[i] = b(i, j);
-    solve_into(col_b, col_x);
-    for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = col_x[i];
-  }
 }
 
 }  // namespace lcsf::numeric

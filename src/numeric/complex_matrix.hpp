@@ -1,4 +1,4 @@
-// Minimal dense complex matrix with LU solve.
+// Minimal dense complex matrix; numeric::ComplexLu (lu.hpp) factors it.
 //
 // Needed in two places: evaluating port impedances Z(s) at complex
 // frequencies, and inverting the (complex) eigenvector matrix S during the
@@ -38,13 +38,6 @@ class ComplexMatrix {
     return data_[i * cols_ + j];
   }
 
-  ComplexMatrix& operator+=(const ComplexMatrix& rhs);
-  friend ComplexMatrix operator*(const ComplexMatrix& a,
-                                 const ComplexMatrix& b);
-  CVector operator*(const CVector& x) const;
-
-  double max_abs() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -53,31 +46,5 @@ class ComplexMatrix {
 
 /// a + scale * b for real matrices promoted to complex (used for G + sC).
 ComplexMatrix complex_pencil(const Matrix& g, const Matrix& c, Complex s);
-
-/// Dense complex LU with partial pivoting.
-class ComplexLu {
- public:
-  /// Empty factorization; only valid for refactor() followed by solves.
-  ComplexLu() = default;
-  explicit ComplexLu(ComplexMatrix a);
-
-  /// Re-factorize a new matrix, reusing pivot/LU storage when the shape
-  /// matches. Bitwise identical to constructing a fresh ComplexLu.
-  void refactor(const ComplexMatrix& a);
-
-  CVector solve(const CVector& b) const;
-  ComplexMatrix solve(const ComplexMatrix& b) const;
-  /// solve() into caller-owned x (must not alias b); bitwise identical.
-  void solve_into(const CVector& b, CVector& x) const;
-  /// Matrix solve into caller-owned x with caller column scratch.
-  void solve_into(const ComplexMatrix& b, ComplexMatrix& x, CVector& col_b,
-                  CVector& col_x) const;
-
- private:
-  void factorize();
-
-  ComplexMatrix lu_;
-  std::vector<std::size_t> piv_;
-};
 
 }  // namespace lcsf::numeric

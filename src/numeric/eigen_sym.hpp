@@ -1,8 +1,9 @@
 // Symmetric (and generalized symmetric-definite) eigensolvers.
 //
-// Cyclic Jacobi rotation: unconditionally stable, perfectly adequate for the
-// modest sizes appearing here (PACT internal blocks after reduction, PCA
-// covariance matrices with tens of parameters).
+// Householder tridiagonalization + implicit-shift QL above n = 24, cyclic
+// Jacobi rotation (unconditionally stable, cheaper on tiny inputs) up to
+// it. Sizes range from PCA covariance matrices with tens of parameters to
+// PACT's internal blocks of hundreds of nodes.
 #pragma once
 
 #include "numeric/matrix.hpp"

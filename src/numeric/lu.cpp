@@ -7,19 +7,34 @@
 #include "numeric/fp_compare.hpp"
 
 namespace lcsf::numeric {
+namespace {
 
-LuFactorization::LuFactorization(Matrix a) : lu_(std::move(a)) {
+/// Each instance keeps its own exception messages.
+template <typename M>
+constexpr bool kReal = std::is_same_v<M, Matrix>;
+
+bool is_zero(double v) { return exact_zero(v); }
+bool is_zero(const Complex& v) { return v == Complex{}; }
+
+}  // namespace
+
+template <typename M>
+Lu<M>::Lu(M a) : lu_(std::move(a)) {
   factorize();
 }
 
-void LuFactorization::refactor(const Matrix& a) {
+template <typename M>
+void Lu<M>::refactor(const M& a) {
   lu_ = a;  // copy-assign reuses lu_'s heap block when shapes match
   factorize();
 }
 
-void LuFactorization::factorize() {
-  if (!lu_.square()) {
-    throw std::invalid_argument("LuFactorization: matrix must be square");
+template <typename M>
+void Lu<M>::factorize() {
+  if (lu_.rows() != lu_.cols()) {
+    throw std::invalid_argument(kReal<M>
+                                    ? "LuFactorization: matrix must be square"
+                                    : "ComplexLu: matrix must be square");
   }
   const std::size_t n = lu_.rows();
   piv_.resize(n);
@@ -37,17 +52,18 @@ void LuFactorization::factorize() {
       }
     }
     if (exact_zero(pmax)) {
-      throw std::runtime_error("LuFactorization: singular matrix");
+      throw std::runtime_error(kReal<M> ? "LuFactorization: singular matrix"
+                                        : "ComplexLu: singular matrix");
     }
     if (p != k) {
       for (std::size_t j = 0; j < n; ++j) std::swap(lu_(p, j), lu_(k, j));
       std::swap(piv_[p], piv_[k]);
     }
-    const double ukk = lu_(k, k);
+    const Scalar ukk = lu_(k, k);
     for (std::size_t i = k + 1; i < n; ++i) {
-      const double lik = lu_(i, k) / ukk;
+      const Scalar lik = lu_(i, k) / ukk;
       lu_(i, k) = lik;
-      if (exact_zero(lik)) continue;
+      if (is_zero(lik)) continue;
       for (std::size_t j = k + 1; j < n; ++j) {
         lu_(i, j) -= lik * lu_(k, j);
       }
@@ -55,32 +71,39 @@ void LuFactorization::factorize() {
   }
 }
 
-Vector LuFactorization::solve(const Vector& b) const {
-  Vector x;
+template <typename M>
+typename Lu<M>::Vec Lu<M>::solve(const Vec& b) const {
+  Vec x;
   solve_into(b, x);
   return x;
 }
 
-void LuFactorization::solve_into(const Vector& b, Vector& x) const {
+template <typename M>
+void Lu<M>::solve_into(const Vec& b, Vec& x) const {
   if (b.size() != size()) {
-    throw std::invalid_argument("LU solve: size mismatch");
+    throw std::invalid_argument(kReal<M> ? "LU solve: size mismatch"
+                                         : "ComplexLu::solve: size");
   }
   x.resize(size());
   solve_into_strided(b.data(), x.data(), 1);
 }
 
-Matrix LuFactorization::solve(const Matrix& b) const {
-  if (b.rows() != size()) throw std::invalid_argument("LU solve: size");
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    x.set_col(j, solve(b.col(j)));
-  }
+template <typename M>
+M Lu<M>::solve(const M& b) const {
+  M x;
+  Vec col_b;
+  Vec col_x;
+  solve_into(b, x, col_b, col_x);
   return x;
 }
 
-void LuFactorization::solve_into(const Matrix& b, Matrix& x, Vector& col_b,
-                                 Vector& col_x) const {
-  if (b.rows() != size()) throw std::invalid_argument("LU solve: size");
+template <typename M>
+void Lu<M>::solve_into(const M& b, M& x, Vec& col_b, Vec& col_x) const {
+  if (b.rows() != size()) {
+    throw std::invalid_argument(kReal<M>
+                                    ? "LU solve: size"
+                                    : "ComplexLu::solve: dimension mismatch");
+  }
   x.assign(b.rows(), b.cols());
   col_b.resize(b.rows());
   for (std::size_t j = 0; j < b.cols(); ++j) {
@@ -89,6 +112,9 @@ void LuFactorization::solve_into(const Matrix& b, Matrix& x, Vector& col_b,
     for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = col_x[i];
   }
 }
+
+template class Lu<Matrix>;
+template class Lu<ComplexMatrix>;
 
 Vector solve(Matrix a, const Vector& b) {
   return LuFactorization(std::move(a)).solve(b);

@@ -69,7 +69,7 @@ Matrix& Matrix::axpy(double a, const Matrix& x) {
   if (rows_ != x.rows_ || cols_ != x.cols_) {
     throw std::invalid_argument("Matrix::axpy: dimension mismatch");
   }
-  for (std::size_t k = 0; k < data_.size(); ++k) data_[k] += a * x.data_[k];
+  axpy_batch(a, x.data(), data(), data_.size());
   return *this;
 }
 
@@ -80,32 +80,14 @@ void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
 }
 
 Matrix operator*(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.rows()) {
-    throw std::invalid_argument("Matrix *: dimension mismatch");
-  }
-  Matrix c(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (exact_zero(aik)) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        c(i, j) += aik * b(k, j);
-      }
-    }
-  }
+  Matrix c;
+  gemm_into(a, b, c);
   return c;
 }
 
 Vector operator*(const Matrix& a, const Vector& x) {
-  if (a.cols() != x.size()) {
-    throw std::invalid_argument("Matrix * Vector: dimension mismatch");
-  }
-  Vector y(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) s += a(i, j) * x[j];
-    y[i] = s;
-  }
+  Vector y;
+  mul_into(a, x, y);
   return y;
 }
 
@@ -217,20 +199,7 @@ double max_abs(const Vector& x) {
 
 void axpy(double a, const Vector& x, Vector& y) {
   if (x.size() != y.size()) throw std::invalid_argument("axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
-}
-
-Vector transposed_times(const Matrix& a, const Vector& x) {
-  if (a.rows() != x.size()) {
-    throw std::invalid_argument("transposed_times: dimension mismatch");
-  }
-  Vector y(a.cols(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const double xi = x[i];
-    if (exact_zero(xi)) continue;
-    for (std::size_t j = 0; j < a.cols(); ++j) y[j] += a(i, j) * xi;
-  }
-  return y;
+  axpy_batch(a, x.data(), y.data(), x.size());
 }
 
 void gemm_into(const Matrix& a, const Matrix& b, Matrix& c) {

@@ -61,9 +61,10 @@ class Matrix {
   Matrix& operator-=(const Matrix& rhs);
   Matrix& operator*=(double s);
 
-  /// this += a * x without materializing the scaled temporary. Produces
-  /// bitwise-identical results to `*this += a * x` (same multiply/add per
-  /// element, and the build does not enable FMA contraction).
+  /// this += a * x without materializing the scaled temporary (through
+  /// axpy_batch). Produces bitwise-identical results to `*this += a * x`
+  /// (same multiply/add per element, and the build does not enable FMA
+  /// contraction).
   Matrix& axpy(double a, const Matrix& x);
 
   /// Reshape to rows x cols and set every entry to fill, reusing the
@@ -76,9 +77,10 @@ class Matrix {
   friend Matrix operator*(Matrix lhs, double s) { return lhs *= s; }
   friend Matrix operator*(double s, Matrix rhs) { return rhs *= s; }
 
-  /// Matrix-matrix product (dimensions checked).
+  /// Matrix-matrix product (dimensions checked): gemm_into into a new
+  /// matrix.
   friend Matrix operator*(const Matrix& a, const Matrix& b);
-  /// Matrix-vector product.
+  /// Matrix-vector product: mul_into into a new vector.
   friend Vector operator*(const Matrix& a, const Vector& x);
 
   Matrix transposed() const;
@@ -118,17 +120,16 @@ double dot(const Vector& x, const Vector& y);
 double norm(const Vector& x);
 /// Largest absolute entry; 0 for empty vectors, NaN if any entry is NaN.
 double max_abs(const Vector& x);
-/// y <- y + a*x
+/// y <- y + a*x (through axpy_batch)
 void axpy(double a, const Vector& x, Vector& y);
-/// A^T * x
-Vector transposed_times(const Matrix& a, const Vector& x);
 
-/// c <- a * b, reusing c's storage (c must not alias a or b). Loop order and
-/// zero-skip match operator*(Matrix, Matrix) exactly, so results are bitwise
-/// identical to the allocating path.
+/// c <- a * b, reusing c's storage (c must not alias a or b): the one
+/// dense matrix product, i-k-j order skipping exact-zero a(i, k).
+/// operator*(Matrix, Matrix) is this into a fresh matrix.
 void gemm_into(const Matrix& a, const Matrix& b, Matrix& c);
-/// y <- a * x, reusing y's storage (y must not alias x). Bitwise identical
-/// to operator*(Matrix, Vector).
+/// y <- a * x, reusing y's storage (y must not alias x), ascending-j
+/// accumulation per row. operator*(Matrix, Vector) is this into a fresh
+/// vector.
 void mul_into(const Matrix& a, const Vector& x, Vector& y);
 
 // ---- Strided-batch (SoA) kernels for the batched Monte-Carlo hot path.

@@ -352,6 +352,7 @@ Json handle_yield(const Json& req, const Json& id,
   const std::string estimator = get_string(req, "estimator", "mc");
   const double clock_period = get_double(req, "clock_period", 0.0);
   const double yield_target = get_double(req, "yield_target", 0.9987);
+  api::check_yield_inputs(estimator, clock_period, yield_target);
   const auto session = cached_design(ctx, spec);
 
   const api::YieldResult y = run_recorded(run_reg, [&] {

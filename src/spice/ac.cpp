@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "circuit/mosfet.hpp"
+#include "numeric/lu.hpp"
 #include "sim/diagnostics.hpp"
 #include "spice/transient.hpp"
 

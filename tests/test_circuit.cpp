@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "circuit/mna.hpp"
 #include "circuit/mosfet.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/source_waveform.hpp"
@@ -190,25 +189,6 @@ TEST(Netlist, FreezeDeviceCapacitances) {
   EXPECT_THROW(nl.add_mosfet(t.make_nmos(out, in, kGround)),
                std::logic_error);
   nl.freeze_device_capacitances();  // idempotent
-}
-
-TEST(Mna, NodePencilSymmetryAndRejection) {
-  Netlist nl;
-  NodeId a = nl.add_node();
-  NodeId b = nl.add_node();
-  nl.add_resistor(a, b, 10.0);
-  nl.add_capacitor(a, kGround, 2e-12);
-  nl.add_capacitor(a, b, 1e-12);
-  NodePencil p = build_node_pencil(nl);
-  EXPECT_EQ(p.g.rows(), 2u);
-  EXPECT_DOUBLE_EQ(p.g(0, 0), 0.1);
-  EXPECT_DOUBLE_EQ(p.g(0, 1), -0.1);
-  EXPECT_DOUBLE_EQ(p.c(0, 0), 3e-12);
-  EXPECT_DOUBLE_EQ(p.c(0, 1), -1e-12);
-  EXPECT_DOUBLE_EQ(p.c(1, 1), 1e-12);
-
-  nl.add_vsource(a, kGround, SourceWaveform::dc(1.0));
-  EXPECT_THROW(build_node_pencil(nl), std::invalid_argument);
 }
 
 TEST(Technology, CardsAreConsistent) {

@@ -219,7 +219,7 @@ TEST(PathAnalyzer, WorstCaseCornerExceedsNominalAndQuantile) {
   model.std_dl = 0.33;
   model.std_vt = 0.33;
   const auto ga = pa.gradient_analysis(model);
-  const auto corner = pa.worst_case_corner(model, 3.0);
+  const auto corner = pa.worst_case_corner(model, ga, 3.0);
   EXPECT_GT(corner.delay, ga.nominal_delay);
   // The all-corners point is beyond the 3-sigma Gaussian quantile.
   EXPECT_GT(corner.delay, ga.nominal_delay + 3.0 * ga.stddev);

@@ -175,5 +175,51 @@ TEST(Differential, PipelineBitsMatchTheRecordedParent) {
   EXPECT_EQ(snap.counters.at("spice.newton_iterations"), 6984u);
 }
 
+/// FNV-1a over the raw (little-endian) bytes of every entry of m.
+std::uint64_t fnv1a(std::uint64_t h, const numeric::Matrix& m) {
+  for (std::size_t k = 0; k < m.rows() * m.cols(); ++k) {
+    const std::uint64_t b = bits(m.data()[k]);
+    for (int shift = 0; shift < 64; shift += 8) {
+      h = (h ^ ((b >> shift) & 0xffU)) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Golden bits of the effective-load library, one hash per cell over the
+// nominal and sensitivity (G, C, B) entries of its stage-load ROMs at
+// 1, 4, 12, 30 and 99 segments (0 to 98 internal nodes, so PACT's
+// symmetric eigensolve runs both its Jacobi and its QL path) and two
+// receiver caps. Recorded like the pipeline bits above.
+TEST(Differential, StageLoadRomBitsMatchTheRecordedParent) {
+#if !defined(__x86_64__) || defined(__FMA__)
+  GTEST_SKIP() << "golden bits are recorded for x86-64 SSE2 without FMA";
+#endif
+  const std::vector<std::uint64_t> recorded = {
+      0xba3bce82e457cc58, 0xa01cef36a1deead9, 0x8ea74b70b16d58b1,
+      0x48d7c2e3ff999ed1, 0xb7eeada7fa276445, 0x10191128de6a8e11,
+      0xa8784eeb6f900db2, 0xe266fc3a7dd1cc36, 0x7e76ed50f5789e4d,
+      0x7e76ed50f5789e4d};
+  const circuit::Technology tech = circuit::technology_180nm();
+  const auto& lib = timing::cell_library();
+  ASSERT_EQ(lib.size(), recorded.size());
+  for (std::size_t cell = 0; cell < lib.size(); ++cell) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::size_t segments : {1, 4, 12, 30, 99}) {
+      for (const double cap : {input_pin_cap(lib[cell], tech), 20e-15}) {
+        const mor::VariationalRom rom =
+            characterize_stage_load(lib[cell], tech, segments, cap, 6);
+        for (std::size_t d = 0; d <= rom.num_params(); ++d) {
+          const mor::ReducedModel& m =
+              d == 0 ? rom.nominal() : rom.sensitivity(d - 1);
+          h = fnv1a(fnv1a(fnv1a(h, m.g), m.c), m.b);
+        }
+      }
+    }
+    EXPECT_EQ(h, recorded[cell])
+        << lib[cell].name << ": got 0x" << std::hex << h;
+  }
+}
+
 }  // namespace
 }  // namespace lcsf::core

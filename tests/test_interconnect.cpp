@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "circuit/technology.hpp"
 #include "interconnect/coupled_lines.hpp"
@@ -128,6 +129,39 @@ TEST(CoupledLines, PortedPencilPermutation) {
   EXPECT_THROW(build_ported_pencil(b.netlist, {ports[0], ports[0]}),
                std::invalid_argument);
   EXPECT_THROW(build_ported_pencil(b.netlist, {circuit::kGround}),
+               std::invalid_argument);
+}
+
+// The pencil's entries, stamped straight into ports-first rows: port b
+// takes row 0, so node a's entries land in row 1.
+TEST(Mna, NodePencilSymmetryAndRejection) {
+  circuit::Netlist nl;
+  const circuit::NodeId a = nl.add_node();
+  const circuit::NodeId b = nl.add_node();
+  nl.add_resistor(a, b, 10.0);
+  nl.add_capacitor(a, circuit::kGround, 2e-12);
+  nl.add_capacitor(a, b, 1e-12);
+  const PortedPencil p = build_ported_pencil(nl, {b});
+  EXPECT_EQ(p.g.rows(), 2u);
+  EXPECT_EQ(p.row_to_node, (std::vector<circuit::NodeId>{b, a}));
+  EXPECT_DOUBLE_EQ(p.g(1, 1), 0.1);
+  EXPECT_DOUBLE_EQ(p.g(1, 0), -0.1);
+  EXPECT_DOUBLE_EQ(p.g(0, 1), -0.1);
+  EXPECT_DOUBLE_EQ(p.c(1, 1), 3e-12);
+  EXPECT_DOUBLE_EQ(p.c(1, 0), -1e-12);
+  EXPECT_DOUBLE_EQ(p.c(0, 0), 1e-12);
+
+  nl.add_vsource(a, circuit::kGround, circuit::SourceWaveform::dc(1.0));
+  EXPECT_THROW(build_ported_pencil(nl, {b}), std::invalid_argument);
+}
+
+TEST(Inductor, NodePencilRejectsInductors) {
+  circuit::Netlist nl;
+  const auto a = nl.add_node();
+  nl.add_inductor(a, circuit::kGround, 1e-9);
+  EXPECT_THROW(build_ported_pencil(nl, {a}), std::invalid_argument);
+  EXPECT_THROW(nl.add_inductor(a, a, 1e-9), std::invalid_argument);
+  EXPECT_THROW(nl.add_inductor(a, circuit::kGround, -1e-9),
                std::invalid_argument);
 }
 

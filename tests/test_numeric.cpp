@@ -4,6 +4,8 @@
 #include <cmath>
 #include <complex>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "numeric/cholesky.hpp"
 #include "numeric/eigen_real.hpp"
@@ -74,7 +76,7 @@ TEST(Matrix, VectorOps) {
   axpy(2.0, x, y);
   EXPECT_DOUBLE_EQ(y[2], 12.0);
   Matrix a{{1, 0}, {0, 2}, {3, 0}};
-  Vector z = transposed_times(a, Vector{1, 1, 1});
+  Vector z = a.transposed() * Vector{1, 1, 1};
   EXPECT_DOUBLE_EQ(z[0], 4.0);
   EXPECT_DOUBLE_EQ(z[1], 2.0);
 }
@@ -95,6 +97,45 @@ TEST(Lu, SolvesRandomSystems) {
 TEST(Lu, DeterminantAndSingularity) {
   Matrix sing{{1, 2}, {2, 4}};
   EXPECT_THROW(LuFactorization{sing}, std::runtime_error);
+}
+
+/// what() of the exception `f` throws, or "" when it throws none.
+template <typename E, typename F>
+std::string message_of(F&& f) {
+  try {
+    f();
+  } catch (const E& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// The real and complex instances of the one LU keep their own exception
+// types and messages, which reach the stage diagnostics verbatim.
+TEST(Lu, InstancesKeepTheirMessages) {
+  const Matrix sing{{1, 2}, {2, 4}};
+  EXPECT_EQ(message_of<std::runtime_error>([&] { LuFactorization{sing}; }),
+            "LuFactorization: singular matrix");
+  EXPECT_EQ(message_of<std::runtime_error>(
+                [&] { ComplexLu{ComplexMatrix(sing)}; }),
+            "ComplexLu: singular matrix");
+  EXPECT_EQ(message_of<std::invalid_argument>(
+                [] { LuFactorization{Matrix(2, 3)}; }),
+            "LuFactorization: matrix must be square");
+  EXPECT_EQ(message_of<std::invalid_argument>(
+                [] { ComplexLu{ComplexMatrix(2, 3)}; }),
+            "ComplexLu: matrix must be square");
+  const LuFactorization lu(Matrix::identity(2));
+  const ComplexLu clu(ComplexMatrix(Matrix::identity(2)));
+  EXPECT_EQ(message_of<std::invalid_argument>([&] { lu.solve(Vector(3)); }),
+            "LU solve: size mismatch");
+  EXPECT_EQ(message_of<std::invalid_argument>([&] { lu.solve(Matrix(3, 1)); }),
+            "LU solve: size");
+  EXPECT_EQ(message_of<std::invalid_argument>([&] { clu.solve(CVector(3)); }),
+            "ComplexLu::solve: size");
+  EXPECT_EQ(message_of<std::invalid_argument>(
+                [&] { clu.solve(ComplexMatrix(3, 1)); }),
+            "ComplexLu::solve: dimension mismatch");
 }
 
 TEST(Cholesky, FactorAndSolve) {
@@ -280,7 +321,7 @@ TEST(Orthonormal, BasisSpansInput) {
   // Each input column must be reproduced by Q Q^T a_j.
   for (std::size_t j = 0; j < 4; ++j) {
     Vector aj = a.col(j);
-    Vector proj = res.q * transposed_times(res.q, aj);
+    Vector proj = res.q * (res.q.transposed() * aj);
     for (std::size_t i = 0; i < 10; ++i) EXPECT_NEAR(proj[i], aj[i], 1e-10);
   }
 }

@@ -5,7 +5,6 @@
 #include <limits>
 #include <string>
 
-#include "circuit/mna.hpp"
 #include "circuit/parser.hpp"
 #include "spice/transient.hpp"
 
@@ -299,15 +298,6 @@ TEST(Inductor, DcActsAsShort) {
   const auto v = sim.dc_operating_point();
   EXPECT_NEAR(v[static_cast<std::size_t>(a)], 0.75, 1e-3);
   EXPECT_NEAR(v[static_cast<std::size_t>(b)], 0.75, 1e-3);
-}
-
-TEST(Inductor, NodePencilRejectsInductors) {
-  Netlist nl;
-  const auto a = nl.add_node();
-  nl.add_inductor(a, kGround, 1e-9);
-  EXPECT_THROW(build_node_pencil(nl), std::invalid_argument);
-  EXPECT_THROW(nl.add_inductor(a, a, 1e-9), std::invalid_argument);
-  EXPECT_THROW(nl.add_inductor(a, kGround, -1e-9), std::invalid_argument);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -433,6 +434,31 @@ TEST(Dispatch, RejectsRunFieldsOverTheirCaps) {
   EXPECT_EQ(error_of(R"({"id":5,"type":"monte_carlo","circuit":"s27",)"
                      R"("samples":1,"threads":256})"),
             "ok");
+}
+
+// A yield input no estimate can use is rejected while the request is
+// parsed, naming the field: no design loads, so the cache stays empty.
+TEST(Dispatch, RejectsBadYieldInputsBeforeLoading) {
+  DispatchFixture f;
+  const std::pair<const char*, const char*> probes[] = {
+      {R"("estimator":"bogus")", "'estimator'"},
+      {R"("yield_target":0)", "'yield_target'"},
+      {R"("yield_target":1)", "'yield_target'"},
+      {R"("yield_target":1.5)", "'yield_target'"},
+      {R"("clock_period":-1)", "'clock_period'"},
+      {R"("clock_period":-1e-12)", "'clock_period'"}};
+  for (const auto& [field, name] : probes) {
+    const std::string line =
+        std::string(R"({"id":1,"type":"yield","circuit":"s27","samples":1,)") +
+        field + "}";
+    const serve::Json v = serve::Json::parse(f.dispatch(line));
+    const serve::Json* err = v.find("error");
+    ASSERT_NE(err, nullptr) << line;
+    EXPECT_EQ(err->find("kind")->as_string(), "invalid-input") << line;
+    EXPECT_NE(err->find("message")->as_string().find(name), std::string::npos)
+        << line;
+    EXPECT_EQ(f.cache.entries(), 0u) << line;
+  }
 }
 
 // A number that overflows a double (1e999) is the parse error a

@@ -31,9 +31,10 @@
 // estimated (docs/yield_estimation.md): mc reuses the Monte-Carlo sweep
 // (default), is runs the importance-sampled estimator of
 // stats::Runner::run_yield_is, is-cv additionally applies the
-// linear-surrogate control variate. --clock-period is in seconds and
-// defaults to the Gradient-Analysis period for --yield-target, so the
-// IS run probes exactly the tail the report quotes. --is-pilot spends n
+// linear-surrogate control variate. --clock-period is in seconds (>= 0)
+// and its default 0 means the Gradient-Analysis period for
+// --yield-target, so the IS run probes exactly the tail the report
+// quotes. --is-pilot spends n
 // pilot samples refining the proposal shift (cross-entropy update)
 // before the main run.
 //
@@ -191,7 +192,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--yield-estimator") {
       yield_estimator = next();
     } else if (arg == "--clock-period") {
-      clock_period = next_double();
+      clock_period = next_double(0.0);  // 0 = the GA period
     } else if (arg == "--is-pilot") {
       is_pilot = next_size();
     } else if (arg == "--graph") {
@@ -411,7 +412,7 @@ int main(int argc, char** argv) {
     }
 
     if (corner) {
-      const auto wc = analyzer.worst_case_corner(model, 3.0);
+      const auto wc = analyzer.worst_case_corner(model, ga, 3.0);
       std::printf("worst-case +/-3-sigma corner: %.2f ps (pessimism %.2fx "
                   "vs GA quantile)\n",
                   wc.delay * 1e12,
